@@ -21,13 +21,11 @@ from .modularity import (
     build_modularity_matrix,
     modularity,
 )
-from .mspec import DetectionResult, Division, _canonical_labels, kl_relocate, spectral_partition
+from .mspec import _GAIN_EPS, DetectionResult, Division, kl_relocate, spectral_partition
 from .network import MultilayerNetwork
 from .params import CouplingSpec
 
 __all__ = ["BaselineConfig", "mlouv", "smean_spec", "sfull_spec"]
-
-_GAIN_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
             best_labels = labels[inverse]
             best_q = q
             best_trace = trace
-    partition = Partition(_canonical_labels(best_labels))
+    partition = Partition(best_labels).canonical()
     q_total = modularity(net, spec, params, partition)
     meta = {
         "algorithm": "mlouv",
@@ -145,7 +143,7 @@ def _single_layer_matrix(adjacency: np.ndarray, gamma: float,
 
 
 def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-               refine: bool = True, tol: float = 1e-10) -> DetectionResult:
+               refine: bool = True) -> DetectionResult:
     """Single-layer spectral recursion on the mean of all layer adjacencies.
 
     The per-node labels found on the mean network are broadcast to every
@@ -161,8 +159,8 @@ def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
     if params.signed:
         gamma_minus = float(np.mean(params.gamma_signed()[1]))
     b = _single_layer_matrix(mean_adj, gamma, gamma_minus)
-    node_labels, divisions, _, _ = spectral_partition(b, refine=refine, tol=tol)
-    partition = Partition.broadcast(net, _canonical_labels(node_labels)).canonical()
+    node_labels, divisions, _, _ = spectral_partition(b, refine=refine)
+    partition = Partition.broadcast(net, node_labels).canonical()
     q_total = modularity(net, spec, params, partition)
     meta = {
         "algorithm": "smean",
@@ -174,7 +172,7 @@ def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
 
 
 def sfull_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-               refine: bool = True, tol: float = 1e-10) -> DetectionResult:
+               refine: bool = True) -> DetectionResult:
     """Independent single-layer spectral recursion per layer.
 
     Community ids are kept disjoint across layers (no reconciliation), so
@@ -190,8 +188,7 @@ def sfull_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
             b = _single_layer_matrix(a, gp[t], gm[t])
         else:
             b = _single_layer_matrix(a, params.gamma[t])
-        layer_labels, divs, _, _ = spectral_partition(b, refine=refine, tol=tol)
-        layer_labels = _canonical_labels(layer_labels)
+        layer_labels, divs, _, _ = spectral_partition(b, refine=refine)
         labels[t * net.n_nodes:(t + 1) * net.n_nodes] = layer_labels + offset
         offset += int(layer_labels.max()) + 1
         divisions.extend(divs)

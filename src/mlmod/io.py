@@ -9,6 +9,7 @@ with the path and 1-based line number.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -62,6 +63,22 @@ def _parse_float(token: str, what: str, path: str, lineno: int) -> float:
     if math.isnan(value) or math.isinf(value):
         raise ParseError(f"non-finite {what}", path, lineno)
     return value
+
+
+def _infer_node_count(ids: set[int], path: str, what: str) -> int:
+    """Largest node id, provided every id below it appears (no silent gaps)."""
+    if not ids:
+        raise ParseError(f"cannot infer node count from an empty {what} file; "
+                         "declare it explicitly", path)
+    n_nodes = max(ids)
+    missing = set(range(1, n_nodes + 1)) - ids
+    if missing:
+        raise ParseError(
+            f"node ids have gaps (missing {sorted(missing)[:5]}...); "
+            "declare the node count explicitly instead of compacting",
+            path,
+        )
+    return n_nodes
 
 
 def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], dict[int, int]]:
@@ -197,17 +214,7 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
 
     seen_nodes = {i for _, _, i, j, _ in records} | {j for _, _, i, j, _ in records}
     if n_nodes is None:
-        if not seen_nodes:
-            raise ParseError("cannot infer node count from an empty edge file; "
-                             "declare it explicitly", edge_path)
-        n_nodes = max(seen_nodes)
-        missing = set(range(1, n_nodes + 1)) - seen_nodes
-        if missing:
-            raise ParseError(
-                f"node ids have gaps (missing {sorted(missing)[:5]}...); "
-                "declare the node count explicitly instead of compacting",
-                edge_path,
-            )
+        n_nodes = _infer_node_count(seen_nodes, edge_path, "edge")
     else:
         if n_nodes < 1:
             raise DomainError("declared node count must be >= 1")
@@ -434,13 +441,10 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
         raise ParseError("grid dimensions unknown: add a #dims directive "
                          "or pass them explicitly", path)
     if n_nodes is None:
-        ids = [i for _, _, i, j, _ in records] + [j for _, _, i, j, _ in records]
-        if not ids:
-            raise ParseError("cannot infer node count from an empty grid file", path)
-        n_nodes = max(ids)
-    import itertools as _it
+        ids = {i for _, _, i, _, _ in records} | {j for _, _, _, j, _ in records}
+        n_nodes = _infer_node_count(ids, path, "grid")
 
-    layer_edges = {c: [] for c in _it.product(*(range(d) for d in dims))}
+    layer_edges = {c: [] for c in itertools.product(*(range(d) for d in dims))}
     for lineno, coord, i, j, w in records:
         if len(coord) != len(dims) or coord not in layer_edges:
             raise DomainError(
@@ -495,6 +499,10 @@ def save_result(result: DetectionResult, path: str, net: MultilayerNetwork) -> N
     """
     if result.partition.labels.shape != (net.supra_size,):
         raise DomainError("result partition does not match the network")
+    for key, value in result.meta.items():
+        if any(ch.isspace() for ch in key) or any(ch in value for ch in "\r\n"):
+            raise DomainError(f"#meta {key!r} would not read back: keys must not "
+                              "contain whitespace, values must not contain line breaks")
     lines = [_RESULT_HEADER]
     lines.append(f"#meta n_nodes {net.n_nodes}")
     lines.append("#meta aspects " + ",".join(str(s) for s in net.aspect_sizes))

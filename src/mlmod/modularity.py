@@ -80,13 +80,10 @@ class Partition:
 
     def canonical(self) -> "Partition":
         """Relabel to a contiguous 0..K-1 range in order of first appearance."""
-        mapping: dict[int, int] = {}
-        out = np.empty_like(self.labels)
-        for idx, lab in enumerate(self.labels.tolist()):
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            out[idx] = mapping[lab]
-        return Partition(out)
+        _, first, inverse = np.unique(self.labels, return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return Partition(rank[inverse])
 
     def cell_view(self, net: MultilayerNetwork) -> np.ndarray:
         """Labels reshaped to (n_cells, n_nodes), read-only."""
@@ -337,15 +334,6 @@ class SupraModularityMatrix:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def index_of(self, i: int, s: int, v: int, net: MultilayerNetwork) -> int:
-        from .network import node_index
-
-        return node_index(i, s, v, net) - 1
-
-    def cell_of(self, x: int) -> tuple[int, int]:
-        """0-based (cell, node) of a 0-based supra index."""
-        return divmod(x, self.n_nodes)
 
 
 def build_modularity_matrix(net: MultilayerNetwork, spec: CouplingSpec,

@@ -102,7 +102,7 @@ def _split_gain(matrix: np.ndarray, z: np.ndarray) -> float:
     return 0.5 * float(z @ (matrix @ z) - matrix.sum())
 
 
-def bisect(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, float]:
+def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Sign-rule bisection of a symmetric matrix.
 
     Returns ``(z, delta_q, beta)`` where z is the +-1 assignment from the
@@ -110,7 +110,7 @@ def bisect(matrix: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, float, f
     the split in raw modularity units, and beta is the leading eigenvalue.
     A non-positive gain means the split is non-improving.
     """
-    beta, u = leading_eigenpair(matrix, tol=tol)
+    beta, u = leading_eigenpair(matrix)
     z = _sign_split(u)
     return z, _split_gain(matrix, z), beta
 
@@ -168,7 +168,7 @@ def kl_relocate(matrix: np.ndarray, labels: np.ndarray, max_sweeps: int = 10,
     return labels
 
 
-def spectral_partition(matrix: np.ndarray, refine: bool = True, tol: float = 1e-10,
+def spectral_partition(matrix: np.ndarray, refine: bool = True,
                        min_community_size: int = 1, max_depth: int | None = None,
                        ) -> tuple[np.ndarray, list[Division], np.ndarray | None, list[str]]:
     """Recursive bisection engine over an arbitrary symmetric quality matrix.
@@ -190,7 +190,7 @@ def spectral_partition(matrix: np.ndarray, refine: bool = True, tol: float = 1e-
         if members.size < max(2, 2 * min_community_size):
             continue
         sub = subdivision_matrix(matrix, members)
-        beta, u = leading_eigenpair(sub, tol=tol)
+        beta, u = leading_eigenpair(sub)
         if depth == 0:
             root_u = u
         z = _sign_split(u)
@@ -224,19 +224,9 @@ def spectral_partition(matrix: np.ndarray, refine: bool = True, tol: float = 1e-
     return labels, divisions, root_u, diagnostics
 
 
-def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    mapping: dict[int, int] = {}
-    out = np.empty_like(labels)
-    for idx, lab in enumerate(labels.tolist()):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[idx] = mapping[lab]
-    return out
-
-
 def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
                  min_community_size: int = 1, max_depth: int | None = None,
-                 refine: bool = True, tol: float = 1e-10) -> DetectionResult:
+                 refine: bool = True) -> DetectionResult:
     """Detect communities by recursive spectral bisection of D.
 
     Starts from the whole supra vertex set and recursively bisects each
@@ -248,11 +238,10 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
         raise DomainError("min_community_size must be >= 1")
     dm = build_modularity_matrix(net, spec, params)
     labels, divisions, root_u, diagnostics = spectral_partition(
-        dm.matrix, refine=refine, tol=tol,
+        dm.matrix, refine=refine,
         min_community_size=min_community_size, max_depth=max_depth,
     )
-    labels = _canonical_labels(labels)
-    partition = Partition(labels)
+    partition = Partition(labels).canonical()
     q_total = modularity(net, spec, params, partition)
     q_spectral = dm.chi + sum(d.delta_q for d in divisions if d.applied)
     meta = {
@@ -273,8 +262,8 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
     )
 
 
-def soft_labels(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-                tol: float = 1e-10) -> SoftLabels:
+def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
+                params: ModularityParams) -> SoftLabels:
     """Continuous per-cell labels: the dominant eigenvector of the root
     bisection matrix, aligned with the supra index order.
 
@@ -284,7 +273,7 @@ def soft_labels(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPa
     """
     dm = build_modularity_matrix(net, spec, params)
     sub = subdivision_matrix(dm.matrix, np.arange(dm.size))
-    beta, u = leading_eigenpair(sub, tol=tol)
+    beta, u = leading_eigenpair(sub)
     z = _sign_split(u)
     dq = 0.5 * float(z @ (sub @ z))
     return SoftLabels(values=u, beta=beta, root_divisible=bool(dq > _GAIN_EPS))

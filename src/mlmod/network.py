@@ -188,12 +188,6 @@ class MultilayerNetwork:
         k.setflags(write=False)
         return LayerStats(strengths=k, total_weight=m)
 
-    def coupling_present(self, node: int, cell_a: int, cell_b: int) -> bool:
-        if cell_a == cell_b:
-            raise DomainError("a cell cannot couple with itself")
-        key = (node, cell_a, cell_b) if cell_a < cell_b else (node, cell_b, cell_a)
-        return key in self.couplings
-
     def candidate_pairs(self) -> Iterable[tuple[int, int, int]]:
         """All candidate node-copy pairs (node, cell_a, cell_b), cell_a < cell_b."""
         for ca, cb in itertools.combinations(range(self.n_cells), 2):

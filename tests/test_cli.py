@@ -228,6 +228,13 @@ class TestConvert:
         code = run_cli(["convert", "--input", str(p), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_node_id_gap_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "grid.txt"
+        p.write_text("#dims 1 1\n1,1 1 5 1.0\n")
+        code = run_cli(["convert", "--input", str(p), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{p}: node ids have gaps" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_non_convergence_exit_1(self, tmp_path, monkeypatch):
@@ -346,3 +353,17 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "Q=" in proc.stdout
+
+
+def test_small_runs_never_load_arpack(tmp_path):
+    # Supra 340 stays on the dense eigen path, so scipy.sparse.linalg (and
+    # the RSS it costs) must not be imported by a karate-replica compare.
+    code = (
+        "import sys\n"
+        "import mlmod\n"
+        "from mlmod.cli import main\n"
+        f"assert main(['compare', '--rho', '0', '0.5', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

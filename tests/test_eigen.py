@@ -32,13 +32,13 @@ class TestLeadingEigenpair:
 
     def test_eight_by_eight_matches_dense_oracle(self, rng):
         d = random_symmetric(rng, 8)
-        beta, u = leading_eigenpair(d, tol=1e-12)
+        beta, u = leading_eigenpair(d)
         beta_o, u_o = dense_leading_eigenpair(d)
         scale = np.abs(d).sum(axis=1).max()
         assert abs(beta - beta_o) <= 1e-8 * scale
         assert abs(abs(u @ u_o) - 1.0) <= 1e-6
 
-    @pytest.mark.parametrize("n", [4, 16, 40, 64, 128, 300])
+    @pytest.mark.parametrize("n", [4, 16, 40, 64, 128, 300, 600, 1000])
     def test_sizes_vs_oracle(self, n):
         rng = np.random.default_rng(n * 7 + 1)
         d = random_symmetric(rng, n)
@@ -69,11 +69,12 @@ class TestLeadingEigenpair:
         assert beta == pytest.approx(beta_o, abs=1e-10)
 
     def test_deterministic_across_calls(self, rng):
-        d = random_symmetric(rng, 20)
-        b1, u1 = leading_eigenpair(d)
-        b2, u2 = leading_eigenpair(d)
-        assert b1 == b2
-        assert np.array_equal(u1, u2)
+        for n in (20, 600):  # dense path, then ARPACK above the cutoff
+            d = random_symmetric(rng, n)
+            b1, u1 = leading_eigenpair(d)
+            b2, u2 = leading_eigenpair(d)
+            assert b1 == b2
+            assert np.array_equal(u1, u2)
 
     def test_orientation_canonical(self, rng):
         d = random_symmetric(rng, 12)
@@ -88,10 +89,15 @@ class TestLeadingEigenpair:
         with pytest.raises(DomainError):
             leading_eigenpair(np.zeros((2, 3)))
 
-    def test_budget_exhaustion_carries_residual(self):
-        rng = np.random.default_rng(5)
-        d = random_symmetric(rng, 60)
+    def test_arpack_no_convergence_carries_residual(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((600, 0)))
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        d = random_symmetric(np.random.default_rng(5), 600)
         with pytest.raises(ConvergenceError) as err:
-            leading_eigenpair(d, tol=1e-14, max_iter=3)
+            leading_eigenpair(d)
         assert err.value.best_residual is not None
         assert err.value.best_residual > 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,17 @@ class TestResultDocuments:
         assert np.array_equal(loaded.partition.labels, res.partition.labels)
         assert np.array_equal(loaded.soft_labels, res.soft_labels)
 
+    @pytest.mark.parametrize("key, value", [
+        ("note", "two\nlines"), ("note", "carriage\rreturn"), ("two words", "x"),
+    ])
+    def test_unreadable_meta_rejected_on_write(self, tmp_path, key, value):
+        net, res = self._detect()
+        res = dataclasses.replace(res, meta={**res.meta, key: value})
+        path = tmp_path / "r.txt"
+        with pytest.raises(DomainError):
+            save_result(res, str(path), net)
+        assert not path.exists()
+
     def test_truncated_document_rejected(self, tmp_path):
         net, res = self._detect()
         path = tmp_path / "r.txt"
@@ -258,6 +271,13 @@ class TestAspectGridFile:
         p.write_text("#dims 1 2\n3,1 1 2 1.0\n")
         with pytest.raises(DomainError):
             load_aspect_grid(str(p))
+
+    def test_gap_rejected_when_inferring(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("#dims 1 1\n1,1 1 5 1.0\n")
+        with pytest.raises(ParseError, match="gaps"):
+            load_aspect_grid(str(p))
+        assert load_aspect_grid(str(p), n_nodes=5).n_nodes == 5
 
     def test_missing_dims(self, tmp_path):
         p = tmp_path / "grid.txt"
