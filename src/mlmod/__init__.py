@@ -25,6 +25,7 @@ from .network import (
 from .params import CouplingSpec, ModularityParams
 from .modularity import (
     Partition,
+    QualityMatrix,
     SupraModularityMatrix,
     build_modularity_matrix,
     chi_value,
@@ -34,6 +35,7 @@ from .modularity import (
     modularity_signed,
     normalization_factor,
     null_model_ng,
+    quality_matrix,
 )
 from .eigen import leading_eigenpair
 from .mspec import (

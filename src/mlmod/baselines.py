@@ -18,11 +18,13 @@ import numpy as np
 from .modularity import (
     ModularityParams,
     Partition,
+    QualityMatrix,
     build_modularity_matrix,
     modularity,
+    quality_matrix,
 )
 from .mspec import _GAIN_EPS, DetectionResult, Division, kl_relocate, spectral_partition
-from .network import MultilayerNetwork
+from .network import Aspect, MultilayerNetwork, normalize_edges
 from .params import CouplingSpec
 
 __all__ = ["BaselineConfig", "mlouv", "smean_spec", "sfull_spec"]
@@ -92,6 +94,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
     """
     config = config or BaselineConfig()
     dm = build_modularity_matrix(net, spec, params)
+    qm, _ = quality_matrix(net, spec, params)
     n = dm.size
     best_labels: np.ndarray | None = None
     best_q = -np.inf
@@ -102,7 +105,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
         m = dm.matrix[np.ix_(perm, perm)]
         labels, trace = _greedy_merge(m)
         if config.kl_swap:
-            labels = kl_relocate(m, labels, max_sweeps=config.max_passes)
+            labels, _ = kl_relocate(qm.take(perm), labels, max_sweeps=config.max_passes)
             trace = trace + [_q_matrix(m, labels)]
         q = _q_matrix(m, labels)
         if q > best_q:
@@ -126,20 +129,17 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
                            soft_labels=None, meta=meta)
 
 
-def _single_layer_matrix(adjacency: np.ndarray, gamma: float,
-                         gamma_minus: float | None = None) -> np.ndarray:
-    """Newman modularity matrix of one dense adjacency; signed weights are
-    handled by subtracting the negative subset's own null model."""
-    a_pos = np.clip(adjacency, 0.0, None)
-    a_neg = np.clip(-adjacency, 0.0, None)
-    out = np.zeros_like(adjacency)
-    for a, g, sign in ((a_pos, gamma, 1.0), (a_neg, gamma_minus or gamma, -1.0)):
-        m = a.sum() / 2.0
-        if m <= 0:
-            continue
-        k = a.sum(axis=1)
-        out += sign * (a - g * np.outer(k, k) / (2.0 * m))
-    return out
+def _one_layer(n_nodes: int, edges, gamma: float,
+               gamma_minus: float | None = None) -> QualityMatrix:
+    """Quality matrix of one layer with unit weight: Newman's modularity
+    matrix, and with ``gamma_minus`` the signed form whose negative edge
+    subset has its own null model."""
+    net = MultilayerNetwork(n_nodes=n_nodes, aspects=(Aspect("layer", ("layer",)),),
+                            within_edges=(tuple(edges),))
+    signed = gamma_minus is not None
+    params = ModularityParams(gamma=(gamma,), lam=(1.0,), signed=signed,
+                              gamma_minus=(gamma_minus,) if signed else None)
+    return quality_matrix(net, CouplingSpec(), params)[0]
 
 
 def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
@@ -150,16 +150,14 @@ def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
     cell of that node, then scored with the full multilayer modularity.
     The mean matrix uses the average of the per-layer resolutions.
     """
-    mean_adj = np.zeros((net.n_nodes, net.n_nodes))
-    for t in range(net.n_cells):
-        mean_adj += net.adjacency_dense(t)
-    mean_adj /= net.n_cells
+    summed = normalize_edges((e for edges in net.within_edges for e in edges), net.n_nodes)
+    mean_edges = [(i, j, w / net.n_cells) for i, j, w in summed]
     gamma = float(np.mean(params.gamma))
     gamma_minus = None
     if params.signed:
         gamma_minus = float(np.mean(params.gamma_signed()[1]))
-    b = _single_layer_matrix(mean_adj, gamma, gamma_minus)
-    node_labels, divisions, _, _ = spectral_partition(b, refine=refine)
+    d = _one_layer(net.n_nodes, mean_edges, gamma, gamma_minus)
+    node_labels, divisions, *_ = spectral_partition(d, refine=refine)
     partition = Partition.broadcast(net, node_labels).canonical()
     q_total = modularity(net, spec, params, partition)
     meta = {
@@ -183,12 +181,11 @@ def sfull_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
     offset = 0
     gp, gm = params.gamma_signed()
     for t in range(net.n_cells):
-        a = net.adjacency_dense(t)
         if params.signed:
-            b = _single_layer_matrix(a, gp[t], gm[t])
+            d = _one_layer(net.n_nodes, net.within_edges[t], gp[t], gm[t])
         else:
-            b = _single_layer_matrix(a, params.gamma[t])
-        layer_labels, divs, _, _ = spectral_partition(b, refine=refine)
+            d = _one_layer(net.n_nodes, net.within_edges[t], params.gamma[t])
+        layer_labels, divs, *_ = spectral_partition(d, refine=refine)
         labels[t * net.n_nodes:(t + 1) * net.n_nodes] = layer_labels + offset
         offset += int(layer_labels.max()) + 1
         divisions.extend(divs)

@@ -39,10 +39,11 @@ DEFAULT_RHOS = tuple(round(0.1 * i, 1) for i in range(11))
 
 
 def _workers() -> int:
+    value = os.environ.get("MLMOD_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("MLMOD_WORKERS", "1")))
+        return max(1, int(value))
     except ValueError:
-        return 1
+        raise DomainError(f"MLMOD_WORKERS must be an integer, got {value!r}") from None
 
 
 def _run_grid(fn, items):
@@ -391,6 +392,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _workers()  # reject a bad MLMOD_WORKERS before any work is done
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 Up to ``_DENSE_MAX`` rows LAPACK's dense symmetric solver computes the top
 pair only; larger matrices go to ARPACK's implicitly restarted Lanczos
-(Lehoucq, Sorensen & Yang, SIAM 1998).  Its start vector comes from a PCG64
-stream with a fixed seed, so repeated calls return bit-identical results.
+(Lehoucq, Sorensen & Yang, SIAM 1998), which only needs products, so a
+subdivision matrix is never formed densely there.  The start vector comes
+from a PCG64 stream with a fixed seed, so repeated calls return
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,19 +31,27 @@ def _orient(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[idx] < 0 else vec
 
 
-def leading_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue and a unit eigenvector.
 
-    The returned pair satisfies ``norm(D u - beta u) <= 1e-10 * scale`` where
-    ``scale`` is the max absolute row sum of D.  Raises ConvergenceError
-    carrying the best residual when the solver cannot reach that bound.
+    ``matrix`` is a dense symmetric array or, above ``_DENSE_MAX`` rows, a
+    matrix-free ``modularity.Subdivision``.
+    The returned pair satisfies ``norm(D u - beta u) <= 1e-10 * scale``
+    where ``scale`` is the exact max absolute row sum of D.  Raises
+    ConvergenceError carrying the best residual when the solver cannot
+    reach that bound.
     """
-    d = np.asarray(matrix, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
-        raise DomainError("leading_eigenpair needs a non-empty square matrix")
-    n = d.shape[0]
-    scale = float(np.abs(d).sum(axis=1).max())
-    if float(np.abs(d - d.T).max()) > 1e-10 * max(scale, 1.0):
+    if hasattr(matrix, "matvec") and matrix.shape[0] > _DENSE_MAX:
+        n, apply = matrix.shape[0], matrix.matvec
+        scale, asymmetry = matrix.norm_inf(), matrix.asymmetry()
+    else:
+        d = np.asarray(matrix, dtype=float)
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
+            raise DomainError("leading_eigenpair needs a non-empty square matrix")
+        n, apply = d.shape[0], d.__matmul__
+        scale = float(np.abs(d).sum(axis=1).max())
+        asymmetry = float(np.abs(d - d.T).max())
+    if asymmetry > 1e-10 * max(scale, 1.0):
         raise DomainError("matrix is not symmetric")
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(n)
     v0 /= np.linalg.norm(v0)
@@ -52,14 +62,15 @@ def leading_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     else:
         # Imported here, not at module level: loading scipy.sparse.linalg adds
         # about 4 MB to the peak RSS of every run, and small runs never need it.
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+        op = LinearOperator((n, n), matvec=apply, dtype=float)
         try:  # ARPACK stops at norm(r) <= tol * |beta| <= tol * scale
-            vals, vecs = eigsh(d, k=1, which="LA", v0=v0, tol=_TOL)
+            vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=_TOL)
         except ArpackNoConvergence:  # best guess: the start vector's Rayleigh pair
-            vals, vecs = [v0 @ (d @ v0)], v0[:, None]
+            vals, vecs = [v0 @ apply(v0)], v0[:, None]
     beta, u = float(vals[0]), vecs[:, 0]
-    resid = float(np.linalg.norm(d @ u - beta * u))
+    resid = float(np.linalg.norm(apply(u) - beta * u))
     if resid > _TOL * scale:
         raise ConvergenceError(
             f"leading eigenpair residual {resid:.3g} exceeds {_TOL * scale:.3g}",

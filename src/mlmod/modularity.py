@@ -10,6 +10,11 @@ with within-layer entries ``lam * (A_ij - gamma * k_i k_j / 2m)`` and
 node-copy entries equal to the signed coupling strengths.  The matrix is
 never required to evaluate Q; the scorer aggregates edges, strengths and
 couplings directly, which keeps the two code paths independent.
+
+D is sparse plus one rank-one null term per layer and null piece, so the
+optimizers work on ``QualityMatrix``, a factored form whose memory and
+products cost O(nnz + N L^2); ``build_modularity_matrix`` assembles the
+dense (N L)^2 array and serves as the small-n reference.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from .params import CouplingSpec, ModularityParams
 __all__ = [
     "Partition",
     "SupraModularityMatrix",
+    "QualityMatrix",
+    "Subdivision",
+    "quality_matrix",
     "coupling_strength",
     "null_model_ng",
     "build_modularity_matrix",
@@ -388,3 +396,206 @@ def build_modularity_matrix(net: MultilayerNetwork, spec: CouplingSpec,
         n_nodes=N,
         n_cells=net.n_cells,
     )
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """(indptr, indices, data) of the n x n matrix with the given entries,
+    rows in order and entries kept in their given order within a row."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, cols[order], vals[order]
+
+
+@dataclass(frozen=True)
+class QualityMatrix:
+    """The supra-modularity matrix D in factored form, O(nnz + N L^2) memory.
+
+    ``indptr``, ``indices`` and ``data`` hold a symmetric CSR matrix B with
+    the within-layer blocks ``lam_t A_t`` and the signed coupling
+    strengths; its diagonal is zero, since layers have no self-loops and
+    couplings join distinct cells.  ``cells`` gives the layer cell of every
+    supra index.  Null piece p contributes a strength vector
+    ``strengths[p]`` and one coefficient per cell,
+    ``coefs[p, t] = sign * lam_t * gamma_t / 2 m_t``, so that
+
+        D_xy = B_xy - coefs[p, t] * strengths[p, x] * strengths[p, y]
+
+    summed over the pieces p for x and y in the same cell t, and
+    ``D_xy = B_xy`` across cells.  Unsigned networks have one piece; signed
+    ones have the '+' piece and the '-' piece, whose coefficients are <= 0.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    cells: np.ndarray
+    strengths: np.ndarray
+    coefs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.cells.size
+
+    def take(self, idx) -> "QualityMatrix":
+        """Rows and columns ``idx`` of D, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        pos = np.full(self.size, -1)
+        pos[idx] = np.arange(idx.size)
+        lo = self.indptr[idx]
+        lengths = self.indptr[idx + 1] - lo
+        # positions in indices/data of the entries of rows idx, row after row
+        at = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        cols = pos[self.indices[at]]
+        keep = cols >= 0
+        rows = np.repeat(np.arange(idx.size), lengths)[keep]
+        return QualityMatrix(*_csr(rows, cols[keep], self.data[at][keep], idx.size),
+                             self.cells[idx], self.strengths[:, idx], self.coefs)
+
+    def dense(self) -> np.ndarray:
+        """D as an n x n array, for small n."""
+        out = np.zeros((self.size, self.size))
+        out[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = self.data
+        for t in np.unique(self.cells):
+            idx = np.flatnonzero(self.cells == t)
+            for k, c in zip(self.strengths[:, idx], self.coefs[:, t]):
+                out[np.ix_(idx, idx)] -= c * np.outer(k, k)
+        return out
+
+
+class Subdivision:
+    """Subdivision matrix of D over members g in factored form:
+    ``M = D_gg - diag(D_gg 1)``, so every row of M sums to zero.
+
+    A product costs O(nnz(B_gg) + |g|): the sparse part, one per-cell sum
+    per null piece, and the row-sum shift (Newman, PNAS 103:8577, 2006).
+    """
+
+    def __init__(self, matrix: QualityMatrix, members):
+        sub = matrix.take(members)
+        m = sub.size
+        self.shape = (m, m)
+        self.indptr, self.cols, self.vals = sub.indptr, sub.indices, sub.data
+        self.rows = np.repeat(np.arange(m), np.diff(sub.indptr))
+        self.cells = sub.cells
+        self.k = sub.strengths
+        self.c = sub.coefs[:, sub.cells]  # coefficient of each member's cell
+        self.n_cells = sub.coefs.shape[1]
+        self.rowsum = np.bincount(self.rows, weights=self.vals, minlength=m) - self._null(np.ones(m))
+        self.null_diag = (self.c * (self.k * self.k)).sum(axis=0)
+
+    def _null(self, x: np.ndarray) -> np.ndarray:
+        """Product of the same-cell null terms with x."""
+        return sum(c * (k * np.bincount(self.cells, weights=k * x,
+                                        minlength=self.n_cells)[self.cells])
+                   for k, c in zip(self.k, self.c))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return (np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
+                - self._null(x) - self.rowsum * x)
+
+    def __matmul__(self, x):
+        return self.matvec(x)
+
+    def diagonal(self) -> np.ndarray:
+        return -self.null_diag - self.rowsum
+
+    def column(self, j: int) -> np.ndarray:
+        """Column j of M as a dense vector: row j of the symmetric B plus
+        the null terms of j's cell."""
+        col = np.zeros(self.shape[0])
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        col[self.cols[lo:hi]] = self.vals[lo:hi]
+        same = self.cells == self.cells[j]
+        for k, c in zip(self.k, self.c):
+            col[same] -= c[j] * (k[j] * k[same])
+        col[j] -= self.rowsum[j]
+        return col
+
+    def asymmetry(self) -> float:
+        """Largest |M_xy - M_yx|; the null terms are symmetric by construction."""
+        m = self.shape[0]
+        keys = np.concatenate((self.rows * m + self.cols, self.cols * m + self.rows))
+        _, pair = np.unique(keys, return_inverse=True)
+        diff = np.bincount(pair, weights=np.concatenate((self.vals, -self.vals)))
+        return float(np.abs(diff).max(initial=0.0))
+
+    def norm_inf(self) -> float:
+        """Exact max absolute row sum of M, without forming M."""
+        rows, cols, m = self.rows, self.cols, self.shape[0]
+        same = self.cells[rows] == self.cells[cols]
+        null_nz = sum(c[rows] * (k[rows] * k[cols]) for k, c in zip(self.k, self.c)) * same
+        # entries where B is non-zero replace their null-only contribution
+        fix = np.bincount(rows, weights=np.abs(self.vals - null_nz) - np.abs(null_nz),
+                          minlength=m)
+        return float((self._null_abs_rowsums() - np.abs(self.null_diag) + fix
+                      + np.abs(self.diagonal())).max())
+
+    def _null_abs_rowsums(self) -> np.ndarray:
+        """sum_j |N_xj| over x's cell, diagonal included, N the null part."""
+        if len(self.k) == 1:
+            c, k = self.c[0], self.k[0]
+            totals = np.bincount(self.cells, weights=k, minlength=self.n_cells)
+            return np.abs(c) * k * totals[self.cells]
+        # Signed: N_xj = a_x p_j - b_x q_j with a, b >= 0 is positive exactly
+        # when q_j / p_j < a_x / b_x, so sort each cell by q/p and split the
+        # prefix sums of p and q at that threshold.
+        p, q = self.k
+        a, b = self.c[0] * p, -self.c[1] * q
+        out = np.zeros(self.shape[0])
+        for t in np.unique(self.cells):
+            idx = np.flatnonzero(self.cells == t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(p[idx] > 0, q[idx] / p[idx], np.inf)
+                theta = np.where(b[idx] > 0, a[idx] / b[idx], np.inf)
+            order = np.argsort(ratio, kind="stable")
+            cum_p = np.concatenate(([0.0], np.cumsum(p[idx][order])))
+            cum_q = np.concatenate(([0.0], np.cumsum(q[idx][order])))
+            split = np.searchsorted(ratio[order], theta)
+            out[idx] = (a[idx] * (2.0 * cum_p[split] - cum_p[-1])
+                        - b[idx] * (2.0 * cum_q[split] - cum_q[-1]))
+        return out
+
+
+def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
+                   params: ModularityParams) -> tuple[QualityMatrix, float]:
+    """D in factored form, and chi, the sum of its entries.
+
+    chi is summed in the order ``build_modularity_matrix`` uses, so both
+    report the same float.
+    """
+    if not params.signed:
+        _require_sign_consistency(net, params)
+    if len(params.gamma) != net.n_cells:
+        raise DomainError("params do not match the network's layer cells")
+    N, n = net.n_nodes, net.supra_size
+    strengths = np.zeros((2 if params.signed else 1, n))
+    coefs = np.zeros((strengths.shape[0], net.n_cells))
+    entries = []  # (row, col, value) blocks of the upper triangle of B
+    within_bias = 0.0
+    for t in range(net.n_cells):
+        lam = params.lam[t]
+        edges = np.array(net.within_edges[t], dtype=float).reshape(-1, 3)
+        entries.append(edges * (1.0, 1.0, lam) + (t * N, t * N, 0.0))
+        for p, (stats, gamma, sign) in enumerate(_layer_terms(net, params, t)):
+            if stats.total_weight <= 0:
+                if not params.signed:
+                    _warn_empty("any", t)
+                continue
+            strengths[p, t * N:(t + 1) * N] = stats.strengths
+            coefs[p, t] = sign * lam * gamma / (2.0 * stats.total_weight)
+            within_bias += sign * lam * (1.0 - gamma) * 2.0 * stats.total_weight
+    coupling_sum = 0.0
+    pairs = []
+    for node, ca, cb in net.candidate_pairs():
+        present = (node, ca, cb) in net.couplings
+        ctil = spec.strength(net, node, ca, cb, present)
+        coupling_sum += 2.0 * ctil
+        pairs.append((ca * N + node, cb * N + node, ctil))
+    entries.append(np.array(pairs, dtype=float).reshape(-1, 3))
+    upper = np.concatenate(entries)
+    upper = upper[upper[:, 2] != 0.0]
+    heads, tails = upper[:, 0].astype(np.intp), upper[:, 1].astype(np.intp)
+    b = _csr(np.concatenate((heads, tails)), np.concatenate((tails, heads)),
+             np.concatenate((upper[:, 2], upper[:, 2])), n)
+    cells = np.repeat(np.arange(net.n_cells), N)
+    return QualityMatrix(*b, cells, strengths, coefs), within_bias + coupling_sum

@@ -12,6 +12,11 @@ By default each accepted cut is polished by single-cell moves across the
 cut while the gain improves, and a final relocation pass sweeps cells
 between the finished communities; both stages are disabled by
 ``refine=False``, which leaves the pure sign-rule recursion.
+
+D is held as ``modularity.QualityMatrix`` (sparse part plus per-layer
+rank-one null terms), so no stage forms an (N L)^2 array; a subdivision
+matrix is formed densely only when LAPACK solves it (at most 512 rows)
+and is matrix-free above that.
 """
 
 from __future__ import annotations
@@ -21,12 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .eigen import leading_eigenpair
+from .eigen import _DENSE_MAX, leading_eigenpair
 from .modularity import (
     ModularityParams,
     Partition,
-    build_modularity_matrix,
+    QualityMatrix,
+    Subdivision,
     modularity,
+    quality_matrix,
 )
 from .network import MultilayerNetwork
 from .params import CouplingSpec
@@ -82,13 +89,24 @@ class SoftLabels:
     root_divisible: bool
 
 
-def subdivision_matrix(matrix: np.ndarray, members) -> np.ndarray:
-    """Restriction of a symmetric matrix to ``members`` with the diagonal
-    reduced by within-community row sums; every row then sums to zero."""
+def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarray | Subdivision:
+    """Restriction of D to ``members`` with the diagonal reduced by
+    within-community row sums; every row then sums to zero.
+
+    ``matrix`` is D as a QualityMatrix or, with at most ``_DENSE_MAX``
+    rows, as a dense array.  Up to ``_DENSE_MAX`` members, where LAPACK
+    solves it, the result is a dense array; above that it is a
+    matrix-free ``Subdivision``.
+    """
     members = np.asarray(members, dtype=int)
     if members.size == 0:
         raise DomainError("subdivision matrix of an empty member set")
-    sub = np.array(matrix[np.ix_(members, members)], dtype=float)
+    if members.size > _DENSE_MAX:
+        return Subdivision(matrix, members)
+    if isinstance(matrix, QualityMatrix):
+        sub = matrix.take(members).dense()
+    else:
+        sub = matrix[np.ix_(members, members)]
     sub[np.diag_indices_from(sub)] -= sub.sum(axis=1)
     return sub
 
@@ -115,81 +133,111 @@ def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     return z, _split_gain(matrix, z), beta
 
 
-def refine_cut(matrix: np.ndarray, z: np.ndarray) -> np.ndarray:
+def refine_cut(matrix: np.ndarray | Subdivision, z: np.ndarray) -> np.ndarray:
     """Move single cells across the cut while the gain strictly improves.
 
     Greedy: repeatedly flips the single best cell with positive gain; the
-    quadratic form is updated incrementally.  Deterministic (first best
-    index wins).
+    quadratic form is updated incrementally, one column per flip.
+    Deterministic (first best index wins).
     """
     z = z.astype(float).copy()
     mz = matrix @ z
-    diag = np.diagonal(matrix)
+    diag = matrix.diagonal()
+    column = matrix.column if isinstance(matrix, Subdivision) else lambda j: matrix[:, j]
     for _ in range(4 * len(z) * len(z) + 8):
         gains = 2.0 * (diag - z * mz)
-        best = int(np.argmax(gains))
+        best = int(gains.argmax())
         if gains[best] <= _GAIN_EPS:
             break
         z[best] = -z[best]
-        mz += 2.0 * z[best] * matrix[:, best]
+        mz += 2.0 * z[best] * column(best)
     return z
 
 
-def kl_relocate(matrix: np.ndarray, labels: np.ndarray, max_sweeps: int = 10,
-                allow_new: bool = True) -> np.ndarray:
+def kl_relocate(matrix: QualityMatrix, labels: np.ndarray, max_sweeps: int = 10,
+                allow_new: bool = True) -> tuple[np.ndarray, float]:
     """Greedy single-vertex relocations between communities.
 
     Sweeps vertices in index order, moving each to the community with the
     largest strictly positive gain in raw Q; ``allow_new`` also offers a
     fresh singleton community.  Stops after ``max_sweeps`` sweeps or when a
-    sweep moves nothing.  Labels are compacted on return.
+    sweep moves nothing.  Returns the compacted labels and the summed gain
+    of the moves.  Each community's null-piece strength is kept per layer
+    cell, so a move costs O(degree + communities) (Blondel et al., J. Stat.
+    Mech. 2008, P10008).
     """
     labels = np.asarray(labels, dtype=int).copy()
-    n = matrix.shape[0]
+    n = matrix.size
+    indptr, indices, data = matrix.indptr.tolist(), matrix.indices, matrix.data
+    cells, k = matrix.cells.tolist(), matrix.strengths
+    ck = matrix.coefs[:, matrix.cells] * k
+    self_entry = (-(ck * k).sum(axis=0)).tolist()  # D_xx; B has a zero diagonal
+    ck = ck.T.tolist()
+    slots = matrix.cells * (n + 1)
+    gain = 0.0
     for _ in range(max_sweeps):
         moved = False
+        # totals[p][t, c]: strength of piece p over community c's cells in t
+        totals = [np.bincount(slots + labels, weights=kp,
+                              minlength=matrix.coefs.shape[1] * (n + 1)).reshape(-1, n + 1)
+                  for kp in k]
+        sizes = np.bincount(labels, minlength=n + 1)
+        top = int(labels.max()) + 1  # labels in use are below top; top is "new"
         for x in range(n):
-            row = matrix[x]
-            n_lab = labels.max() + 1
-            sums = np.bincount(labels, weights=row, minlength=n_lab + 1)
-            a = labels[x]
-            stay = sums[a] - row[x]
-            gains = 2.0 * (sums - stay)
+            a, t = labels[x], cells[x]
+            lo, hi = indptr[x], indptr[x + 1]
+            sums = np.bincount(labels[indices[lo:hi]], weights=data[lo:hi], minlength=top + 1)
+            for c, tot in zip(ck[x], totals):
+                sums = sums - c * tot[t, :top + 1]
+            gains = 2.0 * (sums - (sums[a] - self_entry[x]))
             gains[a] = 0.0
             if not allow_new:
-                gains[n_lab] = -np.inf
-            best = int(np.argmax(gains))
+                gains[top] = -np.inf
+            best = int(gains.argmax())
             if gains[best] > _GAIN_EPS:
                 labels[x] = best
                 moved = True
+                gain += float(gains[best])
+                for kp, tot in zip(k, totals):
+                    tot[t, a] -= kp[x]
+                    tot[t, best] += kp[x]
+                sizes[a] -= 1
+                sizes[best] += 1
+                top = max(top, best + 1)
+                while sizes[top - 1] == 0:
+                    top -= 1
         _, labels = np.unique(labels, return_inverse=True)
         if not moved:
             break
-    return labels
+    return labels, gain
 
 
-def spectral_partition(matrix: np.ndarray, refine: bool = True,
+def spectral_partition(matrix: QualityMatrix, refine: bool = True,
                        min_community_size: int = 1, max_depth: int | None = None,
-                       ) -> tuple[np.ndarray, list[Division], np.ndarray | None, list[str]]:
-    """Recursive bisection engine over an arbitrary symmetric quality matrix.
+                       ) -> tuple[np.ndarray, list[Division], np.ndarray | None, list[str],
+                                  float]:
+    """Recursive bisection engine over a quality matrix.
 
-    Returns (labels, divisions, root_eigenvector, diagnostics).  The final
-    relocation pass runs only when ``refine`` is set.
+    Returns (labels, divisions, root_eigenvector, diagnostics,
+    relocation_gain).  The final relocation pass runs only when ``refine``
+    is set; otherwise its gain is 0.
     """
-    n = matrix.shape[0]
+    n = matrix.size
     if n == 0:
         raise DomainError("cannot partition an empty matrix")
     labels = np.zeros(n, dtype=int)
     divisions: list[Division] = []
     diagnostics: list[str] = []
     root_u: np.ndarray | None = None
+    # A small D is formed once, so that every subdivision is a plain slice.
+    source = matrix.dense() if n <= _DENSE_MAX else matrix
     next_label = 1
     queue: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 0)]
     while queue:
         cid, members, depth = queue.pop(0)
         if members.size < max(2, 2 * min_community_size):
             continue
-        sub = subdivision_matrix(matrix, members)
+        sub = subdivision_matrix(source, members)
         beta, u = leading_eigenpair(sub)
         if depth == 0:
             root_u = u
@@ -219,9 +267,10 @@ def spectral_partition(matrix: np.ndarray, refine: bool = True,
             queue.append((cid, pos, depth + 1))
             queue.append((next_label, neg, depth + 1))
             next_label += 1
+    relocation = 0.0
     if refine:
-        labels = kl_relocate(matrix, labels)
-    return labels, divisions, root_u, diagnostics
+        labels, relocation = kl_relocate(matrix, labels)
+    return labels, divisions, root_u, diagnostics, relocation
 
 
 def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
@@ -232,23 +281,25 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
     Starts from the whole supra vertex set and recursively bisects each
     community through its subdivision matrix until no community admits a
     strictly improving split.  The reported q_total is recomputed by the
-    scorer from the final partition.
+    scorer from the final partition; in raw mode it equals the meta values
+    ``q_spectral`` (chi plus the applied gains) plus ``q_relocation``.
     """
     if min_community_size < 1:
         raise DomainError("min_community_size must be >= 1")
-    dm = build_modularity_matrix(net, spec, params)
-    labels, divisions, root_u, diagnostics = spectral_partition(
-        dm.matrix, refine=refine,
+    qm, chi = quality_matrix(net, spec, params)
+    labels, divisions, root_u, diagnostics, relocation = spectral_partition(
+        qm, refine=refine,
         min_community_size=min_community_size, max_depth=max_depth,
     )
     partition = Partition(labels).canonical()
     q_total = modularity(net, spec, params, partition)
-    q_spectral = dm.chi + sum(d.delta_q for d in divisions if d.applied)
+    q_spectral = chi + sum(d.delta_q for d in divisions if d.applied)
     meta = {
         "algorithm": "mspec",
         "refine": "true" if refine else "false",
-        "chi": repr(dm.chi),
+        "chi": repr(chi),
         "q_spectral": repr(q_spectral),
+        "q_relocation": repr(relocation),
         "normalization": params.normalization,
     }
     if diagnostics:
@@ -271,8 +322,8 @@ def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
     magnitude indicates how strongly the cell pulls on the leading split.
     ``root_divisible`` is False when the root split would not improve Q.
     """
-    dm = build_modularity_matrix(net, spec, params)
-    sub = subdivision_matrix(dm.matrix, np.arange(dm.size))
+    qm, _ = quality_matrix(net, spec, params)
+    sub = subdivision_matrix(qm, np.arange(qm.size))
     beta, u = leading_eigenpair(sub)
     z = _sign_split(u)
     dq = 0.5 * float(z @ (sub @ z))

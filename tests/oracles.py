@@ -113,6 +113,13 @@ def best_bipartition(matrix: np.ndarray):
     return best_gain, best_z
 
 
+def dense_subdivision(matrix: np.ndarray, members) -> np.ndarray:
+    """Dense restriction to members, diagonal reduced by the row sums."""
+    sub = np.array(matrix[np.ix_(members, members)], dtype=float)
+    sub[np.diag_indices_from(sub)] -= sub.sum(axis=1)
+    return sub
+
+
 def dense_leading_eigenpair(matrix: np.ndarray):
     """Full dense symmetric eigendecomposition oracle."""
     vals, vecs = np.linalg.eigh(matrix)

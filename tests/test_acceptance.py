@@ -29,6 +29,7 @@ from mlmod import (
     modularity,
     modularity_signed,
     mspec_detect,
+    quality_matrix,
     sfull_spec,
     smean_spec,
     subdivision_matrix,
@@ -129,7 +130,7 @@ def test_criterion_3_oracle_equivalence_desk_scale():
 
         size = int(rng.integers(2, n + 1))
         members = np.sort(rng.choice(n, size=size, replace=False))
-        sub = subdivision_matrix(dm.matrix, members)
+        sub = subdivision_matrix(quality_matrix(net, spec, params)[0], members)
         z = rng.choice([-1.0, 1.0], size=size)
         dq_matrix = 0.5 * float(z @ sub @ z)
         before = np.zeros(n, dtype=int)

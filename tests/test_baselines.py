@@ -17,6 +17,7 @@ from mlmod import (
     mlouv,
     modularity,
     mspec_detect,
+    quality_matrix,
     sfull_spec,
     smean_spec,
     spectral_partition,
@@ -117,10 +118,8 @@ class TestSmeanSpec:
                        couplings=full_couplings(34, 3))
         params = ModularityParams.for_network(net, gamma=1.0)
         res = smean_spec(net, CouplingSpec(omega=1.0), params)
-        a = karate.adjacency_dense(0)
-        k = a.sum(axis=1)
-        newman = a - np.outer(k, k) / k.sum()
-        single_labels, _, _, _ = spectral_partition(newman)
+        newman, _ = quality_matrix(karate, CouplingSpec(), ModularityParams.for_network(karate))
+        single_labels, *_ = spectral_partition(newman)
         grid = res.partition.labels.reshape(3, 34)
         assert (grid == grid[0]).all()
         pairs = set(zip(grid[0].tolist(), single_labels.tolist()))
@@ -170,10 +169,8 @@ class TestSfullSpec:
     def test_single_layer_equals_conventional(self, two_cliques):
         params = ModularityParams.for_network(two_cliques)
         res = sfull_spec(two_cliques, CouplingSpec(), params)
-        a = two_cliques.adjacency_dense(0)
-        k = a.sum(axis=1)
-        newman = a - np.outer(k, k) / k.sum()
-        labels, _, _, _ = spectral_partition(newman)
+        newman, _ = quality_matrix(two_cliques, CouplingSpec(), params)
+        labels, *_ = spectral_partition(newman)
         pairs = set(zip(res.partition.labels.tolist(), labels.tolist()))
         assert len(pairs) == res.n_communities
 

@@ -249,6 +249,28 @@ class TestExitCodes:
                         "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_operator_path_non_convergence_exit_1(self, tmp_path, monkeypatch, capsys):
+        # Supra 600 > 512: the root subdivision matrix goes to ARPACK.
+        import scipy.sparse.linalg as sla
+
+        def no_convergence(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((600, 0)))
+
+        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        rng = np.random.default_rng(600)
+        lines = [f"{layer} {i + 1} {j + 1} 1.0" for layer in (1, 2)
+                 for i in range(300) for j in range(i + 1, 300) if rng.random() < 0.03]
+        edge = tmp_path / "e.txt"
+        edge.write_text("\n".join(lines) + "\n")
+        layers = tmp_path / "l.txt"
+        layers.write_text("1 1 a\n2 1 b\n")
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--input", str(edge), "--layers-file", str(layers),
+                        "--nodes", "300", "--rho", "0.5", "--out", str(out)])
+        assert code == 1
+        assert "leading eigenpair residual" in capsys.readouterr().err
+        assert not (out / "result_mspec.txt").exists()
+
     def test_normalized_reporting(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(["detect", "--dataset", "karate", "--normalized",
@@ -278,6 +300,15 @@ class TestWorkersAndStrategies:
         out2 = tmp_path / "w4"
         assert run_cli(args + ["--out", str(out2)]) == 0
         assert (out1 / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
+
+    def test_non_integer_workers_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MLMOD_WORKERS", "abc")
+        out = tmp_path / "out"
+        code = run_cli(["sweep", "--layers", "2", "--gamma", "1.0", "1.0",
+                        "--omega", "1", "--out", str(out)])
+        assert code == 2
+        assert "MLMOD_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_explicit_strategy_from_coupling_file(self, tmp_path):
         edge = tmp_path / "e.txt"

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from mlmod import (
     load_karate,
     modularity,
     mspec_detect,
+    quality_matrix,
     soft_labels,
     subdivision_matrix,
 )
@@ -23,6 +28,7 @@ from conftest import make_single_layer
 from oracles import (
     best_bipartition,
     dense_leading_eigenpair,
+    dense_subdivision,
     max_partition_q,
     random_instance,
 )
@@ -40,7 +46,7 @@ class TestBisect:
         net = complete_graph(4)
         params = ModularityParams.for_network(net)
         dm = build_modularity_matrix(net, CouplingSpec(), params)
-        sub = subdivision_matrix(dm.matrix, np.arange(4))
+        sub = dense_subdivision(dm.matrix, np.arange(4))
         z, dq, beta = bisect(sub)
         assert beta <= 1e-10
         assert dq <= 1e-10
@@ -65,21 +71,24 @@ class TestBisect:
 class TestSubdivisionMatrix:
     def test_singleton_zero(self, two_cliques):
         params = ModularityParams.for_network(two_cliques)
-        dm = build_modularity_matrix(two_cliques, CouplingSpec(), params)
-        sub = subdivision_matrix(dm.matrix, [2])
+        qm, _ = quality_matrix(two_cliques, CouplingSpec(), params)
+        sub = subdivision_matrix(qm, [2])
         assert sub.shape == (1, 1)
         assert sub[0, 0] == 0.0
 
     def test_full_zero_matrix(self):
-        sub = subdivision_matrix(np.zeros((4, 4)), np.arange(4))
+        net = make_single_layer([], 4)
+        with pytest.warns(RuntimeWarning):
+            qm, _ = quality_matrix(net, CouplingSpec(), ModularityParams.for_network(net))
+        sub = subdivision_matrix(qm, np.arange(4))
         assert not sub.any()
 
     def test_rows_sum_to_zero(self):
         for seed in range(6):
             net, spec, params = random_instance(seed + 40)
-            dm = build_modularity_matrix(net, spec, params)
+            qm, _ = quality_matrix(net, spec, params)
             members = np.arange(net.supra_size)[:: 2]
-            sub = subdivision_matrix(dm.matrix, members)
+            sub = subdivision_matrix(qm, members)
             assert np.abs(sub.sum(axis=1)).max() <= 1e-9
             assert np.abs(sub - sub.T).max() <= 1e-12
 
@@ -91,8 +100,8 @@ class TestSubdivisionMatrix:
         net, spec, params = random_instance(11, max_supra=12)
         n = net.supra_size
         members = np.sort(rng.choice(n, size=min(6, n), replace=False))
-        dm = build_modularity_matrix(net, spec, params)
-        sub = subdivision_matrix(dm.matrix, members)
+        qm, _ = quality_matrix(net, spec, params)
+        sub = subdivision_matrix(qm, members)
         z = rng.choice([-1.0, 1.0], size=len(members))
         dq_matrix = 0.5 * float(z @ sub @ z)
         # direct recomputation through the scorer
@@ -162,6 +171,20 @@ class TestMspecDetect:
         chi = float(res.meta["chi"].strip("'"))
         total = chi + sum(d.delta_q for d in res.divisions if d.applied)
         assert res.q_total == pytest.approx(total, abs=1e-9 * max(1.0, abs(total)))
+
+    def test_q_total_is_spectral_plus_relocation_gain(self):
+        net, params = build_karate_replica(3, [0.5, 1.0, 1.0])
+        cases = [(net, CouplingSpec(omega=omega), params) for omega in (0.0, 0.3)]
+        cases += [random_instance(seed) for seed in (5, 17)]
+        relocated = 0
+        for net, spec, params in cases:
+            res = mspec_detect(net, spec, params)
+            gain = float(res.meta["q_relocation"])
+            relocated += gain != 0.0
+            total = (float(res.meta["chi"])
+                     + sum(d.delta_q for d in res.divisions if d.applied) + gain)
+            assert res.q_total == pytest.approx(total, rel=1e-9, abs=1e-9)
+        assert relocated >= 1  # the karate replica at omega = 0 relocates cells
 
     def test_refined_q_at_least_spectral_q(self):
         for seed in (3, 9, 21):
@@ -246,7 +269,7 @@ class TestSoftLabels:
         params = ModularityParams.for_network(two_cliques)
         sl = soft_labels(two_cliques, CouplingSpec(), params)
         dm = build_modularity_matrix(two_cliques, CouplingSpec(), params)
-        sub = subdivision_matrix(dm.matrix, np.arange(6))
+        sub = dense_subdivision(dm.matrix, np.arange(6))
         z, _, _ = bisect(sub)
         assert np.array_equal(np.where(sl.values >= 0, 1.0, -1.0), z)
 
@@ -261,7 +284,7 @@ class TestSoftLabels:
         assert np.ptp(np.abs(right)) <= 1e-8
         # matches a dense decomposition of the bisected matrix
         dm = build_modularity_matrix(two_cliques, CouplingSpec(), params)
-        sub = subdivision_matrix(dm.matrix, np.arange(6))
+        sub = dense_subdivision(dm.matrix, np.arange(6))
         beta_o, u_o = dense_leading_eigenpair(sub)
         assert sl.beta == pytest.approx(beta_o, abs=1e-9)
         assert abs(abs(sl.values @ u_o) - 1.0) <= 1e-8
@@ -271,3 +294,33 @@ class TestSoftLabels:
         res = mspec_detect(two_cliques, CouplingSpec(), params)
         sl = soft_labels(two_cliques, CouplingSpec(), params)
         assert np.allclose(res.soft_labels, sl.values)
+
+
+def test_supra_8192_peak_rss_below_200mb():
+    # The dense D alone would take 512 MB at this size.
+    code = """
+import resource
+import numpy as np
+from mlmod import Aspect, CouplingSpec, ModularityParams, MultilayerNetwork, generate_couplings
+from mlmod import mspec_detect
+n, block = 4096, 256
+rng = np.random.default_rng(8192)
+layers = []
+for _ in range(2):
+    edges = []
+    for lo in range(0, n, block):
+        i, j = np.nonzero(rng.random((min(block, n - lo), n)) < 8.0 / n)
+        i += lo
+        keep = i < j
+        edges += zip(i[keep].tolist(), j[keep].tolist(), [1.0] * int(keep.sum()))
+    layers.append(tuple(edges))
+net = MultilayerNetwork(n_nodes=n, aspects=(Aspect("a", ("x", "y")),), within_edges=tuple(layers))
+net = net.with_couplings(generate_couplings(net, 0.5, 8193))
+res = mspec_detect(net, CouplingSpec(omega=0.5), ModularityParams.for_network(net))
+assert res.n_communities > 1
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) < 200.0
