@@ -107,7 +107,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
         if config.kl_swap:
             labels, _ = kl_relocate(qm.take(perm), labels, max_sweeps=config.max_passes)
             trace = trace + [_q_matrix(m, labels)]
-        q = _q_matrix(m, labels)
+        q = trace[-1] if config.kl_swap else _q_matrix(m, labels)
         if q > best_q:
             inverse = np.empty(n, dtype=int)
             inverse[perm] = np.arange(n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import BaselineConfig, mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
-from .errors import ConvergenceError, DomainError, MlmodError, ParseError
+from .errors import ConvergenceError, DomainError, MlmodError
 from .io import (
     load_aspect_grid,
     load_couplings,
@@ -397,13 +397,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MlmodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MlmodError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

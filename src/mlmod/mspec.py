@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _GAIN_EPS = 1e-12
+# vertices per relocation block, and a cap on its (vertex, community) gains
+_BLOCK_MIN, _BLOCK_MAX, _BLOCK_ENTRIES = 16, 512, 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,6 @@ def _sign_split(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0.0, 1.0, -1.0)
 
 
-def _split_gain(matrix: np.ndarray, z: np.ndarray) -> float:
-    return 0.5 * float(z @ (matrix @ z) - matrix.sum())
-
-
 def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Sign-rule bisection of a symmetric matrix.
 
@@ -130,7 +128,7 @@ def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     """
     beta, u = leading_eigenpair(matrix)
     z = _sign_split(u)
-    return z, _split_gain(matrix, z), beta
+    return z, 0.5 * float(z @ (matrix @ z) - matrix.sum()), beta
 
 
 def refine_cut(matrix: np.ndarray | Subdivision, z: np.ndarray) -> np.ndarray:
@@ -154,58 +152,66 @@ def refine_cut(matrix: np.ndarray | Subdivision, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def kl_relocate(matrix: QualityMatrix, labels: np.ndarray, max_sweeps: int = 10,
-                allow_new: bool = True) -> tuple[np.ndarray, float]:
+def kl_relocate(matrix: QualityMatrix, labels: np.ndarray,
+                max_sweeps: int = 10) -> tuple[np.ndarray, float]:
     """Greedy single-vertex relocations between communities.
 
-    Sweeps vertices in index order, moving each to the community with the
-    largest strictly positive gain in raw Q; ``allow_new`` also offers a
-    fresh singleton community.  Stops after ``max_sweeps`` sweeps or when a
-    sweep moves nothing.  Returns the compacted labels and the summed gain
-    of the moves.  Each community's null-piece strength is kept per layer
-    cell, so a move costs O(degree + communities) (Blondel et al., J. Stat.
-    Mech. 2008, P10008).
+    Sweeps vertices in index order, moving each to the community, a fresh
+    singleton one included, with the largest strictly positive gain in raw
+    Q, until a sweep moves nothing or after ``max_sweeps`` sweeps.  Returns
+    the compacted labels and the summed gain.  Community strengths are kept
+    per layer cell (Blondel et al., J. Stat. Mech. 2008, P10008).  Blocks of
+    vertices are evaluated at once; those before a block's first mover see
+    the state a one-at-a-time sweep shows them, so results are bit-identical.
     """
     labels = np.asarray(labels, dtype=int).copy()
     n = matrix.size
-    indptr, indices, data = matrix.indptr.tolist(), matrix.indices, matrix.data
-    cells, k = matrix.cells.tolist(), matrix.strengths
-    ck = matrix.coefs[:, matrix.cells] * k
-    self_entry = (-(ck * k).sum(axis=0)).tolist()  # D_xx; B has a zero diagonal
-    ck = ck.T.tolist()
-    slots = matrix.cells * (n + 1)
-    gain = 0.0
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    cells, k = matrix.cells, matrix.strengths
+    ck = matrix.coefs[:, cells] * k
+    self_entry = -(ck * k).sum(axis=0)  # D_xx; B has a zero diagonal
+    gain, block = 0.0, _BLOCK_MIN
     for _ in range(max_sweeps):
         moved = False
         # totals[p][t, c]: strength of piece p over community c's cells in t
-        totals = [np.bincount(slots + labels, weights=kp,
+        totals = [np.bincount(cells * (n + 1) + labels, weights=kp,
                               minlength=matrix.coefs.shape[1] * (n + 1)).reshape(-1, n + 1)
                   for kp in k]
         sizes = np.bincount(labels, minlength=n + 1)
         top = int(labels.max()) + 1  # labels in use are below top; top is "new"
-        for x in range(n):
-            a, t = labels[x], cells[x]
-            lo, hi = indptr[x], indptr[x + 1]
-            sums = np.bincount(labels[indices[lo:hi]], weights=data[lo:hi], minlength=top + 1)
-            for c, tot in zip(ck[x], totals):
-                sums = sums - c * tot[t, :top + 1]
-            gains = 2.0 * (sums - (sums[a] - self_entry[x]))
-            gains[a] = 0.0
-            if not allow_new:
-                gains[top] = -np.inf
-            best = int(gains.argmax())
-            if gains[best] > _GAIN_EPS:
-                labels[x] = best
-                moved = True
-                gain += float(gains[best])
-                for kp, tot in zip(k, totals):
-                    tot[t, a] -= kp[x]
-                    tot[t, best] += kp[x]
-                sizes[a] -= 1
-                sizes[best] += 1
-                top = max(top, best + 1)
-                while sizes[top - 1] == 0:
-                    top -= 1
+        x0 = 0
+        while x0 < n:
+            width = top + 1
+            x1 = min(n, x0 + block, x0 + max(1, _BLOCK_ENTRIES // width))
+            rows, t, own = np.arange(x1 - x0), cells[x0:x1], labels[x0:x1]
+            # row r, column c: B summed over the neighbours of x0 + r in community c
+            at = (rows * width).repeat(indptr[x0 + 1:x1 + 1] - indptr[x0:x1])
+            span = slice(indptr[x0], indptr[x1])
+            sums = np.bincount(at + labels[indices[span]], weights=data[span],
+                               minlength=rows.size * width).reshape(rows.size, width)
+            for c, tot in zip(ck[:, x0:x1, None], totals):
+                sums = sums - c * tot[t, :width]
+            gains = 2.0 * (sums - (sums[rows, own] - self_entry[x0:x1])[:, None])
+            gains[rows, own] = 0.0
+            best = gains.argmax(axis=1)
+            movers = gains[rows, best] > _GAIN_EPS
+            r = int(movers.argmax())
+            if not movers[r]:
+                block, x0 = min(2 * block, _BLOCK_MAX), x1
+                continue
+            x, a, b = x0 + r, int(own[r]), int(best[r])
+            labels[x] = b
+            moved = True
+            gain += float(gains[r, b])
+            for kp, tot in zip(k, totals):
+                tot[t[r], a] -= kp[x]
+                tot[t[r], b] += kp[x]
+            sizes[a] -= 1
+            sizes[b] += 1
+            top = max(top, b + 1)
+            while sizes[top - 1] == 0:
+                top -= 1
+            block, x0 = max(block // 2, _BLOCK_MIN), x + 1
         _, labels = np.unique(labels, return_inverse=True)
         if not moved:
             break

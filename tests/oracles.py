@@ -168,3 +168,54 @@ def random_instance(seed: int, max_supra: int = 12):
 def random_partition(rng: np.random.Generator, n: int, k: int | None = None) -> np.ndarray:
     k = k or int(rng.integers(1, n + 1))
     return rng.integers(0, k, size=n)
+
+
+def relocate_reference(matrix, labels, max_sweeps: int = 10):
+    """Relocation sweeps one vertex at a time: ``kl_relocate`` as it was
+    before it evaluated blocks of vertices, kept as its reference.
+
+    Each vertex moves to the community, a fresh one included, with the
+    largest gain above 1e-12 (first index on ties); the community totals
+    are updated after every move.  Returns (compacted labels, summed gain).
+    """
+    labels = np.asarray(labels, dtype=int).copy()
+    n = matrix.size
+    indptr, indices, data = matrix.indptr.tolist(), matrix.indices, matrix.data
+    cells, k = matrix.cells.tolist(), matrix.strengths
+    ck = matrix.coefs[:, matrix.cells] * k
+    self_entry = (-(ck * k).sum(axis=0)).tolist()
+    ck = ck.T.tolist()
+    slots = matrix.cells * (n + 1)
+    gain = 0.0
+    for _ in range(max_sweeps):
+        moved = False
+        totals = [np.bincount(slots + labels, weights=kp,
+                              minlength=matrix.coefs.shape[1] * (n + 1)).reshape(-1, n + 1)
+                  for kp in k]
+        sizes = np.bincount(labels, minlength=n + 1)
+        top = int(labels.max()) + 1
+        for x in range(n):
+            a, t = labels[x], cells[x]
+            lo, hi = indptr[x], indptr[x + 1]
+            sums = np.bincount(labels[indices[lo:hi]], weights=data[lo:hi], minlength=top + 1)
+            for c, tot in zip(ck[x], totals):
+                sums = sums - c * tot[t, :top + 1]
+            gains = 2.0 * (sums - (sums[a] - self_entry[x]))
+            gains[a] = 0.0
+            best = int(gains.argmax())
+            if gains[best] > 1e-12:
+                labels[x] = best
+                moved = True
+                gain += float(gains[best])
+                for kp, tot in zip(k, totals):
+                    tot[t, a] -= kp[x]
+                    tot[t, best] += kp[x]
+                sizes[a] -= 1
+                sizes[best] += 1
+                top = max(top, best + 1)
+                while sizes[top - 1] == 0:
+                    top -= 1
+        _, labels = np.unique(labels, return_inverse=True)
+        if not moved:
+            break
+    return labels, gain

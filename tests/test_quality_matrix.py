@@ -5,7 +5,8 @@ matrix-free ``Subdivision`` views with ``build_modularity_matrix`` and the
 dense subdivision oracle, over small random instances covering all
 coupling strategies, signed weights, two aspects, an edgeless layer and a
 lambda = 0 layer.  Views are built directly here: ``subdivision_matrix``
-returns them only above 512 members.
+returns them only above 512 members.  Relocation is compared bit for bit
+with the one-vertex-at-a-time reference sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +24,9 @@ from mlmod import (
     CouplingSpec,
     ModularityParams,
     MultilayerNetwork,
+    build_karate_replica,
     build_modularity_matrix,
+    generate_couplings,
     kl_relocate,
     quality_matrix,
     subdivision_matrix,
@@ -30,7 +34,8 @@ from mlmod import (
 from mlmod.modularity import Subdivision
 from mlmod.params import COUPLING_STRATEGIES
 
-from oracles import dense_subdivision, q_pairwise
+from conftest import make_single_layer
+from oracles import dense_subdivision, q_pairwise, relocate_reference
 
 
 @st.composite
@@ -118,3 +123,73 @@ def test_relocation_gain_equals_q_change(instance, seed):
     after, gain = kl_relocate(qm, before)
     change = q_pairwise(dm.matrix, after) - q_pairwise(dm.matrix, before)
     assert abs(gain - change) <= 1e-9 * max(1.0, float(np.abs(dm.matrix).sum()))
+
+
+def _same_relocation(qm, labels, max_sweeps=10):
+    ref_labels, ref_gain = relocate_reference(qm, labels, max_sweeps)
+    got_labels, got_gain = kl_relocate(qm, labels, max_sweeps)
+    assert np.array_equal(got_labels, ref_labels)
+    assert got_gain == ref_gain
+    return ref_labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.integers(1, 40), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_relocation_equals_one_vertex_sweep(instance, n_labels, max_sweeps, seed):
+    net, spec, params, _ = instance
+    _, (qm, _) = _build(net, spec, params)
+    n = net.supra_size  # labels index the n + 1 community slots, so stay below n
+    start = np.random.default_rng(seed).integers(0, min(n_labels, n), n)
+    _same_relocation(qm, start, max_sweeps)
+
+
+def _single_layer_matrix(n_nodes, edges, signed=False):
+    net = make_single_layer(edges, n_nodes)
+    return quality_matrix(net, CouplingSpec(), ModularityParams.for_network(net, signed=signed))[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_relocation_on_signed_weights_that_round(seed):
+    # non-dyadic weights make every change in the order of operations show
+    rng = np.random.default_rng(seed)
+    n_nodes, layers = 150, []
+    for _ in range(2):
+        pairs = [p for p in itertools.combinations(range(n_nodes), 2) if rng.random() < 0.06]
+        weights = rng.uniform(-1.0, 2.0, len(pairs))
+        layers.append(tuple((i, j, float(w)) for (i, j), w in zip(pairs, weights)))
+    net = MultilayerNetwork(n_nodes=n_nodes, aspects=(Aspect("a", ("l0", "l1")),),
+                            within_edges=tuple(layers))
+    net = net.with_couplings(generate_couplings(net, 0.5, seed))
+    params = ModularityParams.for_network(net, gamma=[0.9, 1.1], lam=[1.0, 0.7], signed=True)
+    qm, _ = quality_matrix(net, CouplingSpec(strategy="uniform", omega=0.3), params)
+    for n_labels in (1, 7, 40, qm.size):
+        _same_relocation(qm, rng.integers(0, n_labels, qm.size))
+
+
+def test_relocation_from_singletons_moves_almost_every_vertex():
+    net, params = build_karate_replica(10, [0.1 * (s + 1) for s in range(10)])
+    qm, _ = quality_matrix(net, CouplingSpec(strategy="uniform", omega=1.0), params)
+    start = np.arange(qm.size)
+    after = relocate_reference(qm, start, 1)[0]
+    assert np.count_nonzero(after != start) > qm.size // 2
+    for max_sweeps in (1, 2, 10):
+        _same_relocation(qm, start, max_sweeps)
+
+
+def test_relocation_where_only_the_last_vertex_moves():
+    # 120 disjoint 5-cliques labelled by clique, except the last vertex
+    cliques = [[5 * q + i for i in range(5)] for q in range(120)]
+    edges = [(i, j, 1.0) for c in cliques for i, j in itertools.combinations(c, 2)]
+    qm = _single_layer_matrix(600, edges)
+    start = np.repeat(np.arange(120), 5)
+    start[-1] = 0
+    after = _same_relocation(qm, start)
+    assert np.flatnonzero(after != start).tolist() == [599]
+
+
+def test_relocation_move_opens_a_new_community():
+    # a positive triangle and a vertex repelled by all three of its members
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (0, 3, -1.0), (1, 3, -1.0), (2, 3, -1.0)]
+    qm = _single_layer_matrix(4, edges, signed=True)
+    after = _same_relocation(qm, np.zeros(4, dtype=int))
+    assert after.tolist() == [0, 0, 0, 1]
