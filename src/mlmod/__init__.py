@@ -2,8 +2,7 @@
 
 Core pieces: the aspect-layer network model and its supra representation
 (`network`), coupling strategies and resolution parameters (`params`),
-the modularity score / Hamiltonian / supra-modularity matrix
-(`modularity`), the recursive spectral optimizer (`mspec`), comparison
+the supra-modularity matrix and the modularity score (`modularity`), the recursive spectral optimizer (`mspec`), comparison
 baselines (`baselines`), file formats (`io`) and bundled benchmark data
 (`datasets`).
 """
@@ -14,8 +13,6 @@ from .network import (
     AspectGrid,
     LayerStats,
     MultilayerNetwork,
-    between_layer_strength,
-    build_supra_adjacency,
     flatten_aspect_grid,
     full_couplings,
     generate_couplings,
@@ -28,13 +25,7 @@ from .modularity import (
     QualityMatrix,
     SupraModularityMatrix,
     build_modularity_matrix,
-    chi_value,
-    coupling_strength,
-    hamiltonian,
     modularity,
-    modularity_signed,
-    normalization_factor,
-    null_model_ng,
     quality_matrix,
 )
 from .eigen import leading_eigenpair

@@ -19,7 +19,6 @@ from .modularity import (
     ModularityParams,
     Partition,
     QualityMatrix,
-    build_modularity_matrix,
     modularity,
     quality_matrix,
 )
@@ -38,14 +37,6 @@ class BaselineConfig:
     restarts: int = 5
     max_passes: int = 10
     kl_swap: bool = True
-
-
-def _q_matrix(matrix: np.ndarray, labels: np.ndarray) -> float:
-    q = 0.0
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        q += float(matrix[np.ix_(idx, idx)].sum())
-    return q
 
 
 def _greedy_merge(matrix: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -93,21 +84,22 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
     to ``config.max_passes`` relocation sweeps when ``kl_swap`` is on.
     """
     config = config or BaselineConfig()
-    dm = build_modularity_matrix(net, spec, params)
-    qm, _ = quality_matrix(net, spec, params)
-    n = dm.size
+    qm, chi = quality_matrix(net, spec, params)
+    d = qm.dense()
+    n = qm.size
     best_labels: np.ndarray | None = None
     best_q = -np.inf
     best_trace: list[float] = []
     for r in range(max(1, config.restarts)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, r))))
         perm = rng.permutation(n)
-        m = dm.matrix[np.ix_(perm, perm)]
+        m = d[np.ix_(perm, perm)]
         labels, trace = _greedy_merge(m)
+        q = trace[-1] if trace else float(np.trace(m))
         if config.kl_swap:
-            labels, _ = kl_relocate(qm.take(perm), labels, max_sweeps=config.max_passes)
-            trace = trace + [_q_matrix(m, labels)]
-        q = trace[-1] if config.kl_swap else _q_matrix(m, labels)
+            labels, gain = kl_relocate(qm.take(perm), labels, max_sweeps=config.max_passes)
+            q += gain
+            trace = trace + [q]
         if q > best_q:
             inverse = np.empty(n, dtype=int)
             inverse[perm] = np.arange(n)
@@ -121,7 +113,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
         "seed": str(config.seed),
         "restarts": str(config.restarts),
         "kl_swap": "true" if config.kl_swap else "false",
-        "chi": repr(dm.chi),
+        "chi": repr(chi),
         "q_trace": ",".join(repr(v) for v in best_trace),
         "normalization": params.normalization,
     }

@@ -22,6 +22,7 @@ from .datasets import build_karate_replica, load_karate
 from .errors import ConvergenceError, DomainError, MlmodError
 from .io import (
     load_aspect_grid,
+    load_closeness,
     load_couplings,
     load_dataset,
     load_multiplex,
@@ -90,7 +91,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _file_params(args) -> dict:
-    return load_params_file(args.params_file) if args.params_file else {}
+    fpar = load_params_file(args.params_file) if args.params_file else {}
+    if args.closeness_file:
+        fpar["closeness"] = load_closeness(args.closeness_file)
+    return fpar
 
 
 def _resolve_network(args, fpar: dict):
@@ -110,7 +114,7 @@ def _resolve_network(args, fpar: dict):
             )
         net, _ = build_karate_replica(args.layers, gammas)
     elif args.manifest:
-        net, _ = load_dataset(args.manifest)
+        net, _, explicit = load_dataset(args.manifest)
     elif args.input:
         net = load_multiplex(args.input, args.layers_file, None, n_nodes=args.nodes)
     else:
@@ -140,13 +144,10 @@ def _resolve_params(args, net, fpar: dict) -> ModularityParams:
 
 def _resolve_spec(args, fpar: dict, omega: float, explicit) -> CouplingSpec:
     strategy = args.coupling_strategy or fpar.get("coupling.strategy", "uniform")
-    closeness = fpar.get("closeness")
-    if args.closeness_file:
-        closeness = np.loadtxt(args.closeness_file, ndmin=2)
     return CouplingSpec(
         strategy=strategy,
         omega=omega,
-        closeness=closeness,
+        closeness=fpar.get("closeness"),
         explicit=explicit or {},
     )
 

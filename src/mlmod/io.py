@@ -29,6 +29,7 @@ __all__ = [
     "load_manifest",
     "load_labels",
     "load_params_file",
+    "load_closeness",
     "load_aspect_grid",
     "save_result",
     "load_result",
@@ -136,19 +137,13 @@ def _parse_edge_file(path: str):
         yield lineno, layer_id, i, j, w
 
 
-def load_couplings(path: str, net_or_aspects, n_nodes: int):
-    """Parse ``nodeId layerA aspectA layerB aspectB [magnitude]`` lines.
+def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
+    """Parse ``nodeId layerA aspectA layerB aspectB [magnitude]`` lines
+    against the layer cells of ``net``.
 
     Returns (frozenset of canonical coupling triples, dict of explicit
     magnitudes or None if no line carried one).
     """
-    if isinstance(net_or_aspects, MultilayerNetwork):
-        net = net_or_aspects
-    else:
-        net = MultilayerNetwork(
-            n_nodes=n_nodes, aspects=net_or_aspects,
-            within_edges=tuple(() for _ in range(sum(len(a.layers) for a in net_or_aspects))),
-        )
     couplings = set()
     magnitudes: dict[tuple[int, int, int], float] = {}
     any_magnitude = False
@@ -302,20 +297,25 @@ def load_manifest(path: str) -> DatasetManifest:
     return manifest
 
 
-def load_dataset(manifest_path: str) -> tuple[MultilayerNetwork, np.ndarray | None]:
-    """Load the network a manifest points to and validate declared counts."""
+def load_dataset(manifest_path: str):
+    """Load the network a manifest points to and validate declared counts.
+
+    Returns (network, ground-truth labels or None, explicit coupling
+    magnitudes or None), the last as ``load_couplings`` gives them.
+    """
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def resolve(name):
         return None if name is None else os.path.join(base, name)
 
-    net = load_multiplex(
-        resolve(manifest.edge_file),
-        resolve(manifest.layer_file),
-        resolve(manifest.coupling_file),
-        n_nodes=manifest.n_nodes,
-    )
+    net = load_multiplex(resolve(manifest.edge_file), resolve(manifest.layer_file),
+                         n_nodes=manifest.n_nodes)
+    magnitudes = None
+    if manifest.coupling_file is not None:
+        couplings, magnitudes = load_couplings(resolve(manifest.coupling_file), net,
+                                               net.n_nodes)
+        net = net.with_couplings(couplings)
     if net.n_cells != manifest.n_layers:
         raise ParseError(
             f"manifest declares {manifest.n_layers} layers, files contain {net.n_cells}",
@@ -336,7 +336,7 @@ def load_dataset(manifest_path: str) -> tuple[MultilayerNetwork, np.ndarray | No
     truth = None
     if manifest.ground_truth is not None:
         truth = load_labels(resolve(manifest.ground_truth), manifest.n_nodes)
-    return net, truth
+    return net, truth, magnitudes
 
 
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
@@ -386,14 +386,21 @@ def load_params_file(path: str) -> dict[str, object]:
                 raise ParseError("signed must be true or false", path, lineno)
             out[key] = val.lower() == "true"
         elif key == "closeness.file":
-            mpath = os.path.join(base, val)
-            try:
-                out["closeness"] = np.loadtxt(mpath, ndmin=2)
-            except (OSError, ValueError) as exc:
-                raise ParseError(f"cannot load closeness matrix: {exc}", path, lineno) from exc
+            out["closeness"] = load_closeness(os.path.join(base, val), path, lineno)
         else:
             out[key] = val
     return out
+
+
+def load_closeness(path: str, source: str | None = None,
+                   lineno: int | None = None) -> np.ndarray:
+    """Read a dense closeness matrix; a failure raises ParseError at
+    ``source``:``lineno`` when given, else at the matrix file."""
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot load closeness matrix: {exc}", source or path,
+                         lineno) from exc
 
 
 def load_aspect_grid(path: str, n_nodes: int | None = None,

@@ -1,5 +1,4 @@
-"""Multilayer modularity: scores, the supra-modularity matrix and the
-Hamiltonian energy form.
+"""Multilayer modularity: the supra-modularity matrix D and the score.
 
 Raw modularity of a partition g is the sum of supra-modularity matrix
 entries over ordered same-community pairs (diagonal included):
@@ -7,14 +6,17 @@ entries over ordered same-community pairs (diagonal included):
     Q = sum_xy D_xy [g_x = g_y]
 
 with within-layer entries ``lam * (A_ij - gamma * k_i k_j / 2m)`` and
-node-copy entries equal to the signed coupling strengths.  The matrix is
-never required to evaluate Q; the scorer aggregates edges, strengths and
-couplings directly, which keeps the two code paths independent.
+node-copy entries equal to the signed coupling strengths.  The sum of all
+entries is chi; the Hamiltonian of the static derivation is
+``H = -sum_xy D_xy (2 [g_x = g_y] - 1) = chi - 2 Q``.
 
-D is sparse plus one rank-one null term per layer and null piece, so the
-optimizers work on ``QualityMatrix``, a factored form whose memory and
-products cost O(nnz + N L^2); ``build_modularity_matrix`` assembles the
-dense (N L)^2 array and serves as the small-n reference.
+``quality_matrix`` is the only code that builds D.  It holds D in
+factored form, a sparse matrix plus one rank-one null term per layer and
+null piece, whose memory and products cost O(nnz + N L^2); the
+optimizers and the scorer work on it, and ``build_modularity_matrix``
+assembles the dense (N L)^2 array for small n.  The independent check of
+D, Q and H is ``tests/oracles.py``, built entry by entry from the
+definitions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .network import LayerStats, MultilayerNetwork
+from .network import MultilayerNetwork
 from .params import CouplingSpec, ModularityParams
 
 __all__ = [
@@ -34,14 +36,8 @@ __all__ = [
     "QualityMatrix",
     "Subdivision",
     "quality_matrix",
-    "coupling_strength",
-    "null_model_ng",
     "build_modularity_matrix",
     "modularity",
-    "modularity_signed",
-    "hamiltonian",
-    "chi_value",
-    "normalization_factor",
 ]
 
 
@@ -93,45 +89,6 @@ class Partition:
         rank[np.argsort(first)] = np.arange(first.size)
         return Partition(rank[inverse])
 
-    def cell_view(self, net: MultilayerNetwork) -> np.ndarray:
-        """Labels reshaped to (n_cells, n_nodes), read-only."""
-        view = self.labels.reshape(net.n_cells, net.n_nodes)
-        view.setflags(write=False)
-        return view
-
-
-def _check_partition(net: MultilayerNetwork, partition: Partition) -> np.ndarray:
-    if partition.labels.shape != (net.supra_size,):
-        raise DomainError(
-            f"partition labels {partition.labels.shape} do not cover the "
-            f"supra size {net.supra_size}"
-        )
-    return partition.labels
-
-
-def coupling_strength(spec: CouplingSpec, net: MultilayerNetwork, presence: int,
-                      i: int, s: int, v: int, r: int, w: int) -> float:
-    """Signed strength for node i between layers (s, v) and (r, w), 1-based.
-
-    Returns ``e * (2 * presence - 1)`` with the amplitude taken from the
-    coupling strategy; (s, v) must differ from (r, w).
-    """
-    if (s, v) == (r, w):
-        raise DomainError("coupling strength requires two distinct layer cells")
-    if presence not in (0, 1):
-        raise DomainError(f"presence must be 0 or 1, got {presence}")
-    ca = net.cell_index(s - 1, v - 1)
-    cb = net.cell_index(r - 1, w - 1)
-    return spec.strength(net, i - 1, ca, cb, bool(presence))
-
-
-def null_model_ng(stats: LayerStats, i: int, j: int) -> float:
-    """Newman-Girvan null model weight for 1-based nodes i and j."""
-    n = stats.strengths.shape[0]
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"node ids ({i}, {j}) out of range 1..{n}")
-    return stats.null_model(i - 1, j - 1)
-
 
 def _warn_empty(kind: str, cell: int):
     warnings.warn(
@@ -141,261 +98,57 @@ def _warn_empty(kind: str, cell: int):
     )
 
 
-def _layer_terms(net: MultilayerNetwork, params: ModularityParams, cell: int):
-    """Yield (stats, gamma, weight_sign) pieces of one layer's within term.
-
-    Unsigned networks yield one piece; signed ones yield the '+' piece and
-    the '-' piece with weight_sign -1.
-    """
-    if not params.signed:
-        stats = net.layer_stats(cell)
-        yield stats, params.gamma[cell], 1.0
-        return
-    gp, gm = params.gamma_signed()
-    sp = net.layer_stats(cell, "+")
-    sm = net.layer_stats(cell, "-")
-    yield sp, gp[cell], 1.0
-    yield sm, gm[cell], -1.0
-
-
-def _require_sign_consistency(net: MultilayerNetwork, params: ModularityParams):
-    if net.has_negative_edges and not params.signed:
-        raise DomainError(
-            "network has negative edge weights; use signed modularity parameters"
-        )
-
-
-def _within_q(net: MultilayerNetwork, params: ModularityParams, cells_labels: np.ndarray,
-              warn: bool = True) -> float:
-    """Within-layer part of raw Q over ordered pairs, diagonal included."""
-    total = 0.0
-    for t in range(net.n_cells):
-        lam = params.lam[t]
-        if lam == 0.0:
-            continue
-        labels = cells_labels[t]
-        for stats, gamma, sign in _layer_terms(net, params, t):
-            if stats.total_weight <= 0:
-                if warn and not params.signed:
-                    _warn_empty("any", t)
-                continue
-            edge_part = 0.0
-            for i, j, w in net.within_edges[t]:
-                if params.signed:
-                    if sign > 0 and w <= 0:
-                        continue
-                    if sign < 0 and w >= 0:
-                        continue
-                    weight = abs(w)
-                else:
-                    weight = w
-                if labels[i] == labels[j]:
-                    edge_part += 2.0 * weight
-            group_strengths: dict[int, float] = {}
-            for i, k in enumerate(stats.strengths):
-                lab = int(labels[i])
-                group_strengths[lab] = group_strengths.get(lab, 0.0) + float(k)
-            null_part = sum(v * v for v in group_strengths.values())
-            null_part *= gamma / (2.0 * stats.total_weight)
-            total += sign * lam * (edge_part - null_part)
-    return total
-
-
-def _coupling_q(net: MultilayerNetwork, spec: CouplingSpec,
-                cells_labels: np.ndarray) -> float:
-    """Coupling part of raw Q: ordered co-assigned node-copy pairs."""
-    total = 0.0
-    for node, ca, cb in net.candidate_pairs():
-        if cells_labels[ca, node] != cells_labels[cb, node]:
-            continue
-        present = (node, ca, cb) in net.couplings
-        total += 2.0 * spec.strength(net, node, ca, cb, present)
-    return total
-
-
 def modularity(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
                partition: Partition) -> float:
-    """Multilayer modularity of a partition.
+    """Multilayer modularity of a partition, signed or unsigned.
 
-    Raw mode returns the plain ordered-pair sum; normalized mode divides by
-    ``mu = sum_t 2 m_t + sum |C~|``, a convention documented as ours.
+    Evaluated on the factored D: per cell, the same-community entries of B
+    less ``coefs[p, t]`` times the summed squared community strength
+    totals of each null piece; the same-community coupling entries are
+    added last.  Raw mode returns this sum; normalized mode divides by
+    ``mu = sum_t 2 m_t + sum |C~|`` over ordered pairs, a convention
+    documented as ours.
     """
-    if params.signed:
-        return modularity_signed(net, spec, params, partition)
-    _require_sign_consistency(net, params)
-    labels = _check_partition(net, partition)
-    cells = labels.reshape(net.n_cells, net.n_nodes)
-    q = _within_q(net, params, cells) + _coupling_q(net, spec, cells)
+    labels = partition.labels
+    if labels.shape != (net.supra_size,):
+        raise DomainError(
+            f"partition labels {labels.shape} do not cover the "
+            f"supra size {net.supra_size}"
+        )
+    qm, _ = quality_matrix(net, spec, params)
+    L, n = net.n_cells, qm.size
+    rows = np.repeat(np.arange(n), np.diff(qm.indptr))
+    cross = qm.cells[rows] != qm.cells[qm.indices]
+    same = labels[rows] == labels[qm.indices]
+    # B over same-community pairs: one slot per cell, the couplings in slot L
+    part = np.bincount(np.where(cross, L, qm.cells[rows])[same], weights=qm.data[same],
+                       minlength=L + 1)
+    _, comm = np.unique(labels, return_inverse=True)
+    k_max = int(comm.max()) + 1
+    squares = [(np.bincount(qm.cells * k_max + comm, weights=k, minlength=L * k_max)
+                .reshape(L, k_max) ** 2).sum(axis=1) for k in qm.strengths]
+    per_cell = part[:L] - (qm.coefs * np.array(squares)).sum(axis=0)
+    q = float(np.cumsum(per_cell)[-1] + part[L])
     if params.normalization == "normalized":
-        mu = normalization_factor(net, spec, params)
+        mu = float(qm.strengths.sum() + np.abs(qm.data[cross]).sum())
         return q / mu if mu > 0 else 0.0
     return q
-
-
-def modularity_signed(net: MultilayerNetwork, spec: CouplingSpec,
-                      params: ModularityParams, partition: Partition) -> float:
-    """Signed-network modularity: positive and negative edge subsets get
-    separate null models and the negative one enters with opposite sign."""
-    if not params.signed:
-        raise DomainError("modularity_signed requires params.signed")
-    labels = _check_partition(net, partition)
-    cells = labels.reshape(net.n_cells, net.n_nodes)
-    for t in range(net.n_cells):
-        if net.layer_stats(t, "+").total_weight <= 0:
-            _warn_empty("positive", t)
-        if net.layer_stats(t, "-").total_weight <= 0:
-            _warn_empty("negative", t)
-    q = _within_q(net, params, cells, warn=False) + _coupling_q(net, spec, cells)
-    if params.normalization == "normalized":
-        mu = normalization_factor(net, spec, params)
-        return q / mu if mu > 0 else 0.0
-    return q
-
-
-def hamiltonian(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-                partition: Partition) -> float:
-    """Energy of a partition: existing within-community structure is rewarded
-    and missing structure penalised through the (2 delta - 1) form.
-
-    Computed directly from its own definition rather than from Q, so it can
-    serve as an independent cross-check: ``-H/2 - Q_raw`` is a partition
-    independent constant equal to ``-chi/2``.
-    """
-    if not params.signed:
-        _require_sign_consistency(net, params)
-    _check_partition(net, partition)
-    cells = partition.labels.reshape(net.n_cells, net.n_nodes)
-    h = 0.0
-    for t in range(net.n_cells):
-        lam = params.lam[t]
-        if lam == 0.0:
-            continue
-        labels = cells[t]
-        same = (labels[:, None] == labels[None, :])
-        sign_matrix = np.where(same, 1.0, -1.0)
-        for stats, gamma, sign in _layer_terms(net, params, t):
-            if stats.total_weight <= 0:
-                if not params.signed:
-                    _warn_empty("any", t)
-                continue
-            if params.signed:
-                a = net.adjacency_dense(t)
-                a = np.clip(a, 0, None) if sign > 0 else np.clip(-a, 0, None)
-            else:
-                a = net.adjacency_dense(t)
-            k = stats.strengths
-            null = gamma * np.outer(k, k) / (2.0 * stats.total_weight)
-            h -= sign * lam * float(((a - null) * sign_matrix).sum())
-    for node, ca, cb in net.candidate_pairs():
-        present = (node, ca, cb) in net.couplings
-        ctil = spec.strength(net, node, ca, cb, present)
-        delta_sign = 1.0 if cells[ca, node] == cells[cb, node] else -1.0
-        h -= 2.0 * ctil * delta_sign
-    return h
-
-
-def chi_value(net: MultilayerNetwork, spec: CouplingSpec,
-              params: ModularityParams) -> float:
-    """Sum of all supra-modularity matrix entries, computed analytically:
-    ``sum_t lam * (1 - gamma) * 2 m_t`` plus the ordered coupling strengths."""
-    total = 0.0
-    for t in range(net.n_cells):
-        lam = params.lam[t]
-        for stats, gamma, sign in _layer_terms(net, params, t):
-            total += sign * lam * (1.0 - gamma) * 2.0 * stats.total_weight
-    for node, ca, cb in net.candidate_pairs():
-        present = (node, ca, cb) in net.couplings
-        total += 2.0 * spec.strength(net, node, ca, cb, present)
-    return total
-
-
-def normalization_factor(net: MultilayerNetwork, spec: CouplingSpec,
-                         params: ModularityParams) -> float:
-    """mu = sum_t 2 m_t + sum over ordered pairs of |C~| (our convention)."""
-    mu = 0.0
-    for t in range(net.n_cells):
-        if params.signed:
-            mu += 2.0 * (net.layer_stats(t, "+").total_weight
-                         + net.layer_stats(t, "-").total_weight)
-        else:
-            mu += 2.0 * net.layer_stats(t).total_weight
-    for node, ca, cb in net.candidate_pairs():
-        mu += 2.0 * spec.amplitude(net, node, ca, cb)
-    return mu
 
 
 @dataclass(frozen=True)
 class SupraModularityMatrix:
-    """Dense symmetric supra-modularity matrix with its entry-sum constant.
-
-    ``chi`` splits into the within-layer bias and the coupling strength sum,
-    kept as diagnostics.
-    """
+    """Dense symmetric supra-modularity matrix with chi, the sum of its entries."""
 
     matrix: np.ndarray
     chi: float
-    within_bias: float
-    coupling_sum: float
-    n_nodes: int
-    n_cells: int
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def build_modularity_matrix(net: MultilayerNetwork, spec: CouplingSpec,
                             params: ModularityParams) -> SupraModularityMatrix:
-    """Assemble the dense supra-modularity matrix D.
-
-    Within-layer blocks carry ``lam * (A - gamma * k k^T / 2m)`` including
-    the diagonal, signed networks use the two-subset decomposition, and
-    node-copy entries carry the signed coupling strengths.
-    """
-    if not params.signed:
-        _require_sign_consistency(net, params)
-    if len(params.gamma) != net.n_cells:
-        raise DomainError("params do not match the network's layer cells")
-    n = net.supra_size
-    N = net.n_nodes
-    out = np.zeros((n, n))
-    within_bias = 0.0
-    for t in range(net.n_cells):
-        lam = params.lam[t]
-        block = np.zeros((N, N))
-        for stats, gamma, sign in _layer_terms(net, params, t):
-            if stats.total_weight <= 0:
-                if not params.signed:
-                    _warn_empty("any", t)
-                continue
-            if params.signed:
-                a = net.adjacency_dense(t)
-                a = np.clip(a, 0, None) if sign > 0 else np.clip(-a, 0, None)
-            else:
-                a = net.adjacency_dense(t)
-            k = stats.strengths
-            block += sign * (a - gamma * np.outer(k, k) / (2.0 * stats.total_weight))
-            within_bias += sign * lam * (1.0 - gamma) * 2.0 * stats.total_weight
-        out[t * N:(t + 1) * N, t * N:(t + 1) * N] = lam * block
-    coupling_sum = 0.0
-    for node, ca, cb in net.candidate_pairs():
-        present = (node, ca, cb) in net.couplings
-        ctil = spec.strength(net, node, ca, cb, present)
-        coupling_sum += 2.0 * ctil
-        if ctil != 0.0:
-            x = ca * N + node
-            y = cb * N + node
-            out[x, y] = ctil
-            out[y, x] = ctil
-    out.setflags(write=False)
-    return SupraModularityMatrix(
-        matrix=out,
-        chi=within_bias + coupling_sum,
-        within_bias=within_bias,
-        coupling_sum=coupling_sum,
-        n_nodes=N,
-        n_cells=net.n_cells,
-    )
+    """D as a dense (N L)^2 array, assembled from ``quality_matrix``;
+    for small n only."""
+    qm, chi = quality_matrix(net, spec, params)
+    return SupraModularityMatrix(matrix=qm.dense(), chi=chi)
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
@@ -556,42 +309,83 @@ class Subdivision:
         return out
 
 
+def _coupling_strengths(net: MultilayerNetwork, spec: CouplingSpec):
+    """Signed strength of every candidate node-copy pair: ``+e`` where the
+    coupling is present and ``-e`` where it is absent.
+
+    Returns the cell pairs (a, b), a < b, in ``itertools.combinations``
+    order, and an array with one row per pair and one column per node.
+    The amplitude e comes from the coupling strategy (see ``CouplingSpec``).
+    """
+    L, N = net.n_cells, net.n_nodes
+    ca, cb = np.triu_indices(L, 1)
+    if spec.strategy == "explicit":
+        amp = np.zeros((ca.size, N))
+        pair = {(a, b): p for p, (a, b) in enumerate(zip(ca.tolist(), cb.tolist()))}
+        for (node, a, b), value in spec.explicit.items():
+            if (a, b) in pair and 0 <= node < N:
+                amp[pair[a, b], node] = value
+    else:
+        if spec.strategy == "uniform":
+            e = np.full(ca.size, spec.omega)
+        elif spec.strategy == "closeness":
+            m = spec.closeness
+            if m.shape != (L, L):
+                raise DomainError(f"closeness matrix shape {m.shape} does not match "
+                                  f"{L} layer cells")
+            e = spec.omega * m[ca, cb] / m.max()
+        else:  # temporal: consecutive layers of one aspect
+            aspect = np.repeat(np.arange(len(net.aspects)), net.aspect_sizes)
+            e = np.where((cb - ca == 1) & (aspect[ca] == aspect[cb]), spec.omega, 0.0)
+        amp = np.repeat(e[:, None], N, axis=1)
+    present = np.zeros(amp.shape, dtype=bool)
+    if net.couplings:
+        node, a, b = np.array(list(net.couplings)).T
+        present[a * (2 * L - a - 1) // 2 + b - a - 1, node] = True
+    return ca, cb, np.where(present, amp, -amp)
+
+
 def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
                    params: ModularityParams) -> tuple[QualityMatrix, float]:
     """D in factored form, and chi, the sum of its entries.
 
-    chi is summed in the order ``build_modularity_matrix`` uses, so both
-    report the same float.
+    A layer cell, or in signed networks its '+' or '-' edge subset, with no
+    edges warns and gets no null term.
     """
-    if not params.signed:
-        _require_sign_consistency(net, params)
+    if net.has_negative_edges and not params.signed:
+        raise DomainError(
+            "network has negative edge weights; use signed modularity parameters"
+        )
     if len(params.gamma) != net.n_cells:
         raise DomainError("params do not match the network's layer cells")
+    if params.signed:
+        pieces = (("+", 1.0, "positive"), ("-", -1.0, "negative"))
+        gammas = params.gamma_signed()
+    else:
+        pieces, gammas = ((None, 1.0, "any"),), (params.gamma,)
     N, n = net.n_nodes, net.supra_size
-    strengths = np.zeros((2 if params.signed else 1, n))
-    coefs = np.zeros((strengths.shape[0], net.n_cells))
+    strengths = np.zeros((len(pieces), n))
+    coefs = np.zeros((len(pieces), net.n_cells))
     entries = []  # (row, col, value) blocks of the upper triangle of B
     within_bias = 0.0
     for t in range(net.n_cells):
         lam = params.lam[t]
         edges = np.array(net.within_edges[t], dtype=float).reshape(-1, 3)
         entries.append(edges * (1.0, 1.0, lam) + (t * N, t * N, 0.0))
-        for p, (stats, gamma, sign) in enumerate(_layer_terms(net, params, t)):
+        for p, ((subset, sign, kind), gamma) in enumerate(zip(pieces, gammas)):
+            stats = net.layer_stats(t, subset)
             if stats.total_weight <= 0:
-                if not params.signed:
-                    _warn_empty("any", t)
+                _warn_empty(kind, t)
                 continue
             strengths[p, t * N:(t + 1) * N] = stats.strengths
-            coefs[p, t] = sign * lam * gamma / (2.0 * stats.total_weight)
-            within_bias += sign * lam * (1.0 - gamma) * 2.0 * stats.total_weight
-    coupling_sum = 0.0
-    pairs = []
-    for node, ca, cb in net.candidate_pairs():
-        present = (node, ca, cb) in net.couplings
-        ctil = spec.strength(net, node, ca, cb, present)
-        coupling_sum += 2.0 * ctil
-        pairs.append((ca * N + node, cb * N + node, ctil))
-    entries.append(np.array(pairs, dtype=float).reshape(-1, 3))
+            coefs[p, t] = sign * lam * gamma[t] / (2.0 * stats.total_weight)
+            within_bias += sign * lam * (1.0 - gamma[t]) * 2.0 * stats.total_weight
+    ca, cb, ctil = _coupling_strengths(net, spec)
+    nodes = np.arange(N)
+    entries.append(np.column_stack(((ca[:, None] * N + nodes).ravel(),
+                                    (cb[:, None] * N + nodes).ravel(), ctil.ravel())))
+    # one pair at a time in candidate order (a running sum, not np.sum's pairwise one)
+    coupling_sum = float(np.cumsum(2.0 * ctil.ravel())[-1]) if ctil.size else 0.0
     upper = np.concatenate(entries)
     upper = upper[upper[:, 2] != 0.0]
     heads, tails = upper[:, 0].astype(np.intp), upper[:, 1].astype(np.intp)

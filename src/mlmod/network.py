@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError
-from .params import CouplingSpec
 
 Edge = tuple[int, int, float]
 Coupling = tuple[int, int, int]
@@ -51,12 +50,6 @@ class LayerStats:
 
     strengths: np.ndarray
     total_weight: float
-
-    def null_model(self, i: int, j: int) -> float:
-        """Newman-Girvan expected weight k_i * k_j / (2 m); 0 for an empty layer."""
-        if self.total_weight <= 0:
-            return 0.0
-        return float(self.strengths[i] * self.strengths[j] / (2.0 * self.total_weight))
 
 
 @dataclass(frozen=True)
@@ -137,29 +130,7 @@ class MultilayerNetwork:
                 return v, cell - self._offsets[v]
         raise DomainError(f"cell index {cell} out of range")
 
-    def layer_label(self, cell: int) -> str:
-        v, s = self.cell_of(cell)
-        return self.aspects[v].layers[s]
-
     # -- derived structure -------------------------------------------------
-
-    @cached_property
-    def _dense_adjacency(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for edges in self.within_edges:
-            a = np.zeros((self.n_nodes, self.n_nodes))
-            for i, j, w in edges:
-                a[i, j] += w
-                a[j, i] += w
-            a.setflags(write=False)
-            out.append(a)
-        return tuple(out)
-
-    def adjacency_dense(self, cell: int) -> np.ndarray:
-        """Dense symmetric adjacency of one layer cell (read-only view)."""
-        if not (0 <= cell < self.n_cells):
-            raise DomainError(f"cell index {cell} out of range")
-        return self._dense_adjacency[cell]
 
     @cached_property
     def has_negative_edges(self) -> bool:
@@ -187,12 +158,6 @@ class MultilayerNetwork:
             m += w
         k.setflags(write=False)
         return LayerStats(strengths=k, total_weight=m)
-
-    def candidate_pairs(self) -> Iterable[tuple[int, int, int]]:
-        """All candidate node-copy pairs (node, cell_a, cell_b), cell_a < cell_b."""
-        for ca, cb in itertools.combinations(range(self.n_cells), 2):
-            for node in range(self.n_nodes):
-                yield node, ca, cb
 
     def with_couplings(self, couplings: Iterable[Coupling]) -> "MultilayerNetwork":
         """Copy of the network with a replaced coupling set."""
@@ -273,24 +238,6 @@ def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> frozens
     return frozenset(chosen)
 
 
-def build_supra_adjacency(net: MultilayerNetwork, spec: CouplingSpec) -> np.ndarray:
-    """Supra-adjacency matrix: layer adjacencies on the diagonal blocks,
-    present-coupling amplitudes on the off-diagonal block diagonals."""
-    n = net.supra_size
-    N = net.n_nodes
-    out = np.zeros((n, n))
-    for t in range(net.n_cells):
-        out[t * N:(t + 1) * N, t * N:(t + 1) * N] = net.adjacency_dense(t)
-    for node, ca, cb in net.couplings:
-        e = spec.amplitude(net, node, ca, cb)
-        if e != 0.0:
-            x = ca * N + node
-            y = cb * N + node
-            out[x, y] = e
-            out[y, x] = e
-    return out
-
-
 # -- aspect-aspect grids ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -356,16 +303,3 @@ def flatten_aspect_grid(grid: AspectGrid) -> tuple[MultilayerNetwork, dict[tuple
     )
     location_map = {c: (t + 1, 1) for c, t in coord_to_cell.items()}
     return net, location_map
-
-
-def between_layer_strength(net: MultilayerNetwork, spec: CouplingSpec) -> np.ndarray:
-    """Diagnostic only: per-cell sums of incident present-coupling amplitudes.
-
-    This quantity enters no score computed by this package.
-    """
-    out = np.zeros((net.n_cells, net.n_nodes))
-    for node, ca, cb in net.couplings:
-        e = spec.amplitude(net, node, ca, cb)
-        out[ca, node] += e
-        out[cb, node] += e
-    return out

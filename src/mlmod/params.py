@@ -65,36 +65,6 @@ class CouplingSpec:
             if val < 0 or not np.isfinite(val):
                 raise DomainError(f"explicit amplitude for {key} must be finite and >= 0")
 
-    def amplitude(self, net: "MultilayerNetwork", node: int, cell_a: int, cell_b: int) -> float:
-        """Amplitude ``e >= 0`` for the candidate pair, 0-based indices."""
-        if cell_a == cell_b:
-            raise DomainError("coupling amplitude asked for a cell paired with itself")
-        if self.strategy == "uniform":
-            return self.omega
-        if self.strategy == "closeness":
-            m = self.closeness
-            t = net.n_cells
-            if m.shape != (t, t):
-                raise DomainError(
-                    f"closeness matrix shape {m.shape} does not match {t} layer cells"
-                )
-            return self.omega * float(m[cell_a, cell_b]) / float(m.max())
-        if self.strategy == "temporal":
-            va, sa = net.cell_of(cell_a)
-            vb, sb = net.cell_of(cell_b)
-            if va == vb and abs(sa - sb) == 1:
-                return self.omega
-            return 0.0
-        # explicit
-        key = (node, cell_a, cell_b) if cell_a < cell_b else (node, cell_b, cell_a)
-        return float(self.explicit.get(key, 0.0))
-
-    def strength(self, net: "MultilayerNetwork", node: int, cell_a: int, cell_b: int,
-                 present: bool) -> float:
-        """Signed coupling strength: ``+e`` if present, ``-e`` if absent."""
-        e = self.amplitude(net, node, cell_a, cell_b)
-        return e if present else -e
-
 
 @dataclass(frozen=True)
 class ModularityParams:

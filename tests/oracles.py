@@ -18,6 +18,100 @@ from mlmod import (
 )
 
 
+def dense_adjacency(net: MultilayerNetwork, cell: int) -> np.ndarray:
+    """Symmetric adjacency of one layer cell, from its edge list."""
+    a = np.zeros((net.n_nodes, net.n_nodes))
+    for i, j, w in net.within_edges[cell]:
+        a[i, j] += w
+        a[j, i] += w
+    return a
+
+
+def coupling_amplitude(spec: CouplingSpec, net: MultilayerNetwork, node: int,
+                       ca: int, cb: int) -> float:
+    """Amplitude e >= 0 of node's copies in cells ca < cb, per strategy."""
+    if spec.strategy == "uniform":
+        return spec.omega
+    if spec.strategy == "closeness":
+        m = np.asarray(spec.closeness, dtype=float)
+        return spec.omega * float(m[ca, cb]) / float(m.max())
+    if spec.strategy == "temporal":
+        place = [(v, s) for v, aspect in enumerate(net.aspects)
+                 for s in range(len(aspect.layers))]
+        (va, sa), (vb, sb) = place[ca], place[cb]
+        return spec.omega if va == vb and abs(sa - sb) == 1 else 0.0
+    return float(spec.explicit.get((node, ca, cb), 0.0))
+
+
+def _edge_subsets(params: ModularityParams):
+    """(sign, per-cell gammas, weight map) of each edge subset of a layer:
+    all edges when unsigned; for signed networks the positive edges and,
+    entering with sign -1, the absolute weights of the negative ones."""
+    if not params.signed:
+        return [(1.0, params.gamma, lambda w: w)]
+    gp = params.gamma_plus if params.gamma_plus is not None else params.gamma
+    gm = params.gamma_minus if params.gamma_minus is not None else params.gamma
+    return [(1.0, gp, lambda w: max(w, 0.0)), (-1.0, gm, lambda w: max(-w, 0.0))]
+
+
+def oracle_matrix(net: MultilayerNetwork, spec: CouplingSpec,
+                  params: ModularityParams) -> np.ndarray:
+    """The supra-modularity matrix D, entry by entry from its definition.
+
+    Two copies in one cell t: ``lam_t * sum_s sign_s (A^s_ij - gamma^s_t
+    k^s_i k^s_j / 2 m^s)`` over the edge subsets s that have edges.  Copies
+    of one node in two cells: +e if the coupling is present, -e if absent.
+    Anything else: 0.
+    """
+    n_nodes = net.n_nodes
+    n_cells = sum(len(aspect.layers) for aspect in net.aspects)
+    layers = []  # per cell: (sign, gamma, A^s, k^s, 2 m^s) of each subset
+    for t in range(n_cells):
+        subsets = []
+        for sign, gamma, weight in _edge_subsets(params):
+            a = np.zeros((n_nodes, n_nodes))
+            for i, j, w in net.within_edges[t]:
+                a[i, j] += weight(w)
+                a[j, i] += weight(w)
+            k = a.sum(axis=1)
+            subsets.append((sign, gamma[t], a, k, float(k.sum())))
+        layers.append(subsets)
+    n = n_nodes * n_cells
+    d = np.zeros((n, n))
+    for x in range(n):
+        tx, i = divmod(x, n_nodes)
+        for y in range(n):
+            ty, j = divmod(y, n_nodes)
+            if tx == ty:
+                d[x, y] = params.lam[tx] * sum(
+                    sign * (a[i, j] - gamma * k[i] * k[j] / two_m)
+                    for sign, gamma, a, k, two_m in layers[tx] if two_m > 0)
+            elif i == j:
+                ca, cb = min(tx, ty), max(tx, ty)
+                e = coupling_amplitude(spec, net, i, ca, cb)
+                d[x, y] = e if (i, ca, cb) in net.couplings else -e
+    return d
+
+
+def oracle_hamiltonian(matrix: np.ndarray, labels) -> float:
+    """H = -sum_xy D_xy (2 delta(g_x, g_y) - 1)."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    return -float((matrix * np.where(same, 1.0, -1.0)).sum())
+
+
+def oracle_mu(net: MultilayerNetwork, spec: CouplingSpec) -> float:
+    """Normalization factor: sum_t 2 m_t, counting |w| for every edge, plus
+    the amplitudes of all ordered candidate pairs."""
+    n_cells = sum(len(aspect.layers) for aspect in net.aspects)
+    mu = sum(2.0 * abs(w) for edges in net.within_edges for _, _, w in edges)
+    for ca in range(n_cells):
+        for cb in range(ca + 1, n_cells):
+            for node in range(net.n_nodes):
+                mu += 2.0 * coupling_amplitude(spec, net, node, ca, cb)
+    return mu
+
+
 def q_pairwise(matrix: np.ndarray, labels) -> float:
     """Literal ordered-pair sum of same-community matrix entries."""
     labels = list(labels)

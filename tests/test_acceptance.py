@@ -20,14 +20,11 @@ from mlmod import (
     Partition,
     build_karate_replica,
     build_modularity_matrix,
-    chi_value,
     generate_couplings,
-    hamiltonian,
     leading_eigenpair,
     load_karate,
     mlouv,
     modularity,
-    modularity_signed,
     mspec_detect,
     quality_matrix,
     sfull_spec,
@@ -36,7 +33,15 @@ from mlmod import (
 )
 
 from conftest import make_single_layer
-from oracles import max_partition_q, q_pairwise, random_instance, random_partition
+from oracles import (
+    dense_adjacency,
+    max_partition_q,
+    oracle_hamiltonian,
+    oracle_matrix,
+    q_pairwise,
+    random_instance,
+    random_partition,
+)
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -94,7 +99,7 @@ def test_criterion_2_single_layer_reduction():
     net, _ = load_karate()
     params = ModularityParams.for_network(net, gamma=1.0, lam=1.0)
     dm = build_modularity_matrix(net, CouplingSpec(), params)
-    a = net.adjacency_dense(0)
+    a = dense_adjacency(net, 0)
     k = a.sum(axis=1)
     newman = a - np.outer(k, k) / k.sum()
     max_dev = float(np.abs(dm.matrix - newman).max())
@@ -115,16 +120,16 @@ def test_criterion_3_oracle_equivalence_desk_scale():
     bound_violations = 0
     for trial in range(50):
         net, spec, params = random_instance(5000 + trial, max_supra=12)
-        dm = build_modularity_matrix(net, spec, params)
+        d = oracle_matrix(net, spec, params)
         n = net.supra_size
 
         labels = random_partition(rng, n)
         q_scorer = modularity(net, spec, params, Partition(labels))
-        q_oracle = q_pairwise(dm.matrix, labels)
+        q_oracle = q_pairwise(d, labels)
         worst_a = max(worst_a, abs(q_scorer - q_oracle))
 
         res = mspec_detect(net, spec, params)
-        opt = max_partition_q(dm.matrix)
+        opt = max_partition_q(d)
         if res.q_total > opt + 1e-9 * max(1.0, abs(opt)):
             bound_violations += 1
 
@@ -154,18 +159,18 @@ def test_criterion_3_oracle_equivalence_desk_scale():
 def test_criterion_4_hamiltonian_consistency():
     rng = np.random.default_rng(11)
     net, spec, params = random_instance(424242)
+    d = oracle_matrix(net, spec, params)
     biases = []
     for _ in range(20):
         labels = random_partition(rng, net.supra_size)
         part = Partition(labels)
-        h = hamiltonian(net, spec, params, part)
+        h = oracle_hamiltonian(d, labels)
         q = modularity(net, spec, params, part)
         biases.append(-h / 2.0 - q)
     scale = max(1.0, max(abs(b) for b in biases))
     spread = (max(biases) - min(biases)) / scale
-    dm = build_modularity_matrix(net, spec, params)
-    chi = chi_value(net, spec, params)
-    chi_dev = abs(dm.matrix.sum() - chi) / max(1.0, abs(chi))
+    chi = quality_matrix(net, spec, params)[1]
+    chi_dev = abs(d.sum() - chi) / max(1.0, abs(chi))
     ok = spread <= 1e-9 and chi_dev <= 1e-9
     report("criterion 4 (Hamiltonian consistency)", ok,
            f"bias spread {spread:.2e} <= 1e-9 relative over 20 partitions, "
@@ -234,7 +239,7 @@ def test_criterion_7_signed_behavior():
     separated = labels[1] != labels[2]
     best = -np.inf
     for assignment in ([0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]):
-        q = modularity_signed(net, spec, params, Partition(np.array(assignment)))
+        q = modularity(net, spec, params, Partition(np.array(assignment)))
         best = max(best, q)
     matches_oracle = abs(res.q_total - best) <= 1e-12
 
@@ -247,7 +252,7 @@ def test_criterion_7_signed_behavior():
         labels = random_partition(rng, 34, 4)
         q_u = modularity(karate, CouplingSpec(), unsigned, Partition(labels))
         with pytest.warns(RuntimeWarning):
-            q_s = modularity_signed(karate, CouplingSpec(), signed, Partition(labels))
+            q_s = modularity(karate, CouplingSpec(), signed, Partition(labels))
         reduction_exact = reduction_exact and (q_s == q_u)
     ok = separated and matches_oracle and reduction_exact
     report("criterion 7 (signed behavior)", ok,

@@ -277,13 +277,14 @@ class TestExitCodes:
                         "--omega", "1.0", "--out", str(out)])
         assert code == 0
         result, _ = load_result(str(out / "result_mspec.txt"))
-        from mlmod import build_karate_replica, normalization_factor
+        from mlmod import build_karate_replica
+        from oracles import oracle_mu
 
         net, params_raw = build_karate_replica(1, [1.0])
         params = ModularityParams.for_network(net, normalization="normalized")
         q = modularity(net, CouplingSpec(omega=1.0), params, result.partition)
         assert result.q_total == pytest.approx(q, abs=1e-12)
-        mu = normalization_factor(net, CouplingSpec(omega=1.0), params)
+        mu = oracle_mu(net, CouplingSpec(omega=1.0))
         assert mu == pytest.approx(2 * 78.0)
         assert 0 < result.q_total < 1  # conventional-scale value
 
@@ -347,6 +348,35 @@ class TestWorkersAndStrategies:
         assert code == 0
         result, shape = load_result(str(out / "result_mspec.txt"))
         assert shape["n_nodes"] == 34
+
+    def test_manifest_carries_explicit_magnitudes(self, tmp_path):
+        (tmp_path / "e.txt").write_text("1 1 2 1.0\n1 2 3 1.0\n2 1 3 1.0\n")
+        (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
+        (tmp_path / "c.txt").write_text("1 1 1 2 1 1.0\n2 1 1 2 1 2.0\n3 1 1 2 1 3.0\n")
+        (tmp_path / "m.txt").write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\n"
+                                        "layer_file = l.txt\ncoupling_file = c.txt\n")
+        common = ["detect", "--coupling-strategy", "explicit", "--seed", "4"]
+        assert run_cli(common + ["--manifest", str(tmp_path / "m.txt"),
+                                 "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(common + ["--input", str(tmp_path / "e.txt"),
+                                 "--layers-file", str(tmp_path / "l.txt"),
+                                 "--couplings-file", str(tmp_path / "c.txt"),
+                                 "--nodes", "3", "--out", str(tmp_path / "b")]) == 0
+        doc = (tmp_path / "a" / "result_mspec.txt").read_bytes()
+        assert doc == (tmp_path / "b" / "result_mspec.txt").read_bytes()
+        # chi: the gamma = 1 layers add 0, the couplings 2 * (1 + 2 + 3)
+        assert b"#meta chi 12.0\n" in doc
+
+    def test_bad_closeness_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "closeness.txt"
+        bad.write_text("0 1\n1 x\n")
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "2",
+                        "--coupling-strategy", "closeness", "--closeness-file", str(bad),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
 
     def test_sweep_on_loaded_network(self, tmp_path):
         edge = tmp_path / "e.txt"

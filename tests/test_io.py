@@ -24,6 +24,8 @@ from mlmod import (
 from mlmod.io import load_labels, load_manifest, load_params_file
 from mlmod.datasets import karate_manifest_path
 
+from oracles import dense_adjacency
+
 
 class TestLoadMultiplex:
     def test_declared_nodes_empty_edge_file(self, tmp_path):
@@ -42,7 +44,7 @@ class TestLoadMultiplex:
         net = load_multiplex(str(edge))
         assert net.n_nodes == 4
         assert (2, 3, 2.5) in net.within_edges[0]
-        a = net.adjacency_dense(0)
+        a = dense_adjacency(net, 0)
         assert a[2, 3] == 2.5 and a[3, 2] == 2.5
 
     def test_duplicates_summed(self, tmp_path):

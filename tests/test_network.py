@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,17 +12,18 @@ from mlmod import (
     AspectGrid,
     CouplingSpec,
     DomainError,
+    ModularityParams,
     MultilayerNetwork,
-    between_layer_strength,
-    build_supra_adjacency,
     flatten_aspect_grid,
     full_couplings,
     generate_couplings,
     inverse_node_index,
     node_index,
+    quality_matrix,
 )
 
 from conftest import make_single_layer
+from oracles import dense_adjacency
 
 
 def make_net(n_nodes, aspect_sizes, edges_by_cell=None, couplings=frozenset()):
@@ -93,10 +96,22 @@ class TestValidation:
             make_net(2, [2], couplings=frozenset({(0, 1, 1)}))
 
 
+def build_supra_adjacency(net, spec, signed=False):
+    """B, the sparse part of the factored D, as a dense array: the layer
+    adjacencies (lambda = 1) on the diagonal blocks and the signed coupling
+    strengths on the node diagonals of the off-diagonal blocks."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # edgeless layers warn
+        qm, _ = quality_matrix(net, spec, ModularityParams.for_network(net, signed=signed))
+    out = np.zeros((qm.size, qm.size))
+    out[np.repeat(np.arange(qm.size), np.diff(qm.indptr)), qm.indices] = qm.data
+    return out
+
+
 class TestSupraAdjacency:
     def test_single_layer_no_couplings_identity(self, two_cliques, uniform_spec):
         supra = build_supra_adjacency(two_cliques, uniform_spec)
-        assert np.array_equal(supra, two_cliques.adjacency_dense(0))
+        assert np.array_equal(supra, dense_adjacency(two_cliques, 0))
 
     def test_two_layers_full_couplings_omega_blocks(self):
         edges = ((0, 1, 1.0),)
@@ -115,7 +130,7 @@ class TestSupraAdjacency:
         spec = CouplingSpec(strategy="uniform", omega=1.0)
         supra = build_supra_adjacency(net, spec)
         off = supra[0:3, 3:6]
-        expected = np.zeros((3, 3))
+        expected = -np.eye(3)  # absent couplings enter with -e
         expected[1, 1] = 1.0
         assert np.array_equal(off, expected)
 
@@ -126,8 +141,8 @@ class TestSupraAdjacency:
         for a in range(3):
             for b in range(3):
                 block = supra[3 * a:3 * a + 3, 3 * b:3 * b + 3]
-                if a != b:
-                    assert not block.any()
+                if a != b:  # only node-copy entries, each an absent coupling
+                    assert np.array_equal(block, -2.0 * np.eye(3))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -145,7 +160,7 @@ class TestSupraAdjacency:
             edges.append(tuple(cell))
         net = make_net(n_nodes, [n_cells], edges_by_cell=tuple(edges))
         net = net.with_couplings(generate_couplings(net, 0.5, seed))
-        supra = build_supra_adjacency(net, CouplingSpec(omega=1.5))
+        supra = build_supra_adjacency(net, CouplingSpec(omega=1.5), signed=True)
         assert np.array_equal(supra, supra.T)
 
 
@@ -224,17 +239,6 @@ class TestAspectGrid:
         with pytest.raises(DomainError):
             AspectGrid(dims=(2, 2), n_nodes=2,
                        layer_edges={(0, 0): (), (0, 1): (), (1, 0): ()})
-
-
-def test_between_layer_strength_diagnostic():
-    edges = ((0, 1, 1.0),)
-    net = make_net(3, [2], edges_by_cell=(edges, edges),
-                   couplings=frozenset({(1, 0, 1)}))
-    spec = CouplingSpec(strategy="uniform", omega=2.0)
-    c = between_layer_strength(net, spec)
-    assert c.shape == (2, 3)
-    assert c[0, 1] == 2.0 and c[1, 1] == 2.0
-    assert c.sum() == 4.0
 
 
 def test_layer_stats_strength_sum(two_cliques):

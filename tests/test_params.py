@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mlmod import CouplingSpec, DomainError, ModularityParams, Partition
+from mlmod import CouplingSpec, DomainError, ModularityParams, Partition, quality_matrix
 
 from test_network import make_net
 
@@ -27,7 +27,7 @@ class TestCouplingSpecValidation:
         spec = CouplingSpec(strategy="closeness",
                             closeness=np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(DomainError):
-            spec.amplitude(net, 0, 0, 1)
+            quality_matrix(net, spec, ModularityParams.for_network(net))
 
     def test_negative_explicit_amplitude_rejected(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,10 @@
-"""The factored quality matrix against the dense reference D.
+"""The factored quality matrix against the oracle D.
 
 Every check compares ``quality_matrix``, its dense subdivisions and its
-matrix-free ``Subdivision`` views with ``build_modularity_matrix`` and the
-dense subdivision oracle, over small random instances covering all
-coupling strategies, signed weights, two aspects, an edgeless layer and a
-lambda = 0 layer.  Views are built directly here: ``subdivision_matrix``
+matrix-free ``Subdivision`` views with D built entry by entry from its
+definition and the dense subdivision oracle, over small random instances
+covering all coupling strategies, signed weights, two aspects, an
+edgeless layer and a lambda = 0 layer.  Views are built directly here: ``subdivision_matrix``
 returns them only above 512 members.  Relocation is compared bit for bit
 with the one-vertex-at-a-time reference sweep.
 """
@@ -25,7 +25,6 @@ from mlmod import (
     ModularityParams,
     MultilayerNetwork,
     build_karate_replica,
-    build_modularity_matrix,
     generate_couplings,
     kl_relocate,
     quality_matrix,
@@ -35,7 +34,7 @@ from mlmod.modularity import Subdivision
 from mlmod.params import COUPLING_STRATEGIES
 
 from conftest import make_single_layer
-from oracles import dense_subdivision, q_pairwise, relocate_reference
+from oracles import dense_subdivision, oracle_matrix, q_pairwise, relocate_reference
 
 
 @st.composite
@@ -89,18 +88,18 @@ def instances(draw):
 def _build(net, spec, params):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # edgeless layers warn
-        return build_modularity_matrix(net, spec, params), quality_matrix(net, spec, params)
+        return oracle_matrix(net, spec, params), quality_matrix(net, spec, params)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_subdivision_view_equals_dense_reference(instance, seed):
     net, spec, params, members = instance
-    dm, (qm, chi) = _build(net, spec, params)
-    assert chi == dm.chi
-    ref = dense_subdivision(dm.matrix, members)
+    d, (qm, chi) = _build(net, spec, params)
+    ref = dense_subdivision(d, members)
     scale = max(1.0, float(np.abs(ref).sum(axis=1).max()))
     tol = 1e-12 * scale
+    assert abs(chi - d.sum()) <= 1e-12 * max(1.0, float(np.abs(d).sum()))
     assert np.abs(subdivision_matrix(qm, members) - ref).max() <= tol
     view = Subdivision(qm, members)
     assert view.shape == ref.shape
@@ -117,12 +116,12 @@ def test_subdivision_view_equals_dense_reference(instance, seed):
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_relocation_gain_equals_q_change(instance, seed):
     net, spec, params, _ = instance
-    dm, (qm, _) = _build(net, spec, params)
+    d, (qm, _) = _build(net, spec, params)
     n = net.supra_size
     before = np.random.default_rng(seed).integers(0, max(1, n // 2), n)
     after, gain = kl_relocate(qm, before)
-    change = q_pairwise(dm.matrix, after) - q_pairwise(dm.matrix, before)
-    assert abs(gain - change) <= 1e-9 * max(1.0, float(np.abs(dm.matrix).sum()))
+    change = q_pairwise(d, after) - q_pairwise(d, before)
+    assert abs(gain - change) <= 1e-9 * max(1.0, float(np.abs(d).sum()))
 
 
 def _same_relocation(qm, labels, max_sweeps=10):
