@@ -11,19 +11,16 @@ from .errors import ConvergenceError, DomainError, MlmodError, ParseError
 from .network import (
     Aspect,
     AspectGrid,
-    LayerStats,
     MultilayerNetwork,
     flatten_aspect_grid,
     full_couplings,
     generate_couplings,
-    inverse_node_index,
     node_index,
 )
 from .params import CouplingSpec, ModularityParams
 from .modularity import (
     Partition,
     QualityMatrix,
-    SupraModularityMatrix,
     build_modularity_matrix,
     modularity,
     quality_matrix,
@@ -33,18 +30,13 @@ from .mspec import (
     DetectionResult,
     Division,
     SoftLabels,
-    bisect,
-    kl_relocate,
     mspec_detect,
-    refine_cut,
     soft_labels,
-    spectral_partition,
     subdivision_matrix,
 )
 from .baselines import BaselineConfig, mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
 from .io import (
-    DatasetManifest,
     load_aspect_grid,
     load_dataset,
     load_manifest,

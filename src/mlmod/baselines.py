@@ -19,11 +19,12 @@ from .modularity import (
     ModularityParams,
     Partition,
     QualityMatrix,
+    _score,
     modularity,
     quality_matrix,
 )
 from .mspec import _GAIN_EPS, DetectionResult, Division, kl_relocate, spectral_partition
-from .network import Aspect, MultilayerNetwork, normalize_edges
+from .network import Aspect, Edges, MultilayerNetwork, normalize_edges
 from .params import CouplingSpec
 
 __all__ = ["BaselineConfig", "mlouv", "smean_spec", "sfull_spec"]
@@ -107,7 +108,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
             best_q = q
             best_trace = trace
     partition = Partition(best_labels).canonical()
-    q_total = modularity(net, spec, params, partition)
+    q_total = _score(qm, partition.labels, params.normalization)
     meta = {
         "algorithm": "mlouv",
         "seed": str(config.seed),
@@ -127,7 +128,7 @@ def _one_layer(n_nodes: int, edges, gamma: float,
     matrix, and with ``gamma_minus`` the signed form whose negative edge
     subset has its own null model."""
     net = MultilayerNetwork(n_nodes=n_nodes, aspects=(Aspect("layer", ("layer",)),),
-                            within_edges=(tuple(edges),))
+                            within_edges=(edges,))
     signed = gamma_minus is not None
     params = ModularityParams(gamma=(gamma,), lam=(1.0,), signed=signed,
                               gamma_minus=(gamma_minus,) if signed else None)
@@ -142,8 +143,9 @@ def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
     cell of that node, then scored with the full multilayer modularity.
     The mean matrix uses the average of the per-layer resolutions.
     """
-    summed = normalize_edges((e for edges in net.within_edges for e in edges), net.n_nodes)
-    mean_edges = [(i, j, w / net.n_cells) for i, j, w in summed]
+    summed = normalize_edges(Edges(*(np.concatenate([getattr(e, c) for e in net.within_edges])
+                                     for c in "ijw")), net.n_nodes)
+    mean_edges = Edges(summed.i, summed.j, summed.w / net.n_cells)
     gamma = float(np.mean(params.gamma))
     gamma_minus = None
     if params.signed:

@@ -98,8 +98,7 @@ def _file_params(args) -> dict:
 
 
 def _resolve_network(args, fpar: dict):
-    """Build the network plus explicit coupling magnitudes if any."""
-    explicit = None
+    """Build the network; coupling magnitudes travel with its couplings."""
     if args.dataset == "karate":
         net, _ = load_karate()
     elif args.dataset == "karate-replica":
@@ -114,15 +113,14 @@ def _resolve_network(args, fpar: dict):
             )
         net, _ = build_karate_replica(args.layers, gammas)
     elif args.manifest:
-        net, _, explicit = load_dataset(args.manifest)
+        net, _ = load_dataset(args.manifest)
     elif args.input:
         net = load_multiplex(args.input, args.layers_file, None, n_nodes=args.nodes)
     else:
         raise DomainError("no input network: pass --input, --manifest or --dataset")
     if args.couplings_file:
-        couplings, explicit = load_couplings(args.couplings_file, net, net.n_nodes)
-        net = net.with_couplings(couplings)
-    return net, explicit
+        net = net.with_couplings(*load_couplings(args.couplings_file, net, net.n_nodes))
+    return net
 
 
 def _resolve_params(args, net, fpar: dict) -> ModularityParams:
@@ -142,13 +140,12 @@ def _resolve_params(args, net, fpar: dict) -> ModularityParams:
     )
 
 
-def _resolve_spec(args, fpar: dict, omega: float, explicit) -> CouplingSpec:
+def _resolve_spec(args, fpar: dict, omega: float) -> CouplingSpec:
     strategy = args.coupling_strategy or fpar.get("coupling.strategy", "uniform")
     return CouplingSpec(
         strategy=strategy,
         omega=omega,
         closeness=fpar.get("closeness"),
-        explicit=explicit or {},
     )
 
 
@@ -199,10 +196,10 @@ def _write_table(rows, header, csv_path, txt_path):
 
 def cmd_detect(args) -> int:
     fpar = _file_params(args)
-    net, explicit = _resolve_network(args, fpar)
+    net = _resolve_network(args, fpar)
     params = _resolve_params(args, net, fpar)
     omega = _single_omega(args, fpar)
-    spec = _resolve_spec(args, fpar, omega, explicit)
+    spec = _resolve_spec(args, fpar, omega)
     if args.rho is not None:
         if len(args.rho) != 1:
             raise DomainError("detect takes at most one --rho value")
@@ -221,7 +218,7 @@ def cmd_sweep(args) -> int:
     fpar = _file_params(args)
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
-    net, explicit = _resolve_network(args, fpar)
+    net = _resolve_network(args, fpar)
     params = _resolve_params(args, net, fpar)
     omegas = tuple(args.omega) if args.omega else DEFAULT_OMEGAS
     out = _ensure_out(args)
@@ -230,7 +227,7 @@ def cmd_sweep(args) -> int:
 
     def one(idx_omega):
         idx, omega = idx_omega
-        spec = _resolve_spec(args, fpar, omega, explicit)
+        spec = _resolve_spec(args, fpar, omega)
         result = _run_algorithm(args.algorithm or "mspec", net, spec, params, args,
                                 _seed_for(args.seed, idx))
         return result
@@ -270,10 +267,10 @@ def cmd_compare(args) -> int:
     fpar = _file_params(args)
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
-    net, explicit = _resolve_network(args, fpar)
+    net = _resolve_network(args, fpar)
     params = _resolve_params(args, net, fpar)
     omega = _single_omega(args, fpar)
-    spec = _resolve_spec(args, fpar, omega, explicit)
+    spec = _resolve_spec(args, fpar, omega)
     rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
     algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
     for name in algorithms:

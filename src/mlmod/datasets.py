@@ -22,7 +22,7 @@ def karate_manifest_path() -> str:
 def load_karate() -> tuple[MultilayerNetwork, np.ndarray]:
     """The karate club benchmark: 34 nodes, 78 unit edges, one layer,
     plus the two-faction ground-truth labels."""
-    net, truth, _ = load_dataset(karate_manifest_path())
+    net, truth = load_dataset(karate_manifest_path())
     assert truth is not None
     return net, truth
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .mspec import DetectionResult, Division
 from .modularity import Partition
-from .network import Aspect, AspectGrid, MultilayerNetwork, normalize_edges
+from .network import Aspect, AspectGrid, Edges, MultilayerNetwork, normalize_edges
 
 __all__ = [
     "DatasetManifest",
@@ -36,24 +36,91 @@ __all__ = [
 ]
 
 
-def _data_lines(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    for lineno, line in enumerate(raw, start=1):
+
+
+def _data_lines(path: str, text: str | None = None):
+    """(1-based line number, stripped line) of each line of the file (or of
+    its ``text``) that is neither blank nor a ``#`` comment."""
+    lines = (_read_text(path) if text is None else text).split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
+def _bulk_table(text: str, n_int: int):
+    """``_read_rows`` in one pass over the bytes of ``text``, or None when a
+    line needs the line loop: text that is not ASCII, whitespace other than
+    spaces and tabs, a row of another width, an integer that is not 1 to 18
+    ASCII digits (which any conversion reads as ``int`` does), or a number
+    ``float`` rejects."""
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = (b == 32) | (b == 9) | (b == 10)
+    if ((b < 32) & ~space).any():
+        return None
+    edges = np.flatnonzero(np.concatenate(([True], space)) != np.concatenate((space, [True])))
+    start, stop = edges[::2], edges[1::2]  # token spans
+    line = np.cumsum(b == 10, dtype=np.int32)[start]
+    lead = np.ones(start.size, dtype=bool)  # first token of its line
+    lead[1:] = line[1:] != line[:-1]
+    heads = np.flatnonzero(lead)  # a line whose first token starts with '#' is a comment
+    keep = np.repeat(b[start[heads]] != ord("#"), np.diff(np.append(heads, start.size)))
+    start, stop, lead = start[keep], stop[keep], lead[keep]
+    heads = np.flatnonzero(lead)
+    width = np.diff(np.append(heads, start.size))
+    if not ((width == n_int) | (width == n_int + 1)).all():
+        return None
+    is_int = np.arange(start.size) - np.repeat(heads, width) < n_int
+    lo, hi = start[is_int], stop[is_int]
+    non_digit = np.concatenate(([0], np.cumsum((b < 48) | (b > 57), dtype=np.int32)))
+    if ((hi - lo > 18) | (non_digit[hi] != non_digit[lo])).any():
+        return None
+    value = np.zeros(lo.size, dtype=np.int64)
+    for k in range(int((hi - lo).max(initial=0))):  # Horner, digit by digit
+        at = np.minimum(lo + k, hi - 1)
+        value = np.where(lo + k < hi, value * 10 + (b[at] - 48), value)
+    try:
+        extra = np.array([float(text[i:j]) for i, j in
+                          zip(start[~is_int].tolist(), stop[~is_int].tolist())])
+    except ValueError:
+        return None
+    return line[heads] + 1, value.reshape(-1, n_int).T, width > n_int, extra
+
+
+def _read_rows(path: str, n_int: int, check, row):
+    """Data lines of ``n_int`` integers and an optional number: 1-based line
+    numbers, (n_int, rows) int64 columns, the mask of rows with the number
+    and those numbers.  One bulk pass reads them when it can and
+    ``check(*result)`` holds; otherwise ``row(parts, path, lineno)`` parses
+    line after line, returning the integers and the number or None, and
+    raises at the first bad line."""
+    text = _read_text(path)
+    table = _bulk_table(text, n_int)
+    if table is not None and check(*table):
+        return table
+    rows = np.array([(n, *row(line.split(), path, n)) for n, line in _data_lines(path, text)],
+                    dtype=object).reshape(-1, n_int + 2)
+    has = rows[:, -1] != None  # noqa: E711 (elementwise)
+    return (rows[:, 0].astype(np.int64), rows[:, 1:-1].T.astype(np.int64), has,
+            rows[has, -1].astype(float))
 
 
 def _parse_int(token: str, what: str, path: str, lineno: int) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ParseError(f"expected integer {what}, got {token!r}", path, lineno) from None
+    if not -2**63 <= value < 2**63:  # ids and counts are held as int64
+        raise ParseError(f"{what} out of range, got {token!r}", path, lineno)
+    return value
 
 
 def _parse_float(token: str, what: str, path: str, lineno: int) -> float:
@@ -66,16 +133,18 @@ def _parse_float(token: str, what: str, path: str, lineno: int) -> float:
     return value
 
 
-def _infer_node_count(ids: set[int], path: str, what: str) -> int:
+def _infer_node_count(ids, path: str, what: str) -> int:
     """Largest node id, provided every id below it appears (no silent gaps)."""
-    if not ids:
+    ids = np.unique(np.asarray(ids, dtype=np.int64))
+    if ids.size == 0:
         raise ParseError(f"cannot infer node count from an empty {what} file; "
                          "declare it explicitly", path)
-    n_nodes = max(ids)
-    missing = set(range(1, n_nodes + 1)) - ids
-    if missing:
+    n_nodes = int(ids[-1])
+    # the k-th smallest id missing from 1..n_nodes is at most ids.size + k
+    missing = np.setdiff1d(np.arange(1, min(n_nodes, ids.size + 5) + 1), ids)
+    if missing.size:
         raise ParseError(
-            f"node ids have gaps (missing {sorted(missing)[:5]}...); "
+            f"node ids have gaps (missing {missing[:5].tolist()}...); "
             "declare the node count explicitly instead of compacting",
             path,
         )
@@ -118,23 +187,51 @@ def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], dict[int, int]]:
     return tuple(aspects), cell_of_layer_id
 
 
-def _parse_edge_file(path: str):
-    """Yield (lineno, layer_id, i, j, weight) with 1-based ids."""
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise ParseError("expected: layerId nodeId nodeId [weight]", path, lineno)
-        layer_id = _parse_int(parts[0], "layer id", path, lineno)
-        i = _parse_int(parts[1], "node id", path, lineno)
-        j = _parse_int(parts[2], "node id", path, lineno)
-        w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else 1.0
-        if i < 1 or j < 1:
-            raise ParseError(f"node ids must be >= 1, got ({i}, {j})", path, lineno)
-        if layer_id < 1:
-            raise ParseError(f"layer id must be >= 1, got {layer_id}", path, lineno)
-        if i == j:
-            raise DomainError(f"{path}:{lineno}: self-loop on node {i} rejected")
-        yield lineno, layer_id, i, j, w
+def _edge_row(parts: list[str], path: str, lineno: int):
+    """(layer id, i, j, weight or None) of one edge line, 1-based ids."""
+    if len(parts) not in (3, 4):
+        raise ParseError("expected: layerId nodeId nodeId [weight]", path, lineno)
+    layer_id = _parse_int(parts[0], "layer id", path, lineno)
+    i = _parse_int(parts[1], "node id", path, lineno)
+    j = _parse_int(parts[2], "node id", path, lineno)
+    w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else None
+    if i < 1 or j < 1:
+        raise ParseError(f"node ids must be >= 1, got ({i}, {j})", path, lineno)
+    if layer_id < 1:
+        raise ParseError(f"layer id must be >= 1, got {layer_id}", path, lineno)
+    if i == j:
+        raise DomainError(f"{path}:{lineno}: self-loop on node {i} rejected")
+    return layer_id, i, j, w
+
+
+def _coupling_row(parts: list[str], path: str, lineno: int, net: MultilayerNetwork,
+                  n_nodes: int):
+    """(node, layer, aspect, layer, aspect, magnitude or None) of one
+    coupling line, 1-based ids."""
+    if len(parts) not in (5, 6):
+        raise ParseError(
+            "expected: nodeId layerA aspectA layerB aspectB [magnitude]", path, lineno
+        )
+    node = _parse_int(parts[0], "node id", path, lineno)
+    sa = _parse_int(parts[1], "layer id", path, lineno)
+    va = _parse_int(parts[2], "aspect id", path, lineno)
+    sb = _parse_int(parts[3], "layer id", path, lineno)
+    vb = _parse_int(parts[4], "aspect id", path, lineno)
+    if not (1 <= node <= n_nodes):
+        raise DomainError(f"{path}:{lineno}: node id {node} out of range 1..{n_nodes}")
+    try:
+        ca = net.cell_index(sa - 1, va - 1)
+        cb = net.cell_index(sb - 1, vb - 1)
+    except DomainError as exc:
+        raise DomainError(f"{path}:{lineno}: {exc}") from exc
+    if ca == cb:
+        raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
+    magnitude = None
+    if len(parts) == 6:
+        magnitude = _parse_float(parts[5], "magnitude", path, lineno)
+        if magnitude < 0:
+            raise DomainError(f"{path}:{lineno}: magnitude must be >= 0, got {magnitude}")
+    return node, sa, va, sb, vb, magnitude
 
 
 def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
@@ -142,37 +239,30 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     against the layer cells of ``net``.
 
     Returns (frozenset of canonical coupling triples, dict of explicit
-    magnitudes or None if no line carried one).
+    magnitudes or None if no line carried one); of repeated lines, the
+    last with a magnitude sets it.  ``net.with_couplings(*result)`` puts
+    both on the network.
     """
-    couplings = set()
-    magnitudes: dict[tuple[int, int, int], float] = {}
-    any_magnitude = False
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) not in (5, 6):
-            raise ParseError(
-                "expected: nodeId layerA aspectA layerB aspectB [magnitude]", path, lineno
-            )
-        node = _parse_int(parts[0], "node id", path, lineno)
-        sa = _parse_int(parts[1], "layer id", path, lineno)
-        va = _parse_int(parts[2], "aspect id", path, lineno)
-        sb = _parse_int(parts[3], "layer id", path, lineno)
-        vb = _parse_int(parts[4], "aspect id", path, lineno)
-        if not (1 <= node <= n_nodes):
-            raise DomainError(f"{path}:{lineno}: node id {node} out of range 1..{n_nodes}")
-        try:
-            ca = net.cell_index(sa - 1, va - 1)
-            cb = net.cell_index(sb - 1, vb - 1)
-        except DomainError as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from exc
-        if ca == cb:
-            raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
-        key = (node - 1, min(ca, cb), max(ca, cb))
-        couplings.add(key)
-        if len(parts) == 6:
-            any_magnitude = True
-            magnitudes[key] = _parse_float(parts[5], "magnitude", path, lineno)
-    return frozenset(couplings), (magnitudes if any_magnitude else None)
+    offsets, sizes = np.array(net._offsets), np.array(net.aspect_sizes)
+
+    def cell(s, v):  # net.cell_index of 1-based ids, -1 where it raises
+        v0 = np.clip(v - 1, 0, sizes.size - 1)
+        return np.where((v >= 1) & (v <= sizes.size) & (s >= 1) & (s <= sizes[v0]),
+                        offsets[v0] + s - 1, -1)
+
+    def ok(_, cols, has_m, m):
+        node, sa, va, sb, vb = cols
+        ca, cb = cell(sa, va), cell(sb, vb)
+        return bool(((node >= 1) & (node <= n_nodes) & (ca >= 0) & (cb >= 0) & (ca != cb)).all()
+                    and (np.isfinite(m) & (m >= 0)).all())
+
+    _, (node, sa, va, sb, vb), has_m, m = _read_rows(
+        path, 5, ok, lambda parts, path, lineno: _coupling_row(parts, path, lineno, net, n_nodes))
+    ca, cb = cell(sa, va), cell(sb, vb)
+    triples = list(zip((node - 1).tolist(), np.minimum(ca, cb).tolist(),
+                       np.maximum(ca, cb).tolist()))
+    magnitudes = dict(zip(itertools.compress(triples, has_m.tolist()), m.tolist()))
+    return frozenset(triples), (magnitudes or None)
 
 
 def load_multiplex(edge_path: str, layer_path: str | None = None,
@@ -183,17 +273,26 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     Without a layer file all layers fall into one aspect, ordered by their
     ids, which must then be contiguous from 1.  Duplicate edges are summed.
     When ``n_nodes`` is not declared it is inferred as the largest node id,
-    and every id below it must appear somewhere (no silent gaps).
+    and every id below it must appear somewhere (no silent gaps).  Coupling
+    magnitudes, when the coupling file has them, travel with the couplings.
     """
-    records = list(_parse_edge_file(edge_path))
+    lineno, (layer, i, j), has_w, extra = _read_rows(
+        edge_path, 3, lambda _, c, has_w, w: bool(np.isfinite(w).all() and (
+            (c >= 1).all() and (c[1] != c[2]).all())), _edge_row)
+    w = np.ones(lineno.size)
+    w[has_w] = extra
     if layer_path is not None:
         aspects, cell_of_layer_id = _load_layer_table(layer_path)
-        for lineno, layer_id, *_ in records:
-            if layer_id not in cell_of_layer_id:
-                raise ParseError(f"layer id {layer_id} not declared in {layer_path}",
-                                 edge_path, lineno)
+        declared = np.array(sorted(cell_of_layer_id), dtype=np.int64)
+        at = np.minimum(np.searchsorted(declared, layer), declared.size - 1)
+        unknown = declared[at] != layer
+        if unknown.any():
+            k = int(unknown.argmax())
+            raise ParseError(f"layer id {layer[k]} not declared in {layer_path}",
+                             edge_path, int(lineno[k]))
+        cell = np.array([cell_of_layer_id[x] for x in declared.tolist()])[at]
     else:
-        layer_ids = sorted({rec[1] for rec in records})
+        layer_ids = np.unique(layer).tolist()
         if not layer_ids:
             raise ParseError(
                 "edge file has no edges and no layer file was given", edge_path
@@ -205,29 +304,27 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
             )
         aspects = (Aspect(name="aspect-1",
                           layers=tuple(f"layer-{i}" for i in layer_ids)),)
-        cell_of_layer_id = {lid: lid - 1 for lid in layer_ids}
+        cell = layer - 1
 
-    seen_nodes = {i for _, _, i, j, _ in records} | {j for _, _, i, j, _ in records}
     if n_nodes is None:
-        n_nodes = _infer_node_count(seen_nodes, edge_path, "edge")
+        n_nodes = _infer_node_count(np.concatenate((i, j)), edge_path, "edge")
     else:
         if n_nodes < 1:
             raise DomainError("declared node count must be >= 1")
-        over = [i for i in seen_nodes if i > n_nodes]
-        if over:
+        top = int(max(i.max(initial=0), j.max(initial=0)))
+        if top > n_nodes:
             raise DomainError(
-                f"{edge_path}: node id {max(over)} exceeds declared count {n_nodes}"
+                f"{edge_path}: node id {top} exceeds declared count {n_nodes}"
             )
 
     n_cells = sum(len(a.layers) for a in aspects)
-    per_cell: list[list[tuple[int, int, float]]] = [[] for _ in range(n_cells)]
-    for lineno, layer_id, i, j, w in records:
-        per_cell[cell_of_layer_id[layer_id]].append((i - 1, j - 1, w))
-    edges = tuple(normalize_edges(cell, n_nodes) for cell in per_cell)
+    order = np.argsort(cell, kind="stable")
+    cuts = np.searchsorted(cell[order], np.arange(n_cells + 1))
+    edges = tuple(normalize_edges(Edges(i[rows] - 1, j[rows] - 1, w[rows]), n_nodes)
+                  for rows in (order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])))
     net = MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges)
     if coupling_path is not None:
-        couplings, _ = load_couplings(coupling_path, net, n_nodes)
-        net = net.with_couplings(couplings)
+        net = net.with_couplings(*load_couplings(coupling_path, net, n_nodes))
     return net
 
 
@@ -247,11 +344,13 @@ def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
             layer_id += 1
     _atomic_write(layer_path, "\n".join(lines) + "\n")
     if coupling_path is not None:
-        lines = ["# nodeId layerA aspectA layerB aspectB"]
-        for node, ca, cb in sorted(net.couplings):
+        lines = ["# nodeId layerA aspectA layerB aspectB [magnitude]"]
+        magnitude = net.couplings.magnitude
+        for k, (node, ca, cb) in enumerate(net.couplings):  # sorted rows
             va, sa = net.cell_of(ca)
             vb, sb = net.cell_of(cb)
-            lines.append(f"{node + 1} {sa + 1} {va + 1} {sb + 1} {vb + 1}")
+            tail = "" if magnitude is None else f" {float(magnitude[k])!r}"
+            lines.append(f"{node + 1} {sa + 1} {va + 1} {sb + 1} {vb + 1}{tail}")
         _atomic_write(coupling_path, "\n".join(lines) + "\n")
 
 
@@ -300,8 +399,8 @@ def load_manifest(path: str) -> DatasetManifest:
 def load_dataset(manifest_path: str):
     """Load the network a manifest points to and validate declared counts.
 
-    Returns (network, ground-truth labels or None, explicit coupling
-    magnitudes or None), the last as ``load_couplings`` gives them.
+    Returns (network, ground-truth labels or None); coupling magnitudes
+    travel with the network's couplings.
     """
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -311,11 +410,9 @@ def load_dataset(manifest_path: str):
 
     net = load_multiplex(resolve(manifest.edge_file), resolve(manifest.layer_file),
                          n_nodes=manifest.n_nodes)
-    magnitudes = None
     if manifest.coupling_file is not None:
-        couplings, magnitudes = load_couplings(resolve(manifest.coupling_file), net,
-                                               net.n_nodes)
-        net = net.with_couplings(couplings)
+        net = net.with_couplings(*load_couplings(resolve(manifest.coupling_file), net,
+                                                 net.n_nodes))
     if net.n_cells != manifest.n_layers:
         raise ParseError(
             f"manifest declares {manifest.n_layers} layers, files contain {net.n_cells}",
@@ -336,7 +433,7 @@ def load_dataset(manifest_path: str):
     truth = None
     if manifest.ground_truth is not None:
         truth = load_labels(resolve(manifest.ground_truth), manifest.n_nodes)
-    return net, truth, magnitudes
+    return net, truth
 
 
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
@@ -414,13 +511,8 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     read ``nodeId c1,...,cF d1,...,dF``.
     """
     directive_dims: tuple[int, ...] | None = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
     records = []
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if stripped.startswith("#dims"):
             toks = stripped.split()[1:]
@@ -448,8 +540,8 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
         raise ParseError("grid dimensions unknown: add a #dims directive "
                          "or pass them explicitly", path)
     if n_nodes is None:
-        ids = {i for _, _, i, _, _ in records} | {j for _, _, _, j, _ in records}
-        n_nodes = _infer_node_count(ids, path, "grid")
+        n_nodes = _infer_node_count([x for _, _, i, j, _ in records for x in (i, j)], path,
+                                    "grid")
 
     layer_edges = {c: [] for c in itertools.product(*(range(d) for d in dims))}
     for lineno, coord, i, j, w in records:
@@ -540,12 +632,8 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     Returns the DetectionResult plus a shape dict with ``n_nodes`` and
     ``aspects`` (layer counts) for validation against a network.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read file: {exc}", path=path) from exc
-    if not raw or raw[0].strip() != _RESULT_HEADER:
+    raw = _read_text(path).split("\n")
+    if raw[0].strip() != _RESULT_HEADER:
         raise ParseError("not a result document (bad header)", path, 1)
     meta: dict[str, str] = {}
     divisions: list[Division] = []

@@ -102,12 +102,9 @@ def modularity(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
                partition: Partition) -> float:
     """Multilayer modularity of a partition, signed or unsigned.
 
-    Evaluated on the factored D: per cell, the same-community entries of B
-    less ``coefs[p, t]`` times the summed squared community strength
-    totals of each null piece; the same-community coupling entries are
-    added last.  Raw mode returns this sum; normalized mode divides by
-    ``mu = sum_t 2 m_t + sum |C~|`` over ordered pairs, a convention
-    documented as ours.
+    Raw mode returns the sum of D over same-community pairs; normalized
+    mode divides it by ``mu = sum_t 2 m_t + sum |C~|`` over ordered pairs,
+    a convention documented as ours.
     """
     labels = partition.labels
     if labels.shape != (net.supra_size,):
@@ -115,8 +112,18 @@ def modularity(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
             f"partition labels {labels.shape} do not cover the "
             f"supra size {net.supra_size}"
         )
-    qm, _ = quality_matrix(net, spec, params)
-    L, n = net.n_cells, qm.size
+    return _score(quality_matrix(net, spec, params)[0], labels, params.normalization)
+
+
+def _score(qm: QualityMatrix, labels: np.ndarray, normalization: str) -> float:
+    """``modularity`` on a built quality matrix.
+
+    Evaluated on the factored D: per cell, the same-community entries of B
+    less ``coefs[p, t]`` times the summed squared community strength
+    totals of each null piece; the same-community coupling entries are
+    added last.
+    """
+    L, n = qm.coefs.shape[1], qm.size
     rows = np.repeat(np.arange(n), np.diff(qm.indptr))
     cross = qm.cells[rows] != qm.cells[qm.indices]
     same = labels[rows] == labels[qm.indices]
@@ -129,7 +136,7 @@ def modularity(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
                 .reshape(L, k_max) ** 2).sum(axis=1) for k in qm.strengths]
     per_cell = part[:L] - (qm.coefs * np.array(squares)).sum(axis=0)
     q = float(np.cumsum(per_cell)[-1] + part[L])
-    if params.normalization == "normalized":
+    if normalization == "normalized":
         mu = float(qm.strengths.sum() + np.abs(qm.data[cross]).sum())
         return q / mu if mu > 0 else 0.0
     return q
@@ -219,15 +226,23 @@ class Subdivision:
     """Subdivision matrix of D over members g in factored form:
     ``M = D_gg - diag(D_gg 1)``, so every row of M sums to zero.
 
-    A product costs O(nnz(B_gg) + |g|): the sparse part, one per-cell sum
-    per null piece, and the row-sum shift (Newman, PNAS 103:8577, 2006).
+    A product costs O(nnz(B_gg) + |g|): the sparse part through scipy's
+    CSR kernel, one per-cell sum per null piece, and the row-sum shift
+    (Newman, PNAS 103:8577, 2006).
     """
 
     def __init__(self, matrix: QualityMatrix, members):
+        # Imported here: only the matrix-free path above LAPACK's size needs
+        # it, and ARPACK's import loads it there anyway.
+        from scipy.sparse import csr_array
+
         sub = matrix.take(members)
         m = sub.size
         self.shape = (m, m)
         self.indptr, self.cols, self.vals = sub.indptr, sub.indices, sub.data
+        # scipy's CSR kernel sums each row's entries in order, from 0.0, as
+        # a bincount over them does
+        self.b = csr_array((sub.data, sub.indices, sub.indptr), shape=self.shape)
         self.rows = np.repeat(np.arange(m), np.diff(sub.indptr))
         self.cells = sub.cells
         self.k = sub.strengths
@@ -243,8 +258,7 @@ class Subdivision:
                    for k, c in zip(self.k, self.c))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return (np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
-                - self._null(x) - self.rowsum * x)
+        return self.b @ x - self._null(x) - self.rowsum * x
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -266,11 +280,7 @@ class Subdivision:
 
     def asymmetry(self) -> float:
         """Largest |M_xy - M_yx|; the null terms are symmetric by construction."""
-        m = self.shape[0]
-        keys = np.concatenate((self.rows * m + self.cols, self.cols * m + self.rows))
-        _, pair = np.unique(keys, return_inverse=True)
-        diff = np.bincount(pair, weights=np.concatenate((self.vals, -self.vals)))
-        return float(np.abs(diff).max(initial=0.0))
+        return float(abs(self.b - self.b.T).max())
 
     def norm_inf(self) -> float:
         """Exact max absolute row sum of M, without forming M."""
@@ -315,16 +325,17 @@ def _coupling_strengths(net: MultilayerNetwork, spec: CouplingSpec):
 
     Returns the cell pairs (a, b), a < b, in ``itertools.combinations``
     order, and an array with one row per pair and one column per node.
-    The amplitude e comes from the coupling strategy (see ``CouplingSpec``).
+    The amplitude e comes from the coupling strategy (see ``CouplingSpec``);
+    the explicit one reads the magnitudes of the network's couplings.
     """
     L, N = net.n_cells, net.n_nodes
     ca, cb = np.triu_indices(L, 1)
+    node, a, b = net.couplings.rows.T
+    pair = a * (2 * L - a - 1) // 2 + b - a - 1  # index of (a, b) in (ca, cb)
     if spec.strategy == "explicit":
         amp = np.zeros((ca.size, N))
-        pair = {(a, b): p for p, (a, b) in enumerate(zip(ca.tolist(), cb.tolist()))}
-        for (node, a, b), value in spec.explicit.items():
-            if (a, b) in pair and 0 <= node < N:
-                amp[pair[a, b], node] = value
+        if net.couplings.magnitude is not None:
+            amp[pair, node] = net.couplings.magnitude
     else:
         if spec.strategy == "uniform":
             e = np.full(ca.size, spec.omega)
@@ -339,9 +350,7 @@ def _coupling_strengths(net: MultilayerNetwork, spec: CouplingSpec):
             e = np.where((cb - ca == 1) & (aspect[ca] == aspect[cb]), spec.omega, 0.0)
         amp = np.repeat(e[:, None], N, axis=1)
     present = np.zeros(amp.shape, dtype=bool)
-    if net.couplings:
-        node, a, b = np.array(list(net.couplings)).T
-        present[a * (2 * L - a - 1) // 2 + b - a - 1, node] = True
+    present[pair, node] = True
     return ca, cb, np.where(present, amp, -amp)
 
 
@@ -366,12 +375,11 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
     N, n = net.n_nodes, net.supra_size
     strengths = np.zeros((len(pieces), n))
     coefs = np.zeros((len(pieces), net.n_cells))
-    entries = []  # (row, col, value) blocks of the upper triangle of B
+    entries = []  # (rows, cols, values) blocks of the upper triangle of B
     within_bias = 0.0
     for t in range(net.n_cells):
-        lam = params.lam[t]
-        edges = np.array(net.within_edges[t], dtype=float).reshape(-1, 3)
-        entries.append(edges * (1.0, 1.0, lam) + (t * N, t * N, 0.0))
+        lam, e = params.lam[t], net.within_edges[t]
+        entries.append((e.i + t * N, e.j + t * N, e.w * lam))
         for p, ((subset, sign, kind), gamma) in enumerate(zip(pieces, gammas)):
             stats = net.layer_stats(t, subset)
             if stats.total_weight <= 0:
@@ -382,14 +390,14 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
             within_bias += sign * lam * (1.0 - gamma[t]) * 2.0 * stats.total_weight
     ca, cb, ctil = _coupling_strengths(net, spec)
     nodes = np.arange(N)
-    entries.append(np.column_stack(((ca[:, None] * N + nodes).ravel(),
-                                    (cb[:, None] * N + nodes).ravel(), ctil.ravel())))
+    entries.append(((ca[:, None] * N + nodes).ravel(), (cb[:, None] * N + nodes).ravel(),
+                    ctil.ravel()))
     # one pair at a time in candidate order (a running sum, not np.sum's pairwise one)
     coupling_sum = float(np.cumsum(2.0 * ctil.ravel())[-1]) if ctil.size else 0.0
-    upper = np.concatenate(entries)
-    upper = upper[upper[:, 2] != 0.0]
-    heads, tails = upper[:, 0].astype(np.intp), upper[:, 1].astype(np.intp)
+    heads, tails, vals = (np.concatenate(block) for block in zip(*entries))
+    keep = vals != 0.0
+    heads, tails, vals = heads[keep], tails[keep], vals[keep]
     b = _csr(np.concatenate((heads, tails)), np.concatenate((tails, heads)),
-             np.concatenate((upper[:, 2], upper[:, 2])), n)
+             np.concatenate((vals, vals)), n)
     cells = np.repeat(np.arange(net.n_cells), N)
     return QualityMatrix(*b, cells, strengths, coefs), within_bias + coupling_sum

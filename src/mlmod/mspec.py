@@ -32,7 +32,7 @@ from .modularity import (
     Partition,
     QualityMatrix,
     Subdivision,
-    modularity,
+    _score,
     quality_matrix,
 )
 from .network import MultilayerNetwork
@@ -42,7 +42,6 @@ __all__ = [
     "Division",
     "DetectionResult",
     "SoftLabels",
-    "bisect",
     "subdivision_matrix",
     "refine_cut",
     "kl_relocate",
@@ -116,19 +115,6 @@ def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarra
 def _sign_split(u: np.ndarray) -> np.ndarray:
     """Sign rule: non-negative entries go to +1."""
     return np.where(u >= 0.0, 1.0, -1.0)
-
-
-def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Sign-rule bisection of a symmetric matrix.
-
-    Returns ``(z, delta_q, beta)`` where z is the +-1 assignment from the
-    leading eigenvector, ``delta_q = (z' M z - sum(M)) / 2`` is the gain of
-    the split in raw modularity units, and beta is the leading eigenvalue.
-    A non-positive gain means the split is non-improving.
-    """
-    beta, u = leading_eigenpair(matrix)
-    z = _sign_split(u)
-    return z, 0.5 * float(z @ (matrix @ z) - matrix.sum()), beta
 
 
 def refine_cut(matrix: np.ndarray | Subdivision, z: np.ndarray) -> np.ndarray:
@@ -298,7 +284,7 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
         min_community_size=min_community_size, max_depth=max_depth,
     )
     partition = Partition(labels).canonical()
-    q_total = modularity(net, spec, params, partition)
+    q_total = _score(qm, partition.labels, params.normalization)
     q_spectral = chi + sum(d.delta_q for d in divisions if d.applied)
     meta = {
         "algorithm": "mspec",

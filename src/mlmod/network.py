@@ -8,13 +8,15 @@ enumerated aspect-major, so the supra index of node i in cell t is
 
     x = i + (s - 1) * N + sum_{v' < v} V_{v'} * N.
 
-Couplings connect a node only with its own copies in other cells and are
-stored as canonical ``(node, cell_a, cell_b)`` triples with
-``cell_a < cell_b``, which makes the stored set symmetric by construction.
+Each layer cell holds its edges as arrays (``Edges``).  Couplings connect
+a node only with its own copies in other cells and are held as an int
+array of ``(node, cell_a, cell_b)`` rows with ``cell_a < cell_b``
+(``Couplings``), which makes the stored set symmetric by construction.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,6 +28,92 @@ from .errors import DomainError
 
 Edge = tuple[int, int, float]
 Coupling = tuple[int, int, int]
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+class Edges:
+    """Edges as arrays: node ids ``i`` and ``j`` and float64 weights ``w``.
+    Reads as, and compares equal to, the sequence of its (i, j, w) triples."""
+
+    def __init__(self, i, j, w):
+        self.i, self.j, self.w = _frozen(i, np.int64), _frozen(j, np.int64), _frozen(w, float)
+
+    def __len__(self) -> int:
+        return self.w.size
+
+    def __iter__(self):
+        return zip(self.i.tolist(), self.j.tolist(), self.w.tolist())
+
+    def __getitem__(self, k: int) -> Edge:
+        return int(self.i[k]), int(self.j[k]), float(self.w[k])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"Edges({tuple(self)!r})"
+
+
+class Couplings:
+    """Couplings as an int array of unique ``(node, cell_a, cell_b)`` rows
+    in sorted order, with an optional float column of magnitudes (the
+    amplitudes of the ``explicit`` coupling strategy).  Reads as, and
+    compares equal to, the set of its (node, cell_a, cell_b) triples."""
+
+    def __init__(self, rows, magnitude=None):
+        rows, first = np.unique(np.asarray(rows, dtype=np.int64).reshape(-1, 3), axis=0,
+                                return_index=True)
+        self.rows = _frozen(rows, np.int64)
+        self.magnitude = (None if magnitude is None
+                          else _frozen(np.asarray(magnitude, dtype=float)[first], float))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(tuple, self.rows.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Couplings, set, frozenset)):
+            return NotImplemented
+        return frozenset(self) == frozenset(other)
+
+    def __repr__(self) -> str:
+        return f"Couplings({sorted(self)!r})"
+
+
+def _as_edges(edges) -> Edges:
+    """``edges`` as an Edges table, converted from (i, j, w) triples if need be."""
+    if isinstance(edges, Edges):
+        return edges
+    arr = np.array(list(edges), dtype=float).reshape(-1, 3)
+    return Edges(arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
+
+
+def _as_couplings(couplings, magnitudes: Mapping[Coupling, float] | None,
+                  n_nodes: int, n_cells: int) -> Couplings:
+    """Validated Couplings from a table or from triples, with ``magnitudes``
+    mapping triples to magnitudes (0 where a triple is missing)."""
+    if not isinstance(couplings, Couplings) or magnitudes is not None:
+        triples = [tuple(c) for c in couplings]
+        couplings = Couplings(triples, None if magnitudes is None else
+                              [magnitudes.get(c, 0.0) for c in triples])
+    node, a, b = couplings.rows.T
+    bad = (node < 0) | (node >= n_nodes) | (a < 0) | (a >= b) | (b >= n_cells)
+    if bad.any():
+        node, ca, cb = couplings.rows[bad.argmax()].tolist()
+        if not (0 <= node < n_nodes):
+            raise DomainError(f"coupling node id {node + 1} out of range")
+        raise DomainError(f"coupling cell pair ({ca}, {cb}) invalid")
+    m = couplings.magnitude
+    if m is not None and not (np.isfinite(m) & (m >= 0)).all():
+        raise DomainError("coupling magnitudes must be finite and >= 0")
+    return couplings
 
 
 @dataclass(frozen=True)
@@ -56,15 +144,17 @@ class LayerStats:
 class MultilayerNetwork:
     """Immutable aspect-layer multilayer network.
 
-    within_edges holds one sorted tuple of ``(i, j, w)`` edges per layer
-    cell (0-based node ids, i < j), in global cell order.  All layers share
-    the same node set of size ``n_nodes``.
+    within_edges holds one ``Edges`` table per layer cell (0-based node
+    ids, i < j; rows sorted by (i, j) where built by the loaders or
+    ``normalize_edges``), in global cell order; sequences of (i, j, w)
+    triples are converted, and so are sets of coupling triples.  All
+    layers share the same node set of size ``n_nodes``.
     """
 
     n_nodes: int
     aspects: tuple[Aspect, ...]
-    within_edges: tuple[tuple[Edge, ...], ...]
-    couplings: frozenset[Coupling] = field(default_factory=frozenset)
+    within_edges: tuple[Edges, ...]
+    couplings: Couplings = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -76,21 +166,21 @@ class MultilayerNetwork:
             raise DomainError(
                 f"expected {n_cells} per-layer edge lists, got {len(self.within_edges)}"
             )
-        for t, edges in enumerate(self.within_edges):
-            for i, j, w in edges:
+        cells = tuple(_as_edges(e) for e in self.within_edges)
+        for t, e in enumerate(cells):
+            bad = (e.i < 0) | (e.i >= e.j) | (e.j >= self.n_nodes) | ~np.isfinite(e.w)
+            if bad.any():
+                i, j, _ = e[int(bad.argmax())]
                 if i == j:
                     raise DomainError(f"self-loop on node {i + 1} in layer cell {t}")
                 if not (0 <= i < j < self.n_nodes):
                     raise DomainError(
                         f"edge ({i + 1}, {j + 1}) out of range in layer cell {t}"
                     )
-                if not np.isfinite(w):
-                    raise DomainError(f"non-finite edge weight on ({i + 1}, {j + 1})")
-        for node, ca, cb in self.couplings:
-            if not (0 <= node < self.n_nodes):
-                raise DomainError(f"coupling node id {node + 1} out of range")
-            if not (0 <= ca < cb < n_cells):
-                raise DomainError(f"coupling cell pair ({ca}, {cb}) invalid")
+                raise DomainError(f"non-finite edge weight on ({i + 1}, {j + 1})")
+        object.__setattr__(self, "within_edges", cells)
+        object.__setattr__(self, "couplings",
+                           _as_couplings(self.couplings, None, self.n_nodes, n_cells))
 
     # -- cell bookkeeping -------------------------------------------------
 
@@ -134,39 +224,36 @@ class MultilayerNetwork:
 
     @cached_property
     def has_negative_edges(self) -> bool:
-        return any(w < 0 for edges in self.within_edges for _, _, w in edges)
+        return any(bool((e.w < 0).any()) for e in self.within_edges)
 
     def layer_stats(self, cell: int, sign: str | None = None) -> LayerStats:
         """Stats of one layer; ``sign`` restricts to the '+' or '-' edge subset.
 
         For the '-' subset the strengths are computed on absolute weights.
+        Sums run edge by edge in table order (each edge adds to k_i, then
+        k_j); edges outside the subset add 0.
         """
         if sign not in (None, "+", "-"):
             raise DomainError(f"sign must be None, '+' or '-', got {sign!r}")
-        k = np.zeros(self.n_nodes)
-        m = 0.0
-        for i, j, w in self.within_edges[cell]:
-            if sign == "+":
-                if w <= 0:
-                    continue
-            elif sign == "-":
-                if w >= 0:
-                    continue
-                w = -w
-            k[i] += w
-            k[j] += w
-            m += w
-        k.setflags(write=False)
-        return LayerStats(strengths=k, total_weight=m)
+        e = self.within_edges[cell]
+        w = e.w
+        if sign is not None:
+            w = np.where(w > 0, w, 0.0) if sign == "+" else np.where(w < 0, -w, 0.0)
+        k = np.bincount(np.column_stack((e.i, e.j)).ravel(), weights=np.repeat(w, 2),
+                        minlength=self.n_nodes)
+        return LayerStats(strengths=_frozen(k, float),
+                          total_weight=float(np.cumsum(np.r_[0.0, w])[-1]))
 
-    def with_couplings(self, couplings: Iterable[Coupling]) -> "MultilayerNetwork":
-        """Copy of the network with a replaced coupling set."""
-        return MultilayerNetwork(
-            n_nodes=self.n_nodes,
-            aspects=self.aspects,
-            within_edges=self.within_edges,
-            couplings=frozenset(couplings),
-        )
+    def with_couplings(self, couplings: Iterable[Coupling],
+                       magnitudes: Mapping[Coupling, float] | None = None
+                       ) -> "MultilayerNetwork":
+        """Copy of the network with a replaced coupling set, and with
+        ``magnitudes`` mapping its triples to explicit amplitudes (0 where
+        missing); the edges are shared, not validated again."""
+        net = copy.copy(self)
+        object.__setattr__(net, "couplings",
+                           _as_couplings(couplings, magnitudes, self.n_nodes, self.n_cells))
+        return net
 
 
 # -- supra index mapping ----------------------------------------------------
@@ -183,40 +270,33 @@ def node_index(i: int, s: int, v: int, net: MultilayerNetwork) -> int:
     return cell * net.n_nodes + (i - 1) + 1
 
 
-def inverse_node_index(x: int, net: MultilayerNetwork) -> tuple[int, int, int]:
-    """Inverse of node_index: supra index -> (i, s, v), all ids 1-based."""
-    if not (1 <= x <= net.supra_size):
-        raise DomainError(f"supra index {x} out of range")
-    cell, i0 = divmod(x - 1, net.n_nodes)
-    v0, s0 = net.cell_of(cell)
-    return i0 + 1, s0 + 1, v0 + 1
-
-
 # -- construction helpers -----------------------------------------------------
 
-def normalize_edges(raw: Iterable[tuple[int, int, float]], n_nodes: int,
-                    allow_negative: bool = True) -> tuple[Edge, ...]:
-    """Canonicalize an edge list: 0-based, i < j, duplicates summed, sorted."""
-    acc: dict[tuple[int, int], float] = {}
-    for i, j, w in raw:
+def normalize_edges(raw, n_nodes: int) -> Edges:
+    """Canonicalize edges (an Edges table or (i, j, w) triples): 0-based,
+    i < j, duplicates summed in input order, rows sorted by (i, j)."""
+    e = _as_edges(raw)
+    lo, hi = np.minimum(e.i, e.j), np.maximum(e.i, e.j)
+    bad = (lo == hi) | (lo < 0) | (hi >= n_nodes)
+    if bad.any():
+        i, j, _ = e[int(bad.argmax())]
         if i == j:
             raise DomainError(f"self-loop on node {i + 1} rejected")
-        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-            raise DomainError(f"edge ({i + 1}, {j + 1}) out of node range 1..{n_nodes}")
-        if not allow_negative and w < 0:
-            raise DomainError(f"negative weight on edge ({i + 1}, {j + 1})")
-        key = (i, j) if i < j else (j, i)
-        acc[key] = acc.get(key, 0.0) + float(w)
-    return tuple(sorted((i, j, w) for (i, j), w in acc.items()))
+        raise DomainError(f"edge ({i + 1}, {j + 1}) out of node range 1..{n_nodes}")
+    key = lo * n_nodes + hi
+    order = np.argsort(key, kind="stable")
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[order][1:] != key[order][:-1]
+    # bincount adds each key's weights one by one in input order, from 0.0
+    w = np.bincount(np.cumsum(first) - 1, weights=e.w[order], minlength=int(first.sum()))
+    return Edges(lo[order][first], hi[order][first], w)
 
 
-def full_couplings(n_nodes: int, n_cells: int) -> frozenset[Coupling]:
+def full_couplings(n_nodes: int, n_cells: int) -> Couplings:
     """Every node linked with all of its copies."""
-    return frozenset(
-        (node, ca, cb)
-        for ca, cb in itertools.combinations(range(n_cells), 2)
-        for node in range(n_nodes)
-    )
+    ca, cb = np.triu_indices(n_cells, 1)
+    return Couplings(np.column_stack((np.tile(np.arange(n_nodes), ca.size),
+                                      ca.repeat(n_nodes), cb.repeat(n_nodes))))
 
 
 def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> frozenset[Coupling]:
@@ -229,13 +309,11 @@ def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> frozens
     """
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"coupling density rho must lie in [0, 1], got {rho}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    chosen = []
-    for ca, cb in itertools.combinations(range(net.n_cells), 2):
-        draws = rng.random(net.n_nodes)
-        for node in np.nonzero(draws < rho)[0]:
-            chosen.append((int(node), ca, cb))
-    return frozenset(chosen)
+    ca, cb = np.triu_indices(net.n_cells, 1)  # itertools.combinations order
+    # one block of draws is the stream of one rng.random(N) call per cell pair
+    draws = np.random.Generator(np.random.PCG64(seed)).random((ca.size, net.n_nodes))
+    pair, node = np.nonzero(draws < rho)
+    return frozenset(zip(node.tolist(), ca[pair].tolist(), cb[pair].tolist()))
 
 
 # -- aspect-aspect grids ------------------------------------------------------

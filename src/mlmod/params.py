@@ -8,8 +8,8 @@ penalise co-assignment of node copies instead of being silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,14 +32,13 @@ class CouplingSpec:
         non-negative layer-cell closeness matrix.
         ``temporal``: ``omega`` for consecutive layers of the same aspect,
         0 otherwise.
-        ``explicit``: per ``(node, cell_a, cell_b)`` amplitudes from a map;
-        pairs missing from the map get amplitude 0.
+        ``explicit``: the magnitudes carried by the network's couplings
+        (``Couplings.magnitude``); every other pair gets amplitude 0.
     """
 
     strategy: str = "uniform"
     omega: float = 1.0
     closeness: np.ndarray | None = None
-    explicit: Mapping[tuple[int, int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.strategy not in COUPLING_STRATEGIES:
@@ -61,9 +60,6 @@ class CouplingSpec:
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "closeness", m)
-        for key, val in self.explicit.items():
-            if val < 0 or not np.isfinite(val):
-                raise DomainError(f"explicit amplitude for {key} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -2,20 +2,30 @@
 
 Everything here recomputes quantities from first principles (literal
 pairwise sums, complete enumeration, dense eigendecompositions) and
-deliberately shares no code with the package's production paths.
+deliberately shares no code with the package's production paths.  The
+line-by-line readers and builders at the end are the package's loaders
+as they were before they read files in bulk; the bulk ones are checked
+against them.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
 from mlmod import (
     CouplingSpec,
     Aspect,
+    DomainError,
     ModularityParams,
     MultilayerNetwork,
+    ParseError,
     generate_couplings,
+    leading_eigenpair,
 )
+from mlmod.io import _load_layer_table
 
 
 def dense_adjacency(net: MultilayerNetwork, cell: int) -> np.ndarray:
@@ -40,7 +50,10 @@ def coupling_amplitude(spec: CouplingSpec, net: MultilayerNetwork, node: int,
                  for s in range(len(aspect.layers))]
         (va, sa), (vb, sb) = place[ca], place[cb]
         return spec.omega if va == vb and abs(sa - sb) == 1 else 0.0
-    return float(spec.explicit.get((node, ca, cb), 0.0))
+    magnitude = net.couplings.magnitude
+    if magnitude is None:
+        return 0.0
+    return dict(zip(net.couplings, magnitude.tolist())).get((node, ca, cb), 0.0)
 
 
 def _edge_subsets(params: ModularityParams):
@@ -313,3 +326,192 @@ def relocate_reference(matrix, labels, max_sweeps: int = 10):
         if not moved:
             break
     return labels, gain
+
+
+def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Sign-rule bisection of a symmetric matrix by its leading eigenpair.
+
+    Returns ``(z, delta_q, beta)``: the +-1 assignment (non-negative
+    eigenvector entries go to +1), the gain ``(z' M z - sum(M)) / 2`` of
+    the split and the leading eigenvalue.
+    """
+    beta, u = leading_eigenpair(matrix)
+    z = np.where(u >= 0.0, 1.0, -1.0)
+    return z, 0.5 * float(z @ (matrix @ z) - matrix.sum()), beta
+
+
+def inverse_node_index(x: int, net: MultilayerNetwork) -> tuple[int, int, int]:
+    """Supra index -> (i, s, v), all ids 1-based, by walking the aspects."""
+    if not (1 <= x <= net.supra_size):
+        raise DomainError(f"supra index {x} out of range")
+    cell, i0 = divmod(x - 1, net.n_nodes)
+    for v, aspect in enumerate(net.aspects):
+        if cell < len(aspect.layers):
+            return i0 + 1, cell + 1, v + 1
+        cell -= len(aspect.layers)
+    raise DomainError(f"supra index {x} out of range")
+
+
+# -- line-by-line references of the loaders and builders ---------------------
+
+def _data_lines(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc}", path=path) from exc
+    for lineno, line in enumerate(raw, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        yield lineno, stripped
+
+
+def _parse_int(token: str, what: str, path: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"expected integer {what}, got {token!r}", path, lineno) from None
+
+
+def _parse_float(token: str, what: str, path: str, lineno: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"expected number {what}, got {token!r}", path, lineno) from None
+    if math.isnan(value) or math.isinf(value):
+        raise ParseError(f"non-finite {what}", path, lineno)
+    return value
+
+
+def normalize_edges_reference(raw, n_nodes: int) -> tuple:
+    """0-based, i < j, duplicates summed in input order through a dict, sorted."""
+    acc: dict[tuple[int, int], float] = {}
+    for i, j, w in raw:
+        if i == j:
+            raise DomainError(f"self-loop on node {i + 1} rejected")
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise DomainError(f"edge ({i + 1}, {j + 1}) out of node range 1..{n_nodes}")
+        key = (i, j) if i < j else (j, i)
+        acc[key] = acc.get(key, 0.0) + float(w)
+    return tuple(sorted((i, j, w) for (i, j), w in acc.items()))
+
+
+def generate_couplings_reference(net: MultilayerNetwork, rho: float, seed: int) -> frozenset:
+    """One ``rng.random(N)`` call per cell pair in combinations order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chosen = []
+    for ca, cb in itertools.combinations(range(net.n_cells), 2):
+        draws = rng.random(net.n_nodes)
+        for node in np.nonzero(draws < rho)[0]:
+            chosen.append((int(node), ca, cb))
+    return frozenset(chosen)
+
+
+def load_couplings_reference(path: str, net: MultilayerNetwork, n_nodes: int):
+    """(frozenset of coupling triples, dict of magnitudes or None), line by line."""
+    couplings = set()
+    magnitudes: dict[tuple[int, int, int], float] = {}
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) not in (5, 6):
+            raise ParseError(
+                "expected: nodeId layerA aspectA layerB aspectB [magnitude]", path, lineno
+            )
+        node = _parse_int(parts[0], "node id", path, lineno)
+        sa = _parse_int(parts[1], "layer id", path, lineno)
+        va = _parse_int(parts[2], "aspect id", path, lineno)
+        sb = _parse_int(parts[3], "layer id", path, lineno)
+        vb = _parse_int(parts[4], "aspect id", path, lineno)
+        if not (1 <= node <= n_nodes):
+            raise DomainError(f"{path}:{lineno}: node id {node} out of range 1..{n_nodes}")
+        try:
+            ca = net.cell_index(sa - 1, va - 1)
+            cb = net.cell_index(sb - 1, vb - 1)
+        except DomainError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
+        if ca == cb:
+            raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
+        key = (node - 1, min(ca, cb), max(ca, cb))
+        couplings.add(key)
+        if len(parts) == 6:
+            magnitudes[key] = _parse_float(parts[5], "magnitude", path, lineno)
+    return frozenset(couplings), (magnitudes or None)
+
+
+def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
+                             n_nodes: int | None = None) -> MultilayerNetwork:
+    """The edge (and layer) file read line by line, edges built as tuples."""
+    records = []
+    for lineno, line in _data_lines(edge_path):
+        parts = line.split()
+        if len(parts) not in (3, 4):
+            raise ParseError("expected: layerId nodeId nodeId [weight]", edge_path, lineno)
+        layer_id = _parse_int(parts[0], "layer id", edge_path, lineno)
+        i = _parse_int(parts[1], "node id", edge_path, lineno)
+        j = _parse_int(parts[2], "node id", edge_path, lineno)
+        w = (_parse_float(parts[3], "edge weight", edge_path, lineno)
+             if len(parts) == 4 else 1.0)
+        if i < 1 or j < 1:
+            raise ParseError(f"node ids must be >= 1, got ({i}, {j})", edge_path, lineno)
+        if layer_id < 1:
+            raise ParseError(f"layer id must be >= 1, got {layer_id}", edge_path, lineno)
+        if i == j:
+            raise DomainError(f"{edge_path}:{lineno}: self-loop on node {i} rejected")
+        records.append((lineno, layer_id, i, j, w))
+    if layer_path is not None:
+        aspects, cell_of_layer_id = _load_layer_table(layer_path)
+        for lineno, layer_id, *_ in records:
+            if layer_id not in cell_of_layer_id:
+                raise ParseError(f"layer id {layer_id} not declared in {layer_path}",
+                                 edge_path, lineno)
+    else:
+        layer_ids = sorted({rec[1] for rec in records})
+        if not layer_ids:
+            raise ParseError("edge file has no edges and no layer file was given", edge_path)
+        if layer_ids != list(range(1, len(layer_ids) + 1)):
+            raise ParseError(
+                f"layer ids must be contiguous from 1 without a layer file, got {layer_ids}",
+                edge_path,
+            )
+        aspects = (Aspect(name="aspect-1", layers=tuple(f"layer-{i}" for i in layer_ids)),)
+        cell_of_layer_id = {lid: lid - 1 for lid in layer_ids}
+    seen = {i for _, _, i, _, _ in records} | {j for _, _, _, j, _ in records}
+    if n_nodes is None:
+        if not seen:
+            raise ParseError("cannot infer node count from an empty edge file; "
+                             "declare it explicitly", edge_path)
+        n_nodes = max(seen)
+        missing = set(range(1, n_nodes + 1)) - seen
+        if missing:
+            raise ParseError(
+                f"node ids have gaps (missing {sorted(missing)[:5]}...); "
+                "declare the node count explicitly instead of compacting",
+                edge_path,
+            )
+    else:
+        if n_nodes < 1:
+            raise DomainError("declared node count must be >= 1")
+        over = [i for i in seen if i > n_nodes]
+        if over:
+            raise DomainError(f"{edge_path}: node id {max(over)} exceeds declared count {n_nodes}")
+    per_cell = [[] for _ in range(sum(len(a.layers) for a in aspects))]
+    for _, layer_id, i, j, w in records:
+        per_cell[cell_of_layer_id[layer_id]].append((i - 1, j - 1, w))
+    return MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=tuple(
+        normalize_edges_reference(cell, n_nodes) for cell in per_cell))
+
+
+def layer_stats_reference(net: MultilayerNetwork, cell: int, sign: str | None = None):
+    """(strengths, total weight) of one layer or its '+' / '-' subset, one
+    edge at a time: k_i, then k_j, then m."""
+    k = np.zeros(net.n_nodes)
+    m = 0.0
+    for i, j, w in net.within_edges[cell]:
+        if (sign == "+" and w <= 0) or (sign == "-" and w >= 0):
+            continue
+        w = -w if sign == "-" else w
+        k[i] += w
+        k[j] += w
+        m += w
+    return k, m

@@ -20,10 +20,10 @@ from mlmod import (
     quality_matrix,
     sfull_spec,
     smean_spec,
-    spectral_partition,
 )
 
 from conftest import make_single_layer
+from mlmod.mspec import spectral_partition
 from oracles import enumerate_max_q
 from test_network import make_net
 

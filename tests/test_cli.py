@@ -17,6 +17,7 @@ from mlmod import (
     load_result,
     modularity,
     mspec_detect,
+    quality_matrix,
 )
 from mlmod.cli import _seed_for, main
 
@@ -367,6 +368,26 @@ class TestWorkersAndStrategies:
         # chi: the gamma = 1 layers add 0, the couplings 2 * (1 + 2 + 3)
         assert b"#meta chi 12.0\n" in doc
 
+    def test_explicit_magnitudes_same_through_loader_and_cli(self, tmp_path):
+        (tmp_path / "e.txt").write_text("1 1 2 1.0\n1 2 3 2.0\n2 1 3 1.0\n2 2 3 0.5\n")
+        (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
+        (tmp_path / "c.txt").write_text("1 1 1 2 1 0.75\n3 1 1 2 1 0.25\n")
+        net = load_multiplex(str(tmp_path / "e.txt"), str(tmp_path / "l.txt"),
+                             str(tmp_path / "c.txt"), n_nodes=3)
+        spec = CouplingSpec(strategy="explicit")
+        q = mspec_detect(net, spec, ModularityParams.for_network(net)).q_total
+        assert run_cli(["detect", "--input", str(tmp_path / "e.txt"),
+                        "--layers-file", str(tmp_path / "l.txt"),
+                        "--couplings-file", str(tmp_path / "c.txt"), "--nodes", "3",
+                        "--coupling-strategy", "explicit", "--out", str(tmp_path / "out")]) == 0
+        result, _ = load_result(str(tmp_path / "out" / "result_mspec.txt"))
+        assert result.q_total == q
+        # the loader kept the magnitudes: chi counts 2 * (0.75 + 0.25) for them
+        bare = net.with_couplings(set(net.couplings))
+        assert bare.couplings.magnitude is None
+        chi = quality_matrix(bare, spec, ModularityParams.for_network(bare))[1]
+        assert float(result.meta["chi"]) == chi + 2.0
+
     def test_bad_closeness_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "closeness.txt"
         bad.write_text("0 1\n1 x\n")
@@ -417,14 +438,16 @@ def test_console_entry_point(tmp_path):
 
 
 def test_small_runs_never_load_arpack(tmp_path):
-    # Supra 340 stays on the dense eigen path, so scipy.sparse.linalg (and
-    # the RSS it costs) must not be imported by a karate-replica compare.
+    # Supra 340 stays on the dense eigen path, so scipy.sparse.linalg and
+    # scipy.sparse (and the RSS they cost) must not be imported by a
+    # karate-replica compare.
     code = (
         "import sys\n"
         "import mlmod\n"
         "from mlmod.cli import main\n"
         f"assert main(['compare', '--rho', '0', '0.5', '1', '--out', {str(tmp_path)!r}]) == 0\n"
         "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,0 +1,312 @@
+"""The bulk file readers and the array-native builders against their
+line-by-line references in ``tests/oracles.py``.
+
+Files are generated with comments, blank lines, mixed 3- and 4-column
+rows, duplicate and reversed edges, awkward weights and token spellings
+that only the line loop reads; the bulk loader must return the
+reference's network bit for bit, and every malformed line must raise the
+reference's exception with the same message.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlmod import (
+    Aspect,
+    CouplingSpec,
+    DomainError,
+    MlmodError,
+    ModularityParams,
+    MultilayerNetwork,
+    ParseError,
+    generate_couplings,
+    load_multiplex,
+    quality_matrix,
+    save_multiplex,
+)
+from mlmod.io import load_couplings
+from mlmod.network import Edges, normalize_edges
+
+from oracles import (
+    generate_couplings_reference,
+    layer_stats_reference,
+    load_couplings_reference,
+    load_multiplex_reference,
+    normalize_edges_reference,
+)
+
+WEIGHTS = ["1", "2.5", "0.1", "1e-300", "3.0000000000000004", "-0.75", "7", "1E2", ".5"]
+# spellings int() and float() accept that the bulk pass leaves to the line loop
+ODD_IDS = {1: ["+1", "01", "\uff11"], 2: ["+2", "002", "0_2"]}
+NOISE = ["", "# comment", "   ", "\t# indented comment", "#1 2 3", "# café"]
+
+
+@st.composite
+def edge_files(draw, n_layers=2, n_nodes=5):
+    lines, odd = [], draw(st.booleans())
+    for _ in range(draw(st.integers(1, 25))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(NOISE)))
+            continue
+        layer = draw(st.integers(1, n_layers))
+        i, j = draw(st.lists(st.integers(1, n_nodes), min_size=2, max_size=2, unique=True))
+        tokens = [str(layer), str(i), str(j)]
+        if odd and i in ODD_IDS:
+            tokens[1] = draw(st.sampled_from(ODD_IDS[i]))
+        if draw(st.booleans()):
+            tokens.append(draw(st.sampled_from(WEIGHTS)))
+        lines.append(draw(st.sampled_from([" ", "\t", "  ", " \x0c"])).join(tokens))
+    # every layer and node appears, so the count and layer ids can be inferred
+    lines += [f"{t} 1 {n_nodes}" for t in range(1, n_layers + 1)]
+    lines += [f"1 {k} {k + 1}" for k in range(1, n_nodes)]
+    draw(st.randoms()).shuffle(lines)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def _write(tmp_path_factory, text, name="e.txt"):
+    path = tmp_path_factory.mktemp("files") / name
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def _same_network(got, want):
+    assert got.n_nodes == want.n_nodes
+    assert got.aspects == want.aspects
+    assert [tuple(e) for e in got.within_edges] == [tuple(e) for e in want.within_edges]
+    assert got.couplings == want.couplings
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=edge_files())
+def test_bulk_loader_returns_the_reference_network(text, tmp_path_factory):
+    path = _write(tmp_path_factory, text)
+    _same_network(load_multiplex(path), load_multiplex_reference(path))
+    _same_network(load_multiplex(path, n_nodes=7), load_multiplex_reference(path, n_nodes=7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=edge_files(n_layers=3))
+def test_bulk_loader_with_layer_file(text, tmp_path_factory):
+    path = _write(tmp_path_factory, text)
+    layers = _write(tmp_path_factory, "3 1 c\n1 2 a\n2 1 b\n", "l.txt")
+    _same_network(load_multiplex(path, layers), load_multiplex_reference(path, layers))
+
+
+def test_weights_sum_in_input_order_bit_for_bit(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("1 1 2 0.1\n1 2 1 0.2\n1 1 2 0.3\n1 3 2 1e-300\n1 2 3 3.0000000000000004\n")
+    net = load_multiplex(str(path))
+    assert tuple(net.within_edges[0]) == ((0, 1, (0.1 + 0.2) + 0.3),
+                                          (1, 2, 1e-300 + 3.0000000000000004))
+    _same_network(net, load_multiplex_reference(str(path)))
+
+
+BAD_EDGE_LINES = [
+    "1 2", "1 2 3 4 5", "1 x 3", "1 1.0 3", "1 2 3 w", "1 2 3 nan", "1 2 3 inf",
+    "1 2 3 1e", "0 2 3", "1 0 3", "-1 2 3", "1 -2 3", "1 3 3", "1 2 3 #note",
+    "1 2 3 --1", "1 2 3 0x10", "1 2 3 0.5 x",
+]
+
+
+@pytest.mark.parametrize("bad", BAD_EDGE_LINES)
+@pytest.mark.parametrize("at", [0, 2])
+def test_malformed_edge_line_raises_the_reference_error(bad, at, tmp_path):
+    lines = ["# header", "1 1 2", "1 2 3 0.5", "2 1 3"]
+    lines.insert(at + 1, bad)
+    path = tmp_path / "e.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MlmodError) as want:
+        load_multiplex_reference(str(path))
+    with pytest.raises(type(want.value)) as got:
+        load_multiplex(str(path))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text, layers, n_nodes", [
+    ("1 1 2\n4 2 3\n", "1 1 a\n2 1 b\n", None),    # layer id not declared
+    ("1 1 2\n3 2 3\n", None, None),                 # layer ids not contiguous
+    ("# only\n", None, None),                       # no edges, no layer file
+    ("1 1 2\n1 4 5\n", None, None),                 # node id gap
+    ("1 1 9\n", None, 5),                           # over the declared count
+    ("1 1 2\n", None, 0),                           # bad declared count
+])
+def test_file_level_errors_match_the_reference(text, layers, n_nodes, tmp_path):
+    edge = tmp_path / "e.txt"
+    edge.write_text(text)
+    layer_path = None
+    if layers is not None:
+        (tmp_path / "l.txt").write_text(layers)
+        layer_path = str(tmp_path / "l.txt")
+    with pytest.raises(MlmodError) as want:
+        load_multiplex_reference(str(edge), layer_path, n_nodes)
+    with pytest.raises(type(want.value)) as got:
+        load_multiplex(str(edge), layer_path, n_nodes=n_nodes)
+    assert str(got.value) == str(want.value)
+
+
+def _grid_net():
+    return MultilayerNetwork(n_nodes=4, aspects=(Aspect("a", ("x", "y")), Aspect("b", ("z",))),
+                             within_edges=((), (), ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(1, 4), st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+                               st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+                               st.sampled_from([None, "0.5", "2", "0", "1e-300"])),
+                     max_size=12),
+       comment=st.booleans())
+def test_bulk_coupling_reader_matches_the_reference(rows, comment, tmp_path_factory):
+    lines = ["# nodeId layerA aspectA layerB aspectB"] if comment else []
+    for node, (sa, va), (sb, vb), m in rows:
+        if (sa, va) != (sb, vb):
+            lines.append(f"{node} {sa} {va} {sb} {vb}" + ("" if m is None else f" {m}"))
+    path = _write(tmp_path_factory, "\n".join(lines) + "\n", "c.txt")
+    net = _grid_net()
+    assert load_couplings(path, net, 4) == load_couplings_reference(path, net, 4)
+
+
+BAD_COUPLING_LINES = ["1 1 1 2", "x 1 1 2 1", "9 1 1 2 1", "1 3 1 2 1", "1 1 3 2 1",
+                      "1 1 1 1 1", "1 1 1 2 1 w", "1 1 1 2 1 nan", "0 1 1 2 1"]
+
+
+@pytest.mark.parametrize("bad", BAD_COUPLING_LINES)
+def test_malformed_coupling_line_raises_the_reference_error(bad, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(f"1 1 1 2 1\n{bad}\n2 1 1 1 2 0.5\n")
+    net = _grid_net()
+    with pytest.raises(MlmodError) as want:
+        load_couplings_reference(str(path), net, 4)
+    with pytest.raises(type(want.value)) as got:
+        load_couplings(str(path), net, 4)
+    assert str(got.value) == str(want.value)
+
+
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys):
+    from mlmod.cli import main
+
+    path = tmp_path / "e.txt"
+    path.write_bytes(b"1 1 2\n1 2 3 \xff\n")
+    assert main(["detect", "--input", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_ids_beyond_int64_are_parse_errors(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("1 1 2\n1 99999999999999999999 3\n")
+    with pytest.raises(ParseError, match=r"e\.txt:2: node id out of range"):
+        load_multiplex(str(path))
+
+
+def test_negative_magnitude_rejected_with_position(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("1 1 1 2 1 0.5\n2 1 1 2 1 -0.5\n")
+    with pytest.raises(DomainError, match=r"c\.txt:2: magnitude must be >= 0"):
+        load_couplings(str(path), _grid_net(), 4)
+
+
+def test_magnitudes_survive_a_save_and_load(tmp_path):
+    net = _grid_net().with_couplings({(0, 0, 1), (3, 1, 2)}, {(3, 1, 2): 0.25})
+    paths = [str(tmp_path / name) for name in ("e.txt", "l.txt", "c.txt")]
+    save_multiplex(net, *paths)
+    back = load_multiplex(*paths, n_nodes=4)
+    assert back.couplings == net.couplings
+    assert back.couplings.magnitude.tolist() == [0.0, 0.25]
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(-1, 6), st.integers(0, 5),
+                                st.sampled_from([0.1, 0.2, 1e-300, -0.3, 3.0000000000000004])),
+                      max_size=30))
+def test_normalize_edges_matches_the_dict_loop(edges):
+    try:
+        want = normalize_edges_reference(edges, 6)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            normalize_edges(edges, 6)
+        assert str(got.value) == str(exc)
+        return
+    assert tuple(normalize_edges(edges, 6)) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("sizes", [(1,), (2,), (3, 1), (2, 2, 1)])
+def test_generate_couplings_matches_the_loop(seed, rho, sizes):
+    aspects = tuple(Aspect(f"a{v}", tuple(f"l{s}" for s in range(n)))
+                    for v, n in enumerate(sizes))
+    net = MultilayerNetwork(n_nodes=13, aspects=aspects,
+                            within_edges=tuple(() for _ in range(sum(sizes))))
+    got = generate_couplings(net, rho, seed)
+    assert isinstance(got, frozenset)
+    assert got == generate_couplings_reference(net, rho, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=edge_files(n_layers=2, n_nodes=6), rho=st.sampled_from([0.0, 0.5, 1.0]),
+       signed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_tuple_and_array_networks_give_identical_quality_matrices(
+        text, rho, signed, seed, tmp_path_factory):
+    path = _write(tmp_path_factory, text)
+    arrays = load_multiplex(path)
+    arrays = arrays.with_couplings(generate_couplings(arrays, rho, seed))
+    tuples = load_multiplex_reference(path).with_couplings(set(arrays.couplings))
+    assert not isinstance(tuples.within_edges[0], tuple)  # converted on construction
+    rebuilt = MultilayerNetwork(n_nodes=arrays.n_nodes, aspects=arrays.aspects,
+                                within_edges=tuple(tuple(e) for e in arrays.within_edges),
+                                couplings=frozenset(arrays.couplings))
+    if arrays.has_negative_edges and not signed:
+        signed = True
+    params = ModularityParams.for_network(arrays, gamma=0.7, signed=signed)
+    spec = CouplingSpec(omega=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # layers without '-' edges warn
+        want, want_chi = quality_matrix(arrays, spec, params)
+        for net in (tuples, rebuilt):
+            got, chi = quality_matrix(net, spec, params)
+            assert chi == want_chi
+            for field in ("indptr", "indices", "data", "cells", "strengths", "coefs"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                st.sampled_from([0.1, 0.2, 0.7, 1e-300, -0.3, -1e-16])),
+                      max_size=25))
+def test_layer_stats_sum_edge_by_edge(edges):
+    net = MultilayerNetwork(n_nodes=5, aspects=(Aspect("a", ("x",)),),
+                            within_edges=(normalize_edges([e for e in edges if e[0] != e[1]], 5),))
+    for sign in (None, "+", "-"):
+        stats = net.layer_stats(0, sign)
+        k, m = layer_stats_reference(net, 0, sign)
+        assert stats.strengths.tolist() == k.tolist() and stats.total_weight == m
+
+
+def test_edges_read_as_triples():
+    e = Edges([0, 1], [2, 3], [0.5, 1.0])
+    assert len(e) == 2 and e[1] == (1, 3, 1.0)
+    assert e == ((0, 2, 0.5), (1, 3, 1.0)) and (0, 2, 0.5) in e
+    assert e.w.flags.writeable is False
+
+
+def test_plain_files_never_reach_the_line_loop(tmp_path, monkeypatch):
+    import mlmod.io
+
+    def line_loop(*args):
+        raise AssertionError("the line loop read a plain file")
+
+    monkeypatch.setattr(mlmod.io, "_edge_row", line_loop)
+    monkeypatch.setattr(mlmod.io, "_coupling_row", line_loop)
+    (tmp_path / "e.txt").write_text("# layerId nodeId nodeId\n1 1 2\n\n 2\t2 3 0.5\n1 3 1 1e-300\n")
+    (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
+    (tmp_path / "c.txt").write_text("# couplings\n1 1 1 2 1 0.5\n3 2 1 1 1\n")
+    net = load_multiplex(*(str(tmp_path / n) for n in ("e.txt", "l.txt", "c.txt")))
+    assert tuple(net.within_edges[0]) == ((0, 1, 1.0), (0, 2, 1e-300))
+    assert tuple(net.within_edges[1]) == ((1, 2, 0.5),)
+    assert net.couplings == {(0, 0, 1), (2, 0, 1)}
+    assert net.couplings.magnitude.tolist() == [0.5, 0.0]

@@ -97,10 +97,15 @@ class TestCouplingStrength:
             coupling_strength(spec, net, 1, 1, 1, 1, 1, 1)
 
     def test_explicit_map(self):
-        net = make_net(2, [2])
-        spec = CouplingSpec(strategy="explicit", explicit={(0, 0, 1): 0.25})
-        assert coupling_strength(spec, net, 1, 1, 1, 1, 2, 1) == 0.25
-        assert coupling_strength(spec, net, 0, 2, 1, 1, 2, 1) == 0.0  # unmapped
+        net = make_net(2, [2]).with_couplings({(0, 0, 1), (1, 0, 1)}, {(0, 0, 1): 0.25})
+        spec = CouplingSpec(strategy="explicit")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # edgeless layers warn
+            d = build_modularity_matrix(net, spec, ModularityParams.for_network(net)).matrix
+        assert d[0, 2] == d[2, 0] == 0.25  # node 1's copies carry the magnitude
+        assert d[1, 3] == 0.0  # node 2's coupling has none
+        # coupling_strength re-couples the network, and new couplings carry no magnitude
+        assert coupling_strength(spec, net, 1, 1, 1, 1, 2, 1) == 0.0
 
 
 class TestNullModel:

@@ -12,7 +12,6 @@ from mlmod import (
     DomainError,
     ModularityParams,
     Partition,
-    bisect,
     build_karate_replica,
     build_modularity_matrix,
     full_couplings,
@@ -27,6 +26,7 @@ from mlmod import (
 from conftest import make_single_layer
 from oracles import (
     best_bipartition,
+    bisect,
     dense_leading_eigenpair,
     dense_subdivision,
     max_partition_q,

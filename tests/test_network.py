@@ -17,13 +17,12 @@ from mlmod import (
     flatten_aspect_grid,
     full_couplings,
     generate_couplings,
-    inverse_node_index,
     node_index,
     quality_matrix,
 )
 
 from conftest import make_single_layer
-from oracles import dense_adjacency
+from oracles import dense_adjacency, inverse_node_index
 
 
 def make_net(n_nodes, aspect_sizes, edges_by_cell=None, couplings=frozenset()):

@@ -31,7 +31,9 @@ class TestCouplingSpecValidation:
 
     def test_negative_explicit_amplitude_rejected(self):
         with pytest.raises(DomainError):
-            CouplingSpec(strategy="explicit", explicit={(0, 0, 1): -2.0})
+            make_net(2, [2]).with_couplings({(0, 0, 1)}, {(0, 0, 1): -2.0})
+        with pytest.raises(DomainError):
+            make_net(2, [2]).with_couplings({(0, 0, 1)}, {(0, 0, 1): float("nan")})
 
 
 class TestModularityParamsValidation:

@@ -26,11 +26,11 @@ from mlmod import (
     MultilayerNetwork,
     build_karate_replica,
     generate_couplings,
-    kl_relocate,
     quality_matrix,
     subdivision_matrix,
 )
 from mlmod.modularity import Subdivision
+from mlmod.mspec import kl_relocate
 from mlmod.params import COUPLING_STRATEGIES
 
 from conftest import make_single_layer
@@ -64,15 +64,15 @@ def instances(draw):
     )
     strategy = draw(st.sampled_from(COUPLING_STRATEGIES))
     omega = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
-    closeness = explicit = None
+    closeness = None
     if strategy == "closeness":
         a = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
                                    min_size=n_cells * n_cells, max_size=n_cells * n_cells)))
         closeness = a.reshape(n_cells, n_cells) + a.reshape(n_cells, n_cells).T
-    if strategy == "explicit":
-        explicit = {c: draw(st.sampled_from([0.0, 0.25, 1.0])) for c in candidates}
-    spec = CouplingSpec(strategy=strategy, omega=omega, closeness=closeness,
-                        explicit=explicit or {})
+    if strategy == "explicit":  # magnitudes ride on the present couplings
+        net = net.with_couplings(net.couplings, {
+            c: draw(st.sampled_from([0.0, 0.25, 1.0])) for c in net.couplings})
+    spec = CouplingSpec(strategy=strategy, omega=omega, closeness=closeness)
     lam_zero = draw(st.integers(-1, n_cells - 1))
     lam = [0.0 if t == lam_zero else draw(st.sampled_from([0.5, 1.0, 2.0]))
            for t in range(n_cells)]
