@@ -15,7 +15,6 @@ from .network import (
     flatten_aspect_grid,
     full_couplings,
     generate_couplings,
-    node_index,
 )
 from .params import CouplingSpec, ModularityParams
 from .modularity import (

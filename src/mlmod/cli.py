@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from .io import (
     save_multiplex,
     save_result,
 )
+from .modularity import modularity
 from .mspec import mspec_detect
 from .network import flatten_aspect_grid, generate_couplings
 from .params import CouplingSpec, ModularityParams
@@ -281,6 +283,10 @@ def cmd_compare(args) -> int:
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
 
+    # smean and sfull read no couplings: partition once, score at each rho
+    blind = {name: _run_algorithm(name, net, spec, params, args, args.seed)
+             for name in algorithms if name in ("smean", "sfull")}
+
     def one(item):
         (ri, rho), rep = item
         coupled = net.with_couplings(
@@ -288,8 +294,13 @@ def cmd_compare(args) -> int:
         )
         row = {}
         for name in algorithms:
-            result = _run_algorithm(name, coupled, spec, params, args,
-                                    _seed_for(args.seed, ri, rep, ALGORITHMS.index(name)))
+            if name in blind:
+                fixed = blind[name]
+                result = dataclasses.replace(
+                    fixed, q_total=modularity(coupled, spec, params, fixed.partition))
+            else:
+                result = _run_algorithm(name, coupled, spec, params, args,
+                                        _seed_for(args.seed, ri, rep, ALGORITHMS.index(name)))
             fname = f"compare_rho{ri}_rep{rep}_{name}.txt"
             save_result(result, os.path.join(runs_dir, fname), coupled)
             row[name] = result.q_total

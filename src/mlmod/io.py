@@ -532,6 +532,8 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
         i = _parse_int(parts[1], "node id", path, lineno)
         j = _parse_int(parts[2], "node id", path, lineno)
         w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else 1.0
+        if i < 1 or j < 1:
+            raise ParseError(f"node ids must be >= 1, got ({i}, {j})", path, lineno)
         if i == j:
             raise DomainError(f"{path}:{lineno}: self-loop on node {i} rejected")
         records.append((lineno, coord, i, j, w))
@@ -550,6 +552,9 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
                 f"{path}:{lineno}: coordinate {tuple(c + 1 for c in coord)} "
                 f"outside the declared {'x'.join(map(str, dims))} grid"
             )
+        if max(i, j) > n_nodes:
+            raise ParseError(f"node id {max(i, j)} exceeds declared count {n_nodes}",
+                             path, lineno)
         layer_edges[coord].append((i - 1, j - 1, w))
     couplings = set()
     if coupling_path is not None:
@@ -559,6 +564,9 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
                 raise ParseError("expected: nodeId cA1,...,cAF cB1,...,cBF",
                                  coupling_path, lineno)
             node = _parse_int(parts[0], "node id", coupling_path, lineno)
+            if not 1 <= node <= n_nodes:
+                raise ParseError(f"node id {node} out of range 1..{n_nodes}",
+                                 coupling_path, lineno)
             ca = tuple(_parse_int(t, "coordinate", coupling_path, lineno) - 1
                        for t in parts[1].split(","))
             cb = tuple(_parse_int(t, "coordinate", coupling_path, lineno) - 1
@@ -640,7 +648,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     n_nodes = None
     aspect_sizes: tuple[int, ...] | None = None
     q_total = None
-    rows: list[tuple[int, int, int, int, str]] = []
+    rows: list[tuple[int, int, int, int, float | None]] = []
     for lineno, line in enumerate(raw[1:], start=2):
         stripped = line.strip()
         if not stripped:
@@ -683,7 +691,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
             _parse_int(parts[1], "layer id", path, lineno),
             _parse_int(parts[2], "aspect id", path, lineno),
             _parse_int(parts[3], "community id", path, lineno),
-            parts[4],
+            None if parts[4] == "-" else _parse_float(parts[4], "soft label", path, lineno),
         ))
     if n_nodes is None or aspect_sizes is None or q_total is None:
         raise ParseError("result document is missing required metadata", path)
@@ -697,7 +705,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     labels = np.full(size, -1, dtype=int)
     soft = np.full(size, np.nan)
     any_soft = False
-    for node, layer, aspect, community, soft_txt in rows:
+    for node, layer, aspect, community, soft_value in rows:
         if not (1 <= aspect <= len(aspect_sizes) and 1 <= layer <= aspect_sizes[aspect - 1]
                 and 1 <= node <= n_nodes):
             raise ParseError(f"cell ({node}, {layer}, {aspect}) out of range", path)
@@ -705,8 +713,8 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
         if labels[x] >= 0:
             raise ParseError(f"duplicate cell ({node}, {layer}, {aspect})", path)
         labels[x] = community - 1
-        if soft_txt != "-":
-            soft[x] = float(soft_txt)
+        if soft_value is not None:
+            soft[x] = soft_value
             any_soft = True
     if (labels < 0).any():
         raise ParseError("some supra cells are unlabeled", path)

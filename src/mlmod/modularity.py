@@ -58,19 +58,6 @@ class Partition:
         object.__setattr__(self, "labels", arr)
 
     @classmethod
-    def from_cell_labels(cls, net: MultilayerNetwork, labels) -> "Partition":
-        """Build from a mapping (i, s, v) 1-based -> label; every cell required."""
-        from .network import node_index
-
-        out = np.full(net.supra_size, -1, dtype=np.int64)
-        for (i, s, v), label in labels.items():
-            out[node_index(i, s, v, net) - 1] = int(label)
-        if (out < 0).any():
-            missing = int((out < 0).sum())
-            raise DomainError(f"{missing} supra cells left unlabeled")
-        return cls(out)
-
-    @classmethod
     def broadcast(cls, net: MultilayerNetwork, node_labels) -> "Partition":
         """Give every copy of a node the node's label in all layer cells."""
         node_labels = np.asarray(node_labels, dtype=np.int64)

@@ -256,20 +256,6 @@ class MultilayerNetwork:
         return net
 
 
-# -- supra index mapping ----------------------------------------------------
-
-def node_index(i: int, s: int, v: int, net: MultilayerNetwork) -> int:
-    """Supra index of node i in layer s of aspect v, all ids 1-based."""
-    if not (1 <= v <= len(net.aspects)):
-        raise DomainError(f"aspect id {v} out of range")
-    if not (1 <= s <= net.aspect_sizes[v - 1]):
-        raise DomainError(f"layer id {s} out of range for aspect {v}")
-    if not (1 <= i <= net.n_nodes):
-        raise DomainError(f"node id {i} out of range")
-    cell = net.cell_index(s - 1, v - 1)
-    return cell * net.n_nodes + (i - 1) + 1
-
-
 # -- construction helpers -----------------------------------------------------
 
 def normalize_edges(raw, n_nodes: int) -> Edges:

@@ -22,6 +22,7 @@ from mlmod import (
     ModularityParams,
     MultilayerNetwork,
     ParseError,
+    Partition,
     generate_couplings,
     leading_eigenpair,
 )
@@ -328,6 +329,43 @@ def relocate_reference(matrix, labels, max_sweeps: int = 10):
     return labels, gain
 
 
+def greedy_merge_reference(matrix: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Greedy merging on the full n x n matrix: ``baselines._greedy_merge``
+    as it was before it worked on one shrinking matrix, kept as its
+    reference.
+
+    Every merge takes the row-major first argmax over the whole work
+    matrix and relabels all n labels.  Returns (labels, Q after every
+    merge), starting from Q = trace(matrix).
+    """
+    n = matrix.shape[0]
+    labels = np.arange(n)
+    w = matrix.copy()
+    alive = np.ones(n, dtype=bool)
+    q_trace: list[float] = []
+    q = float(np.trace(matrix))
+    work = w.copy()
+    np.fill_diagonal(work, -np.inf)
+    while True:
+        a, b = divmod(int(np.argmax(work)), n)
+        gain = 2.0 * float(work[a, b])
+        if not np.isfinite(gain) or gain <= 1e-12:
+            break
+        merged = w[a] + w[b]
+        w[a, :] = merged
+        w[:, a] = merged
+        alive[b] = False
+        work[a, :] = np.where(alive, merged, -np.inf)
+        work[:, a] = work[a, :]
+        work[b, :] = -np.inf
+        work[:, b] = -np.inf
+        work[a, a] = -np.inf
+        labels[labels == b] = a
+        q += gain
+        q_trace.append(q)
+    return labels, q_trace
+
+
 def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Sign-rule bisection of a symmetric matrix by its leading eigenpair.
 
@@ -338,6 +376,29 @@ def bisect(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
     beta, u = leading_eigenpair(matrix)
     z = np.where(u >= 0.0, 1.0, -1.0)
     return z, 0.5 * float(z @ (matrix @ z) - matrix.sum()), beta
+
+
+def node_index(i: int, s: int, v: int, net: MultilayerNetwork) -> int:
+    """Supra index of node i in layer s of aspect v, all ids 1-based, by
+    walking the aspects."""
+    if not (1 <= v <= len(net.aspects)):
+        raise DomainError(f"aspect id {v} out of range")
+    if not (1 <= s <= len(net.aspects[v - 1].layers)):
+        raise DomainError(f"layer id {s} out of range for aspect {v}")
+    if not (1 <= i <= net.n_nodes):
+        raise DomainError(f"node id {i} out of range")
+    cell = sum(len(aspect.layers) for aspect in net.aspects[:v - 1]) + s - 1
+    return cell * net.n_nodes + i
+
+
+def partition_from_cell_labels(net: MultilayerNetwork, labels) -> Partition:
+    """Partition from a mapping (i, s, v) 1-based -> label; every cell required."""
+    out = np.full(net.supra_size, -1, dtype=np.int64)
+    for (i, s, v), label in labels.items():
+        out[node_index(i, s, v, net) - 1] = int(label)
+    if (out < 0).any():
+        raise DomainError(f"{int((out < 0).sum())} supra cells left unlabeled")
+    return Partition(out)
 
 
 def inverse_node_index(x: int, net: MultilayerNetwork) -> tuple[int, int, int]:

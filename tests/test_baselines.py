@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mlmod import (
     Aspect,
@@ -23,8 +26,10 @@ from mlmod import (
 )
 
 from conftest import make_single_layer
+from mlmod import baselines
+from mlmod.cli import DEFAULT_RHOS, _seed_for
 from mlmod.mspec import spectral_partition
-from oracles import enumerate_max_q
+from oracles import enumerate_max_q, greedy_merge_reference
 from test_network import make_net
 
 
@@ -47,6 +52,41 @@ def planted_multilayer(seed, n_nodes=16, layers=3, k=4, p_in=0.9, p_out=0.08):
         aspects=(Aspect("a", tuple(f"l{t}" for t in range(layers))),),
         within_edges=tuple(cells),
     )
+
+
+class TestGreedyMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(half=st.integers(1, 40).flatmap(
+        lambda n: hnp.arrays(np.int8, (n, n), elements=st.integers(-3, 3))))
+    def test_matches_reference_on_tie_heavy_matrices(self, half):
+        # small-integer sums are exact, so equal gains tie exactly
+        matrix = (half + half.T).astype(float)
+        labels, q_trace = greedy_merge_reference(matrix)
+        got_labels, got_trace = baselines._greedy_merge(matrix.copy(), float(np.trace(matrix)))
+        assert np.array_equal(got_labels, labels)
+        assert got_trace == q_trace  # bit-equal floats
+
+    @pytest.mark.parametrize("seed", range(3006, 3012))
+    def test_matches_reference_on_karate_compare(self, seed, monkeypatch):
+        # every restart's matrix as mlouv hands it over in `mlmod compare`
+        checked = []
+        merge = baselines._greedy_merge
+
+        def compared(w, q):
+            assert q == float(np.trace(w))
+            labels, q_trace = greedy_merge_reference(w)
+            got = merge(w, q)
+            assert np.array_equal(got[0], labels) and got[1] == q_trace
+            checked.append(len(q_trace))
+            return got
+
+        monkeypatch.setattr(baselines, "_greedy_merge", compared)
+        net, params = build_karate_replica(10, [round(0.1 * (s + 1), 10) for s in range(10)])
+        spec = CouplingSpec(omega=1.0)
+        for ri, rho in enumerate(DEFAULT_RHOS):
+            coupled = net.with_couplings(generate_couplings(net, rho, _seed_for(seed, ri, 0)))
+            mlouv(coupled, spec, params, BaselineConfig(seed=_seed_for(seed, ri, 0, 1)))
+        assert len(checked) == len(DEFAULT_RHOS) * BaselineConfig().restarts
 
 
 class TestMlouv:

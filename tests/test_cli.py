@@ -21,6 +21,8 @@ from mlmod import (
 )
 from mlmod.cli import _seed_for, main
 
+from oracles import oracle_matrix, q_pairwise
+
 
 def run_cli(args):
     return main(list(args))
@@ -159,6 +161,31 @@ class TestCompare:
                 assert result.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
                 assert table[alg][ri] == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
 
+    def test_coupling_blind_baselines_partitioned_once(self, tmp_path):
+        out = tmp_path / "cmp"
+        rhos = (0.0, 0.5, 1.0)
+        assert run_cli([
+            "compare", "--layers", "2", "--gamma", "0.5", "1.0",
+            "--algorithm", "smean", "sfull", "--rho", *map(str, rhos),
+            "--seed", "9", "--out", str(out),
+        ]) == 0
+        from mlmod import build_karate_replica
+
+        net0, params = build_karate_replica(2, [0.5, 1.0])
+        spec = CouplingSpec(omega=1.0)
+        for alg in ("smean", "sfull"):
+            results = [load_result(str(out / "runs" / f"compare_rho{ri}_rep0_{alg}.txt"))[0]
+                       for ri in range(len(rhos))]
+            for ri, (rho, result) in enumerate(zip(rhos, results)):
+                assert np.array_equal(result.partition.labels, results[0].partition.labels)
+                assert result.divisions == results[0].divisions
+                coupled = net0.with_couplings(
+                    generate_couplings(net0, rho, _seed_for(9, ri, 0)))
+                q = q_pairwise(oracle_matrix(coupled, spec, params), result.partition.labels)
+                assert result.q_total == pytest.approx(q, rel=1e-9, abs=1e-9)
+            if alg == "smean":  # node copies share communities: Q moves with rho
+                assert len({result.q_total for result in results}) == len(rhos)
+
 
 class TestConvert:
     def grid_file(self, tmp_path):
@@ -236,6 +263,17 @@ class TestConvert:
         assert code == 2
         assert f"{p}: node ids have gaps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, nodes", [
+        ("1,1 1 2 1.0\n1,1 0 2 1.0\n", []),
+        ("1,1 1 2 1.0\n1,1 2 4 1.0\n", ["--nodes", "3"]),
+    ])
+    def test_node_id_out_of_range_exit_2(self, tmp_path, capsys, body, nodes):
+        p = tmp_path / "grid.txt"
+        p.write_text("#dims 1 1\n" + body)
+        code = run_cli(["convert", "--input", str(p), *nodes, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{p}:3: node id" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_non_convergence_exit_1(self, tmp_path, monkeypatch):
@@ -292,16 +330,20 @@ class TestExitCodes:
 
 class TestWorkersAndStrategies:
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # smean and sfull share one partition across the worker threads
         args = ["compare", "--layers", "2", "--gamma", "1.0", "1.0",
-                "--algorithm", "mspec", "--rho", "0.0", "0.5", "1.0",
-                "--seed", "2"]
+                "--rho", "0.0", "0.5", "1.0", "--seed", "2"]
         monkeypatch.setenv("MLMOD_WORKERS", "1")
         out1 = tmp_path / "w1"
         assert run_cli(args + ["--out", str(out1)]) == 0
         monkeypatch.setenv("MLMOD_WORKERS", "4")
         out2 = tmp_path / "w4"
         assert run_cli(args + ["--out", str(out2)]) == 0
-        assert (out1 / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        assert len(files) == 2 + 4 * 3  # the table as CSV and text, 12 runs
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_non_integer_workers_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MLMOD_WORKERS", "abc")

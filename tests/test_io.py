@@ -239,6 +239,18 @@ class TestResultDocuments:
         with pytest.raises(ParseError):
             load_result(str(path))
 
+    def test_malformed_soft_label_reports_position(self, tmp_path):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        row = lines.index(next(line for line in lines if not line.startswith("#"))) + 1
+        fields = lines[row - 1].split()
+        lines[row - 1] = " ".join(fields[:4] + ["abc"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{path}:{row}: .*soft label"):
+            load_result(str(path))
+
 
 class TestGroundTruth:
     def test_labels_loaded(self, tmp_path):

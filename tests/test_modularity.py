@@ -16,7 +16,6 @@ from mlmod import (
     full_couplings,
     load_karate,
     modularity,
-    node_index,
     quality_matrix,
 )
 
@@ -24,6 +23,7 @@ from conftest import make_single_layer
 from oracles import (
     best_bipartition,
     dense_adjacency,
+    node_index,
     oracle_hamiltonian,
     oracle_matrix,
     oracle_mu,

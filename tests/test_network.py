@@ -17,12 +17,11 @@ from mlmod import (
     flatten_aspect_grid,
     full_couplings,
     generate_couplings,
-    node_index,
     quality_matrix,
 )
 
 from conftest import make_single_layer
-from oracles import dense_adjacency, inverse_node_index
+from oracles import dense_adjacency, inverse_node_index, node_index
 
 
 def make_net(n_nodes, aspect_sizes, edges_by_cell=None, couplings=frozenset()):
@@ -69,6 +68,7 @@ class TestNodeIndex:
         x = data.draw(st.integers(1, net.supra_size))
         i, s, v = inverse_node_index(x, net)
         assert node_index(i, s, v, net) == x
+        assert net.cell_index(s - 1, v - 1) * net.n_nodes + i == x
 
     def test_covers_full_range(self):
         net = make_net(3, [2, 2])
