@@ -5,8 +5,8 @@ All three report the same raw modularity as the shared scorer.  mLouv
 merges greedily, as Clauset, Newman & Moore (2004) do, but on one dense
 work matrix of between-community sums instead of their heaps: it joins
 the pair with the largest positive gain until no merger improves Q,
-then runs bounded Kernighan-Lin style relocation sweeps.  Merged-away
-rows are dropped from the work matrix once a quarter of them are dead.
+then runs bounded Kernighan-Lin style relocation sweeps.  Lazily
+tightened upper bounds on the row maxima find each pair without a full scan.
 Randomness enters only through seeded restarts that permute
 tie-breaking; the best run by Q is reported.  sMeanSpec and sFullSpec
 read no couplings, only the layers, so ``mlmod compare`` partitions each
@@ -48,38 +48,41 @@ def _greedy_merge(w: np.ndarray, q: float) -> tuple[np.ndarray, list[float]]:
 
     ``w`` is the quality matrix, overwritten as the work matrix of
     between-community sums, and ``q`` its trace.  Returns final labels and
-    the Q value after every merge.
+    the Q value after every merge.  ``ub`` holds upper bounds on the row
+    maxima, left stale by merges and tightened only for the row on top.
     """
-    n = w.shape[0]
     # -inf on the diagonal and on dead rows and columns keeps them out of
-    # the argmax, and a merged row sums to -inf there by itself
+    # the maximum, and a merged row sums to -inf there by itself
     np.fill_diagonal(w, -np.inf)
+    ub = w.max(axis=1)
     # members of each row's community, its label first; None once merged away
-    members: list[list[int] | None] = [[x] for x in range(n)]
-    dead = 0
+    members: list[list[int] | None] = [[x] for x in range(len(w))]
     q_trace: list[float] = []
     while True:
-        # row-major first maximum: a < b, and compaction keeps the row order
-        a, b = divmod(int(np.argmax(w)), w.shape[0])
-        gain = 2.0 * float(w[a, b])
+        a = int(ub.argmax())
+        row = w[a]
+        b = int(row.argmax())
+        m = row[b]
+        if m < ub[a]:
+            ub[a] = m
+            continue
+        # rows before a are bounded below m, so (a, b) is the row-major first
+        # maximum, a < b by symmetry; a NaN fails both tests and stops
+        gain = 2.0 * float(m)
         if not gain > _GAIN_EPS:
             break
-        w[a] = w[:, a] = w[a] + w[b]
+        row += w[b]
+        w[:, a] = row
         w[b] = w[:, b] = -np.inf
+        np.maximum(ub, row, out=ub)
+        ub[a], ub[b] = row.max(), -np.inf
         members[a] += members[b]
         members[b] = None
         q += gain
         q_trace.append(q)
-        dead += 1
-        if 4 * dead >= len(members):
-            keep = [r for r, group in enumerate(members) if group is not None]
-            w = w[np.ix_(keep, keep)]
-            members = [members[r] for r in keep]
-            dead = 0
-    labels = np.empty(n, dtype=int)
-    for group in members:
-        if group is not None:
-            labels[group] = group[0]
+    labels = np.empty(len(w), dtype=int)
+    for group in filter(None, members):
+        labels[group] = group[0]
     return labels, q_trace
 
 
@@ -110,9 +113,8 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
             q += gain
             trace = trace + [q]
         if q > best_q:
-            inverse = np.empty(n, dtype=int)
-            inverse[perm] = np.arange(n)
-            best_labels = labels[inverse]
+            best_labels = np.empty(n, dtype=int)
+            best_labels[perm] = labels
             best_q = q
             best_trace = trace
     partition = Partition(best_labels).canonical()
@@ -155,9 +157,7 @@ def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
                                      for c in "ijw")), net.n_nodes)
     mean_edges = Edges(summed.i, summed.j, summed.w / net.n_cells)
     gamma = float(np.mean(params.gamma))
-    gamma_minus = None
-    if params.signed:
-        gamma_minus = float(np.mean(params.gamma_signed()[1]))
+    gamma_minus = float(np.mean(params.gamma_signed()[1])) if params.signed else None
     d = _one_layer(net.n_nodes, mean_edges, gamma, gamma_minus)
     node_labels, divisions, *_ = spectral_partition(d, refine=refine)
     partition = Partition.broadcast(net, node_labels).canonical()

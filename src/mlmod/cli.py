@@ -266,6 +266,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.repeats < 1:
+        raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
     fpar = _file_params(args)
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
@@ -275,45 +277,43 @@ def cmd_compare(args) -> int:
     spec = _resolve_spec(args, fpar, omega)
     rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
     algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise DomainError(f"unknown algorithm {name!r}")
-    repeats = max(1, args.repeats)
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
 
-    # smean and sfull read no couplings: partition once, score at each rho
-    blind = {name: _run_algorithm(name, net, spec, params, args, args.seed)
+    def grid_network(ri, rep):
+        return net.with_couplings(generate_couplings(net, rhos[ri], _seed_for(args.seed, ri, rep)))
+
+    # smean and sfull read no couplings: run on the first network, rescore on the rest
+    first = grid_network(0, 0)
+    blind = {name: _run_algorithm(name, first, spec, params, args, args.seed)
              for name in algorithms if name in ("smean", "sfull")}
 
     def one(item):
-        (ri, rho), rep = item
-        coupled = net.with_couplings(
-            generate_couplings(net, rho, _seed_for(args.seed, ri, rep))
-        )
+        ri, rep = item
+        coupled = first if (ri, rep) == (0, 0) else grid_network(ri, rep)
         row = {}
         for name in algorithms:
-            if name in blind:
-                fixed = blind[name]
-                result = dataclasses.replace(
-                    fixed, q_total=modularity(coupled, spec, params, fixed.partition))
-            else:
+            if name not in blind:
                 result = _run_algorithm(name, coupled, spec, params, args,
                                         _seed_for(args.seed, ri, rep, ALGORITHMS.index(name)))
+            elif coupled is first:
+                result = blind[name]
+            else:
+                result = dataclasses.replace(
+                    blind[name], q_total=modularity(coupled, spec, params, blind[name].partition))
             fname = f"compare_rho{ri}_rep{rep}_{name}.txt"
             save_result(result, os.path.join(runs_dir, fname), coupled)
             row[name] = result.q_total
         return row
 
-    items = [((ri, rho), rep)
-             for ri, rho in enumerate(rhos) for rep in range(repeats)]
+    items = [(ri, rep) for ri in range(len(rhos)) for rep in range(args.repeats)]
     rows = _run_grid(one, items)
 
     q_table = {name: np.zeros(len(rhos)) for name in algorithms}
-    for ((ri, _), _), row in zip(items, rows):
+    for (ri, _), row in zip(items, rows):
         for name in algorithms:
-            q_table[name][ri] += row[name] / repeats
+            q_table[name][ri] += row[name] / args.repeats
 
     table = []
     for name in algorithms:

@@ -330,9 +330,9 @@ def relocate_reference(matrix, labels, max_sweeps: int = 10):
 
 
 def greedy_merge_reference(matrix: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Greedy merging on the full n x n matrix: ``baselines._greedy_merge``
-    as it was before it worked on one shrinking matrix, kept as its
-    reference.
+    """Greedy merging by a scan of the whole work matrix, the reference for
+    ``baselines._greedy_merge``, which finds the same pair from bounds on
+    the row maxima.
 
     Every merge takes the row-major first argmax over the whole work
     matrix and relabels all n labels.  Returns (labels, Q after every

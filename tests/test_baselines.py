@@ -29,6 +29,7 @@ from conftest import make_single_layer
 from mlmod import baselines
 from mlmod.cli import DEFAULT_RHOS, _seed_for
 from mlmod.mspec import spectral_partition
+from mlmod.network import Edges
 from oracles import enumerate_max_q, greedy_merge_reference
 from test_network import make_net
 
@@ -65,6 +66,49 @@ class TestGreedyMerge:
         got_labels, got_trace = baselines._greedy_merge(matrix.copy(), float(np.trace(matrix)))
         assert np.array_equal(got_labels, labels)
         assert got_trace == q_trace  # bit-equal floats
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1), hubs=st.integers(0, 3))
+    def test_matches_reference_on_float_and_hub_matrices(self, n, seed, hubs):
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal((n, n)) - rng.random()
+        matrix = half + half.T
+        # a hub row of large gains: merging it lowers the maxima of many other
+        # rows at once, so their bounds go stale
+        for h in rng.choice(n, size=min(hubs, n), replace=False):
+            matrix[h] = matrix[:, h] = 10.0 + 10.0 * rng.random(n)
+        labels, q_trace = greedy_merge_reference(matrix)
+        got_labels, got_trace = baselines._greedy_merge(matrix.copy(), float(np.trace(matrix)))
+        assert np.array_equal(got_labels, labels)
+        assert got_trace == q_trace  # bit-equal floats
+
+    def test_matches_reference_at_supra_1024(self):
+        # two layers of G(N, 8/N) with half their node copies coupled
+        n_nodes = 512
+        rng = np.random.default_rng(8)
+        cells = []
+        for _ in range(2):
+            i, j = np.triu_indices(n_nodes, 1)
+            keep = rng.random(i.size) < 8.0 / n_nodes
+            cells.append(Edges(i[keep], j[keep], np.ones(int(keep.sum()))))
+        net = MultilayerNetwork(n_nodes=n_nodes, aspects=(Aspect("a", ("l0", "l1")),),
+                                within_edges=tuple(cells))
+        net = net.with_couplings(generate_couplings(net, 0.5, 8))
+        matrix = quality_matrix(net, CouplingSpec(omega=0.5),
+                                ModularityParams.for_network(net))[0].dense()
+        assert matrix.shape == (1024, 1024)
+        labels, q_trace = greedy_merge_reference(matrix)
+        got_labels, got_trace = baselines._greedy_merge(matrix.copy(), float(np.trace(matrix)))
+        assert len(q_trace) > 500
+        assert np.array_equal(got_labels, labels)
+        assert got_trace == q_trace
+
+    def test_nan_stops_before_any_merge(self):
+        matrix = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, np.nan], [1.0, np.nan, 0.0]])
+        for labels, q_trace in (greedy_merge_reference(matrix),
+                                baselines._greedy_merge(matrix.copy(), 0.0)):
+            assert np.array_equal(labels, np.arange(3))
+            assert q_trace == []
 
     @pytest.mark.parametrize("seed", range(3006, 3012))
     def test_matches_reference_on_karate_compare(self, seed, monkeypatch):

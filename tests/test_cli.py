@@ -161,7 +161,21 @@ class TestCompare:
                 assert result.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
                 assert table[alg][ri] == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
 
-    def test_coupling_blind_baselines_partitioned_once(self, tmp_path):
+    def test_coupling_blind_baselines_partitioned_once(self, tmp_path, monkeypatch):
+        import mlmod.baselines
+        import mlmod.cli
+
+        # each blind document's Q is the only scoring of that partition
+        scored = []
+
+        def counted(score):
+            def wrapper(*args):
+                scored.append(args)
+                return score(*args)
+            return wrapper
+
+        for module in (mlmod.baselines, mlmod.cli):
+            monkeypatch.setattr(module, "modularity", counted(module.modularity))
         out = tmp_path / "cmp"
         rhos = (0.0, 0.5, 1.0)
         assert run_cli([
@@ -169,6 +183,7 @@ class TestCompare:
             "--algorithm", "smean", "sfull", "--rho", *map(str, rhos),
             "--seed", "9", "--out", str(out),
         ]) == 0
+        assert len(scored) == 2 * len(rhos)
         from mlmod import build_karate_replica
 
         net0, params = build_karate_replica(2, [0.5, 1.0])
@@ -185,6 +200,14 @@ class TestCompare:
                 assert result.q_total == pytest.approx(q, rel=1e-9, abs=1e-9)
             if alg == "smean":  # node copies share communities: Q moves with rho
                 assert len({result.q_total for result in results}) == len(rhos)
+
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_exit_2(self, tmp_path, capsys, repeats):
+        out = tmp_path / "cmp"
+        assert run_cli(["compare", "--repeats", repeats, "--out", str(out)]) == 2
+        assert f"error: --repeats must be >= 1, got {repeats}" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
 
 
 class TestConvert:
