@@ -10,9 +10,7 @@ baselines (`baselines`), file formats (`io`) and bundled benchmark data
 from .errors import ConvergenceError, DomainError, MlmodError, ParseError
 from .network import (
     Aspect,
-    AspectGrid,
     MultilayerNetwork,
-    flatten_aspect_grid,
     full_couplings,
     generate_couplings,
 )
@@ -24,14 +22,12 @@ from .modularity import (
     modularity,
     quality_matrix,
 )
-from .eigen import leading_eigenpair
 from .mspec import (
     DetectionResult,
     Division,
     SoftLabels,
     mspec_detect,
     soft_labels,
-    subdivision_matrix,
 )
 from .baselines import BaselineConfig, mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate

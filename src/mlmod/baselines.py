@@ -51,8 +51,9 @@ def _greedy_merge(w: np.ndarray, q: float) -> tuple[np.ndarray, list[float]]:
     the Q value after every merge.  ``ub`` holds upper bounds on the row
     maxima, left stale by merges and tightened only for the row on top.
     """
-    # -inf on the diagonal and on dead rows and columns keeps them out of
-    # the maximum, and a merged row sums to -inf there by itself
+    # -inf on the diagonal and in dead columns keeps them out of the maximum,
+    # and a merged row sums to -inf there by itself; a dead row is never read
+    # again, since its bound stays -inf and row 0 never dies (a < b)
     np.fill_diagonal(w, -np.inf)
     ub = w.max(axis=1)
     # members of each row's community, its label first; None once merged away
@@ -73,7 +74,7 @@ def _greedy_merge(w: np.ndarray, q: float) -> tuple[np.ndarray, list[float]]:
             break
         row += w[b]
         w[:, a] = row
-        w[b] = w[:, b] = -np.inf
+        w[:, b] = -np.inf
         np.maximum(ub, row, out=ub)
         ub[a], ub[b] = row.max(), -np.inf
         members[a] += members[b]

@@ -2,9 +2,9 @@
 
 Subcommands: ``detect`` (one algorithm, one parameter point), ``sweep``
 (label tables across a coupling-strength grid), ``compare`` (the four
-algorithms across a coupling-density grid) and ``convert`` (aspect-grid
-flattening).  Exit codes: 0 success, 1 solver non-convergence, 2 input
-error.  ``MLMOD_WORKERS`` caps the number of concurrent grid points.
+algorithms across a coupling-density grid) and ``convert`` (an aspect-grid
+file read into flat aspect-layer files).  Exit codes: 0 success, 1 solver
+non-convergence, 2 input error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,29 +32,12 @@ from .io import (
 )
 from .modularity import modularity
 from .mspec import mspec_detect
-from .network import flatten_aspect_grid, generate_couplings
+from .network import generate_couplings
 from .params import CouplingSpec, ModularityParams
 
 ALGORITHMS = ("mspec", "mlouv", "smean", "sfull")
 DEFAULT_OMEGAS = (0.0, 0.01, 0.1, 1.0, 10.0)
 DEFAULT_RHOS = tuple(round(0.1 * i, 1) for i in range(11))
-
-
-def _workers() -> int:
-    value = os.environ.get("MLMOD_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise DomainError(f"MLMOD_WORKERS must be an integer, got {value!r}") from None
-
-
-def _run_grid(fn, items):
-    """Evaluate fn over items, possibly concurrently, preserving order."""
-    workers = _workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _seed_for(base: int, *key: int) -> int:
@@ -104,16 +86,8 @@ def _resolve_network(args, fpar: dict):
     if args.dataset == "karate":
         net, _ = load_karate()
     elif args.dataset == "karate-replica":
-        gammas = args.gamma if args.gamma else None
-        if gammas is not None and len(gammas) == 1:
-            gammas = [gammas[0]] * args.layers
-        if gammas is None:
-            gammas = [round(0.1 * (s + 1), 10) for s in range(args.layers)]
-        if len(gammas) != args.layers:
-            raise DomainError(
-                f"--gamma must give 1 or {args.layers} values for the replica"
-            )
-        net, _ = build_karate_replica(args.layers, gammas)
+        # the replica's layers do not depend on gamma, which _resolve_params sets
+        net, _ = build_karate_replica(args.layers, [1.0] * args.layers)
     elif args.manifest:
         net, _ = load_dataset(args.manifest)
     elif args.input:
@@ -227,15 +201,9 @@ def cmd_sweep(args) -> int:
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
 
-    def one(idx_omega):
-        idx, omega = idx_omega
-        spec = _resolve_spec(args, fpar, omega)
-        result = _run_algorithm(args.algorithm or "mspec", net, spec, params, args,
-                                _seed_for(args.seed, idx))
-        return result
-
-    items = list(enumerate(omegas))
-    results = _run_grid(one, items)
+    results = [_run_algorithm(args.algorithm or "mspec", net, _resolve_spec(args, fpar, omega),
+                              params, args, _seed_for(args.seed, idx))
+               for idx, omega in enumerate(omegas)]
 
     labels_rows = []
     cells = [(i + 1, s + 1, v + 1)
@@ -251,7 +219,7 @@ def cmd_sweep(args) -> int:
                  os.path.join(out, "sweep_labels.txt"))
 
     summary = []
-    for (idx, omega), res in zip(items, results):
+    for idx, (omega, res) in enumerate(zip(omegas, results)):
         grid = res.partition.labels.reshape(net.n_cells, net.n_nodes)
         unanimous = (grid == grid[0]).all(axis=0)
         consistency = float(unanimous.mean())
@@ -289,31 +257,22 @@ def cmd_compare(args) -> int:
     blind = {name: _run_algorithm(name, first, spec, params, args, args.seed)
              for name in algorithms if name in ("smean", "sfull")}
 
-    def one(item):
-        ri, rep = item
-        coupled = first if (ri, rep) == (0, 0) else grid_network(ri, rep)
-        row = {}
-        for name in algorithms:
-            if name not in blind:
-                result = _run_algorithm(name, coupled, spec, params, args,
-                                        _seed_for(args.seed, ri, rep, ALGORITHMS.index(name)))
-            elif coupled is first:
-                result = blind[name]
-            else:
-                result = dataclasses.replace(
-                    blind[name], q_total=modularity(coupled, spec, params, blind[name].partition))
-            fname = f"compare_rho{ri}_rep{rep}_{name}.txt"
-            save_result(result, os.path.join(runs_dir, fname), coupled)
-            row[name] = result.q_total
-        return row
-
-    items = [(ri, rep) for ri in range(len(rhos)) for rep in range(args.repeats)]
-    rows = _run_grid(one, items)
-
     q_table = {name: np.zeros(len(rhos)) for name in algorithms}
-    for (ri, _), row in zip(items, rows):
-        for name in algorithms:
-            q_table[name][ri] += row[name] / args.repeats
+    for ri in range(len(rhos)):
+        for rep in range(args.repeats):
+            coupled = first if (ri, rep) == (0, 0) else grid_network(ri, rep)
+            for name in algorithms:
+                if name not in blind:
+                    result = _run_algorithm(name, coupled, spec, params, args,
+                                            _seed_for(args.seed, ri, rep, ALGORITHMS.index(name)))
+                elif coupled is first:
+                    result = blind[name]
+                else:
+                    result = dataclasses.replace(blind[name], q_total=modularity(
+                        coupled, spec, params, blind[name].partition))
+                fname = f"compare_rho{ri}_rep{rep}_{name}.txt"
+                save_result(result, os.path.join(runs_dir, fname), coupled)
+                q_table[name][ri] += result.q_total / args.repeats
 
     table = []
     for name in algorithms:
@@ -324,7 +283,7 @@ def cmd_compare(args) -> int:
     _write_table(table, header,
                  os.path.join(out, "compare.csv"),
                  os.path.join(out, "compare.txt"))
-    print(f"compare: {len(items)} runs over {len(rhos)} densities written under {out}")
+    print(f"compare: {len(rhos) * args.repeats} runs over {len(rhos)} densities written under {out}")
     return 0
 
 
@@ -337,9 +296,8 @@ def cmd_convert(args) -> int:
             raise DomainError(f"bad --grid-dims {args.grid_dims!r}; expected like 2x3")
     if not args.input:
         raise DomainError("convert requires --input with a grid edge file")
-    grid = load_aspect_grid(args.input, n_nodes=args.nodes, dims=dims,
-                            coupling_path=args.grid_couplings)
-    net, location = flatten_aspect_grid(grid)
+    net, location = load_aspect_grid(args.input, n_nodes=args.nodes, dims=dims,
+                                     coupling_path=args.grid_couplings)
     out = _ensure_out(args)
     save_multiplex(
         net,
@@ -401,7 +359,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _workers()  # reject a bad MLMOD_WORKERS before any work is done
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

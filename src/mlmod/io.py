@@ -1,5 +1,6 @@
 """File formats: multiplex edge lists, layer tables, coupling lists,
-dataset manifests, parameter files, aspect-grid descriptions and
+dataset manifests, parameter files, aspect-grid files (read straight into
+the single-aspect network they flatten to, cells in row-major order) and
 detection-result documents.
 
 All node and layer ids in files are 1-based.  Lines starting with ``#``
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .mspec import DetectionResult, Division
 from .modularity import Partition
-from .network import Aspect, AspectGrid, Edges, MultilayerNetwork, normalize_edges
+from .network import Aspect, Edges, MultilayerNetwork, normalize_edges
 
 __all__ = [
     "DatasetManifest",
@@ -409,10 +410,7 @@ def load_dataset(manifest_path: str):
         return None if name is None else os.path.join(base, name)
 
     net = load_multiplex(resolve(manifest.edge_file), resolve(manifest.layer_file),
-                         n_nodes=manifest.n_nodes)
-    if manifest.coupling_file is not None:
-        net = net.with_couplings(*load_couplings(resolve(manifest.coupling_file), net,
-                                                 net.n_nodes))
+                         resolve(manifest.coupling_file), n_nodes=manifest.n_nodes)
     if net.n_cells != manifest.n_layers:
         raise ParseError(
             f"manifest declares {manifest.n_layers} layers, files contain {net.n_cells}",
@@ -500,15 +498,33 @@ def load_closeness(path: str, source: str | None = None,
                          lineno) from exc
 
 
+def _grid_coord(token: str, path: str, lineno: int) -> tuple[int, ...]:
+    """1-based grid coordinates ``c1,...,cF``."""
+    return tuple(_parse_int(t, "grid coordinate", path, lineno) for t in token.split(","))
+
+
+def _grid_cell(coord: tuple[int, ...], dims: tuple[int, ...], path: str, lineno: int) -> int:
+    """Row-major 0-based cell of 1-based grid coordinates inside ``dims``."""
+    if len(coord) != len(dims) or not all(1 <= c <= d for c, d in zip(coord, dims)):
+        raise DomainError(f"{path}:{lineno}: coordinate {coord} "
+                          f"outside the declared {'x'.join(map(str, dims))} grid")
+    return int(np.ravel_multi_index(tuple(c - 1 for c in coord), dims))
+
+
 def load_aspect_grid(path: str, n_nodes: int | None = None,
                      dims: tuple[int, ...] | None = None,
-                     coupling_path: str | None = None) -> AspectGrid:
-    """Parse an aspect-aspect grid edge file.
+                     coupling_path: str | None = None,
+                     ) -> tuple[MultilayerNetwork, dict[tuple[int, ...], tuple[int, int]]]:
+    """Read an aspect-aspect grid (every combination of F aspects' layers is
+    one cell) into the single-aspect network it flattens to.
 
     Edge lines read ``c1,...,cF nodeId nodeId [weight]`` with 1-based
     coordinates.  Dimensions come from a ``#dims d1 d2 ...`` directive
     line unless passed explicitly.  Coupling lines in the companion file
-    read ``nodeId c1,...,cF d1,...,dF``.
+    read ``nodeId c1,...,cF d1,...,dF``.  Cells become the layers
+    ``L<c1>-<c2>...`` of one aspect ``flattened``, in row-major coordinate
+    order, edgeless where no line names them.  Returns the network and a
+    map from 0-based grid coordinates to 1-based (layer, aspect) cells.
     """
     directive_dims: tuple[int, ...] | None = None
     records = []
@@ -519,16 +535,15 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
             if not toks:
                 raise ParseError("#dims directive needs dimensions", path, lineno)
             directive_dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks)
+            if min(directive_dims) < 1:
+                raise ParseError("grid dims must be positive", path, lineno)
             continue
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
         if len(parts) not in (3, 4):
             raise ParseError("expected: c1,...,cF nodeId nodeId [weight]", path, lineno)
-        coord = tuple(
-            _parse_int(tok, "grid coordinate", path, lineno) - 1
-            for tok in parts[0].split(",")
-        )
+        coord = _grid_coord(parts[0], path, lineno)
         i = _parse_int(parts[1], "node id", path, lineno)
         j = _parse_int(parts[2], "node id", path, lineno)
         w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else 1.0
@@ -537,25 +552,24 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
         if i == j:
             raise DomainError(f"{path}:{lineno}: self-loop on node {i} rejected")
         records.append((lineno, coord, i, j, w))
-    dims = dims or directive_dims
-    if dims is None:
+    dims = tuple(dims or directive_dims or ())
+    if not dims:
         raise ParseError("grid dimensions unknown: add a #dims directive "
                          "or pass them explicitly", path)
+    if min(dims) < 1:
+        raise DomainError("grid dims must be positive")
     if n_nodes is None:
         n_nodes = _infer_node_count([x for _, _, i, j, _ in records for x in (i, j)], path,
                                     "grid")
 
-    layer_edges = {c: [] for c in itertools.product(*(range(d) for d in dims))}
+    coords = list(itertools.product(*(range(d) for d in dims)))
+    layer_edges = [[] for _ in coords]
     for lineno, coord, i, j, w in records:
-        if len(coord) != len(dims) or coord not in layer_edges:
-            raise DomainError(
-                f"{path}:{lineno}: coordinate {tuple(c + 1 for c in coord)} "
-                f"outside the declared {'x'.join(map(str, dims))} grid"
-            )
+        t = _grid_cell(coord, dims, path, lineno)
         if max(i, j) > n_nodes:
             raise ParseError(f"node id {max(i, j)} exceeds declared count {n_nodes}",
                              path, lineno)
-        layer_edges[coord].append((i - 1, j - 1, w))
+        layer_edges[t].append((i - 1, j - 1, w))
     couplings = set()
     if coupling_path is not None:
         for lineno, line in _data_lines(coupling_path):
@@ -567,17 +581,19 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
             if not 1 <= node <= n_nodes:
                 raise ParseError(f"node id {node} out of range 1..{n_nodes}",
                                  coupling_path, lineno)
-            ca = tuple(_parse_int(t, "coordinate", coupling_path, lineno) - 1
-                       for t in parts[1].split(","))
-            cb = tuple(_parse_int(t, "coordinate", coupling_path, lineno) - 1
-                       for t in parts[2].split(","))
-            couplings.add((node - 1, ca, cb))
-    return AspectGrid(
-        dims=tuple(dims),
+            ta, tb = (_grid_cell(_grid_coord(tok, coupling_path, lineno), dims, coupling_path,
+                                 lineno) for tok in parts[1:])
+            if ta == tb:
+                raise DomainError(f"{coupling_path}:{lineno}: coupling links a layer with itself")
+            couplings.add((node - 1, min(ta, tb), max(ta, tb)))
+    labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
+    net = MultilayerNetwork(
         n_nodes=n_nodes,
-        layer_edges={c: tuple(normalize_edges(e, n_nodes)) for c, e in layer_edges.items()},
+        aspects=(Aspect(name="flattened", layers=labels),),
+        within_edges=tuple(normalize_edges(e, n_nodes) for e in layer_edges),
         couplings=frozenset(couplings),
     )
+    return net, {c: (t + 1, 1) for t, c in enumerate(coords)}
 
 
 # -- detection result documents ----------------------------------------------

@@ -205,33 +205,31 @@ def kl_relocate(matrix: QualityMatrix, labels: np.ndarray,
 
 
 def spectral_partition(matrix: QualityMatrix, refine: bool = True,
-                       min_community_size: int = 1, max_depth: int | None = None,
-                       ) -> tuple[np.ndarray, list[Division], np.ndarray | None, list[str],
-                                  float]:
+                       min_community_size: int = 1,
+                       ) -> tuple[np.ndarray, list[Division], np.ndarray | None, float]:
     """Recursive bisection engine over a quality matrix.
 
-    Returns (labels, divisions, root_eigenvector, diagnostics,
-    relocation_gain).  The final relocation pass runs only when ``refine``
-    is set; otherwise its gain is 0.
+    Returns (labels, divisions, root_eigenvector, relocation_gain).  The
+    final relocation pass runs only when ``refine`` is set; otherwise its
+    gain is 0.
     """
     n = matrix.size
     if n == 0:
         raise DomainError("cannot partition an empty matrix")
     labels = np.zeros(n, dtype=int)
     divisions: list[Division] = []
-    diagnostics: list[str] = []
     root_u: np.ndarray | None = None
     # A small D is formed once, so that every subdivision is a plain slice.
     source = matrix.dense() if n <= _DENSE_MAX else matrix
     next_label = 1
-    queue: list[tuple[int, np.ndarray, int]] = [(0, np.arange(n), 0)]
+    queue: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
     while queue:
-        cid, members, depth = queue.pop(0)
+        cid, members = queue.pop(0)
         if members.size < max(2, 2 * min_community_size):
             continue
         sub = subdivision_matrix(source, members)
         beta, u = leading_eigenpair(sub)
-        if depth == 0:
+        if root_u is None:
             root_u = u
         z = _sign_split(u)
         if refine:
@@ -239,35 +237,28 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         dq = 0.5 * float(z @ (sub @ z))
         n_neg = int((z < 0).sum())
         n_pos = members.size - n_neg
-        deep = max_depth is not None and depth >= max_depth
         applied = (
             dq > _GAIN_EPS
             and min(n_pos, n_neg) >= min_community_size
             and n_pos > 0
             and n_neg > 0
-            and not deep
         )
-        if deep and dq > _GAIN_EPS:
-            diagnostics.append(
-                f"max depth {max_depth} reached; community {cid} left undivided"
-            )
         divisions.append(Division(cid, dq, beta, applied))
         if applied:
             neg = members[z < 0]
             pos = members[z > 0]
             labels[neg] = next_label
-            queue.append((cid, pos, depth + 1))
-            queue.append((next_label, neg, depth + 1))
+            queue.append((cid, pos))
+            queue.append((next_label, neg))
             next_label += 1
     relocation = 0.0
     if refine:
         labels, relocation = kl_relocate(matrix, labels)
-    return labels, divisions, root_u, diagnostics, relocation
+    return labels, divisions, root_u, relocation
 
 
 def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-                 min_community_size: int = 1, max_depth: int | None = None,
-                 refine: bool = True) -> DetectionResult:
+                 min_community_size: int = 1, refine: bool = True) -> DetectionResult:
     """Detect communities by recursive spectral bisection of D.
 
     Starts from the whole supra vertex set and recursively bisects each
@@ -279,10 +270,8 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
     if min_community_size < 1:
         raise DomainError("min_community_size must be >= 1")
     qm, chi = quality_matrix(net, spec, params)
-    labels, divisions, root_u, diagnostics, relocation = spectral_partition(
-        qm, refine=refine,
-        min_community_size=min_community_size, max_depth=max_depth,
-    )
+    labels, divisions, root_u, relocation = spectral_partition(
+        qm, refine=refine, min_community_size=min_community_size)
     partition = Partition(labels).canonical()
     q_total = _score(qm, partition.labels, params.normalization)
     q_spectral = chi + sum(d.delta_q for d in divisions if d.applied)
@@ -294,8 +283,6 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
         "q_relocation": repr(relocation),
         "normalization": params.normalization,
     }
-    if diagnostics:
-        meta["diagnostics"] = "; ".join(diagnostics)
     return DetectionResult(
         partition=partition,
         q_total=q_total,

@@ -17,7 +17,6 @@ array of ``(node, cell_a, cell_b)`` rows with ``cell_a < cell_b``
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -300,70 +299,3 @@ def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> frozens
     draws = np.random.Generator(np.random.PCG64(seed)).random((ca.size, net.n_nodes))
     pair, node = np.nonzero(draws < rho)
     return frozenset(zip(node.tolist(), ca[pair].tolist(), cb[pair].tolist()))
-
-
-# -- aspect-aspect grids ------------------------------------------------------
-
-@dataclass(frozen=True)
-class AspectGrid:
-    """Aspect-aspect arrangement: a complete F-dimensional grid of layers.
-
-    ``layer_edges`` maps 0-based coordinate tuples to edge lists;
-    ``couplings`` holds (node, coord_a, coord_b) with coordinate tuples.
-    Every coordinate in the hyper-rectangle spanned by ``dims`` must map to
-    a layer (possibly edgeless); anything else is a ragged grid.
-    """
-
-    dims: tuple[int, ...]
-    n_nodes: int
-    layer_edges: Mapping[tuple[int, ...], tuple[Edge, ...]]
-    couplings: frozenset[tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
-        default_factory=frozenset
-    )
-
-    def __post_init__(self):
-        if len(self.dims) == 0 or any(d < 1 for d in self.dims):
-            raise DomainError("grid dims must be positive")
-        expected = set(itertools.product(*(range(d) for d in self.dims)))
-        got = set(self.layer_edges)
-        if got != expected:
-            raise DomainError(
-                "ragged grid: layer coordinates do not fill the "
-                f"{'x'.join(str(d) for d in self.dims)} hyper-rectangle"
-            )
-        for node, ca, cb in self.couplings:
-            if ca not in expected or cb not in expected:
-                raise DomainError(f"coupling coordinates {ca} / {cb} outside the grid")
-            if not (0 <= node < self.n_nodes):
-                raise DomainError(f"coupling node id {node + 1} out of range")
-            if ca == cb:
-                raise DomainError("coupling links a layer with itself")
-
-
-def flatten_aspect_grid(grid: AspectGrid) -> tuple[MultilayerNetwork, dict[tuple[int, ...], tuple[int, int]]]:
-    """Flatten an aspect-aspect grid into a single-aspect network.
-
-    Layers are enumerated in row-major coordinate order.  Returns the
-    network and a map from grid coordinates to 1-based (layer, aspect)
-    cells of the flattened network.
-    """
-    coords = list(itertools.product(*(range(d) for d in grid.dims)))
-    coord_to_cell = {c: t for t, c in enumerate(coords)}
-    edges = tuple(
-        normalize_edges(grid.layer_edges[c], grid.n_nodes) for c in coords
-    )
-    couplings = set()
-    for node, ca, cb in grid.couplings:
-        ta, tb = coord_to_cell[ca], coord_to_cell[cb]
-        if ta > tb:
-            ta, tb = tb, ta
-        couplings.add((node, ta, tb))
-    labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
-    net = MultilayerNetwork(
-        n_nodes=grid.n_nodes,
-        aspects=(Aspect(name="flattened", layers=labels),),
-        within_edges=edges,
-        couplings=frozenset(couplings),
-    )
-    location_map = {c: (t + 1, 1) for c, t in coord_to_cell.items()}
-    return net, location_map

@@ -24,8 +24,8 @@ from mlmod import (
     ParseError,
     Partition,
     generate_couplings,
-    leading_eigenpair,
 )
+from mlmod.eigen import leading_eigenpair
 from mlmod.io import _load_layer_table
 
 

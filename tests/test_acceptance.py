@@ -21,7 +21,6 @@ from mlmod import (
     build_karate_replica,
     build_modularity_matrix,
     generate_couplings,
-    leading_eigenpair,
     load_karate,
     mlouv,
     modularity,
@@ -29,8 +28,9 @@ from mlmod import (
     quality_matrix,
     sfull_spec,
     smean_spec,
-    subdivision_matrix,
 )
+from mlmod.eigen import leading_eigenpair
+from mlmod.mspec import subdivision_matrix
 
 from conftest import make_single_layer
 from oracles import (

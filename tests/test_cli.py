@@ -10,7 +10,6 @@ import pytest
 from mlmod import (
     CouplingSpec,
     ModularityParams,
-    flatten_aspect_grid,
     generate_couplings,
     load_aspect_grid,
     load_multiplex,
@@ -209,6 +208,18 @@ class TestCompare:
         assert f"error: --repeats must be >= 1, got {repeats}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any work
 
+    def test_byte_identical_reruns(self, tmp_path):
+        args = ["compare", "--layers", "2", "--gamma", "1.0", "1.0",
+                "--rho", "0.0", "0.5", "1.0", "--seed", "2"]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(args + ["--out", str(out1)]) == 0
+        assert run_cli(args + ["--out", str(out2)]) == 0
+        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+        assert len(files) == 2 + 4 * 3  # the table as CSV and text, 12 runs
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
 
 class TestConvert:
     def grid_file(self, tmp_path):
@@ -246,8 +257,7 @@ class TestConvert:
                  "--grid-couplings", str(coup), "--out", str(out)])
         net_files = load_multiplex(str(out / "flat.edges"), str(out / "flat.layers"),
                                    str(out / "flat.couplings"), n_nodes=3)
-        grid = load_aspect_grid(str(grid_path), coupling_path=str(coup))
-        net_direct, _ = flatten_aspect_grid(grid)
+        net_direct, _ = load_aspect_grid(str(grid_path), coupling_path=str(coup))
         assert net_files.within_edges == net_direct.within_edges
         assert net_files.couplings == net_direct.couplings
         params = ModularityParams.for_network(net_direct)
@@ -278,6 +288,17 @@ class TestConvert:
         p.write_text("#dims 2 2\n3,1 1 2 1.0\n")
         code = run_cli(["convert", "--input", str(p), "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_coupling_outside_grid_exit_2(self, tmp_path, capsys):
+        grid, coup = self.grid_file(tmp_path)
+        coup.write_text("1 1,1 2,1\n1 1,1 3,1\n")
+        out = tmp_path / "x"
+        code = run_cli(["convert", "--input", str(grid), "--grid-couplings", str(coup),
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {coup}:2: coordinate (3, 1) outside the declared 2x2 grid" in err
+        assert not out.exists()
 
     def test_node_id_gap_exit_2(self, tmp_path, capsys):
         p = tmp_path / "grid.txt"
@@ -352,31 +373,6 @@ class TestExitCodes:
 
 
 class TestWorkersAndStrategies:
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        # smean and sfull share one partition across the worker threads
-        args = ["compare", "--layers", "2", "--gamma", "1.0", "1.0",
-                "--rho", "0.0", "0.5", "1.0", "--seed", "2"]
-        monkeypatch.setenv("MLMOD_WORKERS", "1")
-        out1 = tmp_path / "w1"
-        assert run_cli(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("MLMOD_WORKERS", "4")
-        out2 = tmp_path / "w4"
-        assert run_cli(args + ["--out", str(out2)]) == 0
-        files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-        assert len(files) == 2 + 4 * 3  # the table as CSV and text, 12 runs
-        for name in files:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-    def test_non_integer_workers_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MLMOD_WORKERS", "abc")
-        out = tmp_path / "out"
-        code = run_cli(["sweep", "--layers", "2", "--gamma", "1.0", "1.0",
-                        "--omega", "1", "--out", str(out)])
-        assert code == 2
-        assert "MLMOD_WORKERS" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_explicit_strategy_from_coupling_file(self, tmp_path):
         edge = tmp_path / "e.txt"
         edge.write_text("1 1 2 1.0\n2 1 2 1.0\n")

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mlmod import ConvergenceError, DomainError, leading_eigenpair
+from mlmod import ConvergenceError, DomainError
+from mlmod.eigen import leading_eigenpair
 
 from oracles import dense_leading_eigenpair
 

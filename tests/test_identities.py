@@ -12,10 +12,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlmod import Partition, build_modularity_matrix, modularity, quality_matrix
+from mlmod import (
+    Aspect,
+    CouplingSpec,
+    ModularityParams,
+    MultilayerNetwork,
+    Partition,
+    build_modularity_matrix,
+    modularity,
+    mspec_detect,
+    quality_matrix,
+)
 
 from oracles import oracle_hamiltonian, oracle_matrix, oracle_mu, q_pairwise
 from test_quality_matrix import instances
@@ -91,3 +101,27 @@ def test_dense_d_is_the_oracle(instance):
     d = oracle_matrix(net, spec, params)
     dense = build_modularity_matrix(net, spec, params).matrix
     assert np.abs(dense - d).max() <= 1e-12 * max(1.0, float(np.abs(d).sum(axis=1).max()))
+
+
+def _relocating_instance():
+    """An instance on which mspec's relocation pass gains 0.1875; on the
+    drawn instances that pass rarely moves a vertex."""
+    net = MultilayerNetwork(
+        n_nodes=5, aspects=(Aspect("a0", ("l0", "l1", "l2")),),
+        within_edges=((), ((0, 3, 0.5), (1, 2, 0.5), (1, 3, 0.5), (1, 4, 0.5)), ()),
+        couplings=frozenset({(1, 0, 2), (2, 0, 1), (2, 0, 2)}),
+    )
+    params = ModularityParams.for_network(net, gamma=0.5, lam=(0.0, 0.5, 0.5))
+    return net, CouplingSpec(omega=0.5), params, np.arange(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.booleans())
+@example(_relocating_instance(), True)
+def test_mspec_q_total_is_chi_plus_applied_gains_plus_relocation(instance, refine):
+    net, spec, params, _ = instance
+    d = oracle_matrix(net, spec, params)
+    res = mspec_detect(net, spec, params, refine=refine)
+    applied = sum(div.delta_q for div in res.divisions if div.applied)
+    total = float(d.sum()) + applied + float(res.meta["q_relocation"])
+    assert abs(res.q_total - total) <= 1e-12 * _scale(d)

@@ -276,9 +276,9 @@ class TestAspectGridFile:
             "2,1 1 2 1.0\n"
             "2,2 2 3 0.5\n"
         )
-        grid = load_aspect_grid(str(p))
-        assert grid.dims == (2, 2)
-        assert grid.n_nodes == 3
+        net, _ = load_aspect_grid(str(p))
+        assert net.aspects[0].layers == ("L1-1", "L1-2", "L2-1", "L2-2")
+        assert net.n_nodes == 3
 
     def test_out_of_grid_coordinate(self, tmp_path):
         p = tmp_path / "grid.txt"
@@ -291,10 +291,33 @@ class TestAspectGridFile:
         p.write_text("#dims 1 1\n1,1 1 5 1.0\n")
         with pytest.raises(ParseError, match="gaps"):
             load_aspect_grid(str(p))
-        assert load_aspect_grid(str(p), n_nodes=5).n_nodes == 5
+        assert load_aspect_grid(str(p), n_nodes=5)[0].n_nodes == 5
 
     def test_missing_dims(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("1,1 1 2 1.0\n")
         with pytest.raises(ParseError):
             load_aspect_grid(str(p))
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 1,1 3,1", "coordinate (3, 1) outside the declared 2x2 grid"),
+        ("1 1,1 1,2,1", "coordinate (1, 2, 1) outside the declared 2x2 grid"),
+        ("1 1,1 1,1", "coupling links a layer with itself"),
+    ])
+    def test_bad_coupling_reported_at_its_line(self, tmp_path, line, message):
+        grid, coup = tmp_path / "grid.txt", tmp_path / "c.txt"
+        grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
+        coup.write_text("# nodeId cA cB\n" + line + "\n")
+        with pytest.raises(DomainError) as exc:
+            load_aspect_grid(str(grid), coupling_path=str(coup))
+        assert str(exc.value) == f"{coup}:2: {message}"
+
+    def test_non_positive_dims(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("# grid\n#dims 0 2\n")
+        with pytest.raises(ParseError) as exc:
+            load_aspect_grid(str(p))
+        assert str(exc.value) == f"{p}:2: grid dims must be positive"
+        p.write_text("1,1 1 2 1.0\n")
+        with pytest.raises(DomainError, match="grid dims must be positive"):
+            load_aspect_grid(str(p), dims=(2, 0))

@@ -20,8 +20,8 @@ from mlmod import (
     mspec_detect,
     quality_matrix,
     soft_labels,
-    subdivision_matrix,
 )
+from mlmod.mspec import subdivision_matrix
 
 from conftest import make_single_layer
 from oracles import (
@@ -222,27 +222,12 @@ class TestMspecDetect:
         # the 3|3 split violates the bound, so nothing is applied
         assert res.n_communities == 1
 
-    def test_max_depth_diagnostic(self):
-        net, params = build_karate_replica(1, [1.0])
-        res = mspec_detect(net, CouplingSpec(), params, max_depth=1, refine=False)
-        assert "diagnostics" in res.meta
-        assert res.n_communities == 2
-
     def test_q_total_matches_independent_recomputation(self):
         for seed in (1, 2):
             net, spec, params = random_instance(seed + 200)
             res = mspec_detect(net, spec, params)
             q = modularity(net, spec, params, res.partition)
             assert res.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
-
-    def test_q_non_decreasing_in_recursion_depth(self):
-        net, params = build_karate_replica(2, [1.0, 1.0])
-        spec = CouplingSpec(omega=0.2)
-        previous = -np.inf
-        for depth in (0, 1, 2, 3, None):
-            res = mspec_detect(net, spec, params, max_depth=depth, refine=False)
-            assert res.q_total >= previous - 1e-9
-            previous = res.q_total
 
 
 class TestSpectralIdentity:

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from mlmod import (
     Aspect,
-    AspectGrid,
     CouplingSpec,
     DomainError,
     ModularityParams,
     MultilayerNetwork,
-    flatten_aspect_grid,
     full_couplings,
     generate_couplings,
+    load_aspect_grid,
     quality_matrix,
 )
 
@@ -192,52 +191,45 @@ class TestGenerateCouplings:
 
 
 class TestAspectGrid:
-    def test_identity_single_cell(self):
-        grid = AspectGrid(dims=(1,), n_nodes=3,
-                          layer_edges={(0,): ((0, 1, 1.0),)})
-        net, location = flatten_aspect_grid(grid)
+    """Aspect-aspect grid files flatten row-major into one aspect."""
+
+    def test_identity_single_cell(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("#dims 1\n1 1 2 1.0\n")
+        net, location = load_aspect_grid(str(p), n_nodes=3)
         assert net.n_cells == 1
         assert net.within_edges[0] == ((0, 1, 1.0),)
         assert location == {(0,): (1, 1)}
 
-    def test_row_major_enumeration(self):
-        layer_edges = {}
-        for a in range(2):
-            for b in range(3):
-                layer_edges[(a, b)] = ((0, 1, float(a * 3 + b + 1)),)
-        grid = AspectGrid(dims=(2, 3), n_nodes=2, layer_edges=layer_edges)
-        net, location = flatten_aspect_grid(grid)
+    def test_row_major_enumeration(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("#dims 2 3\n" + "".join(  # lines in reverse order
+            f"{a + 1},{b + 1} 1 2 {a * 3 + b + 1}\n" for a in (1, 0) for b in (2, 1, 0)))
+        net, location = load_aspect_grid(str(p))
         assert net.n_cells == 6
+        assert net.aspects[0].layers == ("L1-1", "L1-2", "L1-3", "L2-1", "L2-2", "L2-3")
         for (a, b), (s, v) in location.items():
             assert v == 1
             assert s == a * 3 + b + 1
             assert net.within_edges[s - 1][0][2] == float(a * 3 + b + 1)
 
-    def test_couplings_along_first_aspect_only(self):
-        layer_edges = {(a, b): () for a in range(2) for b in range(2)}
-        couplings = frozenset(
-            {(0, (0, b), (1, b)) for b in range(2)}  # first index varies
-        )
-        grid = AspectGrid(dims=(2, 2), n_nodes=2, layer_edges=layer_edges,
-                          couplings=couplings)
-        net, location = flatten_aspect_grid(grid)
+    def test_couplings_along_first_aspect_only(self, tmp_path):
+        p, c = tmp_path / "grid.txt", tmp_path / "c.txt"
+        p.write_text("#dims 2 2\n")
+        c.write_text("1 1,1 2,1\n1 2,2 1,2\n")  # first index varies
+        net, location = load_aspect_grid(str(p), n_nodes=2, coupling_path=str(c))
         expected = set()
         for b in range(2):
             ta = location[(0, b)][0] - 1
             tb = location[(1, b)][0] - 1
             expected.add((0, min(ta, tb), max(ta, tb)))
         assert set(net.couplings) == expected
-        # direct construction: coupled cells differ exactly in the first index
+        # coupled cells differ exactly in the first index
         for node, ta, tb in net.couplings:
             coord_a = [c for c, (s, _) in location.items() if s - 1 == ta][0]
             coord_b = [c for c, (s, _) in location.items() if s - 1 == tb][0]
             assert coord_a[0] != coord_b[0]
             assert coord_a[1] == coord_b[1]
-
-    def test_ragged_grid_rejected(self):
-        with pytest.raises(DomainError):
-            AspectGrid(dims=(2, 2), n_nodes=2,
-                       layer_edges={(0, 0): (), (0, 1): (), (1, 0): ()})
 
 
 def test_layer_stats_strength_sum(two_cliques):

@@ -27,10 +27,9 @@ from mlmod import (
     build_karate_replica,
     generate_couplings,
     quality_matrix,
-    subdivision_matrix,
 )
 from mlmod.modularity import Subdivision
-from mlmod.mspec import kl_relocate
+from mlmod.mspec import kl_relocate, subdivision_matrix
 from mlmod.params import COUPLING_STRATEGIES
 
 from conftest import make_single_layer
