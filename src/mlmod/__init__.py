@@ -29,7 +29,7 @@ from .mspec import (
     mspec_detect,
     soft_labels,
 )
-from .baselines import BaselineConfig, mlouv, sfull_spec, smean_spec
+from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
 from .io import (
     load_aspect_grid,

@@ -7,14 +7,14 @@ work matrix of between-community sums instead of their heaps: it joins
 the pair with the largest positive gain until no merger improves Q,
 then runs bounded Kernighan-Lin style relocation sweeps.  Lazily
 tightened upper bounds on the row maxima find each pair without a full scan.
-Randomness enters only through seeded restarts that permute
-tie-breaking; the best run by Q is reported.  sMeanSpec and sFullSpec
-read no couplings, only the layers, so ``mlmod compare`` partitions each
-once and scores that partition at every coupling density."""
+Randomness enters only through a fixed number of seeded restarts that
+permute tie-breaking; the best run by Q is reported.  sMeanSpec and
+sFullSpec read no couplings, only the layers, so ``mlmod compare``
+partitions each once and scores that partition at every coupling density.
+Each partitions its one-layer networks under the same resolutions, signed
+ones included, that the multilayer scorer applies."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +30,10 @@ from .mspec import _GAIN_EPS, DetectionResult, Division, kl_relocate, spectral_p
 from .network import Aspect, Edges, MultilayerNetwork, normalize_edges
 from .params import CouplingSpec
 
-__all__ = ["BaselineConfig", "mlouv", "smean_spec", "sfull_spec"]
+__all__ = ["mlouv", "smean_spec", "sfull_spec"]
 
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Knobs shared by the baseline runs."""
-
-    seed: int = 0
-    restarts: int = 5
-    max_passes: int = 10
-    kl_swap: bool = True
+_RESTARTS = 5  # seeded restarts of mlouv
+_SWEEPS = 10  # relocation sweeps after each restart's merge
 
 
 def _greedy_merge(w: np.ndarray, q: float) -> tuple[np.ndarray, list[float]]:
@@ -88,31 +81,29 @@ def _greedy_merge(w: np.ndarray, q: float) -> tuple[np.ndarray, list[float]]:
 
 
 def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-          config: BaselineConfig | None = None) -> DetectionResult:
+          seed: int = 0) -> DetectionResult:
     """Greedy agglomerative optimization of the supra-modularity matrix.
 
-    Runs ``config.restarts`` seeded restarts; each permutes the vertex
-    order (which permutes tie-breaking), merges greedily, then applies up
-    to ``config.max_passes`` relocation sweeps when ``kl_swap`` is on.
+    Runs 5 restarts seeded from ``seed``; each permutes the vertex order
+    (which permutes tie-breaking), merges greedily, then applies up to 10
+    relocation sweeps.
     """
-    config = config or BaselineConfig()
     qm, chi = quality_matrix(net, spec, params)
     d = qm.dense()
     n = qm.size
     best_labels: np.ndarray | None = None
     best_q = -np.inf
     best_trace: list[float] = []
-    for r in range(max(1, config.restarts)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, r))))
+    for r in range(_RESTARTS):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
         perm = rng.permutation(n)
         m = d[np.ix_(perm, perm)]
         q0 = float(np.trace(m))
         labels, trace = _greedy_merge(m, q0)
         q = trace[-1] if trace else q0
-        if config.kl_swap:
-            labels, gain = kl_relocate(qm.take(perm), labels, max_sweeps=config.max_passes)
-            q += gain
-            trace = trace + [q]
+        labels, gain = kl_relocate(qm.take(perm), labels, max_sweeps=_SWEEPS)
+        q += gain
+        trace = trace + [q]
         if q > best_q:
             best_labels = np.empty(n, dtype=int)
             best_labels[perm] = labels
@@ -122,9 +113,9 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
     q_total = _score(qm, partition.labels, params.normalization)
     meta = {
         "algorithm": "mlouv",
-        "seed": str(config.seed),
-        "restarts": str(config.restarts),
-        "kl_swap": "true" if config.kl_swap else "false",
+        "seed": str(seed),
+        "restarts": str(_RESTARTS),
+        "kl_swap": "true",
         "chi": repr(chi),
         "q_trace": ",".join(repr(v) for v in best_trace),
         "normalization": params.normalization,
@@ -133,17 +124,17 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
                            soft_labels=None, meta=meta)
 
 
-def _one_layer(n_nodes: int, edges, gamma: float,
-               gamma_minus: float | None = None) -> QualityMatrix:
+def _one_layer(n_nodes: int, edges, params: ModularityParams, pick) -> QualityMatrix:
     """Quality matrix of one layer with unit weight: Newman's modularity
-    matrix, and with ``gamma_minus`` the signed form whose negative edge
-    subset has its own null model."""
+    matrix, or in signed networks the form whose '+' and '-' edge subsets
+    each have their own null model.  ``pick`` maps each per-cell resolution
+    tuple of ``params`` (gamma, gamma_plus, gamma_minus) to the layer's."""
     net = MultilayerNetwork(n_nodes=n_nodes, aspects=(Aspect("layer", ("layer",)),),
                             within_edges=(edges,))
-    signed = gamma_minus is not None
-    params = ModularityParams(gamma=(gamma,), lam=(1.0,), signed=signed,
-                              gamma_minus=(gamma_minus,) if signed else None)
-    return quality_matrix(net, CouplingSpec(), params)[0]
+    gp, gm = params.gamma_signed()
+    one = ModularityParams(gamma=pick(params.gamma), lam=(1.0,), signed=params.signed,
+                           gamma_plus=pick(gp), gamma_minus=pick(gm))
+    return quality_matrix(net, CouplingSpec(), one)[0]
 
 
 def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
@@ -152,20 +143,18 @@ def smean_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
 
     The per-node labels found on the mean network are broadcast to every
     cell of that node, then scored with the full multilayer modularity.
-    The mean matrix uses the average of the per-layer resolutions.
+    The mean matrix uses the average of each per-layer resolution.
     """
     summed = normalize_edges(Edges(*(np.concatenate([getattr(e, c) for e in net.within_edges])
                                      for c in "ijw")), net.n_nodes)
     mean_edges = Edges(summed.i, summed.j, summed.w / net.n_cells)
-    gamma = float(np.mean(params.gamma))
-    gamma_minus = float(np.mean(params.gamma_signed()[1])) if params.signed else None
-    d = _one_layer(net.n_nodes, mean_edges, gamma, gamma_minus)
+    d = _one_layer(net.n_nodes, mean_edges, params, lambda g: (float(np.mean(g)),))
     node_labels, divisions, *_ = spectral_partition(d, refine=refine)
     partition = Partition.broadcast(net, node_labels).canonical()
     q_total = modularity(net, spec, params, partition)
     meta = {
         "algorithm": "smean",
-        "mean_gamma": repr(gamma),
+        "mean_gamma": repr(float(np.mean(params.gamma))),
         "normalization": params.normalization,
     }
     return DetectionResult(partition=partition, q_total=q_total,
@@ -182,12 +171,8 @@ def sfull_spec(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
     labels = np.zeros(net.supra_size, dtype=int)
     divisions: list[Division] = []
     offset = 0
-    gp, gm = params.gamma_signed()
     for t in range(net.n_cells):
-        if params.signed:
-            d = _one_layer(net.n_nodes, net.within_edges[t], gp[t], gm[t])
-        else:
-            d = _one_layer(net.n_nodes, net.within_edges[t], params.gamma[t])
+        d = _one_layer(net.n_nodes, net.within_edges[t], params, lambda g: (g[t],))
         layer_labels, divs, *_ = spectral_partition(d, refine=refine)
         labels[t * net.n_nodes:(t + 1) * net.n_nodes] = layer_labels + offset
         offset += int(layer_labels.max()) + 1

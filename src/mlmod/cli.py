@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .baselines import BaselineConfig, mlouv, sfull_spec, smean_spec
+from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
 from .errors import ConvergenceError, DomainError, MlmodError
 from .io import (
@@ -101,11 +101,7 @@ def _resolve_network(args, fpar: dict):
 
 def _resolve_params(args, net, fpar: dict) -> ModularityParams:
     gamma = args.gamma if args.gamma is not None else fpar.get("gamma", 1.0)
-    if isinstance(gamma, list) and len(gamma) == 1:
-        gamma = gamma[0]
     lam = args.lam if args.lam is not None else fpar.get("lambda", 1.0)
-    if isinstance(lam, list) and len(lam) == 1:
-        lam = lam[0]
     if args.dataset == "karate-replica" and args.gamma is None and "gamma" not in fpar:
         gamma = [round(0.1 * (s + 1), 10) for s in range(args.layers)]
     signed = args.signed or bool(fpar.get("signed", False))
@@ -141,7 +137,7 @@ def _run_algorithm(name, net, spec, params, args, seed):
             refine=not args.no_refine,
         )
     if name == "mlouv":
-        return mlouv(net, spec, params, BaselineConfig(seed=seed))
+        return mlouv(net, spec, params, seed)
     if name == "smean":
         return smean_spec(net, spec, params, refine=not args.no_refine)
     if name == "sfull":
@@ -177,9 +173,7 @@ def cmd_detect(args) -> int:
     omega = _single_omega(args, fpar)
     spec = _resolve_spec(args, fpar, omega)
     if args.rho is not None:
-        if len(args.rho) != 1:
-            raise DomainError("detect takes at most one --rho value")
-        net = net.with_couplings(generate_couplings(net, args.rho[0], args.seed))
+        net = net.with_couplings(generate_couplings(net, args.rho, args.seed))
     algorithm = args.algorithm or "mspec"
     out = _ensure_out(args)
     result = _run_algorithm(algorithm, net, spec, params, args, args.seed)
@@ -326,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run one algorithm at one parameter point")
     _add_common(p)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="mspec")
-    p.add_argument("--rho", type=float, nargs="+",
-                   help="generate couplings with this density first")
+    p.add_argument("--rho", type=float, help="generate couplings with this density first")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("sweep", help="one detection per coupling strength")

@@ -27,12 +27,12 @@ def load_karate() -> tuple[MultilayerNetwork, np.ndarray]:
     return net, truth
 
 
-def build_karate_replica(layers: int, gammas, lam=1.0,
-                         couple: bool = True) -> tuple[MultilayerNetwork, ModularityParams]:
+def build_karate_replica(layers: int, gammas) -> tuple[MultilayerNetwork, ModularityParams]:
     """Stack ``layers`` identical karate layers in one aspect.
 
-    Every node is linked with all of its copies when ``couple`` is set.
-    ``gammas`` supplies one resolution per layer.
+    Every node is linked with all of its copies; ``net.with_couplings(())``
+    gives the uncoupled stack.  ``gammas`` supplies one resolution per
+    layer, and every layer has weight 1.
     """
     if layers < 1:
         raise DomainError("replica needs at least one layer")
@@ -46,7 +46,7 @@ def build_karate_replica(layers: int, gammas, lam=1.0,
         aspects=(Aspect(name="replica",
                         layers=tuple(f"karate-{s + 1}" for s in range(layers))),),
         within_edges=tuple(edges for _ in range(layers)),
-        couplings=full_couplings(karate.n_nodes, layers) if couple else frozenset(),
+        couplings=full_couplings(karate.n_nodes, layers),
     )
-    params = ModularityParams.for_network(net, gamma=gammas, lam=lam)
+    params = ModularityParams.for_network(net, gamma=gammas)
     return net, params

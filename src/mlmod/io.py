@@ -1,7 +1,7 @@
 """File formats: multiplex edge lists, layer tables, coupling lists,
-dataset manifests, parameter files, aspect-grid files (read straight into
-the single-aspect network they flatten to, cells in row-major order) and
-detection-result documents.
+dataset manifests, parameter files, aspect-grid files (edge lists whose
+first column names a row-major cell of the single-aspect network they
+flatten to) and detection-result documents.
 
 All node and layer ids in files are 1-based.  Lines starting with ``#``
 are comments; blank lines are ignored.  Parse failures raise ParseError
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .mspec import DetectionResult, Division
 from .modularity import Partition
-from .network import Aspect, Edges, MultilayerNetwork, normalize_edges
+from .network import Aspect, Couplings, Edges, MultilayerNetwork, normalize_edges
 
 __all__ = [
     "DatasetManifest",
@@ -99,12 +99,12 @@ def _bulk_table(text: str, n_int: int):
 def _read_rows(path: str, n_int: int, check, row):
     """Data lines of ``n_int`` integers and an optional number: 1-based line
     numbers, (n_int, rows) int64 columns, the mask of rows with the number
-    and those numbers.  One bulk pass reads them when it can and
-    ``check(*result)`` holds; otherwise ``row(parts, path, lineno)`` parses
-    line after line, returning the integers and the number or None, and
-    raises at the first bad line."""
+    and those numbers.  With a ``check``, one bulk pass reads them when it
+    can and ``check(*result)`` holds; otherwise ``row(parts, path, lineno)``
+    parses line after line, returning the integers and the number or None,
+    and raises at the first bad line."""
     text = _read_text(path)
-    table = _bulk_table(text, n_int)
+    table = _bulk_table(text, n_int) if check else None
     if table is not None and check(*table):
         return table
     rows = np.array([(n, *row(line.split(), path, n)) for n, line in _data_lines(path, text)],
@@ -188,11 +188,15 @@ def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], dict[int, int]]:
     return tuple(aspects), cell_of_layer_id
 
 
-def _edge_row(parts: list[str], path: str, lineno: int):
-    """(layer id, i, j, weight or None) of one edge line, 1-based ids."""
+def _edge_row(parts: list[str], path: str, lineno: int, dims: tuple[int, ...] | None = None):
+    """(layer id, i, j, weight or None) of one edge line, 1-based ids; with
+    grid ``dims`` the first column holds grid coordinates, read as the
+    1-based row-major cell."""
     if len(parts) not in (3, 4):
-        raise ParseError("expected: layerId nodeId nodeId [weight]", path, lineno)
-    layer_id = _parse_int(parts[0], "layer id", path, lineno)
+        head = "layerId" if dims is None else "c1,...,cF"
+        raise ParseError(f"expected: {head} nodeId nodeId [weight]", path, lineno)
+    layer_id = (_parse_int(parts[0], "layer id", path, lineno) if dims is None
+                else _grid_cell(parts[0], dims, path, lineno) + 1)
     i = _parse_int(parts[1], "node id", path, lineno)
     j = _parse_int(parts[2], "node id", path, lineno)
     w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else None
@@ -277,11 +281,9 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     and every id below it must appear somewhere (no silent gaps).  Coupling
     magnitudes, when the coupling file has them, travel with the couplings.
     """
-    lineno, (layer, i, j), has_w, extra = _read_rows(
-        edge_path, 3, lambda _, c, has_w, w: bool(np.isfinite(w).all() and (
-            (c >= 1).all() and (c[1] != c[2]).all())), _edge_row)
-    w = np.ones(lineno.size)
-    w[has_w] = extra
+    table = _read_rows(edge_path, 3, lambda _, c, has_w, w: bool(np.isfinite(w).all() and (
+        (c >= 1).all() and (c[1] != c[2]).all())), _edge_row)
+    lineno, (layer, _, _), _, _ = table
     if layer_path is not None:
         aspects, cell_of_layer_id = _load_layer_table(layer_path)
         declared = np.array(sorted(cell_of_layer_id), dtype=np.int64)
@@ -306,16 +308,29 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
         aspects = (Aspect(name="aspect-1",
                           layers=tuple(f"layer-{i}" for i in layer_ids)),)
         cell = layer - 1
+    net = _cells_network(edge_path, "edge", aspects, cell, table, n_nodes)
+    if coupling_path is not None:
+        net = net.with_couplings(*load_couplings(coupling_path, net, net.n_nodes))
+    return net
 
+
+def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.ndarray,
+                   table, n_nodes: int | None) -> MultilayerNetwork:
+    """The network of the ``_read_rows`` edge ``table`` of ``path``, whose
+    rows lie in the 0-based layer cells ``cell``: the node count inferred or
+    checked, rows split by cell in input order, duplicates summed."""
+    _, (_, i, j), has_w, extra = table
+    w = np.ones(i.size)
+    w[has_w] = extra
     if n_nodes is None:
-        n_nodes = _infer_node_count(np.concatenate((i, j)), edge_path, "edge")
+        n_nodes = _infer_node_count(np.concatenate((i, j)), path, what)
     else:
         if n_nodes < 1:
             raise DomainError("declared node count must be >= 1")
         top = int(max(i.max(initial=0), j.max(initial=0)))
         if top > n_nodes:
             raise DomainError(
-                f"{edge_path}: node id {top} exceeds declared count {n_nodes}"
+                f"{path}: node id {top} exceeds declared count {n_nodes}"
             )
 
     n_cells = sum(len(a.layers) for a in aspects)
@@ -323,10 +338,7 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     cuts = np.searchsorted(cell[order], np.arange(n_cells + 1))
     edges = tuple(normalize_edges(Edges(i[rows] - 1, j[rows] - 1, w[rows]), n_nodes)
                   for rows in (order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])))
-    net = MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges)
-    if coupling_path is not None:
-        net = net.with_couplings(*load_couplings(coupling_path, net, n_nodes))
-    return net
+    return MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges)
 
 
 def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
@@ -435,7 +447,8 @@ def load_dataset(manifest_path: str):
 
 
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
-    """Parse ``nodeId label`` ground-truth lines into a 0-based label array."""
+    """Parse ``nodeId label`` ground-truth lines, one per node, into the
+    array of labels (each >= 0) indexed by 0-based node."""
     out = np.full(n_nodes, -1, dtype=int)
     for lineno, line in _data_lines(path):
         parts = line.split()
@@ -445,9 +458,14 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
         label = _parse_int(parts[1], "label", path, lineno)
         if not (1 <= node <= n_nodes):
             raise DomainError(f"{path}:{lineno}: node id {node} out of range")
+        if label < 0:
+            raise ParseError(f"label must be >= 0, got {label}", path, lineno)
+        if out[node - 1] >= 0:
+            raise ParseError(f"duplicate node id {node}", path, lineno)
         out[node - 1] = label
     if (out < 0).any():
-        raise ParseError("ground truth does not label every node", path)
+        raise ParseError("ground truth does not label every node "
+                         f"(node {int((out < 0).argmax()) + 1} has no line)", path)
     return out
 
 
@@ -498,13 +516,10 @@ def load_closeness(path: str, source: str | None = None,
                          lineno) from exc
 
 
-def _grid_coord(token: str, path: str, lineno: int) -> tuple[int, ...]:
-    """1-based grid coordinates ``c1,...,cF``."""
-    return tuple(_parse_int(t, "grid coordinate", path, lineno) for t in token.split(","))
-
-
-def _grid_cell(coord: tuple[int, ...], dims: tuple[int, ...], path: str, lineno: int) -> int:
-    """Row-major 0-based cell of 1-based grid coordinates inside ``dims``."""
+def _grid_cell(token: str, dims: tuple[int, ...], path: str, lineno: int) -> int:
+    """Row-major 0-based cell of the 1-based grid coordinates ``c1,...,cF``
+    inside ``dims``."""
+    coord = tuple(_parse_int(t, "grid coordinate", path, lineno) for t in token.split(","))
     if len(coord) != len(dims) or not all(1 <= c <= d for c, d in zip(coord, dims)):
         raise DomainError(f"{path}:{lineno}: coordinate {coord} "
                           f"outside the declared {'x'.join(map(str, dims))} grid")
@@ -523,76 +538,56 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     line unless passed explicitly.  Coupling lines in the companion file
     read ``nodeId c1,...,cF d1,...,dF``.  Cells become the layers
     ``L<c1>-<c2>...`` of one aspect ``flattened``, in row-major coordinate
-    order, edgeless where no line names them.  Returns the network and a
-    map from 0-based grid coordinates to 1-based (layer, aspect) cells.
+    order, edgeless where no line names them.  The edge-file reader reads
+    the edge lines, their first column naming a cell, so the first bad line
+    is the one reported.  Returns the network and a map from 0-based grid
+    coordinates to 1-based (layer, aspect) cells.
     """
     directive_dims: tuple[int, ...] | None = None
-    records = []
     for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
-        stripped = line.strip()
-        if stripped.startswith("#dims"):
-            toks = stripped.split()[1:]
-            if not toks:
+        toks = line.split()
+        if toks and toks[0].startswith("#dims"):
+            if len(toks) == 1:
                 raise ParseError("#dims directive needs dimensions", path, lineno)
-            directive_dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks)
+            directive_dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks[1:])
             if min(directive_dims) < 1:
                 raise ParseError("grid dims must be positive", path, lineno)
-            continue
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) not in (3, 4):
-            raise ParseError("expected: c1,...,cF nodeId nodeId [weight]", path, lineno)
-        coord = _grid_coord(parts[0], path, lineno)
-        i = _parse_int(parts[1], "node id", path, lineno)
-        j = _parse_int(parts[2], "node id", path, lineno)
-        w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else 1.0
-        if i < 1 or j < 1:
-            raise ParseError(f"node ids must be >= 1, got ({i}, {j})", path, lineno)
-        if i == j:
-            raise DomainError(f"{path}:{lineno}: self-loop on node {i} rejected")
-        records.append((lineno, coord, i, j, w))
     dims = tuple(dims or directive_dims or ())
     if not dims:
         raise ParseError("grid dimensions unknown: add a #dims directive "
                          "or pass them explicitly", path)
     if min(dims) < 1:
         raise DomainError("grid dims must be positive")
-    if n_nodes is None:
-        n_nodes = _infer_node_count([x for _, _, i, j, _ in records for x in (i, j)], path,
-                                    "grid")
 
-    coords = list(itertools.product(*(range(d) for d in dims)))
-    layer_edges = [[] for _ in coords]
-    for lineno, coord, i, j, w in records:
-        t = _grid_cell(coord, dims, path, lineno)
-        if max(i, j) > n_nodes:
+    def edge_row(parts, path, lineno):
+        cell, i, j, w = _edge_row(parts, path, lineno, dims)
+        if n_nodes is not None and max(i, j) > n_nodes:
             raise ParseError(f"node id {max(i, j)} exceeds declared count {n_nodes}",
                              path, lineno)
-        layer_edges[t].append((i - 1, j - 1, w))
-    couplings = set()
-    if coupling_path is not None:
-        for lineno, line in _data_lines(coupling_path):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError("expected: nodeId cA1,...,cAF cB1,...,cBF",
-                                 coupling_path, lineno)
-            node = _parse_int(parts[0], "node id", coupling_path, lineno)
-            if not 1 <= node <= n_nodes:
-                raise ParseError(f"node id {node} out of range 1..{n_nodes}",
-                                 coupling_path, lineno)
-            ta, tb = (_grid_cell(_grid_coord(tok, coupling_path, lineno), dims, coupling_path,
-                                 lineno) for tok in parts[1:])
-            if ta == tb:
-                raise DomainError(f"{coupling_path}:{lineno}: coupling links a layer with itself")
-            couplings.add((node - 1, min(ta, tb), max(ta, tb)))
+        return cell, i, j, w
+
+    table = _read_rows(path, 3, None, edge_row)
+    coords = list(itertools.product(*(range(d) for d in dims)))
     labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
-    net = MultilayerNetwork(
-        n_nodes=n_nodes,
-        aspects=(Aspect(name="flattened", layers=labels),),
-        within_edges=tuple(normalize_edges(e, n_nodes) for e in layer_edges),
-        couplings=frozenset(couplings),
-    )
+    net = _cells_network(path, "grid", (Aspect(name="flattened", layers=labels),),
+                         table[1][0] - 1, table, n_nodes)
+    if coupling_path is not None:
+        n = net.n_nodes
+
+        def coupling_row(parts, path, lineno):
+            if len(parts) != 3:
+                raise ParseError("expected: nodeId cA1,...,cAF cB1,...,cBF", path, lineno)
+            node = _parse_int(parts[0], "node id", path, lineno)
+            if not 1 <= node <= n:
+                raise ParseError(f"node id {node} out of range 1..{n}", path, lineno)
+            ta, tb = (_grid_cell(tok, dims, path, lineno) for tok in parts[1:])
+            if ta == tb:
+                raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
+            return node, ta + 1, tb + 1, None
+
+        _, (node, ta, tb), _, _ = _read_rows(coupling_path, 3, None, coupling_row)
+        net = net.with_couplings(Couplings(np.column_stack(
+            (node - 1, np.minimum(ta, tb) - 1, np.maximum(ta, tb) - 1))))
     return net, {c: (t + 1, 1) for t, c in enumerate(coords)}
 
 
@@ -664,7 +659,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     n_nodes = None
     aspect_sizes: tuple[int, ...] | None = None
     q_total = None
-    rows: list[tuple[int, int, int, int, float | None]] = []
+    rows: list[tuple[int, int, int, int, int, float | None]] = []  # lineno first
     for lineno, line in enumerate(raw[1:], start=2):
         stripped = line.strip()
         if not stripped:
@@ -703,6 +698,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
             raise ParseError("expected: nodeId layerId aspectId communityId softLabel",
                              path, lineno)
         rows.append((
+            lineno,
             _parse_int(parts[0], "node id", path, lineno),
             _parse_int(parts[1], "layer id", path, lineno),
             _parse_int(parts[2], "aspect id", path, lineno),
@@ -721,13 +717,13 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     labels = np.full(size, -1, dtype=int)
     soft = np.full(size, np.nan)
     any_soft = False
-    for node, layer, aspect, community, soft_value in rows:
+    for lineno, node, layer, aspect, community, soft_value in rows:
         if not (1 <= aspect <= len(aspect_sizes) and 1 <= layer <= aspect_sizes[aspect - 1]
                 and 1 <= node <= n_nodes):
-            raise ParseError(f"cell ({node}, {layer}, {aspect}) out of range", path)
+            raise ParseError(f"cell ({node}, {layer}, {aspect}) out of range", path, lineno)
         x = (offsets[aspect - 1] + layer - 1) * n_nodes + node - 1
         if labels[x] >= 0:
-            raise ParseError(f"duplicate cell ({node}, {layer}, {aspect})", path)
+            raise ParseError(f"duplicate cell ({node}, {layer}, {aspect})", path, lineno)
         labels[x] = community - 1
         if soft_value is not None:
             soft[x] = soft_value

@@ -284,13 +284,13 @@ def full_couplings(n_nodes: int, n_cells: int) -> Couplings:
                                       ca.repeat(n_nodes), cb.repeat(n_nodes))))
 
 
-def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> frozenset[Coupling]:
-    """Random coupling set: each candidate pair present with probability rho.
+def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> Couplings:
+    """Random coupling table: each candidate pair present with probability rho.
 
     Draws come from a PCG64 generator seeded with ``seed``, consuming one
     uniform per candidate pair in canonical (cell_a, cell_b, node) order, so
     a given seed reproduces the same set on any platform.  ``rho=0`` yields
-    the empty set and ``rho=1`` links every node with all of its copies.
+    the empty table and ``rho=1`` links every node with all of its copies.
     """
     if not (0.0 <= rho <= 1.0):
         raise DomainError(f"coupling density rho must lie in [0, 1], got {rho}")
@@ -298,4 +298,4 @@ def generate_couplings(net: MultilayerNetwork, rho: float, seed: int) -> frozens
     # one block of draws is the stream of one rng.random(N) call per cell pair
     draws = np.random.Generator(np.random.PCG64(seed)).random((ca.size, net.n_nodes))
     pair, node = np.nonzero(draws < rho)
-    return frozenset(zip(node.tolist(), ca[pair].tolist(), cb[pair].tolist()))
+    return Couplings(np.column_stack((node, ca[pair], cb[pair])))

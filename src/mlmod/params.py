@@ -103,15 +103,16 @@ class ModularityParams:
     def for_network(cls, net: "MultilayerNetwork", gamma=1.0, lam=1.0,
                     normalization: str = "raw", signed: bool = False,
                     gamma_plus=None, gamma_minus=None) -> "ModularityParams":
-        """Build params for ``net``, broadcasting scalars over layer cells."""
+        """Build params for ``net``, broadcasting a scalar or a one-value
+        sequence over the layer cells."""
         t = net.n_cells
 
-        def broadcast(value, default=None):
+        def broadcast(value):
             if value is None:
-                return default
-            if np.isscalar(value):
-                return (float(value),) * t
-            vals = tuple(float(v) for v in value)
+                return None
+            vals = tuple(float(v) for v in np.ravel(value))
+            if len(vals) == 1:
+                return vals * t
             if len(vals) != t:
                 raise DomainError(f"expected {t} per-layer values, got {len(vals)}")
             return vals

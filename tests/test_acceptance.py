@@ -13,7 +13,6 @@ import pytest
 
 from mlmod import (
     Aspect,
-    BaselineConfig,
     CouplingSpec,
     ModularityParams,
     MultilayerNetwork,
@@ -192,7 +191,7 @@ def test_criterion_5_comparative_ordering():
             )
             qs["mspec"].append(mspec_detect(coupled, spec, params).q_total)
             qs["mlouv"].append(
-                mlouv(coupled, spec, params, BaselineConfig(seed=31 * seed + ri)).q_total
+                mlouv(coupled, spec, params, seed=31 * seed + ri).q_total
             )
             qs["smean"].append(smean_spec(coupled, spec, params).q_total)
             qs["sfull"].append(sfull_spec(coupled, spec, params).q_total)

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from mlmod import (
     Aspect,
-    BaselineConfig,
     CouplingSpec,
     ModularityParams,
     MultilayerNetwork,
@@ -129,8 +128,8 @@ class TestGreedyMerge:
         spec = CouplingSpec(omega=1.0)
         for ri, rho in enumerate(DEFAULT_RHOS):
             coupled = net.with_couplings(generate_couplings(net, rho, _seed_for(seed, ri, 0)))
-            mlouv(coupled, spec, params, BaselineConfig(seed=_seed_for(seed, ri, 0, 1)))
-        assert len(checked) == len(DEFAULT_RHOS) * BaselineConfig().restarts
+            mlouv(coupled, spec, params, seed=_seed_for(seed, ri, 0, 1))
+        assert len(checked) == len(DEFAULT_RHOS) * baselines._RESTARTS
 
 
 class TestMlouv:
@@ -145,7 +144,7 @@ class TestMlouv:
     def test_two_cliques_match_mspec_and_oracle(self, two_cliques):
         params = ModularityParams.for_network(two_cliques)
         spec = CouplingSpec()
-        r_louv = mlouv(two_cliques, spec, params, BaselineConfig(seed=3))
+        r_louv = mlouv(two_cliques, spec, params, seed=3)
         r_spec = mspec_detect(two_cliques, spec, params)
         dm = build_modularity_matrix(two_cliques, spec, params)
         opt = enumerate_max_q(dm.matrix)
@@ -157,15 +156,15 @@ class TestMlouv:
     def test_q_trace_non_decreasing(self):
         net = planted_multilayer(1)
         params = ModularityParams.for_network(net)
-        res = mlouv(net, CouplingSpec(), params, BaselineConfig(seed=11))
+        res = mlouv(net, CouplingSpec(), params, seed=11)
         trace = [float(v) for v in res.meta["q_trace"].split(",") if v]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_deterministic_given_seed(self):
         net = planted_multilayer(2)
         params = ModularityParams.for_network(net)
-        a = mlouv(net, CouplingSpec(), params, BaselineConfig(seed=5))
-        b = mlouv(net, CouplingSpec(), params, BaselineConfig(seed=5))
+        a = mlouv(net, CouplingSpec(), params, seed=5)
+        b = mlouv(net, CouplingSpec(), params, seed=5)
         assert np.array_equal(a.partition.labels, b.partition.labels)
         assert a.q_total == b.q_total
 
@@ -175,7 +174,7 @@ class TestMlouv:
         )
         params = ModularityParams.for_network(net)
         spec = CouplingSpec(omega=1.0)
-        res = mlouv(net, spec, params, BaselineConfig(seed=1))
+        res = mlouv(net, spec, params, seed=1)
         q = modularity(net, spec, params, res.partition)
         assert res.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
 
@@ -189,7 +188,7 @@ class TestMlouv:
             for rho in (0.0, 0.5, 1.0):
                 net = net0.with_couplings(generate_couplings(net0, rho, 1000 + seed))
                 r_spec = mspec_detect(net, spec, params)
-                r_louv = mlouv(net, spec, params, BaselineConfig(seed=seed))
+                r_louv = mlouv(net, spec, params, seed=seed)
                 diffs.append(r_spec.q_total - r_louv.q_total)
         assert np.mean(diffs) >= 0.0
 
@@ -247,6 +246,25 @@ class TestSmeanSpec:
         r_mean = smean_spec(net, spec, params)
         r_spec = mspec_detect(net, spec, params)
         assert r_mean.q_total < r_spec.q_total
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("gamma_plus", [1.0, 3.0])
+    def test_signed_identical_layers_match_sfull(self, seed, gamma_plus):
+        # the mean of two identical layers is the layer, and the mean of each
+        # resolution is the layer's, so smean must split it as sfull does;
+        # gamma_plus != gamma tells the '+' resolution from gamma
+        rng = np.random.default_rng(seed)
+        group = np.arange(24) % 2
+        edges = [(i, j, 1.0 if group[i] == group[j] else -1.0)
+                 for i in range(24) for j in range(i + 1, 24)
+                 if rng.random() < (0.3 if group[i] == group[j] else 0.1)]
+        net = MultilayerNetwork(n_nodes=24, aspects=(Aspect("a", ("x", "y")),),
+                                within_edges=(edges, edges))
+        params = ModularityParams.for_network(net, signed=True, gamma_plus=gamma_plus)
+        spec = CouplingSpec(omega=0.0)
+        r_mean = smean_spec(net, spec, params)
+        r_full = sfull_spec(net, spec, params)
+        assert np.array_equal(r_mean.partition.labels[:24], r_full.partition.labels[:24])
 
 
 class TestSfullSpec:

@@ -85,6 +85,25 @@ class TestDetect:
         q = modularity(net, CouplingSpec(omega=0.5), params, result.partition)
         assert result.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
 
+    def test_second_rho_value_exit_2(self, tmp_path, capsys):
+        try:
+            code = run_cli(["detect", "--dataset", "karate", "--rho", "0.2", "0.4",
+                            "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse rejects the extra value
+            code = exc.code
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_ground_truth_in_manifest_exit_2(self, tmp_path, capsys):
+        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
+        (tmp_path / "gt.txt").write_text("1 1\n2 1\n2 2\n")
+        (tmp_path / "m.txt").write_text(
+            "nodes = 3\nlayers = 1\nedge_file = e.txt\nground_truth = gt.txt\n")
+        code = run_cli(["detect", "--manifest", str(tmp_path / "m.txt"),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {tmp_path / 'gt.txt'}:3: duplicate node id 2" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_replica_sweep_labels_and_consistency(self, tmp_path):

@@ -55,7 +55,8 @@ class TestKarateReplica:
             build_karate_replica(3, [1.0])
 
     def test_uncoupled_two_layer_detection_is_independent(self):
-        net, params = build_karate_replica(2, [1.0, 1.0], couple=False)
+        net, params = build_karate_replica(2, [1.0, 1.0])
+        net = net.with_couplings(())
         spec = CouplingSpec(omega=0.0)
         res = mspec_detect(net, spec, params)
         grid = res.partition.labels.reshape(2, 34)

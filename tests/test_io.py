@@ -251,6 +251,24 @@ class TestResultDocuments:
         with pytest.raises(ParseError, match=f"^{path}:{row}: .*soft label"):
             load_result(str(path))
 
+    @pytest.mark.parametrize("node, layer, message", [
+        ("1", "1", "duplicate cell (1, 1, 1)"),
+        ("35", "1", "cell (35, 1, 1) out of range"),
+        ("1", "3", "cell (1, 3, 1) out of range"),
+    ])
+    def test_bad_cell_row_reports_position(self, tmp_path, node, layer, message):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        row = len(lines)  # the last cell row, node 34 of layer 2, becomes the bad one
+        fields = lines[row - 1].split()
+        lines[row - 1] = " ".join([node, layer] + fields[2:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_result(str(path))
+        assert str(exc.value) == f"{path}:{row}: {message}"
+
 
 class TestGroundTruth:
     def test_labels_loaded(self, tmp_path):
@@ -264,6 +282,24 @@ class TestGroundTruth:
         p.write_text("1 1\n")
         with pytest.raises(ParseError):
             load_labels(str(p), 3)
+
+    def test_incomplete_names_the_first_unlabelled_node(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1 1\n3 1\n")
+        with pytest.raises(ParseError) as exc:
+            load_labels(str(p), 4)
+        assert str(exc.value) == f"{p}: ground truth does not label every node (node 2 has no line)"
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("1 1\n2 -1\n3 1\n", 2, "label must be >= 0, got -1"),
+        ("1 1\n2 2\n# c\n1 2\n3 1\n", 4, "duplicate node id 1"),
+    ])
+    def test_bad_line_reported_at_its_line(self, tmp_path, body, line, message):
+        p = tmp_path / "gt.txt"
+        p.write_text(body)
+        with pytest.raises(ParseError) as exc:
+            load_labels(str(p), 3)
+        assert str(exc.value) == f"{p}:{line}: {message}"
 
 
 class TestAspectGridFile:

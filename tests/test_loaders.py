@@ -30,8 +30,8 @@ from mlmod import (
     quality_matrix,
     save_multiplex,
 )
-from mlmod.io import load_couplings
-from mlmod.network import Edges, normalize_edges
+from mlmod.io import load_aspect_grid, load_couplings
+from mlmod.network import Couplings, Edges, normalize_edges
 
 from oracles import (
     generate_couplings_reference,
@@ -243,7 +243,7 @@ def test_generate_couplings_matches_the_loop(seed, rho, sizes):
     net = MultilayerNetwork(n_nodes=13, aspects=aspects,
                             within_edges=tuple(() for _ in range(sum(sizes))))
     got = generate_couplings(net, rho, seed)
-    assert isinstance(got, frozenset)
+    assert isinstance(got, Couplings)
     assert got == generate_couplings_reference(net, rho, seed)
 
 
@@ -310,3 +310,63 @@ def test_plain_files_never_reach_the_line_loop(tmp_path, monkeypatch):
     assert tuple(net.within_edges[1]) == ((1, 2, 0.5),)
     assert net.couplings == {(0, 0, 1), (2, 0, 1)}
     assert net.couplings.magnitude.tolist() == [0.5, 0.0]
+
+
+@st.composite
+def grids(draw):
+    """A random grid: dims, node count, edge rows (coordinate, i, j, weight
+    token or None) with duplicates and negative weights, coupling rows
+    (node, coordinate, coordinate) or None, and whether to declare the count."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n_nodes = draw(st.integers(2, 6))
+    coord = st.tuples(*(st.integers(1, d) for d in dims))
+    pair = st.lists(st.integers(1, n_nodes), min_size=2, max_size=2, unique=True)
+    edges = draw(st.lists(st.tuples(coord, pair, st.sampled_from([None, *WEIGHTS])),
+                          max_size=20))
+    # every node appears, so the count can be inferred
+    edges += [(draw(coord), [k, k + 1], None) for k in range(1, n_nodes)]
+    draw(st.randoms()).shuffle(edges)
+    couplings = None
+    if draw(st.booleans()):
+        couplings = [(node, a, b) for node, a, b in draw(st.lists(
+            st.tuples(st.integers(1, n_nodes), coord, coord), max_size=10)) if a != b]
+    return dims, n_nodes, edges, couplings, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=grids())
+def test_grid_file_reads_as_its_flattened_files(grid, tmp_path_factory):
+    dims, n_nodes, edges, couplings, declared = grid
+    cell = lambda c: int(np.ravel_multi_index(tuple(x - 1 for x in c), dims)) + 1
+    tail = lambda w: "" if w is None else f" {w}"
+    grid_path = _write(tmp_path_factory, f"#dims {' '.join(map(str, dims))}\n" + "".join(
+        f"{','.join(map(str, c))} {i} {j}{tail(w)}\n" for c, (i, j), w in edges), "g.txt")
+    edge_path = _write(tmp_path_factory, "".join(
+        f"{cell(c)} {i} {j}{tail(w)}\n" for c, (i, j), w in edges))
+    layer_path = _write(tmp_path_factory, "".join(
+        f"{t} 1 l{t}\n" for t in range(1, int(np.prod(dims)) + 1)), "l.txt")
+    grid_couplings = flat_couplings = None
+    if couplings is not None:
+        grid_couplings = _write(tmp_path_factory, "".join(
+            f"{node} {','.join(map(str, a))} {','.join(map(str, b))}\n"
+            for node, a, b in couplings), "gc.txt")
+        flat_couplings = _write(tmp_path_factory, "".join(
+            f"{node} {cell(a)} 1 {cell(b)} 1\n" for node, a, b in couplings), "c.txt")
+    n = n_nodes if declared else None
+    got, _ = load_aspect_grid(grid_path, n_nodes=n, coupling_path=grid_couplings)
+    want = load_multiplex(edge_path, layer_path, flat_couplings, n_nodes=n)
+    assert got.n_nodes == want.n_nodes
+    assert [(e.i.tobytes(), e.j.tobytes(), e.w.tobytes()) for e in got.within_edges] == \
+        [(e.i.tobytes(), e.j.tobytes(), e.w.tobytes()) for e in want.within_edges]
+    assert got.couplings == want.couplings
+    assert np.array_equal(got.couplings.rows, want.couplings.rows)
+
+
+def test_grid_file_reports_its_first_faulty_line(tmp_path):
+    # line 3 leaves the grid, line 4 is a self-loop, line 5 has a gap-making
+    # node id; the edge reader stops at line 3
+    path = tmp_path / "g.txt"
+    path.write_text("#dims 2 2\n1,1 1 2\n3,1 1 2\n1,2 2 2\n2,2 1 9\n")
+    with pytest.raises(DomainError) as exc:
+        load_aspect_grid(str(path))
+    assert str(exc.value) == f"{path}:3: coordinate (3, 1) outside the declared 2x2 grid"
