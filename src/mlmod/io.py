@@ -74,7 +74,7 @@ def _bulk_table(text: str, n_int: int):
     lead[1:] = line[1:] != line[:-1]
     heads = np.flatnonzero(lead)  # a line whose first token starts with '#' is a comment
     keep = np.repeat(b[start[heads]] != ord("#"), np.diff(np.append(heads, start.size)))
-    start, stop, lead = start[keep], stop[keep], lead[keep]
+    start, stop, lead, line = start[keep], stop[keep], lead[keep], line[keep]
     heads = np.flatnonzero(lead)
     width = np.diff(np.append(heads, start.size))
     if not ((width == n_int) | (width == n_int + 1)).all():

@@ -69,6 +69,15 @@ class TestLoadMultiplex:
             load_multiplex(str(edge))
         assert err.value.line == 2
 
+    def test_bulk_read_line_numbers_count_comment_lines(self, tmp_path):
+        edge = tmp_path / "e.txt"
+        edge.write_text("# one\n# two\n1 1 2\n1 2 3\n3 1 3\n")
+        layer = tmp_path / "l.txt"
+        layer.write_text("1 1 a\n2 1 b\n")
+        with pytest.raises(ParseError) as exc:
+            load_multiplex(str(edge), str(layer))
+        assert str(exc.value) == f"{edge}:5: layer id 3 not declared in {layer}"
+
     def test_self_loop_rejected(self, tmp_path):
         edge = tmp_path / "e.txt"
         edge.write_text("1 2 2 1.0\n")
