@@ -95,7 +95,7 @@ def _resolve_network(args, fpar: dict):
     else:
         raise DomainError("no input network: pass --input, --manifest or --dataset")
     if args.couplings_file:
-        net = net.with_couplings(*load_couplings(args.couplings_file, net, net.n_nodes))
+        net = net.with_couplings(load_couplings(args.couplings_file, net, net.n_nodes)[0])
     return net
 
 

@@ -134,6 +134,37 @@ def _parse_float(token: str, what: str, path: str, lineno: int) -> float:
     return value
 
 
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``keys`` that an earlier entry already holds."""
+    repeat = np.ones(keys.size, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+def _raise_first(path: str, lineno: np.ndarray, checks) -> None:
+    """Raise at the first of the rows read from ``path`` that fails one of
+    ``checks``: (mask of failing rows, error class, message of row k)
+    triples in the order a row is checked.  A DomainError carries the
+    position in its message."""
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if bad.any():
+        k = int(bad.argmax())
+        cls, message = next((cls, message(k)) for mask, cls, message in checks if mask[k])
+        if cls is ParseError:
+            raise ParseError(message, path, int(lineno[k]))
+        raise cls(f"{path}:{lineno[k]}: {message}")
+
+
+def _cells(sizes, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """0-based global cells of the 1-based layer ids ``s`` in the aspects
+    ``v`` of a network with ``sizes`` layers per aspect, -1 where out of
+    range."""
+    sizes = np.asarray(sizes)
+    v0 = np.clip(v - 1, 0, sizes.size - 1)
+    inside = (v >= 1) & (v <= sizes.size) & (s >= 1) & (s <= sizes[v0])
+    return np.where(inside, (np.cumsum(sizes) - sizes)[v0] + s - 1, -1)
+
+
 def _infer_node_count(ids, path: str, what: str) -> int:
     """Largest node id, provided every id below it appears (no silent gaps)."""
     ids = np.unique(np.asarray(ids, dtype=np.int64))
@@ -209,65 +240,51 @@ def _edge_row(parts: list[str], path: str, lineno: int, dims: tuple[int, ...] | 
     return layer_id, i, j, w
 
 
-def _coupling_row(parts: list[str], path: str, lineno: int, net: MultilayerNetwork,
-                  n_nodes: int):
+def _coupling_row(parts: list[str], path: str, lineno: int):
     """(node, layer, aspect, layer, aspect, magnitude or None) of one
     coupling line, 1-based ids."""
     if len(parts) not in (5, 6):
         raise ParseError(
             "expected: nodeId layerA aspectA layerB aspectB [magnitude]", path, lineno
         )
-    node = _parse_int(parts[0], "node id", path, lineno)
-    sa = _parse_int(parts[1], "layer id", path, lineno)
-    va = _parse_int(parts[2], "aspect id", path, lineno)
-    sb = _parse_int(parts[3], "layer id", path, lineno)
-    vb = _parse_int(parts[4], "aspect id", path, lineno)
-    if not (1 <= node <= n_nodes):
-        raise DomainError(f"{path}:{lineno}: node id {node} out of range 1..{n_nodes}")
-    try:
-        ca = net.cell_index(sa - 1, va - 1)
-        cb = net.cell_index(sb - 1, vb - 1)
-    except DomainError as exc:
-        raise DomainError(f"{path}:{lineno}: {exc}") from exc
-    if ca == cb:
-        raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
-    magnitude = None
-    if len(parts) == 6:
-        magnitude = _parse_float(parts[5], "magnitude", path, lineno)
-        if magnitude < 0:
-            raise DomainError(f"{path}:{lineno}: magnitude must be >= 0, got {magnitude}")
-    return node, sa, va, sb, vb, magnitude
+    ids = (_parse_int(tok, what, path, lineno) for tok, what in
+           zip(parts, ("node id", "layer id", "aspect id", "layer id", "aspect id")))
+    return (*ids, _parse_float(parts[5], "magnitude", path, lineno) if len(parts) == 6 else None)
 
 
 def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     """Parse ``nodeId layerA aspectA layerB aspectB [magnitude]`` lines
     against the layer cells of ``net``.
 
-    Returns (frozenset of canonical coupling triples, dict of explicit
-    magnitudes or None if no line carried one); of repeated lines, the
-    last with a magnitude sets it.  ``net.with_couplings(*result)`` puts
-    both on the network.
+    Returns ``(table, None)``: the Couplings table, with a magnitude column
+    when some line carries a magnitude, and a None that keeps the pair
+    shape callers unpack.  Of the lines that repeat a coupling, the last
+    with a magnitude sets it; a coupling no such line names gets 0.
+    ``net.with_couplings(table)`` puts it on the network.
     """
-    offsets, sizes = np.array(net._offsets), np.array(net.aspect_sizes)
+    lineno, (node, sa, va, sb, vb), has_m, m = _read_rows(
+        path, 5, lambda _, c, has_m, m: bool(np.isfinite(m).all()), _coupling_row)
+    ca, cb = _cells(net.aspect_sizes, sa, va), _cells(net.aspect_sizes, sb, vb)
+    magnitude = np.zeros(node.size)
+    magnitude[has_m] = m
 
-    def cell(s, v):  # net.cell_index of 1-based ids, -1 where it raises
-        v0 = np.clip(v - 1, 0, sizes.size - 1)
-        return np.where((v >= 1) & (v <= sizes.size) & (s >= 1) & (s <= sizes[v0]),
-                        offsets[v0] + s - 1, -1)
+    def cell_error(s, v):  # 0-based in the message
+        return (f"aspect index {v - 1} out of range" if not 1 <= v <= len(net.aspects)
+                else f"layer index {s - 1} out of range for aspect {v - 1}")
 
-    def ok(_, cols, has_m, m):
-        node, sa, va, sb, vb = cols
-        ca, cb = cell(sa, va), cell(sb, vb)
-        return bool(((node >= 1) & (node <= n_nodes) & (ca >= 0) & (cb >= 0) & (ca != cb)).all()
-                    and (np.isfinite(m) & (m >= 0)).all())
-
-    _, (node, sa, va, sb, vb), has_m, m = _read_rows(
-        path, 5, ok, lambda parts, path, lineno: _coupling_row(parts, path, lineno, net, n_nodes))
-    ca, cb = cell(sa, va), cell(sb, vb)
-    triples = list(zip((node - 1).tolist(), np.minimum(ca, cb).tolist(),
-                       np.maximum(ca, cb).tolist()))
-    magnitudes = dict(zip(itertools.compress(triples, has_m.tolist()), m.tolist()))
-    return frozenset(triples), (magnitudes or None)
+    _raise_first(path, lineno, [
+        ((node < 1) | (node > n_nodes), DomainError,
+         lambda k: f"node id {node[k]} out of range 1..{n_nodes}"),
+        (ca < 0, DomainError, lambda k: cell_error(sa[k], va[k])),
+        (cb < 0, DomainError, lambda k: cell_error(sb[k], vb[k])),
+        (ca == cb, DomainError, lambda k: "coupling links a layer with itself"),
+        (magnitude < 0, DomainError, lambda k: f"magnitude must be >= 0, got {magnitude[k]}"),
+    ])
+    # Couplings keeps each row's first occurrence: put the rows with a
+    # magnitude first, last line first
+    order = np.concatenate((np.flatnonzero(has_m)[::-1], np.flatnonzero(~has_m)))
+    rows = np.column_stack((node - 1, np.minimum(ca, cb), np.maximum(ca, cb)))
+    return Couplings(rows[order], magnitude[order] if has_m.any() else None), None
 
 
 def load_multiplex(edge_path: str, layer_path: str | None = None,
@@ -310,7 +327,7 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
         cell = layer - 1
     net = _cells_network(edge_path, "edge", aspects, cell, table, n_nodes)
     if coupling_path is not None:
-        net = net.with_couplings(*load_couplings(coupling_path, net, net.n_nodes))
+        net = net.with_couplings(load_couplings(coupling_path, net, net.n_nodes)[0])
     return net
 
 
@@ -359,11 +376,10 @@ def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
     if coupling_path is not None:
         lines = ["# nodeId layerA aspectA layerB aspectB [magnitude]"]
         magnitude = net.couplings.magnitude
+        ids = [f"{s + 1} {v + 1}" for v, size in enumerate(net.aspect_sizes) for s in range(size)]
         for k, (node, ca, cb) in enumerate(net.couplings):  # sorted rows
-            va, sa = net.cell_of(ca)
-            vb, sb = net.cell_of(cb)
             tail = "" if magnitude is None else f" {float(magnitude[k])!r}"
-            lines.append(f"{node + 1} {sa + 1} {va + 1} {sb + 1} {vb + 1}{tail}")
+            lines.append(f"{node + 1} {ids[ca]} {ids[cb]}{tail}")
         _atomic_write(coupling_path, "\n".join(lines) + "\n")
 
 
@@ -449,20 +465,20 @@ def load_dataset(manifest_path: str):
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
     """Parse ``nodeId label`` ground-truth lines, one per node, into the
     array of labels (each >= 0) indexed by 0-based node."""
-    out = np.full(n_nodes, -1, dtype=int)
-    for lineno, line in _data_lines(path):
-        parts = line.split()
+    def row(parts, path, lineno):
         if len(parts) != 2:
             raise ParseError("expected: nodeId label", path, lineno)
-        node = _parse_int(parts[0], "node id", path, lineno)
-        label = _parse_int(parts[1], "label", path, lineno)
-        if not (1 <= node <= n_nodes):
-            raise DomainError(f"{path}:{lineno}: node id {node} out of range")
-        if label < 0:
-            raise ParseError(f"label must be >= 0, got {label}", path, lineno)
-        if out[node - 1] >= 0:
-            raise ParseError(f"duplicate node id {node}", path, lineno)
-        out[node - 1] = label
+        return (_parse_int(parts[0], "node id", path, lineno),
+                _parse_int(parts[1], "label", path, lineno), None)
+
+    lineno, (node, label), _, _ = _read_rows(path, 2, lambda _, c, has, x: not has.any(), row)
+    _raise_first(path, lineno, [
+        ((node < 1) | (node > n_nodes), DomainError, lambda k: f"node id {node[k]} out of range"),
+        (label < 0, ParseError, lambda k: f"label must be >= 0, got {label[k]}"),
+        (_repeats(node), ParseError, lambda k: f"duplicate node id {node[k]}"),
+    ])
+    out = np.full(n_nodes, -1, dtype=int)
+    out[node - 1] = label
     if (out < 0).any():
         raise ParseError("ground truth does not label every node "
                          f"(node {int((out < 0).argmax()) + 1} has no line)", path)
@@ -617,24 +633,36 @@ def save_result(result: DetectionResult, path: str, net: MultilayerNetwork) -> N
     """
     if result.partition.labels.shape != (net.supra_size,):
         raise DomainError("result partition does not match the network")
+    soft = result.soft_labels
+    if soft is not None and np.shape(soft) != (net.supra_size,):
+        raise DomainError("result soft labels do not match the network")
+    floats = [result.q_total] + [x for div in result.divisions for x in (div.delta_q, div.beta)]
+    if not (np.isfinite(floats).all() and (soft is None or np.isfinite(soft).all())):
+        raise DomainError("result would not read back: q_total, delta_q, beta and soft "
+                          "labels must be finite")
+    if (result.partition.labels < 0).any():
+        raise DomainError("result would not read back: partition labels must be >= 0")
     for key, value in result.meta.items():
         if any(ch.isspace() for ch in key) or any(ch in value for ch in "\r\n"):
             raise DomainError(f"#meta {key!r} would not read back: keys must not "
                               "contain whitespace, values must not contain line breaks")
+        if not key or key in ("n_nodes", "aspects", "q_total") or value != value.rstrip():
+            raise DomainError(f"#meta {key!r} would not read back: keys must be non-empty "
+                              "and not n_nodes, aspects or q_total, values must not end "
+                              "in whitespace")
     lines = [_RESULT_HEADER]
     lines.append(f"#meta n_nodes {net.n_nodes}")
     lines.append("#meta aspects " + ",".join(str(s) for s in net.aspect_sizes))
-    lines.append(f"#meta q_total {result.q_total!r}")
+    lines.append(f"#meta q_total {float(result.q_total)!r}")
     for key in sorted(result.meta):
         lines.append(f"#meta {key} {result.meta[key]}")
     for div in result.divisions:
         lines.append(
-            f"#division {div.community} {div.delta_q!r} {div.beta!r} "
+            f"#division {div.community} {float(div.delta_q)!r} {float(div.beta)!r} "
             f"{'applied' if div.applied else 'rejected'}"
         )
     lines.append("#cells nodeId layerId aspectId communityId softLabel")
     labels = result.partition.labels
-    soft = result.soft_labels
     idx = 0
     for v, aspect in enumerate(net.aspects):
         for s in range(len(aspect.layers)):
@@ -649,38 +677,37 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     """Parse a result document back.
 
     Returns the DetectionResult plus a shape dict with ``n_nodes`` and
-    ``aspects`` (layer counts) for validation against a network.
+    ``aspects`` (layer counts) for validation against a network.  Soft
+    labels are numbers on every cell row or ``-`` on every one, and
+    community ids are >= 1.
     """
-    raw = _read_text(path).split("\n")
-    if raw[0].strip() != _RESULT_HEADER:
+    lines = _read_text(path).split("\n")
+    if lines[0].strip() != _RESULT_HEADER:
         raise ParseError("not a result document (bad header)", path, 1)
     meta: dict[str, str] = {}
     divisions: list[Division] = []
-    n_nodes = None
-    aspect_sizes: tuple[int, ...] | None = None
-    q_total = None
-    rows: list[tuple[int, int, int, int, int, float | None]] = []  # lineno first
-    for lineno, line in enumerate(raw[1:], start=2):
+    n_nodes = aspect_sizes = q_total = None
+    for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#meta "):
-            parts = stripped.split(" ", 2)
-            key = parts[1]
-            value = parts[2] if len(parts) > 2 else ""
+            key, _, value = stripped[len("#meta "):].partition(" ")
             if key == "n_nodes":
                 n_nodes = _parse_int(value, "n_nodes", path, lineno)
+                if n_nodes < 1:
+                    raise ParseError(f"n_nodes must be >= 1, got {n_nodes}", path, lineno)
             elif key == "aspects":
                 aspect_sizes = tuple(
                     _parse_int(tok, "aspect size", path, lineno)
                     for tok in value.split(",")
                 )
+                if min(aspect_sizes) < 1:
+                    raise ParseError(f"aspect size must be >= 1, got {min(aspect_sizes)}",
+                                     path, lineno)
             elif key == "q_total":
                 q_total = _parse_float(value, "q_total", path, lineno)
             else:
                 meta[key] = value
-            continue
-        if stripped.startswith("#division "):
+        elif stripped.startswith("#division "):
             parts = stripped.split()
             if len(parts) != 5 or parts[4] not in ("applied", "rejected"):
                 raise ParseError("bad #division line", path, lineno)
@@ -690,51 +717,48 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
                 beta=_parse_float(parts[3], "beta", path, lineno),
                 applied=parts[4] == "applied",
             ))
-            continue
-        if stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+
+    def row(parts, path, lineno):
         if len(parts) != 5:
             raise ParseError("expected: nodeId layerId aspectId communityId softLabel",
                              path, lineno)
-        rows.append((
-            lineno,
-            _parse_int(parts[0], "node id", path, lineno),
-            _parse_int(parts[1], "layer id", path, lineno),
-            _parse_int(parts[2], "aspect id", path, lineno),
-            _parse_int(parts[3], "community id", path, lineno),
-            None if parts[4] == "-" else _parse_float(parts[4], "soft label", path, lineno),
-        ))
+        ids = (_parse_int(tok, what, path, lineno) for tok, what in
+               zip(parts, ("node id", "layer id", "aspect id", "community id")))
+        return (*ids, None if parts[4] == "-" else
+                _parse_float(parts[4], "soft label", path, lineno))
+
+    lineno, (node, layer, aspect, community), has_soft, soft = _read_rows(
+        path, 4, lambda _, c, has, x: bool(has.all() and np.isfinite(x).all()), row)
     if n_nodes is None or aspect_sizes is None or q_total is None:
         raise ParseError("result document is missing required metadata", path)
-    n_cells = sum(aspect_sizes)
-    size = n_cells * n_nodes
-    if len(rows) != size:
-        raise ParseError(f"expected {size} cell rows, found {len(rows)}", path)
-    offsets = [0]
-    for s in aspect_sizes:
-        offsets.append(offsets[-1] + s)
-    labels = np.full(size, -1, dtype=int)
-    soft = np.full(size, np.nan)
-    any_soft = False
-    for lineno, node, layer, aspect, community, soft_value in rows:
-        if not (1 <= aspect <= len(aspect_sizes) and 1 <= layer <= aspect_sizes[aspect - 1]
-                and 1 <= node <= n_nodes):
-            raise ParseError(f"cell ({node}, {layer}, {aspect}) out of range", path, lineno)
-        x = (offsets[aspect - 1] + layer - 1) * n_nodes + node - 1
-        if labels[x] >= 0:
-            raise ParseError(f"duplicate cell ({node}, {layer}, {aspect})", path, lineno)
-        labels[x] = community - 1
-        if soft_value is not None:
-            soft[x] = soft_value
-            any_soft = True
-    if (labels < 0).any():
-        raise ParseError("some supra cells are unlabeled", path)
+    size = sum(aspect_sizes) * n_nodes
+    if lineno.size != size:
+        raise ParseError(f"expected {size} cell rows, found {lineno.size}", path)
+    cell = _cells(aspect_sizes, layer, aspect)
+    inside = (cell >= 0) & (node >= 1) & (node <= n_nodes)
+    x = np.where(inside, cell * n_nodes + node - 1, -1)
+
+    def ids(k):
+        return f"({node[k]}, {layer[k]}, {aspect[k]})"
+
+    _raise_first(path, lineno, [
+        (~inside, ParseError, lambda k: f"cell {ids(k)} out of range"),
+        (_repeats(x), ParseError, lambda k: f"duplicate cell {ids(k)}"),
+        (community < 1, ParseError, lambda k: f"community id must be >= 1, got {community[k]}"),
+        (has_soft != has_soft[0], ParseError,
+         lambda k: "soft labels must be numbers on every cell row or '-' on every one"),
+    ])
+    labels = np.empty(size, dtype=np.int64)
+    labels[x] = community - 1
+    soft_labels = None
+    if has_soft[0]:
+        soft_labels = np.empty(size)
+        soft_labels[x] = soft
     result = DetectionResult(
         partition=Partition(labels),
         q_total=q_total,
         divisions=tuple(divisions),
-        soft_labels=soft if any_soft else None,
+        soft_labels=soft_labels,
         meta=meta,
     )
     return result, {"n_nodes": n_nodes, "aspects": aspect_sizes}

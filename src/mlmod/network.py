@@ -19,14 +19,13 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
 
 Edge = tuple[int, int, float]
-Coupling = tuple[int, int, int]
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -94,14 +93,10 @@ def _as_edges(edges) -> Edges:
     return Edges(arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2])
 
 
-def _as_couplings(couplings, magnitudes: Mapping[Coupling, float] | None,
-                  n_nodes: int, n_cells: int) -> Couplings:
-    """Validated Couplings from a table or from triples, with ``magnitudes``
-    mapping triples to magnitudes (0 where a triple is missing)."""
-    if not isinstance(couplings, Couplings) or magnitudes is not None:
-        triples = [tuple(c) for c in couplings]
-        couplings = Couplings(triples, None if magnitudes is None else
-                              [magnitudes.get(c, 0.0) for c in triples])
+def _as_couplings(couplings, n_nodes: int, n_cells: int) -> Couplings:
+    """Validated Couplings from a table or from (node, cell_a, cell_b) triples."""
+    if not isinstance(couplings, Couplings):
+        couplings = Couplings([tuple(c) for c in couplings])
     node, a, b = couplings.rows.T
     bad = (node < 0) | (node >= n_nodes) | (a < 0) | (a >= b) | (b >= n_cells)
     if bad.any():
@@ -179,7 +174,7 @@ class MultilayerNetwork:
                 raise DomainError(f"non-finite edge weight on ({i + 1}, {j + 1})")
         object.__setattr__(self, "within_edges", cells)
         object.__setattr__(self, "couplings",
-                           _as_couplings(self.couplings, None, self.n_nodes, n_cells))
+                           _as_couplings(self.couplings, self.n_nodes, n_cells))
 
     # -- cell bookkeeping -------------------------------------------------
 
@@ -191,33 +186,9 @@ class MultilayerNetwork:
     def n_cells(self) -> int:
         return sum(self.aspect_sizes)
 
-    @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        offs = [0]
-        for size in self.aspect_sizes:
-            offs.append(offs[-1] + size)
-        return tuple(offs)
-
     @property
     def supra_size(self) -> int:
         return self.n_cells * self.n_nodes
-
-    def cell_index(self, layer: int, aspect: int) -> int:
-        """Global 0-based cell index of 0-based (layer, aspect)."""
-        if not (0 <= aspect < len(self.aspects)):
-            raise DomainError(f"aspect index {aspect} out of range")
-        if not (0 <= layer < self.aspect_sizes[aspect]):
-            raise DomainError(f"layer index {layer} out of range for aspect {aspect}")
-        return self._offsets[aspect] + layer
-
-    def cell_of(self, cell: int) -> tuple[int, int]:
-        """Inverse of cell_index: 0-based (aspect, layer) of a global cell."""
-        if not (0 <= cell < self.n_cells):
-            raise DomainError(f"cell index {cell} out of range")
-        for v, off in enumerate(self._offsets[1:]):
-            if cell < off:
-                return v, cell - self._offsets[v]
-        raise DomainError(f"cell index {cell} out of range")
 
     # -- derived structure -------------------------------------------------
 
@@ -243,15 +214,15 @@ class MultilayerNetwork:
         return LayerStats(strengths=_frozen(k, float),
                           total_weight=float(np.cumsum(np.r_[0.0, w])[-1]))
 
-    def with_couplings(self, couplings: Iterable[Coupling],
-                       magnitudes: Mapping[Coupling, float] | None = None
+    def with_couplings(self, couplings: Couplings | Iterable[tuple[int, int, int]]
                        ) -> "MultilayerNetwork":
-        """Copy of the network with a replaced coupling set, and with
-        ``magnitudes`` mapping its triples to explicit amplitudes (0 where
-        missing); the edges are shared, not validated again."""
+        """Copy of the network with a replaced coupling set: a Couplings
+        table, whose magnitude column comes along, or (node, cell_a, cell_b)
+        triples, which carry no magnitudes; the edges are shared, not
+        validated again."""
         net = copy.copy(self)
         object.__setattr__(net, "couplings",
-                           _as_couplings(couplings, magnitudes, self.n_nodes, self.n_cells))
+                           _as_couplings(couplings, self.n_nodes, self.n_cells))
         return net
 
 

@@ -469,6 +469,15 @@ def generate_couplings_reference(net: MultilayerNetwork, rho: float, seed: int) 
     return frozenset(chosen)
 
 
+def _cell_index_reference(net: MultilayerNetwork, layer: int, aspect: int) -> int:
+    """Global 0-based cell of 0-based (layer, aspect), by walking the aspects."""
+    if not (0 <= aspect < len(net.aspects)):
+        raise DomainError(f"aspect index {aspect} out of range")
+    if not (0 <= layer < len(net.aspects[aspect].layers)):
+        raise DomainError(f"layer index {layer} out of range for aspect {aspect}")
+    return sum(len(a.layers) for a in net.aspects[:aspect]) + layer
+
+
 def load_couplings_reference(path: str, net: MultilayerNetwork, n_nodes: int):
     """(frozenset of coupling triples, dict of magnitudes or None), line by line."""
     couplings = set()
@@ -487,8 +496,8 @@ def load_couplings_reference(path: str, net: MultilayerNetwork, n_nodes: int):
         if not (1 <= node <= n_nodes):
             raise DomainError(f"{path}:{lineno}: node id {node} out of range 1..{n_nodes}")
         try:
-            ca = net.cell_index(sa - 1, va - 1)
-            cb = net.cell_index(sb - 1, vb - 1)
+            ca = _cell_index_reference(net, sa - 1, va - 1)
+            cb = _cell_index_reference(net, sb - 1, vb - 1)
         except DomainError as exc:
             raise DomainError(f"{path}:{lineno}: {exc}") from exc
         if ca == cb:

@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmod import (
+    Aspect,
     CouplingSpec,
+    DetectionResult,
+    Division,
     DomainError,
     MlmodError,
+    MultilayerNetwork,
     ParseError,
+    Partition,
     build_karate_replica,
     load_aspect_grid,
     load_karate,
@@ -230,6 +235,7 @@ class TestResultDocuments:
 
     @pytest.mark.parametrize("key, value", [
         ("note", "two\nlines"), ("note", "carriage\rreturn"), ("two words", "x"),
+        ("note", "trailing "), ("n_nodes", "3"), ("aspects", "1,1"), ("q_total", "0.5"),
     ])
     def test_unreadable_meta_rejected_on_write(self, tmp_path, key, value):
         net, res = self._detect()
@@ -237,6 +243,23 @@ class TestResultDocuments:
         path = tmp_path / "r.txt"
         with pytest.raises(DomainError):
             save_result(res, str(path), net)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda res: dataclasses.replace(res, q_total=float("nan")),
+        lambda res: dataclasses.replace(res, divisions=(
+            dataclasses.replace(res.divisions[0], delta_q=float("inf")),)),
+        lambda res: dataclasses.replace(res, divisions=(
+            dataclasses.replace(res.divisions[0], beta=float("-inf")),)),
+        lambda res: dataclasses.replace(res, soft_labels=np.where(
+            np.arange(res.soft_labels.size) == 5, np.nan, res.soft_labels)),
+        lambda res: dataclasses.replace(res, partition=Partition(res.partition.labels - 1)),
+    ], ids=["q_total", "delta_q", "beta", "soft_label", "negative_label"])
+    def test_unreadable_values_rejected_on_write(self, tmp_path, damage):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        with pytest.raises(DomainError, match="would not read back"):
+            save_result(damage(res), str(path), net)
         assert not path.exists()
 
     def test_truncated_document_rejected(self, tmp_path):
@@ -277,6 +300,79 @@ class TestResultDocuments:
         with pytest.raises(ParseError) as exc:
             load_result(str(path))
         assert str(exc.value) == f"{path}:{row}: {message}"
+
+    @pytest.mark.parametrize("column, value, message", [
+        (3, "0", "community id must be >= 1, got 0"),
+        (3, "-2", "community id must be >= 1, got -2"),
+        (4, "-", "soft labels must be numbers on every cell row or '-' on every one"),
+    ])
+    def test_bad_row_value_reports_position(self, tmp_path, column, value, message):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        row = len(lines) - 5  # a cell row of layer 2
+        fields = lines[row - 1].split()
+        fields[column] = value
+        lines[row - 1] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_result(str(path))
+        assert str(exc.value) == f"{path}:{row}: {message}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("#meta n_nodes 0", "n_nodes must be >= 1, got 0"),
+        ("#meta aspects 2,0", "aspect size must be >= 1, got 0"),
+    ])
+    def test_empty_shape_reports_position(self, tmp_path, line, message):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        row = next(k for k, text in enumerate(lines, start=1)
+                   if text.startswith(line.rsplit(" ", 1)[0] + " "))
+        lines[row - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_result(str(path))
+        assert str(exc.value) == f"{path}:{row}: {message}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_results_round_trip(self, data, tmp_path_factory):
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        net = MultilayerNetwork(
+            n_nodes=data.draw(st.integers(1, 5)),
+            aspects=tuple(Aspect(f"a{v}", tuple(f"l{s}" for s in range(n)))
+                          for v, n in enumerate(sizes)),
+            within_edges=tuple(() for _ in range(sum(sizes))))
+        cells = st.lists(st.integers(0, 6), min_size=net.supra_size, max_size=net.supra_size)
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        soft = data.draw(st.none() | st.lists(number, min_size=net.supra_size,
+                                              max_size=net.supra_size))
+        res = DetectionResult(
+            partition=Partition(np.array(data.draw(cells))),
+            q_total=data.draw(number),
+            divisions=tuple(data.draw(st.lists(st.builds(
+                Division, community=st.integers(0, 6), delta_q=number, beta=number,
+                applied=st.booleans()), max_size=3))),
+            soft_labels=None if soft is None else np.array(soft),
+            meta=data.draw(st.dictionaries(
+                st.text("abc_", min_size=1, max_size=4),
+                st.text(" x-#1.\t", max_size=5).filter(lambda v: v == v.rstrip()),
+                max_size=3)),
+        )
+        first, second = (str(tmp_path_factory.mktemp("doc") / "r.txt") for _ in range(2))
+        save_result(res, first, net)
+        back, shape = load_result(first)
+        save_result(back, second, net)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+        assert shape == {"n_nodes": net.n_nodes, "aspects": tuple(sizes)}
+        assert np.array_equal(back.partition.labels, res.partition.labels)
+        assert (back.q_total, back.divisions, back.meta) == (res.q_total, res.divisions, res.meta)
+        assert (back.soft_labels is None if soft is None
+                else np.array_equal(back.soft_labels, res.soft_labels))
 
 
 class TestGroundTruth:

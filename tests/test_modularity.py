@@ -18,6 +18,7 @@ from mlmod import (
     modularity,
     quality_matrix,
 )
+from mlmod.network import Couplings
 
 from conftest import make_single_layer
 from oracles import (
@@ -97,7 +98,7 @@ class TestCouplingStrength:
             coupling_strength(spec, net, 1, 1, 1, 1, 1, 1)
 
     def test_explicit_map(self):
-        net = make_net(2, [2]).with_couplings({(0, 0, 1), (1, 0, 1)}, {(0, 0, 1): 0.25})
+        net = make_net(2, [2]).with_couplings(Couplings([(0, 0, 1), (1, 0, 1)], [0.25, 0.0]))
         spec = CouplingSpec(strategy="explicit")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # edgeless layers warn

@@ -18,6 +18,7 @@ from mlmod import (
     load_aspect_grid,
     quality_matrix,
 )
+from mlmod.io import _cells
 
 from conftest import make_single_layer
 from oracles import dense_adjacency, inverse_node_index, node_index
@@ -67,7 +68,7 @@ class TestNodeIndex:
         x = data.draw(st.integers(1, net.supra_size))
         i, s, v = inverse_node_index(x, net)
         assert node_index(i, s, v, net) == x
-        assert net.cell_index(s - 1, v - 1) * net.n_nodes + i == x
+        assert _cells(net.aspect_sizes, np.array([s]), np.array([v]))[0] * net.n_nodes + i == x
 
     def test_covers_full_range(self):
         net = make_net(3, [2, 2])

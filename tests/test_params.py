@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlmod import CouplingSpec, DomainError, ModularityParams, Partition, quality_matrix
+from mlmod.network import Couplings
 
 from oracles import partition_from_cell_labels
 from test_network import make_net
@@ -32,9 +33,9 @@ class TestCouplingSpecValidation:
 
     def test_negative_explicit_amplitude_rejected(self):
         with pytest.raises(DomainError):
-            make_net(2, [2]).with_couplings({(0, 0, 1)}, {(0, 0, 1): -2.0})
+            make_net(2, [2]).with_couplings(Couplings([(0, 0, 1)], [-2.0]))
         with pytest.raises(DomainError):
-            make_net(2, [2]).with_couplings({(0, 0, 1)}, {(0, 0, 1): float("nan")})
+            make_net(2, [2]).with_couplings(Couplings([(0, 0, 1)], [float("nan")]))
 
 
 class TestModularityParamsValidation:

@@ -29,6 +29,7 @@ from mlmod import (
     quality_matrix,
 )
 from mlmod.modularity import Subdivision
+from mlmod.network import Couplings
 from mlmod.mspec import kl_relocate, subdivision_matrix
 from mlmod.params import COUPLING_STRATEGIES
 
@@ -69,8 +70,8 @@ def instances(draw):
                                    min_size=n_cells * n_cells, max_size=n_cells * n_cells)))
         closeness = a.reshape(n_cells, n_cells) + a.reshape(n_cells, n_cells).T
     if strategy == "explicit":  # magnitudes ride on the present couplings
-        net = net.with_couplings(net.couplings, {
-            c: draw(st.sampled_from([0.0, 0.25, 1.0])) for c in net.couplings})
+        net = net.with_couplings(Couplings(net.couplings.rows, [
+            draw(st.sampled_from([0.0, 0.25, 1.0])) for _ in net.couplings]))
     spec = CouplingSpec(strategy=strategy, omega=omega, closeness=closeness)
     lam_zero = draw(st.integers(-1, n_cells - 1))
     lam = [0.0 if t == lam_zero else draw(st.sampled_from([0.5, 1.0, 2.0]))
