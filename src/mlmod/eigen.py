@@ -1,11 +1,11 @@
 """Leading eigenpair of a symmetric matrix via LAPACK or ARPACK.
 
-Up to ``_DENSE_MAX`` rows LAPACK's dense symmetric solver computes the top
-pair only; larger matrices go to ARPACK's implicitly restarted Lanczos
-(Lehoucq, Sorensen & Yang, SIAM 1998), which only needs products, so a
-subdivision matrix is never formed densely there.  The start vector comes
-from a PCG64 stream with a fixed seed, so repeated calls return
-bit-identical results.
+A dense array of up to ``_DENSE_MAX`` rows goes to LAPACK's dense
+symmetric solver (top pair only); larger arrays and every matrix-free
+operator, whatever its size, go to ARPACK's implicitly restarted Lanczos
+(Lehoucq, Sorensen & Yang, SIAM 1998), which only needs products.  The
+start vector comes from a PCG64 stream with a fixed seed, so repeated
+calls return bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import ConvergenceError, DomainError
 
 # Fixed start-vector seed; documented so runs reproduce across platforms.
 _START_SEED = 0x6D6C6D6F64
-# Largest size solved densely; above it ARPACK is faster per call.
+# Largest dense array LAPACK solves, and the largest D mspec forms (and slices).
 _DENSE_MAX = 512
 # Required residual, relative to the max absolute row sum of the matrix.
 _TOL = 1e-10
@@ -34,14 +34,14 @@ def _orient(vec: np.ndarray) -> np.ndarray:
 def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue and a unit eigenvector.
 
-    ``matrix`` is a dense symmetric array or, above ``_DENSE_MAX`` rows, a
-    matrix-free ``modularity.Subdivision``.
+    ``matrix`` is a dense symmetric array or a matrix-free operator with
+    ``matvec``, ``shape``, ``norm_inf`` and ``asymmetry``.
     The returned pair satisfies ``norm(D u - beta u) <= 1e-10 * scale``
     where ``scale`` is the exact max absolute row sum of D.  Raises
     ConvergenceError carrying the best residual when the solver cannot
     reach that bound.
     """
-    if hasattr(matrix, "matvec") and matrix.shape[0] > _DENSE_MAX:
+    if hasattr(matrix, "matvec"):
         n, apply = matrix.shape[0], matrix.matvec
         scale, asymmetry = matrix.norm_inf(), matrix.asymmetry()
     else:
@@ -57,7 +57,7 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     v0 /= np.linalg.norm(v0)
     if scale == 0.0:
         return 0.0, _orient(v0)
-    if n <= _DENSE_MAX:
+    if n <= _DENSE_MAX and not hasattr(matrix, "matvec"):
         vals, vecs = eigh(d, subset_by_index=[n - 1, n - 1])
     else:
         # Imported here, not at module level: loading scipy.sparse.linalg adds

@@ -523,10 +523,14 @@ def load_params_file(path: str) -> dict[str, object]:
 
 def load_closeness(path: str, source: str | None = None,
                    lineno: int | None = None) -> np.ndarray:
-    """Read a dense closeness matrix; a failure raises ParseError at
-    ``source``:``lineno`` when given, else at the matrix file."""
+    """Read a dense closeness matrix; a failure or a non-finite entry
+    raises ParseError at ``source``:``lineno`` when given, else at the
+    matrix file."""
     try:
-        return np.loadtxt(path, ndmin=2)
+        m = np.loadtxt(path, ndmin=2)
+        if not np.isfinite(m).all():
+            raise ValueError("entries must be finite")
+        return m
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot load closeness matrix: {exc}", source or path,
                          lineno) from exc

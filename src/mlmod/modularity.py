@@ -215,12 +215,12 @@ class Subdivision:
 
     A product costs O(nnz(B_gg) + |g|): the sparse part through scipy's
     CSR kernel, one per-cell sum per null piece, and the row-sum shift
-    (Newman, PNAS 103:8577, 2006).
+    (Newman, PNAS 103:8577, 2006).  A column costs O(|cell| + degree).
     """
 
     def __init__(self, matrix: QualityMatrix, members):
-        # Imported here: only the matrix-free path above LAPACK's size needs
-        # it, and ARPACK's import loads it there anyway.
+        # Imported here: only the matrix-free path needs it, and ARPACK's
+        # import loads it there anyway.
         from scipy.sparse import csr_array
 
         sub = matrix.take(members)
@@ -237,6 +237,13 @@ class Subdivision:
         self.n_cells = sub.coefs.shape[1]
         self.rowsum = np.bincount(self.rows, weights=self.vals, minlength=m) - self._null(np.ones(m))
         self.null_diag = (self.c * (self.k * self.k)).sum(axis=0)
+        # each cell's members (a slice where consecutive) and their places there
+        self.by_cell, self.place = [], np.empty(m, dtype=np.intp)
+        for t in range(self.n_cells):
+            idx = np.flatnonzero(self.cells == t)
+            self.place[idx] = np.arange(idx.size)
+            whole = idx.size and idx[-1] - idx[0] == idx.size - 1
+            self.by_cell.append(slice(idx[0], idx[-1] + 1) if whole else idx)
 
     def _null(self, x: np.ndarray) -> np.ndarray:
         """Product of the same-cell null terms with x."""
@@ -247,23 +254,25 @@ class Subdivision:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.b @ x - self._null(x) - self.rowsum * x
 
-    def __matmul__(self, x):
-        return self.matvec(x)
+    __matmul__ = matvec
 
     def diagonal(self) -> np.ndarray:
         return -self.null_diag - self.rowsum
 
-    def column(self, j: int) -> np.ndarray:
-        """Column j of M as a dense vector: row j of the symmetric B plus
-        the null terms of j's cell."""
-        col = np.zeros(self.shape[0])
+    def column_entries(self, j: int) -> tuple[tuple, tuple]:
+        """Column j of M where it can be non-zero, as (rows, values) pairs
+        that name each row once: j's cell, with B's entries and the null
+        terms, and B's row j outside that cell."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
-        col[self.cols[lo:hi]] = self.vals[lo:hi]
-        same = self.cells == self.cells[j]
+        cols, vals = self.cols[lo:hi], self.vals[lo:hi]
+        cell = self.by_cell[self.cells[j]]
+        inside = self.cells[cols] == self.cells[j]
+        col = np.zeros_like(self.rowsum[cell])
+        col[self.place[cols[inside]]] = vals[inside]
         for k, c in zip(self.k, self.c):
-            col[same] -= c[j] * (k[j] * k[same])
-        col[j] -= self.rowsum[j]
-        return col
+            col -= c[j] * (k[j] * k[cell])
+        col[self.place[j]] -= self.rowsum[j]
+        return (cell, col), (cols[~inside], vals[~inside])
 
     def asymmetry(self) -> float:
         """Largest |M_xy - M_yx|; the null terms are symmetric by construction."""

@@ -14,9 +14,10 @@ between the finished communities; both stages are disabled by
 ``refine=False``, which leaves the pure sign-rule recursion.
 
 D is held as ``modularity.QualityMatrix`` (sparse part plus per-layer
-rank-one null terms), so no stage forms an (N L)^2 array; a subdivision
-matrix is formed densely only when LAPACK solves it (at most 512 rows)
-and is matrix-free above that.
+rank-one null terms); a D of at most ``_DENSE_MAX`` rows is formed once
+and sliced.  A subdivision of a larger D is formed densely up to
+``_FORM_MAX`` members; a larger one stays matrix-free in both the
+eigensolve and cut refinement, so no |g|^2 array is made for it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ __all__ = [
 ]
 
 _GAIN_EPS = 1e-12
+# Largest subdivision of a factored D formed densely: forming, solving and
+# refining subsets of synth-4096 communities took 1.8/6.2 ms dense/matrix-free
+# at 128 rows, 9.1/9.6 at 320, 10.4/8.2 at 384, 30.7/10.8 at 512 (2 vCPUs).
+_FORM_MAX = 320
 # vertices per relocation block, and a cap on its (vertex, community) gains
 _BLOCK_MIN, _BLOCK_MAX, _BLOCK_ENTRIES = 16, 512, 1 << 14
 
@@ -94,20 +99,19 @@ def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarra
     """Restriction of D to ``members`` with the diagonal reduced by
     within-community row sums; every row then sums to zero.
 
-    ``matrix`` is D as a QualityMatrix or, with at most ``_DENSE_MAX``
-    rows, as a dense array.  Up to ``_DENSE_MAX`` members, where LAPACK
-    solves it, the result is a dense array; above that it is a
-    matrix-free ``Subdivision``.
+    ``matrix`` is D as a dense array, whose subdivisions are dense slices,
+    or as a QualityMatrix, whose subdivisions are formed densely up to
+    ``_FORM_MAX`` members and are a matrix-free ``Subdivision`` above that.
     """
     members = np.asarray(members, dtype=int)
     if members.size == 0:
         raise DomainError("subdivision matrix of an empty member set")
-    if members.size > _DENSE_MAX:
-        return Subdivision(matrix, members)
-    if isinstance(matrix, QualityMatrix):
-        sub = matrix.take(members).dense()
-    else:
+    if not isinstance(matrix, QualityMatrix):
         sub = matrix[np.ix_(members, members)]
+    elif members.size > _FORM_MAX:
+        return Subdivision(matrix, members)
+    else:
+        sub = matrix.take(members).dense()
     sub[np.diag_indices_from(sub)] -= sub.sum(axis=1)
     return sub
 
@@ -120,21 +124,24 @@ def _sign_split(u: np.ndarray) -> np.ndarray:
 def refine_cut(matrix: np.ndarray | Subdivision, z: np.ndarray) -> np.ndarray:
     """Move single cells across the cut while the gain strictly improves.
 
-    Greedy: repeatedly flips the single best cell with positive gain; the
-    quadratic form is updated incrementally, one column per flip.
+    Greedy: repeatedly flips the single best cell with positive gain, then
+    updates the quadratic form and the gains where the flipped cell's column
+    can be non-zero (for a ``Subdivision``, its layer cell and its row of B).
     Deterministic (first best index wins).
     """
     z = z.astype(float).copy()
     mz = matrix @ z
     diag = matrix.diagonal()
-    column = matrix.column if isinstance(matrix, Subdivision) else lambda j: matrix[:, j]
+    gains = 2.0 * (diag - z * mz)
+    column = getattr(matrix, "column_entries", lambda j: ((slice(None), matrix[:, j]),))
     for _ in range(4 * len(z) * len(z) + 8):
-        gains = 2.0 * (diag - z * mz)
         best = int(gains.argmax())
         if gains[best] <= _GAIN_EPS:
             break
         z[best] = -z[best]
-        mz += 2.0 * z[best] * column(best)
+        for at, col in column(best):
+            mz[at] += 2.0 * z[best] * col
+            gains[at] = 2.0 * (diag[at] - z[at] * mz[at])
     return z
 
 
@@ -237,19 +244,11 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         dq = 0.5 * float(z @ (sub @ z))
         n_neg = int((z < 0).sum())
         n_pos = members.size - n_neg
-        applied = (
-            dq > _GAIN_EPS
-            and min(n_pos, n_neg) >= min_community_size
-            and n_pos > 0
-            and n_neg > 0
-        )
+        applied = dq > _GAIN_EPS and min(n_pos, n_neg) >= max(1, min_community_size)
         divisions.append(Division(cid, dq, beta, applied))
         if applied:
-            neg = members[z < 0]
-            pos = members[z > 0]
-            labels[neg] = next_label
-            queue.append((cid, pos))
-            queue.append((next_label, neg))
+            labels[members[z < 0]] = next_label
+            queue += [(cid, members[z > 0]), (next_label, members[z < 0])]
             next_label += 1
     relocation = 0.0
     if refine:
@@ -283,13 +282,8 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
         "q_relocation": repr(relocation),
         "normalization": params.normalization,
     }
-    return DetectionResult(
-        partition=partition,
-        q_total=q_total,
-        divisions=tuple(divisions),
-        soft_labels=root_u,
-        meta=meta,
-    )
+    return DetectionResult(partition=partition, q_total=q_total, divisions=tuple(divisions),
+                           soft_labels=root_u, meta=meta)
 
 
 def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
@@ -302,7 +296,8 @@ def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
     ``root_divisible`` is False when the root split would not improve Q.
     """
     qm, _ = quality_matrix(net, spec, params)
-    sub = subdivision_matrix(qm, np.arange(qm.size))
+    # the root of spectral_partition: a slice of a small D, formed once
+    sub = subdivision_matrix(qm.dense() if qm.size <= _DENSE_MAX else qm, np.arange(qm.size))
     beta, u = leading_eigenpair(sub)
     z = _sign_split(u)
     dq = 0.5 * float(z @ (sub @ z))

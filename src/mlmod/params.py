@@ -51,6 +51,8 @@ class CouplingSpec:
             m = np.asarray(self.closeness, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DomainError("closeness matrix must be square")
+            if not np.isfinite(m).all():
+                raise DomainError("closeness matrix entries must be finite")
             if not np.allclose(m, m.T):
                 raise DomainError("closeness matrix must be symmetric")
             if (m < 0).any():

@@ -479,6 +479,24 @@ class TestWorkersAndStrategies:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("through_params", [False, True])
+    def test_non_finite_closeness_exit_2(self, tmp_path, capsys, through_params):
+        close = tmp_path / "close.txt"
+        close.write_text("0 inf 1\ninf 0 1\n1 1 0\n")
+        args = ["--coupling-strategy", "closeness", "--closeness-file", str(close)]
+        where = f"{close}: "
+        if through_params:
+            params = tmp_path / "params.txt"
+            params.write_text("coupling.strategy = closeness\ncloseness.file = close.txt\n")
+            args, where = ["--params-file", str(params)], f"{params}:2: "
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3", *args,
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert where in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "result_mspec.txt").exists()
+
     def test_sweep_on_loaded_network(self, tmp_path):
         edge = tmp_path / "e.txt"
         edge.write_text("1 1 2 1.0\n1 2 3 1.0\n2 1 2 1.0\n2 1 3 1.0\n")

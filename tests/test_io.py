@@ -26,7 +26,7 @@ from mlmod import (
     save_multiplex,
     save_result,
 )
-from mlmod.io import load_labels, load_manifest, load_params_file
+from mlmod.io import load_closeness, load_labels, load_manifest, load_params_file
 from mlmod.datasets import karate_manifest_path
 
 from oracles import dense_adjacency
@@ -181,6 +181,19 @@ class TestParamsFile:
         p.write_text("closeness.file = closeness.txt\n")
         out = load_params_file(str(p))
         assert np.array_equal(out["closeness"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
+    def test_non_finite_closeness_reports_position(self, tmp_path, entry):
+        m = tmp_path / "closeness.txt"
+        m.write_text(f"0 {entry}\n{entry} 0\n")
+        with pytest.raises(ParseError) as info:
+            load_closeness(str(m))
+        assert (info.value.path, info.value.line) == (str(m), None)
+        p = tmp_path / "params.txt"
+        p.write_text("omega = 1\ncloseness.file = closeness.txt\n")
+        with pytest.raises(ParseError) as info:
+            load_params_file(str(p))
+        assert (info.value.path, info.value.line) == (str(p), 2)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "params.txt"

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlmod.eigen
 from mlmod import (
     CouplingSpec,
     DomainError,
@@ -21,6 +24,9 @@ from mlmod import (
     quality_matrix,
     soft_labels,
 )
+from mlmod import mspec
+from mlmod.io import load_couplings, load_multiplex
+from mlmod.modularity import QualityMatrix, Subdivision
 from mlmod.mspec import subdivision_matrix
 
 from conftest import make_single_layer
@@ -31,8 +37,28 @@ from oracles import (
     dense_subdivision,
     max_partition_q,
     random_instance,
+    refine_reference,
 )
 from test_network import make_net
+
+
+@pytest.fixture(scope="module")
+def synth(tmp_path_factory):
+    """The synth-4096 benchmark instance of a seed, read from the files of
+    ``perfbench/workloads.py`` as ``mlmod detect`` reads them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("synth_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def build(seed):
+        paths = workloads.write_synth_inputs(str(tmp_path_factory.mktemp("synth")), seed)
+        net = load_multiplex(paths["edges"], paths["layers"], n_nodes=workloads.SYNTH_NODES)
+        net = net.with_couplings(load_couplings(paths["couplings"], net, net.n_nodes)[0])
+        params = ModularityParams.for_network(net, gamma=workloads.SYNTH_GAMMA)
+        return net, CouplingSpec(omega=workloads.SYNTH_OMEGA), params
+
+    return build
 
 
 def complete_graph(n):
@@ -278,7 +304,52 @@ class TestSoftLabels:
         params = ModularityParams.for_network(two_cliques)
         res = mspec_detect(two_cliques, CouplingSpec(), params)
         sl = soft_labels(two_cliques, CouplingSpec(), params)
-        assert np.allclose(res.soft_labels, sl.values)
+        assert np.array_equal(res.soft_labels, sl.values)
+
+    def test_root_vector_bit_for_bit_on_both_root_paths(self, synth):
+        # supra 340 is solved as a slice of the dense D, supra 4096 by ARPACK
+        karate, karate_params = build_karate_replica(10, [0.1 * (s + 1) for s in range(10)])
+        for net, spec, params in ((karate, CouplingSpec(omega=1.0), karate_params),
+                                  synth(3672)):
+            res = mspec_detect(net, spec, params)
+            sl = soft_labels(net, spec, params)
+            assert np.array_equal(sl.values, res.soft_labels)
+            assert sl.beta == res.divisions[0].beta
+
+
+class TestFactoredSubdivisions:
+    def test_no_lapack_and_no_dense_subdivision_above_form_max(self, synth, monkeypatch):
+        solved, formed = [], []
+        eigh, dense = mlmod.eigen.eigh, QualityMatrix.dense
+
+        def recording_eigh(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        def recording_dense(self):
+            formed.append(self.size)
+            return dense(self)
+
+        monkeypatch.setattr(mlmod.eigen, "eigh", recording_eigh)
+        monkeypatch.setattr(QualityMatrix, "dense", recording_dense)
+        res = mspec_detect(*synth(3672))
+        assert len(res.divisions) > 1
+        assert solved == []
+        assert all(size <= mspec._FORM_MAX for size in formed)
+
+    @pytest.mark.parametrize("seed", range(3672, 3678))
+    def test_every_cut_equals_the_full_column_reference(self, synth, monkeypatch, seed):
+        refine, views = mspec.refine_cut, []
+
+        def checked(matrix, z):
+            got = refine(matrix, z)
+            assert np.array_equal(got, refine_reference(matrix, z))
+            views.append(isinstance(matrix, Subdivision))
+            return got
+
+        monkeypatch.setattr(mspec, "refine_cut", checked)
+        mspec_detect(*synth(seed))
+        assert len(views) > 1 and all(views)
 
 
 def test_supra_8192_peak_rss_below_200mb():

@@ -24,6 +24,12 @@ class TestCouplingSpecValidation:
             CouplingSpec(strategy="closeness",
                          closeness=np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_closeness_rejected(self, bad):
+        m = np.array([[0.0, bad, 1.0], [bad, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(DomainError, match="finite"):
+            CouplingSpec(strategy="closeness", closeness=m)
+
     def test_closeness_shape_checked_at_use(self):
         net = make_net(2, [3])
         spec = CouplingSpec(strategy="closeness",
