@@ -215,7 +215,7 @@ class Subdivision:
 
     A product costs O(nnz(B_gg) + |g|): the sparse part through scipy's
     CSR kernel, one per-cell sum per null piece, and the row-sum shift
-    (Newman, PNAS 103:8577, 2006).  A column costs O(|cell| + degree).
+    (Newman, PNAS 103:8577, 2006).
     """
 
     def __init__(self, matrix: QualityMatrix, members):
@@ -237,13 +237,6 @@ class Subdivision:
         self.n_cells = sub.coefs.shape[1]
         self.rowsum = np.bincount(self.rows, weights=self.vals, minlength=m) - self._null(np.ones(m))
         self.null_diag = (self.c * (self.k * self.k)).sum(axis=0)
-        # each cell's members (a slice where consecutive) and their places there
-        self.by_cell, self.place = [], np.empty(m, dtype=np.intp)
-        for t in range(self.n_cells):
-            idx = np.flatnonzero(self.cells == t)
-            self.place[idx] = np.arange(idx.size)
-            whole = idx.size and idx[-1] - idx[0] == idx.size - 1
-            self.by_cell.append(slice(idx[0], idx[-1] + 1) if whole else idx)
 
     def _null(self, x: np.ndarray) -> np.ndarray:
         """Product of the same-cell null terms with x."""
@@ -254,25 +247,23 @@ class Subdivision:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.b @ x - self._null(x) - self.rowsum * x
 
-    __matmul__ = matvec
+    def __matmul__(self, x):
+        return self.matvec(x)
 
     def diagonal(self) -> np.ndarray:
         return -self.null_diag - self.rowsum
 
-    def column_entries(self, j: int) -> tuple[tuple, tuple]:
-        """Column j of M where it can be non-zero, as (rows, values) pairs
-        that name each row once: j's cell, with B's entries and the null
-        terms, and B's row j outside that cell."""
+    def column(self, j: int) -> np.ndarray:
+        """Column j of M as a dense vector: row j of the symmetric B plus
+        the null terms of j's cell."""
+        col = np.zeros(self.shape[0])
         lo, hi = self.indptr[j], self.indptr[j + 1]
-        cols, vals = self.cols[lo:hi], self.vals[lo:hi]
-        cell = self.by_cell[self.cells[j]]
-        inside = self.cells[cols] == self.cells[j]
-        col = np.zeros_like(self.rowsum[cell])
-        col[self.place[cols[inside]]] = vals[inside]
+        col[self.cols[lo:hi]] = self.vals[lo:hi]
+        same = self.cells == self.cells[j]
         for k, c in zip(self.k, self.c):
-            col -= c[j] * (k[j] * k[cell])
-        col[self.place[j]] -= self.rowsum[j]
-        return (cell, col), (cols[~inside], vals[~inside])
+            col[same] -= c[j] * (k[j] * k[same])
+        col[j] -= self.rowsum[j]
+        return col
 
     def asymmetry(self) -> float:
         """Largest |M_xy - M_yx|; the null terms are symmetric by construction."""

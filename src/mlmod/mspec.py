@@ -53,8 +53,9 @@ __all__ = [
 
 _GAIN_EPS = 1e-12
 # Largest subdivision of a factored D formed densely: forming, solving and
-# refining subsets of synth-4096 communities took 1.8/6.2 ms dense/matrix-free
-# at 128 rows, 9.1/9.6 at 320, 10.4/8.2 at 384, 30.7/10.8 at 512 (2 vCPUs).
+# refining subsets of synth-4096 communities took 2.2/7.3 ms dense/matrix-free
+# at 128 rows, 9.5/9.2 at 320, 12.9/9.9 at 384, 25.8/10.2 at 512 (2 vCPUs).
+# The benchmark cannot check it: its subdivisions all have 438+ rows.
 _FORM_MAX = 320
 # vertices per relocation block, and a cap on its (vertex, community) gains
 _BLOCK_MIN, _BLOCK_MAX, _BLOCK_ENTRIES = 16, 512, 1 << 14
@@ -116,6 +117,11 @@ def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarra
     return sub
 
 
+def _source(matrix: QualityMatrix) -> QualityMatrix | np.ndarray:
+    """D formed once if it is small, so that every subdivision is a slice."""
+    return matrix.dense() if matrix.size <= _DENSE_MAX else matrix
+
+
 def _sign_split(u: np.ndarray) -> np.ndarray:
     """Sign rule: non-negative entries go to +1."""
     return np.where(u >= 0.0, 1.0, -1.0)
@@ -124,24 +130,21 @@ def _sign_split(u: np.ndarray) -> np.ndarray:
 def refine_cut(matrix: np.ndarray | Subdivision, z: np.ndarray) -> np.ndarray:
     """Move single cells across the cut while the gain strictly improves.
 
-    Greedy: repeatedly flips the single best cell with positive gain, then
-    updates the quadratic form and the gains where the flipped cell's column
-    can be non-zero (for a ``Subdivision``, its layer cell and its row of B).
+    Greedy: repeatedly flips the single best cell with positive gain; the
+    quadratic form is updated incrementally, one column per flip.
     Deterministic (first best index wins).
     """
     z = z.astype(float).copy()
     mz = matrix @ z
     diag = matrix.diagonal()
-    gains = 2.0 * (diag - z * mz)
-    column = getattr(matrix, "column_entries", lambda j: ((slice(None), matrix[:, j]),))
+    column = matrix.column if isinstance(matrix, Subdivision) else lambda j: matrix[:, j]
     for _ in range(4 * len(z) * len(z) + 8):
+        gains = 2.0 * (diag - z * mz)
         best = int(gains.argmax())
         if gains[best] <= _GAIN_EPS:
             break
         z[best] = -z[best]
-        for at, col in column(best):
-            mz[at] += 2.0 * z[best] * col
-            gains[at] = 2.0 * (diag[at] - z[at] * mz[at])
+        mz += 2.0 * z[best] * column(best)
     return z
 
 
@@ -226,8 +229,7 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
     labels = np.zeros(n, dtype=int)
     divisions: list[Division] = []
     root_u: np.ndarray | None = None
-    # A small D is formed once, so that every subdivision is a plain slice.
-    source = matrix.dense() if n <= _DENSE_MAX else matrix
+    source = _source(matrix)
     next_label = 1
     queue: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
     while queue:
@@ -244,11 +246,19 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         dq = 0.5 * float(z @ (sub @ z))
         n_neg = int((z < 0).sum())
         n_pos = members.size - n_neg
-        applied = dq > _GAIN_EPS and min(n_pos, n_neg) >= max(1, min_community_size)
+        applied = (
+            dq > _GAIN_EPS
+            and min(n_pos, n_neg) >= min_community_size
+            and n_pos > 0
+            and n_neg > 0
+        )
         divisions.append(Division(cid, dq, beta, applied))
         if applied:
-            labels[members[z < 0]] = next_label
-            queue += [(cid, members[z > 0]), (next_label, members[z < 0])]
+            neg = members[z < 0]
+            pos = members[z > 0]
+            labels[neg] = next_label
+            queue.append((cid, pos))
+            queue.append((next_label, neg))
             next_label += 1
     relocation = 0.0
     if refine:
@@ -282,8 +292,13 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
         "q_relocation": repr(relocation),
         "normalization": params.normalization,
     }
-    return DetectionResult(partition=partition, q_total=q_total, divisions=tuple(divisions),
-                           soft_labels=root_u, meta=meta)
+    return DetectionResult(
+        partition=partition,
+        q_total=q_total,
+        divisions=tuple(divisions),
+        soft_labels=root_u,
+        meta=meta,
+    )
 
 
 def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
@@ -296,8 +311,7 @@ def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
     ``root_divisible`` is False when the root split would not improve Q.
     """
     qm, _ = quality_matrix(net, spec, params)
-    # the root of spectral_partition: a slice of a small D, formed once
-    sub = subdivision_matrix(qm.dense() if qm.size <= _DENSE_MAX else qm, np.arange(qm.size))
+    sub = subdivision_matrix(_source(qm), np.arange(qm.size))
     beta, u = leading_eigenpair(sub)
     z = _sign_split(u)
     dq = 0.5 * float(z @ (sub @ z))

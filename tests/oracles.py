@@ -329,40 +329,6 @@ def relocate_reference(matrix, labels, max_sweeps: int = 10):
     return labels, gain
 
 
-def refine_reference(matrix, z: np.ndarray) -> np.ndarray:
-    """``mspec.refine_cut`` as it was before it updated only the entries a
-    flip changes, kept as its reference: every gain is recomputed after
-    every flip, and the quadratic form is updated by a full-length column.
-
-    ``matrix`` is a dense subdivision matrix or a ``Subdivision``, whose
-    column j is built from its row j of B and the null terms of j's cell.
-    """
-    z = z.astype(float).copy()
-    mz = matrix @ z
-    diag = matrix.diagonal()
-
-    def column(j):
-        if isinstance(matrix, np.ndarray):
-            return matrix[:, j]
-        col = np.zeros(matrix.shape[0])
-        lo, hi = matrix.indptr[j], matrix.indptr[j + 1]
-        col[matrix.cols[lo:hi]] = matrix.vals[lo:hi]
-        same = matrix.cells == matrix.cells[j]
-        for k, c in zip(matrix.k, matrix.c):
-            col[same] -= c[j] * (k[j] * k[same])
-        col[j] -= matrix.rowsum[j]
-        return col
-
-    for _ in range(4 * len(z) * len(z) + 8):
-        gains = 2.0 * (diag - z * mz)
-        best = int(gains.argmax())
-        if gains[best] <= 1e-12:
-            break
-        z[best] = -z[best]
-        mz += 2.0 * z[best] * column(best)
-    return z
-
-
 def greedy_merge_reference(matrix: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Greedy merging by a scan of the whole work matrix, the reference for
     ``baselines._greedy_merge``, which finds the same pair from bounds on

@@ -26,7 +26,7 @@ from mlmod import (
 )
 from mlmod import mspec
 from mlmod.io import load_couplings, load_multiplex
-from mlmod.modularity import QualityMatrix, Subdivision
+from mlmod.modularity import QualityMatrix
 from mlmod.mspec import subdivision_matrix
 
 from conftest import make_single_layer
@@ -37,7 +37,6 @@ from oracles import (
     dense_subdivision,
     max_partition_q,
     random_instance,
-    refine_reference,
 )
 from test_network import make_net
 
@@ -336,20 +335,6 @@ class TestFactoredSubdivisions:
         assert len(res.divisions) > 1
         assert solved == []
         assert all(size <= mspec._FORM_MAX for size in formed)
-
-    @pytest.mark.parametrize("seed", range(3672, 3678))
-    def test_every_cut_equals_the_full_column_reference(self, synth, monkeypatch, seed):
-        refine, views = mspec.refine_cut, []
-
-        def checked(matrix, z):
-            got = refine(matrix, z)
-            assert np.array_equal(got, refine_reference(matrix, z))
-            views.append(isinstance(matrix, Subdivision))
-            return got
-
-        monkeypatch.setattr(mspec, "refine_cut", checked)
-        mspec_detect(*synth(seed))
-        assert len(views) > 1 and all(views)
 
 
 def test_supra_8192_peak_rss_below_200mb():
