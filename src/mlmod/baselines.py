@@ -89,7 +89,6 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
     relocation sweeps.
     """
     qm, chi = quality_matrix(net, spec, params)
-    d = qm.dense()
     n = qm.size
     best_labels: np.ndarray | None = None
     best_q = -np.inf
@@ -97,11 +96,12 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
     for r in range(_RESTARTS):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, r))))
         perm = rng.permutation(n)
-        m = d[np.ix_(perm, perm)]
+        pq = qm.take(perm)
+        m = pq.dense()
         q0 = float(np.trace(m))
         labels, trace = _greedy_merge(m, q0)
         q = trace[-1] if trace else q0
-        labels, gain = kl_relocate(qm.take(perm), labels, max_sweeps=_SWEEPS)
+        labels, gain = kl_relocate(pq, labels, max_sweeps=_SWEEPS)
         q += gain
         trace = trace + [q]
         if q > best_q:

@@ -4,8 +4,9 @@ first column names a row-major cell of the single-aspect network they
 flatten to) and detection-result documents.
 
 All node and layer ids in files are 1-based.  Lines starting with ``#``
-are comments; blank lines are ignored.  Parse failures raise ParseError
-with the path and 1-based line number.
+are comments; blank lines are ignored.  numpy's reader reads uniform
+tables and a line loop the rest; parse failures raise ParseError with
+the path and 1-based line number.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from io import StringIO
 
 import numpy as np
 
@@ -55,63 +57,51 @@ def _data_lines(path: str, text: str | None = None):
             yield lineno, stripped
 
 
-def _bulk_table(text: str, n_int: int):
-    """``_read_rows`` in one pass over the bytes of ``text``, or None when a
-    line needs the line loop: text that is not ASCII, whitespace other than
-    spaces and tabs, a row of another width, an integer that is not 1 to 18
-    ASCII digits (which any conversion reads as ``int`` does), or a number
-    ``float`` rejects."""
-    if not text.isascii():
-        return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = (b == 32) | (b == 9) | (b == 10)
-    if ((b < 32) & ~space).any():
-        return None
-    edges = np.flatnonzero(np.concatenate(([True], space)) != np.concatenate((space, [True])))
-    start, stop = edges[::2], edges[1::2]  # token spans
-    line = np.cumsum(b == 10, dtype=np.int32)[start]
-    lead = np.ones(start.size, dtype=bool)  # first token of its line
-    lead[1:] = line[1:] != line[:-1]
-    heads = np.flatnonzero(lead)  # a line whose first token starts with '#' is a comment
-    keep = np.repeat(b[start[heads]] != ord("#"), np.diff(np.append(heads, start.size)))
-    start, stop, lead, line = start[keep], stop[keep], lead[keep], line[keep]
-    heads = np.flatnonzero(lead)
-    width = np.diff(np.append(heads, start.size))
-    if not ((width == n_int) | (width == n_int + 1)).all():
-        return None
-    is_int = np.arange(start.size) - np.repeat(heads, width) < n_int
-    lo, hi = start[is_int], stop[is_int]
-    non_digit = np.concatenate(([0], np.cumsum((b < 48) | (b > 57), dtype=np.int32)))
-    if ((hi - lo > 18) | (non_digit[hi] != non_digit[lo])).any():
-        return None
-    value = np.zeros(lo.size, dtype=np.int64)
-    for k in range(int((hi - lo).max(initial=0))):  # Horner, digit by digit
-        at = np.minimum(lo + k, hi - 1)
-        value = np.where(lo + k < hi, value * 10 + (b[at] - 48), value)
-    try:
-        extra = np.array([float(text[i:j]) for i, j in
-                          zip(start[~is_int].tolist(), stop[~is_int].tolist())])
-    except ValueError:
-        return None
-    return line[heads] + 1, value.reshape(-1, n_int).T, width > n_int, extra
+def _comment_after_token(text: str) -> bool:
+    """Whether a ``#`` follows a token on its line: numpy's reader would
+    drop the rest of that line, where the line loop rejects it.  Only the
+    first ``#`` of each line is visited."""
+    at = text.find("#")
+    while at >= 0:
+        if text[text.rfind("\n", 0, at) + 1:at].strip():
+            return True
+        end = text.find("\n", at)
+        at = -1 if end < 0 else text.find("#", end)
+    return False
 
 
 def _read_rows(path: str, n_int: int, check, row):
-    """Data lines of ``n_int`` integers and an optional number: 1-based line
-    numbers, (n_int, rows) int64 columns, the mask of rows with the number
-    and those numbers.  With a ``check``, one bulk pass reads them when it
-    can and ``check(*result)`` holds; otherwise ``row(parts, path, lineno)``
-    parses line after line, returning the integers and the number or None,
-    and raises at the first bad line."""
+    """Data lines of ``n_int`` integers and an optional number: a lookup of
+    row k's 1-based line number (counted only when asked), (n_int, rows)
+    int64 columns, the mask of rows with the number and those numbers.
+    With a ``check``, numpy's reader reads a table of the first data row's
+    width if ``check(columns, mask, numbers)`` accepts it; otherwise
+    ``row(parts, path, lineno)`` parses line after line, returning the
+    integers and the number or None, and raises at the first bad line."""
     text = _read_text(path)
-    table = _bulk_table(text, n_int) if check else None
-    if table is not None and check(*table):
-        return table
-    rows = np.array([(n, *row(line.split(), path, n)) for n, line in _data_lines(path, text)],
-                    dtype=object).reshape(-1, n_int + 2)
+
+    def lineno(k: int) -> int:
+        return next(itertools.islice(_data_lines(path, text), k, None))[0]
+
+    first = next(_data_lines(path, text), None)
+    # numpy 2.4's reader can crash the process on characters beyond U+FFFF,
+    # so only ASCII text reaches it
+    if check and first is not None and text.isascii() and not _comment_after_token(text):
+        has_number = len(first[1].split()) > n_int
+        dtype = [(f"c{k}", np.int64) for k in range(n_int)] + [("x", float)] * has_number
+        try:
+            cols = np.loadtxt(StringIO(text), dtype=dtype, comments="#", ndmin=1, unpack=True)
+        except ValueError:  # a bad line, an int64 overflow, another width or spelling
+            pass
+        else:
+            table = (np.array(cols[:n_int]), np.full(cols[0].size, has_number),
+                     cols[n_int] if has_number else np.empty(0))
+            if check(*table):
+                return (lineno, *table)
+    rows = np.array([row(line.split(), path, n) for n, line in _data_lines(path, text)],
+                    dtype=object).reshape(-1, n_int + 1)
     has = rows[:, -1] != None  # noqa: E711 (elementwise)
-    return (rows[:, 0].astype(np.int64), rows[:, 1:-1].T.astype(np.int64), has,
-            rows[has, -1].astype(float))
+    return lineno, rows[:, :-1].T.astype(np.int64), has, rows[has, -1].astype(float)
 
 
 def _parse_int(token: str, what: str, path: str, lineno: int) -> int:
@@ -141,18 +131,18 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _raise_first(path: str, lineno: np.ndarray, checks) -> None:
+def _raise_first(path: str, lineno, checks) -> None:
     """Raise at the first of the rows read from ``path`` that fails one of
     ``checks``: (mask of failing rows, error class, message of row k)
-    triples in the order a row is checked.  A DomainError carries the
-    position in its message."""
+    triples in the order a row is checked.  ``lineno(k)`` is row k's line;
+    a DomainError carries the position in its message."""
     bad = np.logical_or.reduce([mask for mask, _, _ in checks])
     if bad.any():
         k = int(bad.argmax())
         cls, message = next((cls, message(k)) for mask, cls, message in checks if mask[k])
         if cls is ParseError:
-            raise ParseError(message, path, int(lineno[k]))
-        raise cls(f"{path}:{lineno[k]}: {message}")
+            raise ParseError(message, path, lineno(k))
+        raise cls(f"{path}:{lineno(k)}: {message}")
 
 
 def _cells(sizes, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -263,7 +253,7 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     ``net.with_couplings(table)`` puts it on the network.
     """
     lineno, (node, sa, va, sb, vb), has_m, m = _read_rows(
-        path, 5, lambda _, c, has_m, m: bool(np.isfinite(m).all()), _coupling_row)
+        path, 5, lambda c, has_m, m: bool(np.isfinite(m).all()), _coupling_row)
     ca, cb = _cells(net.aspect_sizes, sa, va), _cells(net.aspect_sizes, sb, vb)
     magnitude = np.zeros(node.size)
     magnitude[has_m] = m
@@ -298,7 +288,7 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     and every id below it must appear somewhere (no silent gaps).  Coupling
     magnitudes, when the coupling file has them, travel with the couplings.
     """
-    table = _read_rows(edge_path, 3, lambda _, c, has_w, w: bool(np.isfinite(w).all() and (
+    table = _read_rows(edge_path, 3, lambda c, has_w, w: bool(np.isfinite(w).all() and (
         (c >= 1).all() and (c[1] != c[2]).all())), _edge_row)
     lineno, (layer, _, _), _, _ = table
     if layer_path is not None:
@@ -309,7 +299,7 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
         if unknown.any():
             k = int(unknown.argmax())
             raise ParseError(f"layer id {layer[k]} not declared in {layer_path}",
-                             edge_path, int(lineno[k]))
+                             edge_path, lineno(k))
         cell = np.array([cell_of_layer_id[x] for x in declared.tolist()])[at]
     else:
         layer_ids = np.unique(layer).tolist()
@@ -471,7 +461,7 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
         return (_parse_int(parts[0], "node id", path, lineno),
                 _parse_int(parts[1], "label", path, lineno), None)
 
-    lineno, (node, label), _, _ = _read_rows(path, 2, lambda _, c, has, x: not has.any(), row)
+    lineno, (node, label), _, _ = _read_rows(path, 2, lambda c, has, x: not has.any(), row)
     _raise_first(path, lineno, [
         ((node < 1) | (node > n_nodes), DomainError, lambda k: f"node id {node[k]} out of range"),
         (label < 0, ParseError, lambda k: f"label must be >= 0, got {label[k]}"),
@@ -666,14 +656,13 @@ def save_result(result: DetectionResult, path: str, net: MultilayerNetwork) -> N
             f"{'applied' if div.applied else 'rejected'}"
         )
     lines.append("#cells nodeId layerId aspectId communityId softLabel")
-    labels = result.partition.labels
-    idx = 0
-    for v, aspect in enumerate(net.aspects):
-        for s in range(len(aspect.layers)):
-            for i in range(net.n_nodes):
-                soft_txt = "-" if soft is None else repr(float(soft[idx]))
-                lines.append(f"{i + 1} {s + 1} {v + 1} {labels[idx] + 1} {soft_txt}")
-                idx += 1
+    nodes = [str(i + 1) for i in range(net.n_nodes)]
+    cells = [f"{s + 1} {v + 1}" for v, size in enumerate(net.aspect_sizes) for s in range(size)]
+    lines += map(" ".join, zip(nodes * len(cells),
+                               (cell for cell in cells for _ in nodes),
+                               map(str, (result.partition.labels + 1).tolist()),
+                               ["-"] * net.supra_size if soft is None
+                               else map(repr, np.asarray(soft, dtype=float).tolist())))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -732,12 +721,12 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
                 _parse_float(parts[4], "soft label", path, lineno))
 
     lineno, (node, layer, aspect, community), has_soft, soft = _read_rows(
-        path, 4, lambda _, c, has, x: bool(has.all() and np.isfinite(x).all()), row)
+        path, 4, lambda c, has, x: bool(has.all() and np.isfinite(x).all()), row)
     if n_nodes is None or aspect_sizes is None or q_total is None:
         raise ParseError("result document is missing required metadata", path)
     size = sum(aspect_sizes) * n_nodes
-    if lineno.size != size:
-        raise ParseError(f"expected {size} cell rows, found {lineno.size}", path)
+    if node.size != size:
+        raise ParseError(f"expected {size} cell rows, found {node.size}", path)
     cell = _cells(aspect_sizes, layer, aspect)
     inside = (cell >= 0) & (node >= 1) & (node <= n_nodes)
     x = np.where(inside, cell * n_nodes + node - 1, -1)

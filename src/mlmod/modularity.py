@@ -77,9 +77,10 @@ class Partition:
         return Partition(rank[inverse])
 
 
-def _warn_empty(kind: str, cell: int):
+def _warn_empty(kind: str | None, cell: int):
+    edges = f"{kind} edges" if kind else "edges"
     warnings.warn(
-        f"layer cell {cell} has no {kind} edges; its within-layer term is 0",
+        f"layer cell {cell} has no {edges}; its within-layer term is 0",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -358,7 +359,7 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
         pieces = (("+", 1.0, "positive"), ("-", -1.0, "negative"))
         gammas = params.gamma_signed()
     else:
-        pieces, gammas = ((None, 1.0, "any"),), (params.gamma,)
+        pieces, gammas = ((None, 1.0, None),), (params.gamma,)
     N, n = net.n_nodes, net.supra_size
     strengths = np.zeros((len(pieces), n))
     coefs = np.zeros((len(pieces), net.n_cells))

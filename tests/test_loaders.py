@@ -1,11 +1,13 @@
-"""The bulk file readers and the array-native builders against their
-line-by-line references in ``tests/oracles.py``.
+"""The file readers, numpy's reader with the line loop behind it, and the
+array-native builders against their line-by-line references in
+``tests/oracles.py``.
 
 Files are generated with comments, blank lines, mixed 3- and 4-column
-rows, duplicate and reversed edges, awkward weights and token spellings
-that only the line loop reads; the bulk loader must return the
-reference's network bit for bit, and every malformed line must raise the
-reference's exception with the same message.
+rows (which the line loop reads), duplicate and reversed edges, awkward
+weights and token spellings that only the line loop reads; the loader
+must return the reference's network bit for bit, and every malformed
+line must raise the reference's exception with the same message.
+Uniform tables must never reach the line loop.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ from hypothesis import strategies as st
 from mlmod import (
     Aspect,
     CouplingSpec,
+    DetectionResult,
     DomainError,
     MlmodError,
     ModularityParams,
     MultilayerNetwork,
     ParseError,
+    Partition,
     generate_couplings,
     load_multiplex,
+    load_result,
     quality_matrix,
     save_multiplex,
+    save_result,
 )
-from mlmod.io import load_aspect_grid, load_couplings
+from mlmod.io import load_aspect_grid, load_couplings, load_labels
 from mlmod.network import Couplings, Edges, normalize_edges
 
 from oracles import (
@@ -42,7 +48,7 @@ from oracles import (
 )
 
 WEIGHTS = ["1", "2.5", "0.1", "1e-300", "3.0000000000000004", "-0.75", "7", "1E2", ".5"]
-# spellings int() and float() accept that the bulk pass leaves to the line loop
+# spellings int() accepts: numpy's reader reads '+1' and '01' as int() does, the line loop the rest
 ODD_IDS = {1: ["+1", "01", "\uff11"], 2: ["+2", "002", "0_2"]}
 NOISE = ["", "# comment", "   ", "\t# indented comment", "#1 2 3", "# café"]
 
@@ -307,16 +313,112 @@ def test_plain_files_never_reach_the_line_loop(tmp_path, monkeypatch):
     def line_loop(*args):
         raise AssertionError("the line loop read a plain file")
 
+    def first_line_only(path, text=None):  # the reader may look at the first row's width
+        lines = data_lines(path, text)
+        yield next(lines)
+        line_loop()
+
+    data_lines = mlmod.io._data_lines
     monkeypatch.setattr(mlmod.io, "_edge_row", line_loop)
     monkeypatch.setattr(mlmod.io, "_coupling_row", line_loop)
-    (tmp_path / "e.txt").write_text("# layerId nodeId nodeId\n1 1 2\n\n 2\t2 3 0.5\n1 3 1 1e-300\n")
-    (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
-    (tmp_path / "c.txt").write_text("# couplings\n1 1 1 2 1 0.5\n3 2 1 1 1\n")
-    net = load_multiplex(*(str(tmp_path / n) for n in ("e.txt", "l.txt", "c.txt")))
+    files = {
+        "e3.txt": "# layerId nodeId nodeId # no weight\n1 1 2\n\n 2\t2 3\n1 3 1\n",
+        "e4.txt": "# layerId nodeId nodeId weight\n1 1 2 1\n\n 2\t2 3 0.5\n1 3 1 1e-300\n",
+        "l.txt": "1 1 a\n2 1 b\n",
+        "c5.txt": "# couplings\n1 1 1 2 1\n3 2 1 1 1\n",
+        "c6.txt": "# couplings\n1 1 1 2 1 0.5\n3 2 1 1 1 0\n",
+        "gt.txt": "# nodeId label\n1 0\n\n2 1\n3 0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = lambda name: str(tmp_path / name)
+    net = load_multiplex(path("e3.txt"), path("l.txt"), path("c5.txt"))
+    assert tuple(net.within_edges[0]) == ((0, 1, 1.0), (0, 2, 1.0))
+    assert tuple(net.within_edges[1]) == ((1, 2, 1.0),)
+    assert net.couplings == {(0, 0, 1), (2, 0, 1)} and net.couplings.magnitude is None
+    net = load_multiplex(path("e4.txt"), path("l.txt"), path("c6.txt"))
     assert tuple(net.within_edges[0]) == ((0, 1, 1.0), (0, 2, 1e-300))
     assert tuple(net.within_edges[1]) == ((1, 2, 0.5),)
-    assert net.couplings == {(0, 0, 1), (2, 0, 1)}
     assert net.couplings.magnitude.tolist() == [0.5, 0.0]
+    result = DetectionResult(Partition(np.array([0, 1, 1, 0, 2, 2])), 0.5, (),
+                             np.array([0.25, -1e-300, 3.0000000000000004, 0.0, 1e300, -0.5]))
+    save_result(result, path("r.txt"), net)
+    monkeypatch.setattr(mlmod.io, "_data_lines", first_line_only)
+    assert load_labels(path("gt.txt"), 3).tolist() == [0, 1, 0]
+    back, _ = load_result(path("r.txt"))
+    assert np.array_equal(back.partition.labels, result.partition.labels)
+    assert np.array_equal(back.soft_labels, result.soft_labels)
+
+
+def test_mixed_width_files_take_the_line_loop(tmp_path, monkeypatch):
+    import mlmod.io
+
+    lines = []
+    for name in ("_edge_row", "_coupling_row"):
+        read = getattr(mlmod.io, name)
+        monkeypatch.setattr(mlmod.io, name,
+                            lambda parts, path, n, read=read: lines.append(n) or read(parts, path, n))
+    edge, couplings = tmp_path / "e.txt", tmp_path / "c.txt"
+    edge.write_text("# layerId nodeId nodeId\n1 1 2\n\n 2\t2 3 0.5\n1 3 1 1e-300\n")
+    couplings.write_text("# couplings\n1 1 1 2 1 0.5\n3 2 1 1 1\n")
+    _same_network(load_multiplex(str(edge)), load_multiplex_reference(str(edge)))
+    assert lines == [2, 4, 5]
+    net = _grid_net()
+    table, _ = load_couplings(str(couplings), net, 4)
+    want, magnitudes = load_couplings_reference(str(couplings), net, 4)
+    assert table == want and table.magnitude.tolist() == [magnitudes.get(c, 0.0) for c in table]
+    assert lines == [2, 4, 5, 2, 3]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("e.txt", "1 1 2\n1 2 3 # note\n2 1 3\n"),
+    ("e.txt", "# header # with a second mark\n1 1 2\n2 1 3 # note\n"),
+    ("e.txt", "1 1 2\n2 1 3#4\n"),
+    ("c.txt", "1 1 1 2 1\n# c\n2 1 1 1 2 #\n"),
+])
+def test_mark_after_a_token_is_not_a_comment(name, text, tmp_path):
+    # numpy's reader would drop the rest of the line; the line loop rejects it
+    path = tmp_path / name
+    path.write_text(text)
+    net = _grid_net()
+    load, reference = ((lambda p: load_multiplex(p), lambda p: load_multiplex_reference(p))
+                       if name == "e.txt" else
+                       (lambda p: load_couplings(p, net, 4), lambda p: load_couplings_reference(p, net, 4)))
+    with pytest.raises(MlmodError) as want:
+        reference(str(path))
+    with pytest.raises(type(want.value)) as got:
+        load(str(path))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("char", ["\U00050000", "\U0009c6ca", "\U0010ffff"])
+def test_characters_beyond_the_bmp_take_the_line_loop(char, tmp_path):
+    # numpy 2.4's reader can crash the process on such a character after a digit
+    path = tmp_path / "e.txt"
+    path.write_text(f"1 1 2\n1 2 3{char}\n")
+    with pytest.raises(ParseError) as want:
+        load_multiplex_reference(str(path))
+    with pytest.raises(ParseError) as got:
+        load_multiplex(str(path))
+    assert str(got.value) == str(want.value)
+
+
+def test_files_without_data_rows_do_not_warn(tmp_path):
+    (tmp_path / "e.txt").write_text("# layerId nodeId nodeId\n\n# nothing\n")
+    (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
+    (tmp_path / "gt.txt").write_text("")
+    edge, layers = str(tmp_path / "e.txt"), str(tmp_path / "l.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _same_network(load_multiplex(edge, layers, n_nodes=3),
+                      load_multiplex_reference(edge, layers, n_nodes=3))
+        with pytest.raises(ParseError) as want:
+            load_multiplex_reference(edge, layers)
+        with pytest.raises(ParseError) as got:
+            load_multiplex(edge, layers)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ParseError, match=r"gt\.txt: ground truth does not label every node"):
+            load_labels(str(tmp_path / "gt.txt"), 3)
 
 
 @st.composite

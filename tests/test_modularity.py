@@ -184,6 +184,17 @@ class TestMatrix:
             dm = build_modularity_matrix(net, CouplingSpec(omega=0.0), params)
         assert not dm.matrix[3:, 3:].any()
 
+    @pytest.mark.parametrize("signed, cells, message", [
+        (False, (((0, 1, 1.0),), ()), "layer cell 1 has no edges; its within-layer term is 0"),
+        (True, (((0, 1, 1.0),),), "layer cell 0 has no negative edges; its within-layer term is 0"),
+        (True, (((0, 1, -1.0),),), "layer cell 0 has no positive edges; its within-layer term is 0"),
+    ])
+    def test_empty_layer_warning_names_the_missing_edges(self, signed, cells, message):
+        net = make_net(3, [len(cells)], edges_by_cell=cells)
+        params = ModularityParams.for_network(net, signed=signed)
+        with pytest.warns(RuntimeWarning, match=f"^{message}$"):
+            quality_matrix(net, CouplingSpec(), params)
+
     def test_negative_edges_need_signed(self, signed_triangle):
         params = ModularityParams.for_network(signed_triangle)
         with pytest.raises(DomainError):
