@@ -13,6 +13,7 @@ Uniform tables must never reach the line loop.
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +103,37 @@ def test_bulk_loader_with_layer_file(text, tmp_path_factory):
     path = _write(tmp_path_factory, text)
     layers = _write(tmp_path_factory, "3 1 c\n1 2 a\n2 1 b\n", "l.txt")
     _same_network(load_multiplex(path, layers), load_multiplex_reference(path, layers))
+
+
+@st.composite
+def uniform_edge_files(draw, n_layers=2, n_nodes=5):
+    """ASCII edge files whose rows all carry a weight or none, with spellings
+    numpy's reader reads: files that never reach the line loop."""
+    weighted = draw(st.booleans())
+    pair = st.lists(st.integers(1, n_nodes), min_size=2, max_size=2, unique=True)
+    rows = draw(st.lists(st.tuples(st.integers(1, n_layers), pair), max_size=25))
+    rows += [(t, [1, n_nodes]) for t in range(1, n_layers + 1)]
+    rows += [(1, [k, k + 1]) for k in range(1, n_nodes)]
+    lines = []
+    for layer, (i, j) in rows:
+        tokens = [str(layer), draw(st.sampled_from([str(i), f"+{i}", f"0{i}"])), str(j)]
+        if weighted:
+            tokens.append(draw(st.sampled_from(WEIGHTS)))
+        lines.append(draw(st.sampled_from([" ", "\t", "  ", " \x0c"])).join(tokens))
+    lines += draw(st.lists(st.sampled_from([n for n in NOISE if n.isascii()]), max_size=5))
+    draw(st.randoms()).shuffle(lines)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=uniform_edge_files())
+def test_numpy_read_returns_the_reference_network(text, tmp_path_factory):
+    import mlmod.io
+
+    path = _write(tmp_path_factory, text)
+    with mock.patch.object(mlmod.io, "_edge_row", side_effect=AssertionError("line loop")):
+        got = load_multiplex(path)
+    _same_network(got, load_multiplex_reference(path))
 
 
 def test_weights_sum_in_input_order_bit_for_bit(tmp_path):
