@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from io import StringIO
 
@@ -89,9 +90,11 @@ def _read_rows(path: str, n_int: int, check, row):
     if check and first is not None and text.isascii() and not _comment_after_token(text):
         has_number = len(first[1].split()) > n_int
         dtype = [(f"c{k}", np.int64) for k in range(n_int)] + [("x", float)] * has_number
-        try:
-            cols = np.loadtxt(StringIO(text), dtype=dtype, comments="#", ndmin=1, unpack=True)
-        except ValueError:  # a bad line, an int64 overflow, another width or spelling
+        try:  # an older numpy reads '2.5' in an int column as 2 and only warns
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cols = np.loadtxt(StringIO(text), dtype=dtype, comments="#", ndmin=1, unpack=True)
+        except (ValueError, Warning):  # a bad line, an int64 overflow, another width or spelling
             pass
         else:
             table = (np.array(cols[:n_int]), np.full(cols[0].size, has_number),
@@ -429,23 +432,13 @@ def load_dataset(manifest_path: str):
 
     net = load_multiplex(resolve(manifest.edge_file), resolve(manifest.layer_file),
                          resolve(manifest.coupling_file), n_nodes=manifest.n_nodes)
-    if net.n_cells != manifest.n_layers:
-        raise ParseError(
-            f"manifest declares {manifest.n_layers} layers, files contain {net.n_cells}",
-            manifest_path,
-        )
-    if len(net.aspects) != manifest.n_aspects:
-        raise ParseError(
-            f"manifest declares {manifest.n_aspects} aspects, files contain {len(net.aspects)}",
-            manifest_path,
-        )
-    if manifest.n_edges is not None:
-        total = sum(len(e) for e in net.within_edges)
-        if total != manifest.n_edges:
-            raise ParseError(
-                f"manifest declares {manifest.n_edges} edges, files contain {total}",
-                manifest_path,
-            )
+    for what, declared, found in (
+            ("layers", manifest.n_layers, net.n_cells),
+            ("aspects", manifest.n_aspects, len(net.aspects)),
+            ("edges", manifest.n_edges, sum(len(e) for e in net.within_edges))):
+        if declared is not None and declared != found:
+            raise ParseError(f"manifest declares {declared} {what}, files contain {found}",
+                             manifest_path)
     truth = None
     if manifest.ground_truth is not None:
         truth = load_labels(resolve(manifest.ground_truth), manifest.n_nodes)

@@ -153,6 +153,22 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_dataset(str(man))
 
+    @pytest.mark.parametrize("line, what", [
+        ("layers = 3", "3 layers, files contain 2"),
+        ("layers = 2\naspects = 2", "2 aspects, files contain 1"),
+        ("layers = 2\nedges = 4", "4 edges, files contain 3"),
+    ])
+    def test_count_mismatch_names_the_count(self, line, what, tmp_path):
+        from mlmod import load_dataset
+
+        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
+        man = tmp_path / "m.txt"
+        man.write_text(f"nodes = 3\n{line}\nedge_file = e.txt\n")
+        with pytest.raises(ParseError, match=f"m.txt: manifest declares {what}$"):
+            load_dataset(str(man))
+        man.write_text("nodes = 3\nlayers = 2\naspects = 1\nedges = 3\nedge_file = e.txt\n")
+        assert load_dataset(str(man))[0].n_cells == 2
+
     def test_missing_key(self, tmp_path):
         man = tmp_path / "m.txt"
         man.write_text("name = x\n")

@@ -6,8 +6,9 @@ Files are generated with comments, blank lines, mixed 3- and 4-column
 rows (which the line loop reads), duplicate and reversed edges, awkward
 weights and token spellings that only the line loop reads; the loader
 must return the reference's network bit for bit, and every malformed
-line must raise the reference's exception with the same message.
-Uniform tables must never reach the line loop.
+line must raise the reference's exception with the same message, also
+in a uniform file, which numpy's reader is handed first.  Uniform
+tables must never reach the line loop.
 """
 
 from __future__ import annotations
@@ -230,6 +231,64 @@ def test_malformed_coupling_line_raises_the_reference_error(bad, tmp_path):
     with pytest.raises(type(want.value)) as got:
         load_couplings(str(path), net, 4)
     assert str(got.value) == str(want.value)
+
+
+def _uniform_rows(rows, bad, at, width):
+    """``rows`` with the malformed line ``bad`` inserted at ``at``: all of
+    ``width`` columns (the last one a number of 1 on rows that lack it), so
+    that numpy's reader is handed every bad line that has the file's width."""
+    lines = [row + " 1" * (width - len(row.split())) for row in rows]
+    lines.insert(at, bad)
+    return "# header\n" + "\n".join(lines) + "\n"
+
+
+def _same_error_reaching_numpy(text, load, reference, path):
+    path.write_text(text)
+    with pytest.raises(MlmodError) as want:
+        reference(str(path))
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as numpy_read:
+        with pytest.raises(type(want.value)) as got:
+            load(str(path))
+    assert str(got.value) == str(want.value)
+    rows = [line for line in text.split("\n") if line.strip() and line.split()[0][0] != "#"]
+    if len({len(row.split()) for row in rows}) == 1 and not any("#" in row for row in rows):
+        assert numpy_read.called
+
+
+@pytest.mark.parametrize("bad", BAD_EDGE_LINES)
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("width", [3, 4])
+def test_malformed_edge_line_in_a_uniform_file_raises_the_reference_error(
+        bad, at, width, tmp_path):
+    text = _uniform_rows(["1 1 2", "1 2 3", "2 1 3"], bad, at, width)
+    _same_error_reaching_numpy(text, load_multiplex, load_multiplex_reference, tmp_path / "e.txt")
+
+
+@pytest.mark.parametrize("bad", BAD_COUPLING_LINES)
+@pytest.mark.parametrize("width", [5, 6])
+def test_malformed_coupling_line_in_a_uniform_file_raises_the_reference_error(
+        bad, width, tmp_path):
+    net = _grid_net()
+    _same_error_reaching_numpy(_uniform_rows(["1 1 1 2 1", "2 1 1 1 2"], bad, 1, width),
+                               lambda p: load_couplings(p, net, 4),
+                               lambda p: load_couplings_reference(p, net, 4), tmp_path / "c.txt")
+
+
+def test_a_numpy_read_that_warns_takes_the_line_loop(tmp_path):
+    # numpy 1.23 deprecated reading '2.5' in an int64 column as 2; until that expired it only warned
+    read = np.loadtxt
+
+    def truncating_read(text, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        cols = read(text, dtype=[(name, float) for name, _ in dtype], **kwargs)
+        return [col.astype(kind) for col, (_, kind) in zip(cols, dtype)]
+
+    path = tmp_path / "e.txt"
+    path.write_text("1 1 2\n1 2.5 3\n1 1e2 3\n")
+    with mock.patch.object(np, "loadtxt", truncating_read):
+        with pytest.raises(ParseError, match=r"e\.txt:2: expected integer node id, got '2\.5'"):
+            load_multiplex(str(path))
 
 
 def test_undecodable_file_is_a_parse_error(tmp_path, capsys):
