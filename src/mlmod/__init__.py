@@ -34,7 +34,6 @@ from .datasets import build_karate_replica, load_karate
 from .io import (
     load_aspect_grid,
     load_dataset,
-    load_manifest,
     load_multiplex,
     load_result,
     save_multiplex,

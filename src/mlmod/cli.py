@@ -33,7 +33,7 @@ from .io import (
 from .modularity import modularity
 from .mspec import mspec_detect
 from .network import generate_couplings
-from .params import CouplingSpec, ModularityParams
+from .params import COUPLING_STRATEGIES, CouplingSpec, ModularityParams
 
 ALGORITHMS = ("mspec", "mlouv", "smean", "sfull")
 DEFAULT_OMEGAS = (0.0, 0.01, 0.1, 1.0, 10.0)
@@ -60,8 +60,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, nargs="+",
                    help="layer weight(s): one value or one per layer")
     p.add_argument("--omega", type=float, nargs="+", help="coupling strength(s)")
-    p.add_argument("--coupling-strategy", default=None,
-                   choices=("uniform", "closeness", "temporal", "explicit"))
+    p.add_argument("--coupling-strategy", default=None, choices=COUPLING_STRATEGIES)
     p.add_argument("--closeness-file", help="dense closeness matrix file")
     p.add_argument("--params-file", help="key-value parameter file")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed for stochastic steps")
@@ -74,19 +73,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _file_params(args) -> dict:
-    fpar = load_params_file(args.params_file) if args.params_file else {}
-    if args.closeness_file:
-        fpar["closeness"] = load_closeness(args.closeness_file)
-    return fpar
-
-
-def _resolve_network(args, fpar: dict):
+def _resolve_network(args):
     """Build the network; coupling magnitudes travel with its couplings."""
     if args.dataset == "karate":
         net, _ = load_karate()
     elif args.dataset == "karate-replica":
-        # the replica's layers do not depend on gamma, which _resolve_params sets
+        # the replica's layers do not depend on gamma, which _setup sets
         net, _ = build_karate_replica(args.layers, [1.0] * args.layers)
     elif args.manifest:
         net, _ = load_dataset(args.manifest)
@@ -99,34 +91,36 @@ def _resolve_network(args, fpar: dict):
     return net
 
 
-def _resolve_params(args, net, fpar: dict) -> ModularityParams:
-    gamma = args.gamma if args.gamma is not None else fpar.get("gamma", 1.0)
-    lam = args.lam if args.lam is not None else fpar.get("lambda", 1.0)
-    if args.dataset == "karate-replica" and args.gamma is None and "gamma" not in fpar:
-        gamma = [round(0.1 * (s + 1), 10) for s in range(args.layers)]
-    signed = args.signed or bool(fpar.get("signed", False))
-    normalization = "normalized" if args.normalized else fpar.get("normalization", "raw")
-    return ModularityParams.for_network(
-        net, gamma=gamma, lam=lam, normalization=normalization, signed=signed,
-        gamma_plus=fpar.get("gamma.plus"), gamma_minus=fpar.get("gamma.minus"),
+def _setup(args, sweep_omegas=None):
+    """The network, its ModularityParams and one CouplingSpec per omega of a
+    detect, sweep or compare run.  Each setting comes from its flag, else
+    from the parameter file, else from its default.  Without
+    ``sweep_omegas``, the default grid of a sweep, the run takes one omega."""
+    fpar = load_params_file(args.params_file) if args.params_file else {}
+    closeness = load_closeness(args.closeness_file) if args.closeness_file else None
+    net = _resolve_network(args)
+    ladder = ([round(0.1 * (s + 1), 10) for s in range(args.layers)]
+              if args.dataset == "karate-replica" else 1.0)
+    value = {key: fpar.get(key, default) if flag is None else flag for key, flag, default in (
+        ("gamma", args.gamma, ladder),
+        ("lambda", args.lam, 1.0),
+        ("omega", args.omega, sweep_omegas or 1.0),
+        ("coupling.strategy", args.coupling_strategy, "uniform"),
+        ("closeness", closeness, None),
+        # --signed and --normalized can only turn their setting on
+        ("signed", args.signed or None, False),
+        ("normalization", "normalized" if args.normalized else None, "raw"),
+    )}
+    params = ModularityParams.for_network(
+        net, gamma=value["gamma"], lam=value["lambda"], normalization=value["normalization"],
+        signed=value["signed"], gamma_plus=fpar.get("gamma.plus"),
+        gamma_minus=fpar.get("gamma.minus"),
     )
-
-
-def _resolve_spec(args, fpar: dict, omega: float) -> CouplingSpec:
-    strategy = args.coupling_strategy or fpar.get("coupling.strategy", "uniform")
-    return CouplingSpec(
-        strategy=strategy,
-        omega=omega,
-        closeness=fpar.get("closeness"),
-    )
-
-
-def _single_omega(args, fpar: dict) -> float:
-    if args.omega is not None:
-        if len(args.omega) != 1:
-            raise DomainError("this command takes exactly one --omega value")
-        return args.omega[0]
-    return float(fpar.get("omega", 1.0))
+    omegas = np.ravel(value["omega"]).tolist()
+    if sweep_omegas is None and len(omegas) != 1:
+        raise DomainError("this command takes exactly one --omega value")
+    return net, params, [CouplingSpec(value["coupling.strategy"], omega, value["closeness"])
+                         for omega in omegas]
 
 
 def _run_algorithm(name, net, spec, params, args, seed):
@@ -167,11 +161,7 @@ def _write_table(rows, header, csv_path, txt_path):
 
 
 def cmd_detect(args) -> int:
-    fpar = _file_params(args)
-    net = _resolve_network(args, fpar)
-    params = _resolve_params(args, net, fpar)
-    omega = _single_omega(args, fpar)
-    spec = _resolve_spec(args, fpar, omega)
+    net, params, (spec,) = _setup(args)
     if args.rho is not None:
         net = net.with_couplings(generate_couplings(net, args.rho, args.seed))
     algorithm = args.algorithm or "mspec"
@@ -185,19 +175,16 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    fpar = _file_params(args)
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
-    net = _resolve_network(args, fpar)
-    params = _resolve_params(args, net, fpar)
-    omegas = tuple(args.omega) if args.omega else DEFAULT_OMEGAS
+    net, params, specs = _setup(args, DEFAULT_OMEGAS)
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
 
-    results = [_run_algorithm(args.algorithm or "mspec", net, _resolve_spec(args, fpar, omega),
-                              params, args, _seed_for(args.seed, idx))
-               for idx, omega in enumerate(omegas)]
+    results = [_run_algorithm(args.algorithm or "mspec", net, spec, params, args,
+                              _seed_for(args.seed, idx))
+               for idx, spec in enumerate(specs)]
 
     labels_rows = []
     cells = [(i + 1, s + 1, v + 1)
@@ -207,36 +194,32 @@ def cmd_sweep(args) -> int:
     for x, (i, s, v) in enumerate(cells):
         row = [i, s, v] + [int(res.partition.labels[x]) + 1 for res in results]
         labels_rows.append(row)
-    header = ["nodeId", "layerId", "aspectId"] + [f"omega={w:g}" for w in omegas]
+    header = ["nodeId", "layerId", "aspectId"] + [f"omega={spec.omega:g}" for spec in specs]
     _write_table(labels_rows, header,
                  os.path.join(out, "sweep_labels.csv"),
                  os.path.join(out, "sweep_labels.txt"))
 
     summary = []
-    for idx, (omega, res) in enumerate(zip(omegas, results)):
+    for idx, (spec, res) in enumerate(zip(specs, results)):
         grid = res.partition.labels.reshape(net.n_cells, net.n_nodes)
         unanimous = (grid == grid[0]).all(axis=0)
         consistency = float(unanimous.mean())
-        summary.append([f"{omega:g}", repr(res.q_total), res.n_communities,
+        summary.append([f"{spec.omega:g}", repr(res.q_total), res.n_communities,
                         repr(consistency)])
         save_result(res, os.path.join(runs_dir, f"sweep_omega_{idx}.txt"), net)
     _write_table(summary, ["omega", "Q", "communities", "consistency"],
                  os.path.join(out, "sweep_summary.csv"),
                  os.path.join(out, "sweep_summary.txt"))
-    print(f"sweep: {len(omegas)} runs written under {out}")
+    print(f"sweep: {len(specs)} runs written under {out}")
     return 0
 
 
 def cmd_compare(args) -> int:
     if args.repeats < 1:
         raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
-    fpar = _file_params(args)
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
-    net = _resolve_network(args, fpar)
-    params = _resolve_params(args, net, fpar)
-    omega = _single_omega(args, fpar)
-    spec = _resolve_spec(args, fpar, omega)
+    net, params, (spec,) = _setup(args)
     rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
     algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
     out = _ensure_out(args)

@@ -1,11 +1,11 @@
 """Leading eigenpair of a symmetric matrix via LAPACK or ARPACK.
 
-A dense array of up to ``_DENSE_MAX`` rows goes to LAPACK's dense
-symmetric solver (top pair only); larger arrays and every matrix-free
-operator, whatever its size, go to ARPACK's implicitly restarted Lanczos
-(Lehoucq, Sorensen & Yang, SIAM 1998), which only needs products.  The
-start vector comes from a PCG64 stream with a fixed seed, so repeated
-calls return bit-identical results.
+A dense array goes to LAPACK's dense symmetric solver (top pair only),
+and a matrix-free operator to ARPACK's implicitly restarted Lanczos
+(Lehoucq, Sorensen & Yang, SIAM 1998), which only needs products; the
+caller picks the path by the type it passes.  The start vector comes
+from a PCG64 stream with a fixed seed, so repeated calls return
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from .errors import ConvergenceError, DomainError
 
 # Fixed start-vector seed; documented so runs reproduce across platforms.
 _START_SEED = 0x6D6C6D6F64
-# Largest dense array LAPACK solves, and the largest D mspec forms (and slices).
-_DENSE_MAX = 512
 # Required residual, relative to the max absolute row sum of the matrix.
 _TOL = 1e-10
 
@@ -57,7 +55,7 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     v0 /= np.linalg.norm(v0)
     if scale == 0.0:
         return 0.0, _orient(v0)
-    if n <= _DENSE_MAX and not hasattr(matrix, "matvec"):
+    if not hasattr(matrix, "matvec"):
         vals, vecs = eigh(d, subset_by_index=[n - 1, n - 1])
     else:
         # Imported here, not at module level: loading scipy.sparse.linalg adds

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import warnings
-from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
@@ -26,11 +26,9 @@ from .modularity import Partition
 from .network import Aspect, Couplings, Edges, MultilayerNetwork, normalize_edges
 
 __all__ = [
-    "DatasetManifest",
     "load_multiplex",
     "load_couplings",
     "save_multiplex",
-    "load_manifest",
     "load_labels",
     "load_params_file",
     "load_closeness",
@@ -71,15 +69,16 @@ def _comment_after_token(text: str) -> bool:
     return False
 
 
-def _read_rows(path: str, n_int: int, check, row):
+def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
     """Data lines of ``n_int`` integers and an optional number: a lookup of
     row k's 1-based line number (counted only when asked), (n_int, rows)
     int64 columns, the mask of rows with the number and those numbers.
     With a ``check``, numpy's reader reads a table of the first data row's
     width if ``check(columns, mask, numbers)`` accepts it; otherwise
     ``row(parts, path, lineno)`` parses line after line, returning the
-    integers and the number or None, and raises at the first bad line."""
-    text = _read_text(path)
+    integers and the number or None, and raises at the first bad line.
+    ``text`` is the file's text when the caller has already read it."""
+    text = _read_text(path) if text is None else text
 
     def lineno(k: int) -> int:
         return next(itertools.islice(_data_lines(path, text), k, None))[0]
@@ -376,73 +375,63 @@ def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
         _atomic_write(coupling_path, "\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Dataset description: declared counts plus companion file names."""
-
-    name: str
-    n_nodes: int
-    n_layers: int
-    n_aspects: int
-    edge_file: str
-    layer_file: str | None = None
-    coupling_file: str | None = None
-    ground_truth: str | None = None
-    n_edges: int | None = None
-
-
-def load_manifest(path: str) -> DatasetManifest:
-    """Parse a ``key = value`` manifest file."""
-    values: dict[str, str] = {}
+def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: value) -> dict:
+    """The ``key = value`` lines of ``path``, split at the first ``=``, as a
+    dict of each key's ``parse(key, value, lineno)``; the last line for a
+    key wins.  A line without ``=``, or with a key outside ``known``, raises
+    at its line."""
+    out: dict[str, object] = {}
     for lineno, line in _data_lines(path):
         if "=" not in line:
             raise ParseError("expected key = value", path, lineno)
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    try:
-        manifest = DatasetManifest(
-            name=values.get("name", os.path.basename(path)),
-            n_nodes=int(values["nodes"]),
-            n_layers=int(values["layers"]),
-            n_aspects=int(values.get("aspects", "1")),
-            edge_file=values["edge_file"],
-            layer_file=values.get("layer_file"),
-            coupling_file=values.get("coupling_file"),
-            ground_truth=values.get("ground_truth"),
-            n_edges=int(values["edges"]) if "edges" in values else None,
-        )
-    except KeyError as exc:
-        raise ParseError(f"manifest is missing required key {exc.args[0]!r}", path) from exc
-    except ValueError as exc:
-        raise ParseError(f"bad manifest value: {exc}", path) from exc
-    return manifest
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in known:
+            raise ParseError(f"unknown {what} key {key!r}", path, lineno)
+        out[key] = parse(key, value, lineno)
+    return out
+
+
+_MANIFEST_KEYS = ("name", "nodes", "layers", "aspects", "edges", "edge_file", "layer_file",
+                  "coupling_file", "ground_truth")
 
 
 def load_dataset(manifest_path: str):
-    """Load the network a manifest points to and validate declared counts.
+    """Load the network a ``key = value`` manifest points to and validate
+    declared counts.
 
-    Returns (network, ground-truth labels or None); coupling magnitudes
-    travel with the network's couplings.
+    Keys: ``nodes``, ``layers`` and ``edge_file`` (required), ``aspects``
+    (1 by default), ``edges``, ``layer_file``, ``coupling_file``,
+    ``ground_truth`` and ``name`` (not read); file names are relative to
+    the manifest.  Returns (network, ground-truth labels or None); coupling
+    magnitudes travel with the network's couplings.
     """
-    manifest = load_manifest(manifest_path)
+    values = _key_values(manifest_path, "manifest", _MANIFEST_KEYS)
+    try:
+        n_nodes, n_layers = int(values["nodes"]), int(values["layers"])
+        n_aspects = int(values.get("aspects", "1"))
+        edge_file = values["edge_file"]
+        n_edges = int(values["edges"]) if "edges" in values else None
+    except KeyError as exc:
+        raise ParseError(f"manifest is missing required key {exc.args[0]!r}",
+                         manifest_path) from exc
+    except ValueError as exc:
+        raise ParseError(f"bad manifest value: {exc}", manifest_path) from exc
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def resolve(name):
         return None if name is None else os.path.join(base, name)
 
-    net = load_multiplex(resolve(manifest.edge_file), resolve(manifest.layer_file),
-                         resolve(manifest.coupling_file), n_nodes=manifest.n_nodes)
+    net = load_multiplex(resolve(edge_file), resolve(values.get("layer_file")),
+                         resolve(values.get("coupling_file")), n_nodes=n_nodes)
     for what, declared, found in (
-            ("layers", manifest.n_layers, net.n_cells),
-            ("aspects", manifest.n_aspects, len(net.aspects)),
-            ("edges", manifest.n_edges, sum(len(e) for e in net.within_edges))):
+            ("layers", n_layers, net.n_cells),
+            ("aspects", n_aspects, len(net.aspects)),
+            ("edges", n_edges, sum(len(e) for e in net.within_edges))):
         if declared is not None and declared != found:
             raise ParseError(f"manifest declares {declared} {what}, files contain {found}",
                              manifest_path)
-    truth = None
-    if manifest.ground_truth is not None:
-        truth = load_labels(resolve(manifest.ground_truth), manifest.n_nodes)
-    return net, truth
+    truth = values.get("ground_truth")
+    return net, None if truth is None else load_labels(resolve(truth), n_nodes)
 
 
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
@@ -468,39 +457,37 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
     return out
 
 
+_PARAM_KEYS = ("gamma", "lambda", "omega", "coupling.strategy", "closeness.file", "signed",
+               "gamma.plus", "gamma.minus", "normalization")
+
+
 def load_params_file(path: str) -> dict[str, object]:
     """Parse a key-value parameter file.
 
     Recognised keys: ``gamma``, ``lambda`` (scalar or per-layer list),
     ``omega``, ``coupling.strategy``, ``closeness.file``, ``signed``,
     ``gamma.plus``, ``gamma.minus``, ``normalization``.  Returns a plain
-    dict; unknown keys raise.
+    dict, with the closeness matrix under ``closeness``; unknown keys raise.
     """
-    known = {"gamma", "lambda", "omega", "coupling.strategy", "closeness.file",
-             "signed", "gamma.plus", "gamma.minus", "normalization"}
-    out: dict[str, object] = {}
     base = os.path.dirname(os.path.abspath(path))
-    for lineno, line in _data_lines(path):
-        if "=" not in line:
-            raise ParseError("expected key = value", path, lineno)
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in known:
-            raise ParseError(f"unknown parameter key {key!r}", path, lineno)
+
+    def parse(key, val, lineno):
         if key in ("gamma", "lambda", "gamma.plus", "gamma.minus"):
             vals = [_parse_float(tok, key, path, lineno) for tok in val.split()]
-            out[key] = vals[0] if len(vals) == 1 else vals
-        elif key == "omega":
-            out[key] = _parse_float(val, key, path, lineno)
-        elif key == "signed":
+            return vals[0] if len(vals) == 1 else vals
+        if key == "omega":
+            return _parse_float(val, key, path, lineno)
+        if key == "signed":
             if val.lower() not in ("true", "false"):
                 raise ParseError("signed must be true or false", path, lineno)
-            out[key] = val.lower() == "true"
-        elif key == "closeness.file":
-            out["closeness"] = load_closeness(os.path.join(base, val), path, lineno)
-        else:
-            out[key] = val
+            return val.lower() == "true"
+        if key == "closeness.file":
+            return load_closeness(os.path.join(base, val), path, lineno)
+        return val
+
+    out = _key_values(path, "parameter", _PARAM_KEYS, parse)
+    if "closeness.file" in out:
+        out["closeness"] = out.pop("closeness.file")
     return out
 
 
@@ -547,7 +534,8 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     coordinates to 1-based (layer, aspect) cells.
     """
     directive_dims: tuple[int, ...] | None = None
-    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+    text = _read_text(path)
+    for lineno, line in enumerate(text.split("\n"), start=1):
         toks = line.split()
         if toks and toks[0].startswith("#dims"):
             if len(toks) == 1:
@@ -569,7 +557,7 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
                              path, lineno)
         return cell, i, j, w
 
-    table = _read_rows(path, 3, None, edge_row)
+    table = _read_rows(path, 3, None, edge_row, text)
     coords = list(itertools.product(*(range(d) for d in dims)))
     labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
     net = _cells_network(path, "grid", (Aspect(name="flattened", layers=labels),),
@@ -667,14 +655,18 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     labels are numbers on every cell row or ``-`` on every one, and
     community ids are >= 1.
     """
-    lines = _read_text(path).split("\n")
-    if lines[0].strip() != _RESULT_HEADER:
+    text = _read_text(path)
+    if text.partition("\n")[0].strip() != _RESULT_HEADER:
         raise ParseError("not a result document (bad header)", path, 1)
     meta: dict[str, str] = {}
     divisions: list[Division] = []
     n_nodes = aspect_sizes = q_total = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
+    # directives may sit anywhere; searching for their text, not stripping
+    # every line, keeps the cell rows out of a Python loop
+    for found in re.finditer(r"#(?:meta|division) [^\n]*", text):
+        start = text.rfind("\n", 0, found.start()) + 1
+        lineno = text.count("\n", 0, start) + 1
+        stripped = text[start:found.end()].strip()
         if stripped.startswith("#meta "):
             key, _, value = stripped[len("#meta "):].partition(" ")
             if key == "n_nodes":
@@ -714,7 +706,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
                 _parse_float(parts[4], "soft label", path, lineno))
 
     lineno, (node, layer, aspect, community), has_soft, soft = _read_rows(
-        path, 4, lambda c, has, x: bool(has.all() and np.isfinite(x).all()), row)
+        path, 4, lambda c, has, x: bool(has.all() and np.isfinite(x).all()), row, text)
     if n_nodes is None or aspect_sizes is None or q_total is None:
         raise ParseError("result document is missing required metadata", path)
     size = sum(aspect_sizes) * n_nodes

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .eigen import _DENSE_MAX, leading_eigenpair
+from .eigen import leading_eigenpair
 from .modularity import (
     ModularityParams,
     Partition,
@@ -52,10 +52,15 @@ __all__ = [
 ]
 
 _GAIN_EPS = 1e-12
+# Largest D formed once and sliced, so that LAPACK solves its subdivisions.
+_DENSE_MAX = 512
 # Largest subdivision of a factored D formed densely: forming, solving and
 # refining subsets of synth-4096 communities took 2.2/7.3 ms dense/matrix-free
 # at 128 rows, 9.5/9.2 at 320, 12.9/9.9 at 384, 25.8/10.2 at 512 (2 vCPUs).
-# The benchmark cannot check it: its subdivisions all have 438+ rows.
+# The benchmark reaches both sides: of synth-4096 instances 0-89, 9 form a
+# subdivision at or below it (instance 33: 152, 274 and 318 rows) and 52
+# more have their smallest between 321 and 437 rows (instance 3677: 350).
+# A run cycles six instances, so about half of all runs reach this branch.
 _FORM_MAX = 320
 # vertices per relocation block, and a cap on its (vertex, community) gains
 _BLOCK_MIN, _BLOCK_MAX, _BLOCK_ENTRIES = 16, 512, 1 << 14

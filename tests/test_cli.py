@@ -9,7 +9,10 @@ import pytest
 
 from mlmod import (
     CouplingSpec,
+    DetectionResult,
     ModularityParams,
+    Partition,
+    build_karate_replica,
     generate_couplings,
     load_aspect_grid,
     load_multiplex,
@@ -18,7 +21,8 @@ from mlmod import (
     mspec_detect,
     quality_matrix,
 )
-from mlmod.cli import _seed_for, main
+from mlmod import cli
+from mlmod.cli import DEFAULT_OMEGAS, _seed_for, main
 
 from oracles import oracle_matrix, q_pairwise
 
@@ -105,7 +109,33 @@ class TestDetect:
         assert f"error: {tmp_path / 'gt.txt'}:3: duplicate node id 2" in capsys.readouterr().err
 
 
+    def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
+        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
+        (tmp_path / "c.txt").write_text("1 1 1 2 1\n")
+        man = tmp_path / "m.txt"
+        man.write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\ncoupling-file = c.txt\n")
+        code = run_cli(["detect", "--manifest", str(man), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {man}:4: unknown manifest key 'coupling-file'\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
+    def test_params_file_omega_is_a_one_point_grid(self, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text("omega = 0.5\n")
+        out = tmp_path / "sweep"
+        assert run_cli(["sweep", "--layers", "2", "--params-file", str(params),
+                        "--out", str(out)]) == 0
+        summary = (out / "sweep_summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary] == ["omega", "0.5"]
+        assert (out / "sweep_labels.csv").read_text().split("\n")[0].endswith(",omega=0.5")
+        assert os.listdir(out / "runs") == ["sweep_omega_0.txt"]
+        result, _ = load_result(str(out / "runs" / "sweep_omega_0.txt"))
+        net, gamma_params = build_karate_replica(2, [0.1, 0.2])
+        assert result.q_total == modularity(net, CouplingSpec(omega=0.5), gamma_params,
+                                            result.partition)
+
     def test_replica_sweep_labels_and_consistency(self, tmp_path):
         out = tmp_path / "sweep"
         code = run_cli([
@@ -522,6 +552,65 @@ class TestWorkersAndStrategies:
         assert code == 0
         result, _ = load_result(str(out / "result_mspec.txt"))
         assert result.n_communities >= 2
+
+
+# Each setting: its flag, the parameter-file line the flag must beat, the
+# line that must beat the default, how to read the setting off the runs
+# (each run's spec and params), and the values the default, the file and
+# the flag give (a sweep's default omegas are its grid).  The network is
+# the two-layer karate replica, so the default gamma is its ladder.
+SETTINGS = {
+    "gamma": (["--gamma", "2"], "gamma = 0.5", "gamma = 0.5",
+              lambda runs: runs[0][1].gamma, (0.1, 0.2), (0.5, 0.5), (2.0, 2.0)),
+    "lambda": (["--lambda", "2"], "lambda = 0.5", "lambda = 0.5",
+               lambda runs: runs[0][1].lam, (1.0, 1.0), (0.5, 0.5), (2.0, 2.0)),
+    "omega": (["--omega", "2"], "omega = 0.5", "omega = 0.5",
+              lambda runs: [spec.omega for spec, _ in runs], [1.0], [0.5], [2.0]),
+    "coupling strategy": (["--coupling-strategy", "explicit"], "coupling.strategy = temporal",
+                          "coupling.strategy = temporal",
+                          lambda runs: runs[0][0].strategy, "uniform", "temporal", "explicit"),
+    "closeness": (["--closeness-file", "flag.txt"], "closeness.file = file.txt",
+                  "closeness.file = file.txt",
+                  lambda runs: None if runs[0][0].closeness is None
+                  else runs[0][0].closeness.tolist(),
+                  None, [[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]]),
+    "signed": (["--signed"], "signed = false", "signed = true",
+               lambda runs: runs[0][1].signed, False, True, True),
+    "normalization": (["--normalized"], "normalization = raw", "normalization = normalized",
+                      lambda runs: runs[0][1].normalization, "raw", "normalized", "normalized"),
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_flag_beats_params_file_beats_default(command, setting, tmp_path, monkeypatch):
+    flag, overridden, line, read, default, from_file, from_flag = SETTINGS[setting]
+    if setting == "omega" and command == "sweep":
+        default = list(DEFAULT_OMEGAS)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("0 1\n1 0\n")
+    (tmp_path / "flag.txt").write_text("0 2\n2 0\n")
+
+    def runs(*args, params_line=None):
+        seen = []
+
+        def record(name, net, spec, params, args, seed):
+            seen.append((spec, params))
+            return DetectionResult(Partition(np.zeros(net.supra_size, dtype=int)), 0.0, ())
+
+        monkeypatch.setattr(cli, "_run_algorithm", record)
+        argv = [command, "--dataset", "karate-replica", "--layers", "2", *args]
+        if command == "compare":
+            argv += ["--algorithm", "mspec", "--rho", "0"]
+        if params_line is not None:
+            (tmp_path / "params.txt").write_text(params_line + "\n")
+            argv += ["--params-file", "params.txt"]
+        assert main([*argv, "--out", "out"]) == 0
+        return seen
+
+    assert read(runs()) == default
+    assert read(runs(params_line=line)) == from_file
+    assert read(runs(*flag, params_line=overridden)) == from_flag
 
 
 def test_console_entry_point(tmp_path):

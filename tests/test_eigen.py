@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mlmod import ConvergenceError, DomainError
+from mlmod import ConvergenceError, CouplingSpec, DomainError, build_karate_replica, quality_matrix
 from mlmod.eigen import leading_eigenpair
+from mlmod.modularity import Subdivision
 
 from oracles import dense_leading_eigenpair
 
@@ -12,6 +13,13 @@ from oracles import dense_leading_eigenpair
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
+
+
+def matrix_free(n):
+    """A matrix-free subdivision of n <= 680 rows, which goes to ARPACK."""
+    net, params = build_karate_replica(20, [1.0] * 20)
+    qm, _ = quality_matrix(net, CouplingSpec(omega=1.0), params)
+    return Subdivision(qm, np.arange(n))
 
 
 class TestLeadingEigenpair:
@@ -70,8 +78,7 @@ class TestLeadingEigenpair:
         assert beta == pytest.approx(beta_o, abs=1e-10)
 
     def test_deterministic_across_calls(self, rng):
-        for n in (20, 600):  # dense path, then ARPACK above the cutoff
-            d = random_symmetric(rng, n)
+        for d in (random_symmetric(rng, 20), matrix_free(600)):  # LAPACK, then ARPACK
             b1, u1 = leading_eigenpair(d)
             b2, u2 = leading_eigenpair(d)
             assert b1 == b2
@@ -97,8 +104,7 @@ class TestLeadingEigenpair:
             raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((600, 0)))
 
         monkeypatch.setattr(sla, "eigsh", no_convergence)
-        d = random_symmetric(np.random.default_rng(5), 600)
         with pytest.raises(ConvergenceError) as err:
-            leading_eigenpair(d)
+            leading_eigenpair(matrix_free(600))
         assert err.value.best_residual is not None
         assert err.value.best_residual > 0

@@ -26,7 +26,7 @@ from mlmod import (
     save_multiplex,
     save_result,
 )
-from mlmod.io import load_closeness, load_labels, load_manifest, load_params_file
+from mlmod.io import load_closeness, load_dataset, load_labels, load_params_file
 from mlmod.datasets import karate_manifest_path
 
 from oracles import dense_adjacency
@@ -137,9 +137,10 @@ class TestLoadMultiplex:
 
 class TestManifest:
     def test_bundled_karate_manifest(self):
-        m = load_manifest(karate_manifest_path())
-        assert m.n_nodes == 34
-        assert m.n_edges == 78
+        net, truth = load_dataset(karate_manifest_path())
+        assert net.n_nodes == 34
+        assert sum(len(e) for e in net.within_edges) == 78
+        assert truth.shape == (34,)
 
     def test_count_mismatch_rejected(self, tmp_path):
         edge = tmp_path / "e.txt"
@@ -172,8 +173,31 @@ class TestManifest:
     def test_missing_key(self, tmp_path):
         man = tmp_path / "m.txt"
         man.write_text("name = x\n")
-        with pytest.raises(ParseError):
-            load_manifest(str(man))
+        with pytest.raises(ParseError, match="m.txt: manifest is missing required key 'nodes'$"):
+            load_dataset(str(man))
+
+    def test_bad_value(self, tmp_path):
+        man = tmp_path / "m.txt"
+        man.write_text("nodes = two\nlayers = 1\nedge_file = e.txt\n")
+        with pytest.raises(ParseError, match="m.txt: bad manifest value: invalid literal"):
+            load_dataset(str(man))
+
+    def test_unknown_key_fails_at_its_line(self, tmp_path):
+        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
+        (tmp_path / "c.txt").write_text("1 1 1 2 1\n")
+        man = tmp_path / "m.txt"
+        man.write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\ncoupling-file = c.txt\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(str(man))
+        assert str(info.value) == f"{man}:4: unknown manifest key 'coupling-file'"
+        man.write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\ncoupling_file = c.txt\n")
+        assert len(load_dataset(str(man))[0].couplings) == 1
+
+    def test_last_line_for_a_key_wins(self, tmp_path):
+        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
+        man = tmp_path / "m.txt"
+        man.write_text("nodes = 5\nlayers = 1\nedge_file = e.txt\nnodes = 3\n")
+        assert load_dataset(str(man))[0].n_nodes == 3
 
 
 class TestParamsFile:
@@ -348,6 +372,26 @@ class TestResultDocuments:
         with pytest.raises(ParseError) as exc:
             load_result(str(path))
         assert str(exc.value) == f"{path}:{row}: {message}"
+
+    def test_directives_after_the_cell_rows(self, tmp_path):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        moved = [line for line in lines[1:] if line.startswith(("#meta q_total", "#division"))]
+        lines = [line for line in lines if line not in moved] + ["  \t" + moved[0]]
+        lines[len(lines) // 2:len(lines) // 2] = moved[1:]
+        path.write_text("\n".join(lines) + "\n")
+        loaded, shape = load_result(str(path))
+        assert shape == {"n_nodes": 34, "aspects": (2,)}
+        assert np.array_equal(loaded.partition.labels, res.partition.labels)
+        assert (loaded.q_total, loaded.divisions, loaded.meta) == (
+            res.q_total, res.divisions, res.meta)
+        lines[-1] = "#meta q_total x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_result(str(path))
+        assert str(exc.value) == f"{path}:{len(lines)}: expected number q_total, got 'x'"
 
     @pytest.mark.parametrize("line, message", [
         ("#meta n_nodes 0", "n_nodes must be >= 1, got 0"),

@@ -26,7 +26,7 @@ from mlmod import (
 )
 from mlmod import mspec
 from mlmod.io import load_couplings, load_multiplex
-from mlmod.modularity import QualityMatrix
+from mlmod.modularity import QualityMatrix, Subdivision
 from mlmod.mspec import subdivision_matrix
 
 from conftest import make_single_layer
@@ -335,6 +335,33 @@ class TestFactoredSubdivisions:
         assert len(res.divisions) > 1
         assert solved == []
         assert all(size <= mspec._FORM_MAX for size in formed)
+
+    def test_dense_subdivisions_at_or_below_form_max_agree_with_arpack(self, synth, monkeypatch):
+        # instance 33 of synth-4096 forms subdivisions of 152, 274 and 318 rows
+        solved, formed = [], []
+        eigh, form = mlmod.eigen.eigh, mspec.subdivision_matrix
+
+        def recording_eigh(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        def recording_form(matrix, members):
+            sub = form(matrix, members)
+            if isinstance(sub, np.ndarray):
+                formed.append((matrix, members, sub.copy()))
+            return sub
+
+        monkeypatch.setattr(mlmod.eigen, "eigh", recording_eigh)
+        monkeypatch.setattr(mspec, "subdivision_matrix", recording_form)
+        mspec_detect(*synth(33))
+        assert formed
+        assert solved == [len(members) for _, members, _ in formed]
+        for qm, members, sub in formed:
+            assert isinstance(qm, QualityMatrix) and len(members) <= mspec._FORM_MAX
+            free = Subdivision(qm, members)
+            beta, _ = mlmod.eigen.leading_eigenpair(sub)
+            beta_free, _ = mlmod.eigen.leading_eigenpair(free)
+            assert abs(beta - beta_free) <= 1e-8 * free.norm_inf()
 
 
 def test_supra_8192_peak_rss_below_200mb():
