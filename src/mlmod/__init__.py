@@ -25,9 +25,7 @@ from .modularity import (
 from .mspec import (
     DetectionResult,
     Division,
-    SoftLabels,
     mspec_detect,
-    soft_labels,
 )
 from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate

@@ -96,9 +96,9 @@ def _setup(args, sweep_omegas=None):
     detect, sweep or compare run.  Each setting comes from its flag, else
     from the parameter file, else from its default.  Without
     ``sweep_omegas``, the default grid of a sweep, the run takes one omega."""
-    fpar = load_params_file(args.params_file) if args.params_file else {}
-    closeness = load_closeness(args.closeness_file) if args.closeness_file else None
     net = _resolve_network(args)
+    fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
+    closeness = load_closeness(args.closeness_file) if args.closeness_file else None
     ladder = ([round(0.1 * (s + 1), 10) for s in range(args.layers)]
               if args.dataset == "karate-replica" else 1.0)
     value = {key: fpar.get(key, default) if flag is None else flag for key, flag, default in (
@@ -265,15 +265,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    dims = None
-    if args.grid_dims:
-        try:
-            dims = tuple(int(tok) for tok in args.grid_dims.lower().split("x"))
-        except ValueError:
-            raise DomainError(f"bad --grid-dims {args.grid_dims!r}; expected like 2x3")
     if not args.input:
         raise DomainError("convert requires --input with a grid edge file")
-    net, location = load_aspect_grid(args.input, n_nodes=args.nodes, dims=dims,
+    net, location = load_aspect_grid(args.input, n_nodes=args.nodes,
                                      coupling_path=args.grid_couplings)
     out = _ensure_out(args)
     save_multiplex(
@@ -324,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="flatten an aspect-aspect grid")
     p.add_argument("--input", help="grid edge file with #dims directive")
     p.add_argument("--grid-couplings", help="grid coupling file")
-    p.add_argument("--grid-dims", help="grid dimensions, e.g. 2x3")
     p.add_argument("--nodes", type=int, help="declare the node count")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_convert)

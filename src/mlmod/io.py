@@ -405,17 +405,15 @@ def load_dataset(manifest_path: str):
     the manifest.  Returns (network, ground-truth labels or None); coupling
     magnitudes travel with the network's couplings.
     """
-    values = _key_values(manifest_path, "manifest", _MANIFEST_KEYS)
+    values = _key_values(manifest_path, "manifest", _MANIFEST_KEYS, lambda key, value, lineno: (
+        _parse_int(value, key, manifest_path, lineno)
+        if key in ("nodes", "layers", "aspects", "edges") else value))
     try:
-        n_nodes, n_layers = int(values["nodes"]), int(values["layers"])
-        n_aspects = int(values.get("aspects", "1"))
-        edge_file = values["edge_file"]
-        n_edges = int(values["edges"]) if "edges" in values else None
+        n_nodes, n_layers, edge_file = values["nodes"], values["layers"], values["edge_file"]
     except KeyError as exc:
         raise ParseError(f"manifest is missing required key {exc.args[0]!r}",
                          manifest_path) from exc
-    except ValueError as exc:
-        raise ParseError(f"bad manifest value: {exc}", manifest_path) from exc
+    n_aspects, n_edges = values.get("aspects", 1), values.get("edges")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def resolve(name):
@@ -461,19 +459,24 @@ _PARAM_KEYS = ("gamma", "lambda", "omega", "coupling.strategy", "closeness.file"
                "gamma.plus", "gamma.minus", "normalization")
 
 
-def load_params_file(path: str) -> dict[str, object]:
+def load_params_file(path: str, n_cells: int | None = None) -> dict[str, object]:
     """Parse a key-value parameter file.
 
     Recognised keys: ``gamma``, ``lambda`` (scalar or per-layer list),
     ``omega``, ``coupling.strategy``, ``closeness.file``, ``signed``,
     ``gamma.plus``, ``gamma.minus``, ``normalization``.  Returns a plain
     dict, with the closeness matrix under ``closeness``; unknown keys raise.
+    Given the network's ``n_cells``, a per-layer list of another length
+    raises at its line.
     """
     base = os.path.dirname(os.path.abspath(path))
 
     def parse(key, val, lineno):
         if key in ("gamma", "lambda", "gamma.plus", "gamma.minus"):
             vals = [_parse_float(tok, key, path, lineno) for tok in val.split()]
+            if n_cells is not None and len(vals) not in (1, n_cells):
+                raise ParseError(f"expected 1 or {n_cells} {key} values, got {len(vals)}",
+                                 path, lineno)
             return vals[0] if len(vals) == 1 else vals
         if key == "omega":
             return _parse_float(val, key, path, lineno)
@@ -517,7 +520,6 @@ def _grid_cell(token: str, dims: tuple[int, ...], path: str, lineno: int) -> int
 
 
 def load_aspect_grid(path: str, n_nodes: int | None = None,
-                     dims: tuple[int, ...] | None = None,
                      coupling_path: str | None = None,
                      ) -> tuple[MultilayerNetwork, dict[tuple[int, ...], tuple[int, int]]]:
     """Read an aspect-aspect grid (every combination of F aspects' layers is
@@ -525,7 +527,7 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
 
     Edge lines read ``c1,...,cF nodeId nodeId [weight]`` with 1-based
     coordinates.  Dimensions come from a ``#dims d1 d2 ...`` directive
-    line unless passed explicitly.  Coupling lines in the companion file
+    line, which the file must hold.  Coupling lines in the companion file
     read ``nodeId c1,...,cF d1,...,dF``.  Cells become the layers
     ``L<c1>-<c2>...`` of one aspect ``flattened``, in row-major coordinate
     order, edgeless where no line names them.  The edge-file reader reads
@@ -533,22 +535,18 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     is the one reported.  Returns the network and a map from 0-based grid
     coordinates to 1-based (layer, aspect) cells.
     """
-    directive_dims: tuple[int, ...] | None = None
+    dims: tuple[int, ...] | None = None
     text = _read_text(path)
     for lineno, line in enumerate(text.split("\n"), start=1):
         toks = line.split()
         if toks and toks[0].startswith("#dims"):
             if len(toks) == 1:
                 raise ParseError("#dims directive needs dimensions", path, lineno)
-            directive_dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks[1:])
-            if min(directive_dims) < 1:
+            dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks[1:])
+            if min(dims) < 1:
                 raise ParseError("grid dims must be positive", path, lineno)
-    dims = tuple(dims or directive_dims or ())
-    if not dims:
-        raise ParseError("grid dimensions unknown: add a #dims directive "
-                         "or pass them explicitly", path)
-    if min(dims) < 1:
-        raise DomainError("grid dims must be positive")
+    if dims is None:
+        raise ParseError("grid dimensions unknown: add a #dims d1 ... dF line", path)
 
     def edge_row(parts, path, lineno):
         cell, i, j, w = _edge_row(parts, path, lineno, dims)

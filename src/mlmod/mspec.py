@@ -42,17 +42,19 @@ from .params import CouplingSpec
 __all__ = [
     "Division",
     "DetectionResult",
-    "SoftLabels",
     "subdivision_matrix",
     "refine_cut",
     "kl_relocate",
     "spectral_partition",
     "mspec_detect",
-    "soft_labels",
 ]
 
 _GAIN_EPS = 1e-12
 # Largest D formed once and sliced, so that LAPACK solves its subdivisions.
+# Forming each subdivision by take(members).dense() instead writes the same
+# karate documents, byte for byte, at more CPU: 11 karate-replica detections
+# (rho 0..1, omega 1, 116 subdivisions) formed theirs in 0.029-0.035 s by
+# slicing, the one dense D included, against 0.047-0.078 s (2 vCPUs).
 _DENSE_MAX = 512
 # Largest subdivision of a factored D formed densely: forming, solving and
 # refining subsets of synth-4096 communities took 2.2/7.3 ms dense/matrix-free
@@ -92,15 +94,6 @@ class DetectionResult:
         return self.partition.n_communities
 
 
-@dataclass(frozen=True)
-class SoftLabels:
-    """Continuous community labels from the root dominant eigenvector."""
-
-    values: np.ndarray
-    beta: float
-    root_divisible: bool
-
-
 def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarray | Subdivision:
     """Restriction of D to ``members`` with the diagonal reduced by
     within-community row sums; every row then sums to zero.
@@ -120,11 +113,6 @@ def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarra
         sub = matrix.take(members).dense()
     sub[np.diag_indices_from(sub)] -= sub.sum(axis=1)
     return sub
-
-
-def _source(matrix: QualityMatrix) -> QualityMatrix | np.ndarray:
-    """D formed once if it is small, so that every subdivision is a slice."""
-    return matrix.dense() if matrix.size <= _DENSE_MAX else matrix
 
 
 def _sign_split(u: np.ndarray) -> np.ndarray:
@@ -234,7 +222,7 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
     labels = np.zeros(n, dtype=int)
     divisions: list[Division] = []
     root_u: np.ndarray | None = None
-    source = _source(matrix)
+    source = matrix.dense() if matrix.size <= _DENSE_MAX else matrix  # D formed once if small
     next_label = 1
     queue: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
     while queue:
@@ -304,20 +292,3 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
         soft_labels=root_u,
         meta=meta,
     )
-
-
-def soft_labels(net: MultilayerNetwork, spec: CouplingSpec,
-                params: ModularityParams) -> SoftLabels:
-    """Continuous per-cell labels: the dominant eigenvector of the root
-    bisection matrix, aligned with the supra index order.
-
-    The sign of each value matches the root sign-rule assignment; the
-    magnitude indicates how strongly the cell pulls on the leading split.
-    ``root_divisible`` is False when the root split would not improve Q.
-    """
-    qm, _ = quality_matrix(net, spec, params)
-    sub = subdivision_matrix(_source(qm), np.arange(qm.size))
-    beta, u = leading_eigenpair(sub)
-    z = _sign_split(u)
-    dq = 0.5 * float(z @ (sub @ z))
-    return SoftLabels(values=u, beta=beta, root_divisible=bool(dq > _GAIN_EPS))

@@ -332,6 +332,16 @@ class TestConvert:
         assert (out1 / "flat.edges").read_bytes() == (out2 / "flat.edges").read_bytes()
         assert (out1 / "flat.layers").read_bytes() == (out2 / "flat.layers").read_bytes()
 
+    def test_grid_without_dims_line_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "grid.txt"
+        p.write_text("# no dims\n1,1 1 2 1.0\n")
+        out = tmp_path / "x"
+        code = run_cli(["convert", "--input", str(p), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {p}: grid dimensions unknown: add a #dims d1 ... dF line\n"
+        assert not out.exists()
+
     def test_ragged_grid_exit_2(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("#dims 2 2\n3,1 1 2 1.0\n")
@@ -552,6 +562,30 @@ class TestWorkersAndStrategies:
         assert code == 0
         result, _ = load_result(str(out / "result_mspec.txt"))
         assert result.n_communities >= 2
+
+    @pytest.mark.parametrize("key", ["gamma", "lambda", "gamma.plus", "gamma.minus"])
+    @pytest.mark.parametrize("value, count", [("", 0), ("1.0 2.0", 2)])
+    def test_params_file_value_that_does_not_fit_exit_2_at_its_line(
+            self, tmp_path, capsys, key, value, count):
+        params = tmp_path / "g.txt"
+        params.write_text(f"# three layers\n{key} = {value}\n")
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
+                        "--params-file", str(params), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {params}:2: expected 1 or 3 {key} values, got {count}\n"
+        assert not out.exists()
+
+    def test_manifest_count_not_an_integer_exit_2_at_its_line(self, tmp_path, capsys):
+        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
+        man = tmp_path / "m.txt"
+        man.write_text("nodes = two\nlayers = 1\nedge_file = e.txt\n")
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--manifest", str(man), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {man}:1: expected integer nodes, got 'two'\n"
+        assert not out.exists()
 
 
 # Each setting: its flag, the parameter-file line the flag must beat, the

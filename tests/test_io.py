@@ -179,8 +179,13 @@ class TestManifest:
     def test_bad_value(self, tmp_path):
         man = tmp_path / "m.txt"
         man.write_text("nodes = two\nlayers = 1\nedge_file = e.txt\n")
-        with pytest.raises(ParseError, match="m.txt: bad manifest value: invalid literal"):
+        with pytest.raises(ParseError) as info:
             load_dataset(str(man))
+        assert str(info.value) == f"{man}:1: expected integer nodes, got 'two'"
+        man.write_text("nodes = 2\nlayers = 1\nedge_file = e.txt\n# count\nedges = 1.5\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(str(man))
+        assert str(info.value) == f"{man}:5: expected integer edges, got '1.5'"
 
     def test_unknown_key_fails_at_its_line(self, tmp_path):
         (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
@@ -240,6 +245,18 @@ class TestParamsFile:
         p.write_text("resolution = 1\n")
         with pytest.raises(ParseError):
             load_params_file(str(p))
+
+    @pytest.mark.parametrize("key", ["gamma", "lambda", "gamma.plus", "gamma.minus"])
+    @pytest.mark.parametrize("value, count", [("", 0), ("1.0 2.0", 2)])
+    def test_per_layer_count_checked_at_its_line(self, tmp_path, key, value, count):
+        p = tmp_path / "params.txt"
+        p.write_text(f"omega = 1\n{key} = {value}\n")
+        with pytest.raises(ParseError) as info:
+            load_params_file(str(p), 3)
+        assert str(info.value) == f"{p}:2: expected 1 or 3 {key} values, got {count}"
+        # without the cell count the list is returned as read, and
+        # ModularityParams.for_network checks it
+        assert load_params_file(str(p))[key] == [1.0, 2.0][:count]
 
 
 class TestResultDocuments:
@@ -510,8 +527,9 @@ class TestAspectGridFile:
     def test_missing_dims(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("1,1 1 2 1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_aspect_grid(str(p))
+        assert str(exc.value) == f"{p}: grid dimensions unknown: add a #dims d1 ... dF line"
 
     @pytest.mark.parametrize("line, message", [
         ("1 1,1 3,1", "coordinate (3, 1) outside the declared 2x2 grid"),
@@ -532,6 +550,3 @@ class TestAspectGridFile:
         with pytest.raises(ParseError) as exc:
             load_aspect_grid(str(p))
         assert str(exc.value) == f"{p}:2: grid dims must be positive"
-        p.write_text("1,1 1 2 1.0\n")
-        with pytest.raises(DomainError, match="grid dims must be positive"):
-            load_aspect_grid(str(p), dims=(2, 0))

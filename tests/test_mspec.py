@@ -22,7 +22,6 @@ from mlmod import (
     modularity,
     mspec_detect,
     quality_matrix,
-    soft_labels,
 )
 from mlmod import mspec
 from mlmod.io import load_couplings, load_multiplex
@@ -268,25 +267,41 @@ class TestSpectralIdentity:
 
 
 class TestSoftLabels:
+    """DetectionResult.soft_labels is the root bisection's leading
+    eigenvector, and divisions[0] its eigenvalue and sign-rule gain."""
+
     def test_indivisible_root_still_returns_values(self):
         net = complete_graph(4)
         params = ModularityParams.for_network(net)
-        sl = soft_labels(net, CouplingSpec(), params)
-        assert sl.values.shape == (4,)
-        assert sl.root_divisible is False
+        res = mspec_detect(net, CouplingSpec(), params, refine=False)
+        assert res.soft_labels.shape == (4,)
+        assert res.divisions[0].delta_q <= mspec._GAIN_EPS
+        assert res.divisions[0].applied is False
+
+    def test_single_vertex_has_no_root_vector(self):
+        net = make_single_layer([], 1)
+        with pytest.warns(RuntimeWarning, match="has no edges"):
+            res = mspec_detect(net, CouplingSpec(), ModularityParams.for_network(net))
+        assert res.soft_labels is None
+        assert res.divisions == ()
 
     def test_sign_matches_root_bisection(self, two_cliques):
         params = ModularityParams.for_network(two_cliques)
-        sl = soft_labels(two_cliques, CouplingSpec(), params)
+        res = mspec_detect(two_cliques, CouplingSpec(), params, refine=False)
         dm = build_modularity_matrix(two_cliques, CouplingSpec(), params)
         sub = dense_subdivision(dm.matrix, np.arange(6))
-        z, _, _ = bisect(sub)
-        assert np.array_equal(np.where(sl.values >= 0, 1.0, -1.0), z)
+        z, dq, _ = bisect(sub)
+        assert np.array_equal(np.where(res.soft_labels >= 0, 1.0, -1.0), z)
+        # the unrefined root division is the sign-rule test on that split
+        root = res.divisions[0]
+        assert root.delta_q == pytest.approx(dq, abs=1e-9)
+        assert dq > mspec._GAIN_EPS
+        assert root.applied is True
 
     def test_two_cliques_opposite_signs_constant_magnitude(self, two_cliques):
         params = ModularityParams.for_network(two_cliques)
-        sl = soft_labels(two_cliques, CouplingSpec(), params)
-        left, right = sl.values[:3], sl.values[3:]
+        res = mspec_detect(two_cliques, CouplingSpec(), params)
+        left, right = res.soft_labels[:3], res.soft_labels[3:]
         assert np.sign(left).tolist() in ([1, 1, 1], [-1, -1, -1])
         assert np.sign(right).tolist() in ([1, 1, 1], [-1, -1, -1])
         assert np.sign(left[0]) != np.sign(right[0])
@@ -296,24 +311,22 @@ class TestSoftLabels:
         dm = build_modularity_matrix(two_cliques, CouplingSpec(), params)
         sub = dense_subdivision(dm.matrix, np.arange(6))
         beta_o, u_o = dense_leading_eigenpair(sub)
-        assert sl.beta == pytest.approx(beta_o, abs=1e-9)
-        assert abs(abs(sl.values @ u_o) - 1.0) <= 1e-8
+        assert res.divisions[0].beta == pytest.approx(beta_o, abs=1e-9)
+        assert abs(abs(res.soft_labels @ u_o) - 1.0) <= 1e-8
 
-    def test_detection_result_carries_root_vector(self, two_cliques):
-        params = ModularityParams.for_network(two_cliques)
-        res = mspec_detect(two_cliques, CouplingSpec(), params)
-        sl = soft_labels(two_cliques, CouplingSpec(), params)
-        assert np.array_equal(res.soft_labels, sl.values)
-
-    def test_root_vector_bit_for_bit_on_both_root_paths(self, synth):
-        # supra 340 is solved as a slice of the dense D, supra 4096 by ARPACK
+    def test_root_eigenpair_on_both_root_paths(self, synth):
+        # supra 340 is solved as a slice of the dense D, supra 4096 by ARPACK;
+        # both root matrices exceed _FORM_MAX, so the check runs matrix-free
         karate, karate_params = build_karate_replica(10, [0.1 * (s + 1) for s in range(10)])
         for net, spec, params in ((karate, CouplingSpec(omega=1.0), karate_params),
                                   synth(3672)):
             res = mspec_detect(net, spec, params)
-            sl = soft_labels(net, spec, params)
-            assert np.array_equal(sl.values, res.soft_labels)
-            assert sl.beta == res.divisions[0].beta
+            beta, u = res.divisions[0].beta, res.soft_labels
+            qm, _ = quality_matrix(net, spec, params)
+            sub = subdivision_matrix(qm, np.arange(qm.size))
+            assert u.shape == (qm.size,)
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            assert np.linalg.norm(sub @ u - beta * u) <= 1e-10 * sub.norm_inf()
 
 
 class TestFactoredSubdivisions:
