@@ -459,24 +459,25 @@ _PARAM_KEYS = ("gamma", "lambda", "omega", "coupling.strategy", "closeness.file"
                "gamma.plus", "gamma.minus", "normalization")
 
 
-def load_params_file(path: str, n_cells: int | None = None) -> dict[str, object]:
-    """Parse a key-value parameter file.
+def load_params_file(path: str, n_cells: int) -> dict[str, object]:
+    """Parse a key-value parameter file for a network of ``n_cells`` layer
+    cells.
 
     Recognised keys: ``gamma``, ``lambda`` (scalar or per-layer list),
     ``omega``, ``coupling.strategy``, ``closeness.file``, ``signed``,
     ``gamma.plus``, ``gamma.minus``, ``normalization``.  Returns a plain
-    dict, with the closeness matrix under ``closeness``; unknown keys raise.
-    Given the network's ``n_cells``, a per-layer list of another length
-    raises at its line.
+    dict, with the closeness matrix under ``closeness``; unknown keys, and
+    a per-layer list of neither 1 nor ``n_cells`` values, raise at their
+    line.
     """
     base = os.path.dirname(os.path.abspath(path))
 
     def parse(key, val, lineno):
         if key in ("gamma", "lambda", "gamma.plus", "gamma.minus"):
             vals = [_parse_float(tok, key, path, lineno) for tok in val.split()]
-            if n_cells is not None and len(vals) not in (1, n_cells):
-                raise ParseError(f"expected 1 or {n_cells} {key} values, got {len(vals)}",
-                                 path, lineno)
+            if len(vals) not in (1, n_cells):
+                counts = "1" if n_cells == 1 else f"1 or {n_cells}"
+                raise ParseError(f"expected {counts} {key} values, got {len(vals)}", path, lineno)
             return vals[0] if len(vals) == 1 else vals
         if key == "omega":
             return _parse_float(val, key, path, lineno)

@@ -212,7 +212,7 @@ class TestParamsFile:
             "gamma = 0.5 1.0\nlambda = 1.0\nomega = 2.0\n"
             "coupling.strategy = temporal\nsigned = false\n"
         )
-        out = load_params_file(str(p))
+        out = load_params_file(str(p), 2)
         assert out["gamma"] == [0.5, 1.0]
         assert out["lambda"] == 1.0
         assert out["omega"] == 2.0
@@ -224,7 +224,7 @@ class TestParamsFile:
         m.write_text("0 1\n1 0\n")
         p = tmp_path / "params.txt"
         p.write_text("closeness.file = closeness.txt\n")
-        out = load_params_file(str(p))
+        out = load_params_file(str(p), 1)
         assert np.array_equal(out["closeness"], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
@@ -237,14 +237,14 @@ class TestParamsFile:
         p = tmp_path / "params.txt"
         p.write_text("omega = 1\ncloseness.file = closeness.txt\n")
         with pytest.raises(ParseError) as info:
-            load_params_file(str(p))
+            load_params_file(str(p), 1)
         assert (info.value.path, info.value.line) == (str(p), 2)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "params.txt"
         p.write_text("resolution = 1\n")
         with pytest.raises(ParseError):
-            load_params_file(str(p))
+            load_params_file(str(p), 1)
 
     @pytest.mark.parametrize("key", ["gamma", "lambda", "gamma.plus", "gamma.minus"])
     @pytest.mark.parametrize("value, count", [("", 0), ("1.0 2.0", 2)])
@@ -254,9 +254,15 @@ class TestParamsFile:
         with pytest.raises(ParseError) as info:
             load_params_file(str(p), 3)
         assert str(info.value) == f"{p}:2: expected 1 or 3 {key} values, got {count}"
-        # without the cell count the list is returned as read, and
-        # ModularityParams.for_network checks it
-        assert load_params_file(str(p))[key] == [1.0, 2.0][:count]
+
+    def test_per_layer_count_on_one_cell(self, tmp_path):
+        p = tmp_path / "params.txt"
+        p.write_text("gamma = 1.0 2.0\n")
+        with pytest.raises(ParseError) as info:
+            load_params_file(str(p), 1)
+        assert str(info.value) == f"{p}:1: expected 1 gamma values, got 2"
+        p.write_text("gamma = 2.0\n")
+        assert load_params_file(str(p), 1)["gamma"] == 2.0
 
 
 class TestResultDocuments:
