@@ -100,6 +100,7 @@ def mlouv(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
         m = pq.dense()
         q0 = float(np.trace(m))
         labels, trace = _greedy_merge(m, q0)
+        del m  # the next restart's work matrix is formed without this one
         q = trace[-1] if trace else q0
         labels, gain = kl_relocate(pq, labels, max_sweeps=_SWEEPS)
         q += gain

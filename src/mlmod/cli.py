@@ -63,7 +63,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coupling-strategy", default=None, choices=COUPLING_STRATEGIES)
     p.add_argument("--closeness-file", help="dense closeness matrix file")
     p.add_argument("--params-file", help="key-value parameter file")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed for stochastic steps")
+    p.add_argument("--seed", type=int, default=0,
+                   help="non-negative integer seed for stochastic steps")
     p.add_argument("--normalized", action="store_true",
                    help="report Q divided by the normalization factor mu")
     p.add_argument("--signed", action="store_true", help="signed-network modularity")
@@ -96,6 +97,8 @@ def _setup(args, sweep_omegas=None):
     detect, sweep or compare run.  Each setting comes from its flag, else
     from the parameter file, else from its default.  Without
     ``sweep_omegas``, the default grid of a sweep, the run takes one omega."""
+    if args.seed < 0:  # checked also where no step of the run draws from it
+        raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     net = _resolve_network(args)
     fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
     closeness = load_closeness(args.closeness_file) if args.closeness_file else None

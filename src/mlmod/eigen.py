@@ -47,8 +47,11 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
             raise DomainError("leading_eigenpair needs a non-empty square matrix")
         n, apply = d.shape[0], d.__matmul__
-        scale = float(np.abs(d).sum(axis=1).max())
-        asymmetry = float(np.abs(d - d.T).max())
+        scratch = np.abs(d)  # one n x n temporary serves both checks
+        scale = float(scratch.sum(axis=1).max())
+        np.abs(np.subtract(d, d.T, out=scratch), out=scratch)
+        asymmetry = float(scratch.max())
+        del scratch
     if asymmetry > 1e-10 * max(scale, 1.0):
         raise DomainError("matrix is not symmetric")
     v0 = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(n)

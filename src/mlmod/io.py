@@ -24,6 +24,14 @@ from .errors import DomainError, ParseError
 from .mspec import DetectionResult, Division
 from .modularity import Partition
 from .network import Aspect, Couplings, Edges, MultilayerNetwork, normalize_edges
+from .params import (
+    check_closeness,
+    check_normalization,
+    check_omega,
+    check_resolutions,
+    check_strategy,
+    check_weights,
+)
 
 __all__ = [
     "load_multiplex",
@@ -378,8 +386,8 @@ def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
 def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: value) -> dict:
     """The ``key = value`` lines of ``path``, split at the first ``=``, as a
     dict of each key's ``parse(key, value, lineno)``; the last line for a
-    key wins.  A line without ``=``, or with a key outside ``known``, raises
-    at its line."""
+    key wins.  A line without ``=``, with a key outside ``known``, or whose
+    ``parse`` raises DomainError, raises at its line."""
     out: dict[str, object] = {}
     for lineno, line in _data_lines(path):
         if "=" not in line:
@@ -387,7 +395,10 @@ def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: va
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in known:
             raise ParseError(f"unknown {what} key {key!r}", path, lineno)
-        out[key] = parse(key, value, lineno)
+        try:
+            out[key] = parse(key, value, lineno)
+        except DomainError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -466,9 +477,11 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
     Recognised keys: ``gamma``, ``lambda`` (scalar or per-layer list),
     ``omega``, ``coupling.strategy``, ``closeness.file``, ``signed``,
     ``gamma.plus``, ``gamma.minus``, ``normalization``.  Returns a plain
-    dict, with the closeness matrix under ``closeness``; unknown keys, and
-    a per-layer list of neither 1 nor ``n_cells`` values, raise at their
-    line.
+    dict, with the closeness matrix under ``closeness``.  Each value is
+    checked by the rule of its setting in ``params``, a closeness matrix
+    also against ``n_cells``, whichever strategy the run takes; unknown
+    keys, a per-layer list of neither 1 nor ``n_cells`` values, and a value
+    its rule rejects raise at their line.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -478,15 +491,27 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
             if len(vals) not in (1, n_cells):
                 counts = "1" if n_cells == 1 else f"1 or {n_cells}"
                 raise ParseError(f"expected {counts} {key} values, got {len(vals)}", path, lineno)
+            if key == "lambda":
+                check_weights(vals)
+            elif key == "gamma":
+                check_resolutions(vals)
+            else:
+                check_resolutions(vals, f"{key.replace('.', '_')} entries")
             return vals[0] if len(vals) == 1 else vals
         if key == "omega":
-            return _parse_float(val, key, path, lineno)
+            omega = _parse_float(val, key, path, lineno)
+            check_omega(omega)
+            return omega
         if key == "signed":
             if val.lower() not in ("true", "false"):
                 raise ParseError("signed must be true or false", path, lineno)
             return val.lower() == "true"
         if key == "closeness.file":
-            return load_closeness(os.path.join(base, val), path, lineno)
+            return check_closeness(load_closeness(os.path.join(base, val), path, lineno), n_cells)
+        if key == "coupling.strategy":
+            check_strategy(val)
+        else:
+            check_normalization(val)
         return val
 
     out = _key_values(path, "parameter", _PARAM_KEYS, parse)

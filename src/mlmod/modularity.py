@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .network import MultilayerNetwork
-from .params import CouplingSpec, ModularityParams
+from .params import CouplingSpec, ModularityParams, check_closeness
 
 __all__ = [
     "Partition",
@@ -328,10 +328,7 @@ def _coupling_strengths(net: MultilayerNetwork, spec: CouplingSpec):
         if spec.strategy == "uniform":
             e = np.full(ca.size, spec.omega)
         elif spec.strategy == "closeness":
-            m = spec.closeness
-            if m.shape != (L, L):
-                raise DomainError(f"closeness matrix shape {m.shape} does not match "
-                                  f"{L} layer cells")
+            m = check_closeness(spec.closeness, L)
             e = spec.omega * m[ca, cb] / m.max()
         else:  # temporal: consecutive layers of one aspect
             aspect = np.repeat(np.arange(len(net.aspects)), net.aspect_sizes)

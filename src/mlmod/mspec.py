@@ -223,6 +223,9 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
     divisions: list[Division] = []
     root_u: np.ndarray | None = None
     source = matrix.dense() if matrix.size <= _DENSE_MAX else matrix  # D formed once if small
+    # the root subdivision of a dense D takes D's place, so that only one n x n
+    # array is kept: D's diagonal is written back once the root is bisected
+    d_diag = source.diagonal().copy() if source is not matrix else None
     next_label = 1
     queue: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
     while queue:
@@ -230,6 +233,8 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         if members.size < max(2, 2 * min_community_size):
             continue
         sub = subdivision_matrix(source, members)
+        if d_diag is not None and members.size == n:
+            source = sub
         beta, u = leading_eigenpair(sub)
         if root_u is None:
             root_u = u
@@ -237,6 +242,8 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         if refine:
             z = refine_cut(sub, z)
         dq = 0.5 * float(z @ (sub @ z))
+        if sub is source:
+            np.fill_diagonal(sub, d_diag)
         n_neg = int((z < 0).sum())
         n_pos = members.size - n_neg
         applied = (

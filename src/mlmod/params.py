@@ -22,6 +22,58 @@ COUPLING_STRATEGIES = ("uniform", "closeness", "temporal", "explicit")
 NORMALIZATION_MODES = ("raw", "normalized")
 
 
+# The rules of each setting, shared by CouplingSpec, ModularityParams and the
+# parameter-file reader; each raises DomainError with the bare message.
+def check_strategy(strategy: str) -> None:
+    if strategy not in COUPLING_STRATEGIES:
+        raise DomainError(f"unknown coupling strategy {strategy!r}")
+
+
+def check_omega(omega: float) -> None:
+    if not np.isfinite(omega) or omega < 0:
+        raise DomainError(f"omega must be finite and >= 0, got {omega}")
+
+
+def check_closeness(closeness, n_cells: int | None = None) -> np.ndarray:
+    """A read-only copy of a valid closeness matrix, with ``n_cells`` rows
+    when given."""
+    m = np.asarray(closeness, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError("closeness matrix must be square")
+    if n_cells is not None and m.shape != (n_cells, n_cells):
+        raise DomainError(f"closeness matrix shape {m.shape} does not match "
+                          f"{n_cells} layer cells")
+    if not np.isfinite(m).all():
+        raise DomainError("closeness matrix entries must be finite")
+    if not np.allclose(m, m.T):
+        raise DomainError("closeness matrix must be symmetric")
+    if (m < 0).any():
+        raise DomainError("closeness matrix must be non-negative")
+    if m.max(initial=0.0) <= 0:
+        raise DomainError("closeness matrix must have a strictly positive maximum")
+    m = m.copy()
+    m.setflags(write=False)
+    return m
+
+
+def check_normalization(mode: str) -> None:
+    if mode not in NORMALIZATION_MODES:
+        raise DomainError(f"unknown normalization mode {mode!r}")
+
+
+def check_resolutions(values, what: str = "resolution gamma") -> None:
+    """gamma, or ``what`` = "gamma_plus entries" / "gamma_minus entries"."""
+    for g in values:
+        if not np.isfinite(g) or g <= 0:
+            raise DomainError(f"{what} must be finite and > 0, got {g}")
+
+
+def check_weights(values) -> None:
+    for w in values:
+        if not np.isfinite(w) or w < 0:
+            raise DomainError(f"layer weight lambda must be finite and >= 0, got {w}")
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """How coupling amplitudes ``e`` are assigned to node-copy pairs.
@@ -41,27 +93,12 @@ class CouplingSpec:
     closeness: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.strategy not in COUPLING_STRATEGIES:
-            raise DomainError(f"unknown coupling strategy {self.strategy!r}")
-        if not np.isfinite(self.omega) or self.omega < 0:
-            raise DomainError(f"omega must be finite and >= 0, got {self.omega}")
+        check_strategy(self.strategy)
+        check_omega(self.omega)
         if self.strategy == "closeness":
             if self.closeness is None:
                 raise DomainError("closeness strategy requires a closeness matrix")
-            m = np.asarray(self.closeness, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DomainError("closeness matrix must be square")
-            if not np.isfinite(m).all():
-                raise DomainError("closeness matrix entries must be finite")
-            if not np.allclose(m, m.T):
-                raise DomainError("closeness matrix must be symmetric")
-            if (m < 0).any():
-                raise DomainError("closeness matrix must be non-negative")
-            if m.max(initial=0.0) <= 0:
-                raise DomainError("closeness matrix must have a strictly positive maximum")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "closeness", m)
+            object.__setattr__(self, "closeness", check_closeness(self.closeness))
 
 
 @dataclass(frozen=True)
@@ -81,25 +118,18 @@ class ModularityParams:
     gamma_minus: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.normalization not in NORMALIZATION_MODES:
-            raise DomainError(f"unknown normalization mode {self.normalization!r}")
+        check_normalization(self.normalization)
         if len(self.gamma) != len(self.lam):
             raise DomainError("gamma and lambda must have one entry per layer cell")
-        for g in self.gamma:
-            if not np.isfinite(g) or g <= 0:
-                raise DomainError(f"resolution gamma must be finite and > 0, got {g}")
-        for l in self.lam:
-            if not np.isfinite(l) or l < 0:
-                raise DomainError(f"layer weight lambda must be finite and >= 0, got {l}")
+        check_resolutions(self.gamma)
+        check_weights(self.lam)
         for name in ("gamma_plus", "gamma_minus"):
             vals = getattr(self, name)
             if vals is None:
                 continue
             if len(vals) != len(self.gamma):
                 raise DomainError(f"{name} must have one entry per layer cell")
-            for g in vals:
-                if not np.isfinite(g) or g <= 0:
-                    raise DomainError(f"{name} entries must be finite and > 0, got {g}")
+            check_resolutions(vals, f"{name} entries")
 
     @classmethod
     def for_network(cls, net: "MultilayerNetwork", gamma=1.0, lam=1.0,

@@ -577,6 +577,32 @@ class TestWorkersAndStrategies:
         assert err == f"error: {params}:2: expected 1 or 3 {key} values, got {count}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("omega = -1", "omega must be finite and >= 0, got -1.0"),
+        ("gamma = 0", "resolution gamma must be finite and > 0, got 0.0"),
+        ("lambda = -2", "layer weight lambda must be finite and >= 0, got -2.0"),
+        ("gamma.plus = -1", "gamma_plus entries must be finite and > 0, got -1.0"),
+        ("gamma.minus = 1 0 1", "gamma_minus entries must be finite and > 0, got 0.0"),
+        ("normalization = weird", "unknown normalization mode 'weird'"),
+        ("coupling.strategy = bogus", "unknown coupling strategy 'bogus'"),
+        ("closeness.file = asym.txt", "closeness matrix must be symmetric"),
+        ("closeness.file = small.txt",
+         "closeness matrix shape (2, 2) does not match 3 layer cells"),
+    ])
+    def test_params_file_value_the_run_rejects_exit_2_at_its_line(
+            self, tmp_path, capsys, line, message):
+        (tmp_path / "asym.txt").write_text("0 1 1\n2 0 1\n1 1 0\n")
+        (tmp_path / "small.txt").write_text("0 1\n1 0\n")
+        params = tmp_path / "p.txt"
+        # under the closeness strategy a run reads, and rejects, every value below
+        params.write_text(f"coupling.strategy = closeness\n{line}\n")
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
+                        "--params-file", str(params), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {params}:2: {message}\n"
+        assert not out.exists()
+
     def test_manifest_count_not_an_integer_exit_2_at_its_line(self, tmp_path, capsys):
         (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
         man = tmp_path / "m.txt"
@@ -586,6 +612,20 @@ class TestWorkersAndStrategies:
         assert code == 2
         assert capsys.readouterr().err == f"error: {man}:1: expected integer nodes, got 'two'\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--seed", "-5"],
+    ["sweep", "--seed", "-1"],
+    ["detect", "--dataset", "karate", "--rho", "0.5", "--seed", "-1"],
+    ["detect", "--dataset", "karate", "--algorithm", "mlouv", "--seed", "-1"],
+], ids=["compare", "sweep", "detect-rho", "detect-mlouv"])
+def test_negative_seed_exit_2_before_any_output(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --seed must be a non-negative integer, got {argv[-1]}\n"
+    assert not out.exists()
 
 
 # Each setting: its flag, the parameter-file line the flag must beat, the

@@ -113,6 +113,21 @@ class TestLoadMultiplex:
         assert (1, 0, 1) in net.couplings
         assert (0, 0, 2) in net.couplings
 
+    @pytest.mark.parametrize("body, line, message", [
+        ("1 1 a\n2 1 b c\n", 2, "expected: layerId aspectId label"),
+        ("1 1 a\n# c\n1 1 b\n", 3, "duplicate layer id 1"),
+        ("# no layers\n", None, "layer file declares no layers"),
+        ("1 1 a\n2 3 b\n", None, "aspect ids must be contiguous from 1, got [1, 3]"),
+    ])
+    def test_bad_layer_table_reported_at_its_line(self, tmp_path, body, line, message):
+        edge, layer = tmp_path / "e.txt", tmp_path / "l.txt"
+        edge.write_text("1 1 2\n")
+        layer.write_text(body)
+        with pytest.raises(ParseError) as exc:
+            load_multiplex(str(edge), str(layer))
+        where = f"{layer}:" if line is None else f"{layer}:{line}:"
+        assert str(exc.value) == f"{where} {message}"
+
     def test_round_trip_same_edges(self, tmp_path):
         net0, _ = build_karate_replica(2, [0.5, 1.0])
         edge = tmp_path / "e.txt"
@@ -224,7 +239,7 @@ class TestParamsFile:
         m.write_text("0 1\n1 0\n")
         p = tmp_path / "params.txt"
         p.write_text("closeness.file = closeness.txt\n")
-        out = load_params_file(str(p), 1)
+        out = load_params_file(str(p), 2)
         assert np.array_equal(out["closeness"], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
@@ -254,6 +269,17 @@ class TestParamsFile:
         with pytest.raises(ParseError) as info:
             load_params_file(str(p), 3)
         assert str(info.value) == f"{p}:2: expected 1 or 3 {key} values, got {count}"
+
+    @pytest.mark.parametrize("body, message", [
+        ("omega = 1\ngamma 0.5\n", "expected key = value"),
+        ("omega = 1\nsigned = yes\n", "signed must be true or false"),
+    ])
+    def test_bad_line_reported_at_its_line(self, tmp_path, body, message):
+        p = tmp_path / "params.txt"
+        p.write_text(body)
+        with pytest.raises(ParseError) as info:
+            load_params_file(str(p), 1)
+        assert str(info.value) == f"{p}:2: {message}"
 
     def test_per_layer_count_on_one_cell(self, tmp_path):
         p = tmp_path / "params.txt"
@@ -337,6 +363,49 @@ class TestResultDocuments:
         with pytest.raises(DomainError, match="would not read back"):
             save_result(damage(res), str(path), net)
         assert not path.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda res: dataclasses.replace(res, partition=Partition(res.partition.labels[:-1])),
+         "result partition does not match the network"),
+        (lambda res: dataclasses.replace(res, soft_labels=res.soft_labels[:-1]),
+         "result soft labels do not match the network"),
+    ], ids=["partition", "soft_labels"])
+    def test_size_mismatch_rejected_on_write(self, tmp_path, damage, message):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        with pytest.raises(DomainError) as exc:
+            save_result(damage(res), str(path), net)
+        assert str(exc.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: (1, "#mlmod-result v2"), "not a result document (bad header)"),
+        (lambda lines: (next(k for k, x in enumerate(lines, 1) if x.startswith("#division")),
+                        "#division 0 0.5 1.0 maybe"), "bad #division line"),
+        (lambda lines: (len(lines), " ".join(lines[-1].split()[:4])),
+         "expected: nodeId layerId aspectId communityId softLabel"),
+    ], ids=["header", "division", "cell_row_width"])
+    def test_bad_line_reports_position(self, tmp_path, edit, message):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        row, text = edit(lines)
+        lines[row - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_result(str(path))
+        assert str(exc.value) == f"{path}:{row}: {message}"
+
+    def test_missing_metadata_rejected(self, tmp_path):
+        net, res = self._detect()
+        path = tmp_path / "r.txt"
+        save_result(res, str(path), net)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(x for x in lines if not x.startswith("#meta q_total")) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_result(str(path))
+        assert str(exc.value) == f"{path}: result document is missing required metadata"
 
     def test_truncated_document_rejected(self, tmp_path):
         net, res = self._detect()
@@ -494,6 +563,9 @@ class TestGroundTruth:
     @pytest.mark.parametrize("body, line, message", [
         ("1 1\n2 -1\n3 1\n", 2, "label must be >= 0, got -1"),
         ("1 1\n2 2\n# c\n1 2\n3 1\n", 4, "duplicate node id 1"),
+        ("1 1\n2 x\n3 1\n", 2, "expected integer label, got 'x'"),
+        ("1 1\nx 1\n3 1\n", 2, "expected integer node id, got 'x'"),
+        ("1 1\n2\n3 1\n", 2, "expected: nodeId label"),
     ])
     def test_bad_line_reported_at_its_line(self, tmp_path, body, line, message):
         p = tmp_path / "gt.txt"
@@ -547,6 +619,26 @@ class TestAspectGridFile:
         grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
         coup.write_text("# nodeId cA cB\n" + line + "\n")
         with pytest.raises(DomainError) as exc:
+            load_aspect_grid(str(grid), coupling_path=str(coup))
+        assert str(exc.value) == f"{coup}:2: {message}"
+
+    def test_dims_directive_without_dimensions(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("# grid\n#dims\n1,1 1 2\n")
+        with pytest.raises(ParseError) as exc:
+            load_aspect_grid(str(p))
+        assert str(exc.value) == f"{p}:2: #dims directive needs dimensions"
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 1,1", "expected: nodeId cA1,...,cAF cB1,...,cBF"),
+        ("3 1,1 1,2", "node id 3 out of range 1..2"),
+        ("0 1,1 1,2", "node id 0 out of range 1..2"),
+    ])
+    def test_bad_coupling_line_shape_reported_at_its_line(self, tmp_path, line, message):
+        grid, coup = tmp_path / "grid.txt", tmp_path / "c.txt"
+        grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
+        coup.write_text("# nodeId cA cB\n" + line + "\n")
+        with pytest.raises(ParseError) as exc:
             load_aspect_grid(str(grid), coupling_path=str(coup))
         assert str(exc.value) == f"{coup}:2: {message}"
 

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from mlmod import (
     build_modularity_matrix,
     full_couplings,
     load_karate,
+    mlouv,
     modularity,
     mspec_detect,
     quality_matrix,
@@ -405,3 +407,25 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout.split()[-1]) < 200.0
+
+
+@pytest.mark.parametrize("detect, bound", [
+    (mspec_detect, 2.5),
+    (mlouv, 1.5),
+], ids=["mspec", "mlouv"])
+def test_dense_detection_peak_memory(detect, bound):
+    # A dense detection holds D, or the root subdivision that stands in for
+    # it, plus LAPACK's copy; mlouv one work matrix at a time.  Four n x n
+    # arrays at once (D, the root subdivision and two temporaries of the
+    # eigensolver's checks) read about 4.1 * 8 n^2 bytes for mspec.
+    net, params = build_karate_replica(10, [0.1 * (s + 1) for s in range(10)])
+    spec = CouplingSpec(omega=1.0)
+    n = net.supra_size
+    detect(net, spec, params)  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        detect(net, spec, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n, peak / (8 * n * n)
