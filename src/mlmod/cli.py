@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
-from .errors import ConvergenceError, DomainError, MlmodError
+from .errors import ConvergenceError, DomainError, MlmodError, ParseError
 from .io import (
     load_aspect_grid,
     load_closeness,
@@ -33,7 +33,7 @@ from .io import (
 from .modularity import modularity
 from .mspec import mspec_detect
 from .network import generate_couplings
-from .params import COUPLING_STRATEGIES, CouplingSpec, ModularityParams
+from .params import COUPLING_STRATEGIES, CouplingSpec, ModularityParams, check_closeness
 
 ALGORITHMS = ("mspec", "mlouv", "smean", "sfull")
 DEFAULT_OMEGAS = (0.0, 0.01, 0.1, 1.0, 10.0)
@@ -101,7 +101,12 @@ def _setup(args, sweep_omegas=None):
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     net = _resolve_network(args)
     fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
-    closeness = load_closeness(args.closeness_file) if args.closeness_file else None
+    closeness = None
+    if args.closeness_file:
+        try:
+            closeness = check_closeness(load_closeness(args.closeness_file), net.n_cells)
+        except DomainError as exc:
+            raise ParseError(str(exc), args.closeness_file) from None
     ladder = ([round(0.1 * (s + 1), 10) for s in range(args.layers)]
               if args.dataset == "karate-replica" else 1.0)
     value = {key: fpar.get(key, default) if flag is None else flag for key, flag, default in (
@@ -220,10 +225,13 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     if args.repeats < 1:
         raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
+    rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
+    for rho in rhos:
+        if not 0.0 <= rho <= 1.0:
+            raise DomainError(f"--rho values must lie in [0, 1], got {rho}")
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
     net, params, (spec,) = _setup(args)
-    rhos = tuple(args.rho) if args.rho else DEFAULT_RHOS
     algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")

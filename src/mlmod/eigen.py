@@ -19,6 +19,8 @@ from .errors import ConvergenceError, DomainError
 _START_SEED = 0x6D6C6D6F64
 # Required residual, relative to the max absolute row sum of the matrix.
 _TOL = 1e-10
+# Rows per block of the dense checks and of the restore after an in-place solve.
+_ROWS = 64
 
 __all__ = ["leading_eigenpair"]
 
@@ -27,6 +29,50 @@ def _orient(vec: np.ndarray) -> np.ndarray:
     """Canonical orientation: the largest-magnitude entry is positive."""
     idx = int(np.argmax(np.abs(vec)))
     return -vec if vec[idx] < 0 else vec
+
+
+def _start(n: int) -> np.ndarray:
+    """The unit start vector of an n-row solve."""
+    v0 = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(n)
+    return v0 / np.linalg.norm(v0)
+
+
+def _dense_checks(d: np.ndarray) -> tuple[float, float, bool]:
+    """Max absolute row sum and max |d - d.T| of a float64 d, and whether
+    LAPACK may work in it, each taken over blocks of ``_ROWS`` rows."""
+    n = d.shape[0]
+    # bit for bit, so that +0.0 against -0.0 takes the copy: the restore
+    # writes one triangle over the other
+    bits, mirrored = d.view(np.uint64), True
+    scale = asymmetry = 0.0
+    scratch = np.empty((min(n, _ROWS), n))  # the one temporary of both checks
+    for lo in range(0, n, _ROWS):
+        rows, out = d[lo:lo + _ROWS], scratch[:min(n - lo, _ROWS)]
+        scale = max(scale, float(np.abs(rows, out=out).sum(axis=1).max()))
+        if not (bits[lo:lo + _ROWS] == bits[:, lo:lo + _ROWS].T).all():
+            mirrored = False  # and |d - d.T| is 0 in blocks that mirror
+            np.abs(np.subtract(rows, d[:, lo:lo + _ROWS].T, out=out), out=out)
+            asymmetry = max(asymmetry, float(out.max()))
+    return scale, asymmetry, mirrored and d.flags.c_contiguous and d.flags.writeable
+
+
+def _eigh_in_place(d: np.ndarray):
+    """Top eigenpair of a bit-symmetric C-contiguous d, which LAPACK works in.
+
+    LAPACK reads the lower triangle of d.T, d's upper one, and overwrites it
+    with the diagonal.  Before this returns or raises, the blocks of
+    ``_ROWS`` rows on the diagonal are copied back and the rest of the upper
+    triangle from d's intact lower one.
+    """
+    n = d.shape[0]
+    on_diagonal = [d[lo:lo + _ROWS, lo:lo + _ROWS].copy() for lo in range(0, n, _ROWS)]
+    try:
+        return eigh(d.T, subset_by_index=[n - 1, n - 1], overwrite_a=True)
+    finally:
+        for lo, block in zip(range(0, n, _ROWS), on_diagonal):
+            hi = lo + len(block)
+            d[lo:hi, lo:hi] = block
+            d[lo:hi, hi:] = d[hi:, lo:hi].T
 
 
 def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
@@ -38,6 +84,11 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     where ``scale`` is the exact max absolute row sum of D.  Raises
     ConvergenceError carrying the best residual when the solver cannot
     reach that bound.
+
+    A float64, C-contiguous, writeable array that equals its transpose bit
+    for bit is LAPACK's workspace during the call, so that no copy of it is
+    made; it is bit-identical again when the call returns or raises, but
+    nothing may read it while the call runs.
     """
     if hasattr(matrix, "matvec"):
         n, apply = matrix.shape[0], matrix.matvec
@@ -47,24 +98,20 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
             raise DomainError("leading_eigenpair needs a non-empty square matrix")
         n, apply = d.shape[0], d.__matmul__
-        scratch = np.abs(d)  # one n x n temporary serves both checks
-        scale = float(scratch.sum(axis=1).max())
-        np.abs(np.subtract(d, d.T, out=scratch), out=scratch)
-        asymmetry = float(scratch.max())
-        del scratch
+        scale, asymmetry, in_place = _dense_checks(d)
     if asymmetry > 1e-10 * max(scale, 1.0):
         raise DomainError("matrix is not symmetric")
-    v0 = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(n)
-    v0 /= np.linalg.norm(v0)
     if scale == 0.0:
-        return 0.0, _orient(v0)
+        return 0.0, _orient(_start(n))
     if not hasattr(matrix, "matvec"):
-        vals, vecs = eigh(d, subset_by_index=[n - 1, n - 1])
+        vals, vecs = (_eigh_in_place(d) if in_place
+                      else eigh(d, subset_by_index=[n - 1, n - 1]))
     else:
         # Imported here, not at module level: loading scipy.sparse.linalg adds
         # about 4 MB to the peak RSS of every run, and small runs never need it.
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+        v0 = _start(n)
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         try:  # ARPACK stops at norm(r) <= tol * |beta| <= tol * scale
             vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=_TOL)

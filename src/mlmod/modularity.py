@@ -205,8 +205,11 @@ class QualityMatrix:
         out[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = self.data
         for t in np.unique(self.cells):
             idx = np.flatnonzero(self.cells == t)
+            lo, hi = idx[0], idx[-1] + 1
+            # cells run in supra order, so a cell of a sorted take is one slice
+            block = np.s_[lo:hi, lo:hi] if hi - lo == idx.size else np.ix_(idx, idx)
             for k, c in zip(self.strengths[:, idx], self.coefs[:, t]):
-                out[np.ix_(idx, idx)] -= c * np.outer(k, k)
+                out[block] -= c * np.outer(k, k)
         return out
 
 

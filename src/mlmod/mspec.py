@@ -14,10 +14,11 @@ between the finished communities; both stages are disabled by
 ``refine=False``, which leaves the pure sign-rule recursion.
 
 D is held as ``modularity.QualityMatrix`` (sparse part plus per-layer
-rank-one null terms); a D of at most ``_DENSE_MAX`` rows is formed once
-and sliced.  A subdivision of a larger D is formed densely up to
-``_FORM_MAX`` members; a larger one stays matrix-free in both the
-eigensolve and cut refinement, so no |g|^2 array is made for it.
+rank-one null terms), and every subdivision is formed from it: densely
+when D has at most ``_DENSE_MAX`` rows or the subdivision at most
+``_FORM_MAX`` members, and LAPACK then works in that one array; a larger
+one stays matrix-free in both the eigensolve and cut refinement, so no
+|g|^2 array is made for it.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ __all__ = [
 ]
 
 _GAIN_EPS = 1e-12
-# Largest D formed once and sliced, so that LAPACK solves its subdivisions.
-# Forming each subdivision by take(members).dense() instead writes the same
-# karate documents, byte for byte, at more CPU: 11 karate-replica detections
-# (rho 0..1, omega 1, 116 subdivisions) formed theirs in 0.029-0.035 s by
-# slicing, the one dense D included, against 0.047-0.078 s (2 vCPUs).
+# Largest D whose subdivisions are all formed densely, so that LAPACK solves
+# them.  Forming each by take(members).dense(), not as a slice of a D formed
+# once, keeps one n x n array instead of two (karate replica: a detection's
+# tracemalloc peak 2.25 -> 1.41 x 8 n^2 bytes) at about the same CPU: 11
+# karate-replica detections (rho 0..1, omega 1, 130 subdivisions) formed
+# theirs in 0.033-0.040 s, against 0.029-0.042 s by slicing, the one dense D
+# included (best of 7 in each of six runs, 2 vCPUs).
 _DENSE_MAX = 512
 # Largest subdivision of a factored D formed densely: forming, solving and
 # refining subsets of synth-4096 communities took 2.2/7.3 ms dense/matrix-free
@@ -94,23 +97,19 @@ class DetectionResult:
         return self.partition.n_communities
 
 
-def subdivision_matrix(matrix: QualityMatrix | np.ndarray, members) -> np.ndarray | Subdivision:
+def subdivision_matrix(matrix: QualityMatrix, members) -> np.ndarray | Subdivision:
     """Restriction of D to ``members`` with the diagonal reduced by
     within-community row sums; every row then sums to zero.
 
-    ``matrix`` is D as a dense array, whose subdivisions are dense slices,
-    or as a QualityMatrix, whose subdivisions are formed densely up to
-    ``_FORM_MAX`` members and are a matrix-free ``Subdivision`` above that.
+    Formed densely when it has at most ``_FORM_MAX`` members or D at most
+    ``_DENSE_MAX`` rows, and a matrix-free ``Subdivision`` otherwise.
     """
     members = np.asarray(members, dtype=int)
     if members.size == 0:
         raise DomainError("subdivision matrix of an empty member set")
-    if not isinstance(matrix, QualityMatrix):
-        sub = matrix[np.ix_(members, members)]
-    elif members.size > _FORM_MAX:
+    if members.size > _FORM_MAX and matrix.size > _DENSE_MAX:
         return Subdivision(matrix, members)
-    else:
-        sub = matrix.take(members).dense()
+    sub = matrix.take(members).dense()
     sub[np.diag_indices_from(sub)] -= sub.sum(axis=1)
     return sub
 
@@ -222,19 +221,13 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
     labels = np.zeros(n, dtype=int)
     divisions: list[Division] = []
     root_u: np.ndarray | None = None
-    source = matrix.dense() if matrix.size <= _DENSE_MAX else matrix  # D formed once if small
-    # the root subdivision of a dense D takes D's place, so that only one n x n
-    # array is kept: D's diagonal is written back once the root is bisected
-    d_diag = source.diagonal().copy() if source is not matrix else None
     next_label = 1
     queue: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
     while queue:
         cid, members = queue.pop(0)
         if members.size < max(2, 2 * min_community_size):
             continue
-        sub = subdivision_matrix(source, members)
-        if d_diag is not None and members.size == n:
-            source = sub
+        sub = subdivision_matrix(matrix, members)
         beta, u = leading_eigenpair(sub)
         if root_u is None:
             root_u = u
@@ -242,8 +235,6 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         if refine:
             z = refine_cut(sub, z)
         dq = 0.5 * float(z @ (sub @ z))
-        if sub is source:
-            np.fill_diagonal(sub, d_diag)
         n_neg = int((z < 0).sum())
         n_pos = members.size - n_neg
         applied = (

@@ -257,6 +257,14 @@ class TestCompare:
         assert f"error: --repeats must be >= 1, got {repeats}" in capsys.readouterr().err
         assert not out.exists()  # rejected before any work
 
+    def test_rho_outside_unit_interval_exit_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run_cli(["compare", "--dataset", "karate-replica", "--layers", "3",
+                        "--rho", "0.5", "1.5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --rho values must lie in [0, 1], got 1.5\n"
+        assert not out.exists()  # not even the rho = 0.5 documents
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["compare", "--layers", "2", "--gamma", "1.0", "1.0",
                 "--rho", "0.0", "0.5", "1.0", "--seed", "2"]
@@ -536,6 +544,22 @@ class TestWorkersAndStrategies:
         assert where in err and "finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "result_mspec.txt").exists()
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("0 1\n1 0\n", "closeness matrix shape (2, 2) does not match 3 layer cells"),
+        ("0 1 1\n2 0 1\n1 1 0\n", "closeness matrix must be symmetric"),
+    ], ids=["shape", "asymmetric"])
+    def test_closeness_file_that_does_not_fit_exit_2_at_its_path(
+            self, tmp_path, capsys, matrix, message):
+        close = tmp_path / "close.txt"
+        close.write_text(matrix)
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
+                        "--coupling-strategy", "closeness", "--closeness-file", str(close),
+                        "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {close}: {message}\n"
+        assert not out.exists()
 
     def test_sweep_on_loaded_network(self, tmp_path):
         edge = tmp_path / "e.txt"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mlmod.eigen
 from mlmod import ConvergenceError, CouplingSpec, DomainError, build_karate_replica, quality_matrix
 from mlmod.eigen import leading_eigenpair
 from mlmod.modularity import Subdivision
@@ -13,6 +14,23 @@ from oracles import dense_leading_eigenpair
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
+
+
+def recording_eigh(monkeypatch, d, fail=False):
+    """Patch the solver to record, per call, whether it was handed d's memory
+    to overwrite; with ``fail``, scribble over what LAPACK may overwrite (the
+    lower triangle of the argument, diagonal included) and raise."""
+    calls, eigh = [], mlmod.eigen.eigh
+
+    def wrapped(a, *args, **kwargs):
+        calls.append(bool(np.shares_memory(a, d) and kwargs.get("overwrite_a")))
+        if fail:
+            a[np.tril_indices(len(a))] = np.nan
+            raise np.linalg.LinAlgError("no convergence")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(mlmod.eigen, "eigh", wrapped)
+    return calls
 
 
 def matrix_free(n):
@@ -108,3 +126,64 @@ class TestLeadingEigenpair:
             leading_eigenpair(matrix_free(600))
         assert err.value.best_residual is not None
         assert err.value.best_residual > 0
+
+
+def signed_zero_pair(rng):
+    d = random_symmetric(rng, 70)
+    d[3, 40], d[40, 3] = 0.0, -0.0
+    return d
+
+
+def nearly_symmetric(rng):
+    d = random_symmetric(rng, 70)
+    d[3, 40] += 1e-14
+    return d
+
+
+def read_only(rng):
+    d = random_symmetric(rng, 70)
+    d.setflags(write=False)
+    return d
+
+
+class TestCallerArray:
+    """A bit-symmetric C-contiguous array is LAPACK's workspace during the
+    solve and is restored; any other array is copied and never written."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 340])
+    def test_in_place_solve_restores_the_array(self, n, monkeypatch):
+        d = random_symmetric(np.random.default_rng(n), n)
+        before = d.copy()
+        read_only = d.copy()
+        read_only.setflags(write=False)
+        calls = recording_eigh(monkeypatch, d)
+        beta, u = leading_eigenpair(d)
+        assert calls == [True]
+        assert d.tobytes() == before.tobytes()
+        beta_copy, u_copy = leading_eigenpair(read_only)  # the copy path
+        assert calls == [True, False]
+        assert beta == beta_copy and u.tobytes() == u_copy.tobytes()
+
+    def test_array_restored_when_the_solver_raises(self, monkeypatch):
+        d = random_symmetric(np.random.default_rng(3), 130)
+        before = d.copy()
+        calls = recording_eigh(monkeypatch, d, fail=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            leading_eigenpair(d)
+        assert calls == [True]
+        assert d.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        signed_zero_pair,
+        nearly_symmetric,
+        read_only,
+        lambda rng: random_symmetric(rng, 140)[::2, ::2],
+        lambda rng: np.asfortranarray(random_symmetric(rng, 70)),
+    ], ids=["signed-zero", "1e-14", "read-only", "strided-view", "fortran"])
+    def test_other_arrays_are_copied_and_untouched(self, make, monkeypatch):
+        d = make(np.random.default_rng(5))
+        before = d.copy()
+        calls = recording_eigh(monkeypatch, d)
+        leading_eigenpair(d)
+        assert calls == [False]
+        assert d.tobytes() == before.tobytes()
