@@ -169,6 +169,8 @@ def _write_table(rows, header, csv_path, txt_path):
 
 
 def cmd_detect(args) -> int:
+    if args.rho is not None and not 0.0 <= args.rho <= 1.0:
+        raise DomainError(f"--rho must lie in [0, 1], got {args.rho}")
     net, params, (spec,) = _setup(args)
     if args.rho is not None:
         net = net.with_couplings(generate_couplings(net, args.rho, args.seed))

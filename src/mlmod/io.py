@@ -16,7 +16,7 @@ import math
 import os
 import re
 import warnings
-from io import StringIO
+from io import BytesIO
 
 import numpy as np
 
@@ -85,7 +85,9 @@ def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
     width if ``check(columns, mask, numbers)`` accepts it; otherwise
     ``row(parts, path, lineno)`` parses line after line, returning the
     integers and the number or None, and raises at the first bad line.
-    ``text`` is the file's text when the caller has already read it."""
+    ``text`` is the file's text when the caller has already read it.
+    numpy's reader gets it as bytes (a StringIO holds 4 bytes per
+    character), and the integer columns are a view of the rows it reads."""
     text = _read_text(path) if text is None else text
 
     def lineno(k: int) -> int:
@@ -100,12 +102,12 @@ def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
         try:  # an older numpy reads '2.5' in an int column as 2 and only warns
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                cols = np.loadtxt(StringIO(text), dtype=dtype, comments="#", ndmin=1, unpack=True)
+                read = np.loadtxt(BytesIO(text.encode()), dtype=dtype, comments="#", ndmin=1)
         except (ValueError, Warning):  # a bad line, an int64 overflow, another width or spelling
             pass
         else:
-            table = (np.array(cols[:n_int]), np.full(cols[0].size, has_number),
-                     cols[n_int] if has_number else np.empty(0))
+            table = (read.view(np.int64).reshape(read.size, -1)[:, :n_int].T,  # 8-byte fields
+                     np.full(read.size, has_number), read["x"] if has_number else np.empty(0))
             if check(*table):
                 return (lineno, *table)
     rows = np.array([row(line.split(), path, n) for n, line in _data_lines(path, text)],
@@ -165,9 +167,9 @@ def _cells(sizes, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(inside, (np.cumsum(sizes) - sizes)[v0] + s - 1, -1)
 
 
-def _infer_node_count(ids, path: str, what: str) -> int:
-    """Largest node id, provided every id below it appears (no silent gaps)."""
-    ids = np.unique(np.asarray(ids, dtype=np.int64))
+def _infer_node_count(columns, path: str, what: str) -> int:
+    """Largest id in the node-id ``columns`` if every id below it appears (no silent gaps)."""
+    ids = np.unique(np.concatenate([np.unique(c) for c in columns]).astype(np.int64))
     if ids.size == 0:
         raise ParseError(f"cannot infer node count from an empty {what} file; "
                          "declare it explicitly", path)
@@ -340,7 +342,7 @@ def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.n
     w = np.ones(i.size)
     w[has_w] = extra
     if n_nodes is None:
-        n_nodes = _infer_node_count(np.concatenate((i, j)), path, what)
+        n_nodes = _infer_node_count((i, j), path, what)
     else:
         if n_nodes < 1:
             raise DomainError("declared node count must be >= 1")
@@ -351,10 +353,11 @@ def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.n
             )
 
     n_cells = sum(len(a.layers) for a in aspects)
-    order = np.argsort(cell, kind="stable")
-    cuts = np.searchsorted(cell[order], np.arange(n_cells + 1))
-    edges = tuple(normalize_edges(Edges(i[rows] - 1, j[rows] - 1, w[rows]), n_nodes)
-                  for rows in (order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])))
+    order = slice(None) if (cell[1:] >= cell[:-1]).all() else np.argsort(cell, kind="stable")
+    i, j, w, cell = i[order], j[order], w[order], cell[order]
+    cuts = np.searchsorted(cell, np.arange(n_cells + 1))
+    edges = tuple(normalize_edges(Edges(i[lo:hi] - 1, j[lo:hi] - 1, w[lo:hi]), n_nodes)
+                  for lo, hi in zip(cuts, cuts[1:]))
     return MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges)
 
 
@@ -365,14 +368,14 @@ def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
     for t in range(net.n_cells):
         for i, j, w in net.within_edges[t]:
             lines.append(f"{t + 1} {i + 1} {j + 1} {w!r}")
-    _atomic_write(edge_path, "\n".join(lines) + "\n")
+    _atomic_write(edge_path, lines)
     lines = ["# layerId aspectId label"]
     layer_id = 1
     for v, aspect in enumerate(net.aspects):
         for label in aspect.layers:
             lines.append(f"{layer_id} {v + 1} {label}")
             layer_id += 1
-    _atomic_write(layer_path, "\n".join(lines) + "\n")
+    _atomic_write(layer_path, lines)
     if coupling_path is not None:
         lines = ["# nodeId layerA aspectA layerB aspectB [magnitude]"]
         magnitude = net.couplings.magnitude
@@ -380,7 +383,7 @@ def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
         for k, (node, ca, cb) in enumerate(net.couplings):  # sorted rows
             tail = "" if magnitude is None else f" {float(magnitude[k])!r}"
             lines.append(f"{node + 1} {ids[ca]} {ids[cb]}{tail}")
-        _atomic_write(coupling_path, "\n".join(lines) + "\n")
+        _atomic_write(coupling_path, lines)
 
 
 def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: value) -> dict:
@@ -611,14 +614,16 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
 _RESULT_HEADER = "#mlmod-result v1"
 
 
-def _atomic_write(path: str, content: str) -> None:
-    """Write the whole document or nothing; the directory must exist."""
+def _atomic_write(path: str, lines) -> None:
+    """Write the lines, each ended by a newline, 4,096 at a time, as the
+    whole document or nothing; the directory must exist."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise DomainError(f"output directory does not exist: {directory}")
-    tmp = path + ".tmp"
+    tmp, lines = path + ".tmp", iter(lines)
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(content)
+        while chunk := list(itertools.islice(lines, 4096)):
+            fh.write("\n".join(chunk) + "\n")
     os.replace(tmp, path)
 
 
@@ -663,12 +668,12 @@ def save_result(result: DetectionResult, path: str, net: MultilayerNetwork) -> N
     lines.append("#cells nodeId layerId aspectId communityId softLabel")
     nodes = [str(i + 1) for i in range(net.n_nodes)]
     cells = [f"{s + 1} {v + 1}" for v, size in enumerate(net.aspect_sizes) for s in range(size)]
-    lines += map(" ".join, zip(nodes * len(cells),
-                               (cell for cell in cells for _ in nodes),
-                               map(str, (result.partition.labels + 1).tolist()),
-                               ["-"] * net.supra_size if soft is None
-                               else map(repr, np.asarray(soft, dtype=float).tolist())))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = map(" ".join, zip(nodes * len(cells),
+                             (cell for cell in cells for _ in nodes),
+                             map(str, (result.partition.labels + 1).tolist()),
+                             ["-"] * net.supra_size if soft is None
+                             else map(repr, np.asarray(soft, dtype=float).tolist())))
+    _atomic_write(path, itertools.chain(lines, rows))
 
 
 def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:

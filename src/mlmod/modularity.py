@@ -30,6 +30,8 @@ from .errors import DomainError
 from .network import MultilayerNetwork
 from .params import CouplingSpec, ModularityParams, check_closeness
 
+_ENTRIES = 1 << 13  # per row block of the scans over the entries of B
+
 __all__ = [
     "Partition",
     "SupraModularityMatrix",
@@ -106,18 +108,21 @@ def modularity(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityPar
 def _score(qm: QualityMatrix, labels: np.ndarray, normalization: str) -> float:
     """``modularity`` on a built quality matrix.
 
-    Evaluated on the factored D: per cell, the same-community entries of B
-    less ``coefs[p, t]`` times the summed squared community strength
-    totals of each null piece; the same-community coupling entries are
-    added last.
+    Evaluated on the factored D, over blocks of rows: per cell, the
+    same-community entries of B less ``coefs[p, t]`` times the summed
+    squared community strength totals of each null piece; the
+    same-community coupling entries are added last.
     """
-    L, n = qm.coefs.shape[1], qm.size
-    rows = np.repeat(np.arange(n), np.diff(qm.indptr))
-    cross = qm.cells[rows] != qm.cells[qm.indices]
-    same = labels[rows] == labels[qm.indices]
-    # B over same-community pairs: one slot per cell, the couplings in slot L
-    part = np.bincount(np.where(cross, L, qm.cells[rows])[same], weights=qm.data[same],
-                       minlength=L + 1)
+    L = qm.coefs.shape[1]
+    # B over same-community pairs: a slot per cell, couplings in L, summed in CSR order
+    part, cross_abs = np.zeros(L + 1), []
+    for lo, hi, span in _row_blocks(qm.indptr):
+        rows = np.repeat(np.arange(lo, hi), np.diff(qm.indptr[lo:hi + 1]))
+        cols, data = qm.indices[span], qm.data[span]
+        cross = qm.cells[rows] != qm.cells[cols]
+        same = labels[rows] == labels[cols]
+        np.add.at(part, np.where(cross, L, qm.cells[rows])[same], data[same])
+        cross_abs.append(np.abs(data[cross]))
     _, comm = np.unique(labels, return_inverse=True)
     k_max = int(comm.max()) + 1
     squares = [(np.bincount(qm.cells * k_max + comm, weights=k, minlength=L * k_max)
@@ -125,7 +130,7 @@ def _score(qm: QualityMatrix, labels: np.ndarray, normalization: str) -> float:
     per_cell = part[:L] - (qm.coefs * np.array(squares)).sum(axis=0)
     q = float(np.cumsum(per_cell)[-1] + part[L])
     if normalization == "normalized":
-        mu = float(qm.strengths.sum() + np.abs(qm.data[cross]).sum())
+        mu = float(qm.strengths.sum() + np.concatenate(cross_abs).sum())
         return q / mu if mu > 0 else 0.0
     return q
 
@@ -146,12 +151,12 @@ def build_modularity_matrix(net: MultilayerNetwork, spec: CouplingSpec,
     return SupraModularityMatrix(matrix=qm.dense(), chi=chi)
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """(indptr, indices, data) of the n x n matrix with the given entries,
-    rows in order and entries kept in their given order within a row."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return indptr, cols[order], vals[order]
+def _row_blocks(indptr: np.ndarray):
+    """(first row, end row, entry slice) of CSR row blocks of about ``_ENTRIES`` entries."""
+    cuts = np.searchsorted(indptr, np.arange(0, indptr[-1], _ENTRIES), side="right") - 1
+    cuts = np.unique(np.concatenate(([0], cuts, [indptr.size - 1])))
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        yield lo, hi, slice(indptr[lo], indptr[hi])
 
 
 @dataclass(frozen=True)
@@ -180,13 +185,19 @@ class QualityMatrix:
     strengths: np.ndarray
     coefs: np.ndarray
 
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.data, self.cells, self.strengths, self.coefs):
+            a.flags.writeable = False  # takes share them
+
     @property
     def size(self) -> int:
         return self.cells.size
 
     def take(self, idx) -> "QualityMatrix":
-        """Rows and columns ``idx`` of D, in that order."""
+        """Rows and columns ``idx`` of D, in that order (D itself for all, in order)."""
         idx = np.asarray(idx, dtype=np.intp)
+        if np.array_equal(idx, np.arange(self.size)):
+            return self
         pos = np.full(self.size, -1)
         pos[idx] = np.arange(idx.size)
         lo = self.indptr[idx]
@@ -195,8 +206,9 @@ class QualityMatrix:
         at = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
         cols = pos[self.indices[at]]
         keep = cols >= 0
-        rows = np.repeat(np.arange(idx.size), lengths)[keep]
-        return QualityMatrix(*_csr(rows, cols[keep], self.data[at][keep], idx.size),
+        # rows come out in order, so no sort: each row's count of kept entries
+        indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(lengths)))]
+        return QualityMatrix(indptr, cols[keep], self.data[at[keep]],
                              self.cells[idx], self.strengths[:, idx], self.coefs)
 
     def dense(self) -> np.ndarray:
@@ -219,7 +231,8 @@ class Subdivision:
 
     A product costs O(nnz(B_gg) + |g|): the sparse part through scipy's
     CSR kernel, one per-cell sum per null piece, and the row-sum shift
-    (Newman, PNAS 103:8577, 2006).
+    (Newman, PNAS 103:8577, 2006).  It holds no array of one value per
+    entry beyond its take of D, which is D itself for all of D.
     """
 
     def __init__(self, matrix: QualityMatrix, members):
@@ -231,15 +244,14 @@ class Subdivision:
         m = sub.size
         self.shape = (m, m)
         self.indptr, self.cols, self.vals = sub.indptr, sub.indices, sub.data
-        # scipy's CSR kernel sums each row's entries in order, from 0.0, as
-        # a bincount over them does
         self.b = csr_array((sub.data, sub.indices, sub.indptr), shape=self.shape)
-        self.rows = np.repeat(np.arange(m), np.diff(sub.indptr))
         self.cells = sub.cells
         self.k = sub.strengths
         self.c = sub.coefs[:, sub.cells]  # coefficient of each member's cell
         self.n_cells = sub.coefs.shape[1]
-        self.rowsum = np.bincount(self.rows, weights=self.vals, minlength=m) - self._null(np.ones(m))
+        # scipy's CSR kernel sums each row's entries in order, from 0.0, as
+        # a bincount over them does
+        self.rowsum = self.b @ np.ones(m) - self._null(np.ones(m))
         self.null_diag = (self.c * (self.k * self.k)).sum(axis=0)
 
     def _null(self, x: np.ndarray) -> np.ndarray:
@@ -271,16 +283,27 @@ class Subdivision:
 
     def asymmetry(self) -> float:
         """Largest |M_xy - M_yx|; the null terms are symmetric by construction."""
-        return float(abs(self.b - self.b.T).max())
+        def rows(a, lo, hi):  # rows lo..hi-1 of a CSR array, sharing its arrays
+            p = a.indptr
+            return a if hi - lo == a.shape[0] else type(a)(
+                (a.data[p[lo]:p[hi]], a.indices[p[lo]:p[hi]], p[lo:hi + 1] - p[lo]),
+                shape=(hi - lo, a.shape[1]))
+
+        t = self.b.T.tocsr()
+        return max(float(np.abs((rows(self.b, lo, hi) - rows(t, lo, hi)).data).max(initial=0.0))
+                   for lo, hi, _ in _row_blocks(self.indptr))
 
     def norm_inf(self) -> float:
         """Exact max absolute row sum of M, without forming M."""
-        rows, cols, m = self.rows, self.cols, self.shape[0]
-        same = self.cells[rows] == self.cells[cols]
-        null_nz = sum(c[rows] * (k[rows] * k[cols]) for k, c in zip(self.k, self.c)) * same
-        # entries where B is non-zero replace their null-only contribution
-        fix = np.bincount(rows, weights=np.abs(self.vals - null_nz) - np.abs(null_nz),
-                          minlength=m)
+        fix = np.empty(self.shape[0])
+        for lo, hi, span in _row_blocks(self.indptr):
+            rows = np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo:hi + 1]))
+            cols = self.cols[span]
+            same = self.cells[rows] == self.cells[cols]
+            null_nz = sum(c[rows] * (k[rows] * k[cols]) for k, c in zip(self.k, self.c)) * same
+            # entries where B is non-zero replace their null-only contribution
+            fix[lo:hi] = np.bincount(rows - lo, minlength=hi - lo,
+                                     weights=np.abs(self.vals[span] - null_nz) - np.abs(null_nz))
         return float((self._null_abs_rowsums() - np.abs(self.null_diag) + fix
                       + np.abs(self.diagonal())).max())
 
@@ -383,9 +406,18 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
     # one pair at a time in candidate order (a running sum, not np.sum's pairwise one)
     coupling_sum = float(np.cumsum(2.0 * ctil.ravel())[-1]) if ctil.size else 0.0
     heads, tails, vals = (np.concatenate(block) for block in zip(*entries))
-    keep = vals != 0.0
-    heads, tails, vals = heads[keep], tails[keep], vals[keep]
-    b = _csr(np.concatenate((heads, tails)), np.concatenate((tails, heads)),
-             np.concatenate((vals, vals)), n)
+    del entries
+    keep = slice(None) if vals.all() else vals != 0.0
+    rows, vals = np.concatenate((heads[keep], tails[keep])), vals[keep]
+    del heads, tails
+    # rows in stable-sort order, which products sum in; k ± e is entry k's other end
+    order, e = np.argsort(rows, kind="stable"), vals.size
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    order += e
+    np.subtract(order, 2 * e, out=order, where=order >= 2 * e)
+    indices = rows[order]
+    del rows
+    np.subtract(order, e, out=order, where=order >= e)
     cells = np.repeat(np.arange(net.n_cells), N)
-    return QualityMatrix(*b, cells, strengths, coefs), within_bias + coupling_sum
+    return (QualityMatrix(indptr, indices, vals[order], cells, strengths, coefs),
+            within_bias + coupling_sum)

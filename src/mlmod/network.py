@@ -241,11 +241,12 @@ def normalize_edges(raw, n_nodes: int) -> Edges:
         raise DomainError(f"edge ({i + 1}, {j + 1}) out of node range 1..{n_nodes}")
     key = lo * n_nodes + hi
     order = np.argsort(key, kind="stable")
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[order][1:] != key[order][:-1]
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0  # keys are >= 0
     # bincount adds each key's weights one by one in input order, from 0.0
     w = np.bincount(np.cumsum(first) - 1, weights=e.w[order], minlength=int(first.sum()))
-    return Edges(lo[order][first], hi[order][first], w)
+    order = order[first]
+    return Edges(lo[order], hi[order], w)
 
 
 def full_couplings(n_nodes: int, n_cells: int) -> Couplings:

@@ -228,6 +228,52 @@ def dense_subdivision(matrix: np.ndarray, members) -> np.ndarray:
     return sub
 
 
+def _stable_csr(rows, cols, vals, n: int):
+    """(indptr, indices, data) with the entries ordered by a stable sort
+    of their rows, so each row keeps its entries in their given order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, np.asarray(cols, dtype=np.int64)[order], np.asarray(vals, dtype=float)[order]
+
+
+def csr_reference(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams):
+    """The sparse part B of the factored D as (indptr, indices, data), in
+    the entry order its CSR products sum each row in: every cell's edges in
+    table order, then each candidate coupling (cell pair, then node), each
+    non-zero entry once from its head and once from its tail, and the rows
+    ordered by a stable sort."""
+    n_nodes, entries = net.n_nodes, []
+    for t, edges in enumerate(net.within_edges):
+        entries += [(t * n_nodes + i, t * n_nodes + j, w * params.lam[t]) for i, j, w in edges]
+    n_cells = len(net.within_edges)
+    for ca, cb in itertools.combinations(range(n_cells), 2):
+        for node in range(n_nodes):
+            e = coupling_amplitude(spec, net, node, ca, cb)
+            entries.append((ca * n_nodes + node, cb * n_nodes + node,
+                            e if (node, ca, cb) in net.couplings else -e))
+    heads, tails, vals = (list(c) for c in zip(*entries)) if entries else ([], [], [])
+    kept = [k for k, v in enumerate(vals) if v != 0.0]
+    heads, tails, vals = ([a[k] for k in kept] for a in (heads, tails, vals))
+    return _stable_csr(heads + tails, tails + heads, vals + vals, n_nodes * n_cells)
+
+
+def take_reference(matrix, idx):
+    """(indptr, indices, data) of rows and columns ``idx`` of a factored D,
+    by a stable sort of the gathered entries' new rows."""
+    idx = np.asarray(idx, dtype=np.int64)
+    pos = {int(x): k for k, x in enumerate(idx)}
+    rows, cols, vals = [], [], []
+    for r, x in enumerate(idx.tolist()):
+        for at in range(matrix.indptr[x], matrix.indptr[x + 1]):
+            y = int(matrix.indices[at])
+            if y in pos:
+                rows.append(r)
+                cols.append(pos[y])
+                vals.append(matrix.data[at])
+    return _stable_csr(rows, cols, vals, idx.size)
+
+
 def dense_leading_eigenpair(matrix: np.ndarray):
     """Full dense symmetric eigendecomposition oracle."""
     vals, vecs = np.linalg.eigh(matrix)

@@ -98,6 +98,14 @@ class TestDetect:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rho", ["1.5", "-0.1", "nan"])
+    def test_rho_outside_unit_interval_exit_2_before_any_output(self, tmp_path, capsys, rho):
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--dataset", "karate", "--rho", rho, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --rho must lie in [0, 1], got {float(rho)}\n"
+        assert not out.exists()
+
     def test_bad_ground_truth_in_manifest_exit_2(self, tmp_path, capsys):
         (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
         (tmp_path / "gt.txt").write_text("1 1\n2 1\n2 2\n")

@@ -19,6 +19,7 @@ from mlmod import (
     build_karate_replica,
     build_modularity_matrix,
     full_couplings,
+    generate_couplings,
     load_karate,
     mlouv,
     modularity,
@@ -27,7 +28,7 @@ from mlmod import (
 )
 from mlmod import mspec
 from mlmod.io import load_couplings, load_multiplex
-from mlmod.modularity import QualityMatrix, Subdivision
+from mlmod.modularity import QualityMatrix, Subdivision, _score
 from mlmod.mspec import subdivision_matrix
 
 from conftest import make_single_layer
@@ -411,6 +412,53 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout.split()[-1]) < 200.0
+
+
+def test_matrix_free_stage_peaks_supra_8192():
+    # The instance of test_supra_8192_peak_rss_below_200mb, in this process.
+    # Each stage holds at most a few arrays of one value per entry of B, in
+    # units of 8 * nnz bytes under tracemalloc: the root subdivision shares
+    # D's arrays, and the build, the two checks and the scorer work over
+    # blocks of rows.
+    n, block = 4096, 256
+    rng = np.random.default_rng(8192)
+    layers = []
+    for _ in range(2):
+        edges = []
+        for lo in range(0, n, block):
+            i, j = np.nonzero(rng.random((min(block, n - lo), n)) < 8.0 / n)
+            i += lo
+            keep = i < j
+            edges += zip(i[keep].tolist(), j[keep].tolist(), [1.0] * int(keep.sum()))
+        layers.append(tuple(edges))
+    net = make_net(n, (2,), tuple(layers))
+    net = net.with_couplings(generate_couplings(net, 0.5, 8193))
+    spec, params = CouplingSpec(omega=0.5), ModularityParams.for_network(net)
+    labels = np.arange(2 * n) * 7 // (2 * n)
+    Subdivision(*quality_matrix(net, spec, params)[:1], [0, 1])  # warm-up: imports
+    peaks = {}
+
+    def traced(name, f):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        return out
+
+    tracemalloc.start()
+    try:
+        qm, _ = traced("quality_matrix", lambda: quality_matrix(net, spec, params))
+        root = traced("subdivision_matrix", lambda: subdivision_matrix(qm, np.arange(qm.size)))
+        traced("norm_inf", root.norm_inf)
+        traced("asymmetry", root.asymmetry)
+        traced("_score", lambda: _score(qm, labels, "raw"))
+    finally:
+        tracemalloc.stop()
+    assert isinstance(root, Subdivision)
+    units = {name: peak / (8 * qm.indices.size) for name, peak in peaks.items()}
+    bounds = {"quality_matrix": 5.0, "subdivision_matrix": 1.5, "norm_inf": 1.0,
+              "asymmetry": 3.25, "_score": 1.5}
+    assert all(units[name] <= bound for name, bound in bounds.items()), units
 
 
 @pytest.mark.parametrize("detect, bound", [

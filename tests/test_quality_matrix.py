@@ -35,7 +35,14 @@ from mlmod.mspec import kl_relocate, subdivision_matrix
 from mlmod.params import COUPLING_STRATEGIES
 
 from conftest import make_single_layer
-from oracles import dense_subdivision, oracle_matrix, q_pairwise, relocate_reference
+from oracles import (
+    csr_reference,
+    dense_subdivision,
+    oracle_matrix,
+    q_pairwise,
+    relocate_reference,
+    take_reference,
+)
 
 
 @st.composite
@@ -111,6 +118,36 @@ def test_subdivision_view_equals_dense_reference(instance, seed):
         assert np.abs(view.column(j) - ref[:, j]).max() <= tol
     assert abs(view.norm_inf() - float(np.abs(ref).sum(axis=1).max())) <= tol
     assert view.asymmetry() <= tol
+
+
+FIELDS = ("indptr", "indices", "data")
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_csr_and_takes_equal_the_stable_sort_reference(instance):
+    # entry for entry and in order: the CSR products sum each row in it
+    net, spec, params, members = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # edgeless layers warn
+        qm, _ = quality_matrix(net, spec, params)
+    for reference, matrix in ((csr_reference(net, spec, params), qm),
+                              (take_reference(qm, members), qm.take(members))):
+        for name, want in zip(FIELDS, reference):
+            got = getattr(matrix, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    whole = qm.take(np.arange(qm.size))
+    for name in FIELDS + ("cells", "strengths", "coefs"):
+        assert getattr(whole, name) is getattr(qm, name), name
+
+
+def test_quality_matrix_arrays_are_read_only():
+    net, params = build_karate_replica(2, [0.5, 1.0])
+    qm, _ = quality_matrix(net, CouplingSpec(omega=1.0), params)
+    for matrix in (qm, qm.take(np.arange(qm.size)), qm.take([3, 1, 2])):
+        for name in FIELDS + ("cells", "strengths", "coefs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(matrix, name)[0] = 0
 
 
 @settings(max_examples=60, deadline=None)
