@@ -99,6 +99,8 @@ def _setup(args, sweep_omegas=None):
     ``sweep_omegas``, the default grid of a sweep, the run takes one omega."""
     if args.seed < 0:  # checked also where no step of the run draws from it
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.min_community_size < 1:  # also where the algorithm does not read it
+        raise DomainError(f"--min-community-size must be >= 1, got {args.min_community_size}")
     net = _resolve_network(args)
     fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
     closeness = None

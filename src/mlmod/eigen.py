@@ -78,8 +78,9 @@ def _eigh_in_place(d: np.ndarray):
 def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue and a unit eigenvector.
 
-    ``matrix`` is a dense symmetric array or a matrix-free operator with
-    ``matvec``, ``shape``, ``norm_inf`` and ``asymmetry``.
+    ``matrix`` is a dense symmetric array, which is checked, or a
+    matrix-free operator with ``matvec``, ``shape`` and ``norm_inf``, which
+    is taken to be symmetric.
     The returned pair satisfies ``norm(D u - beta u) <= 1e-10 * scale``
     where ``scale`` is the exact max absolute row sum of D.  Raises
     ConvergenceError carrying the best residual when the solver cannot
@@ -91,16 +92,15 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     nothing may read it while the call runs.
     """
     if hasattr(matrix, "matvec"):
-        n, apply = matrix.shape[0], matrix.matvec
-        scale, asymmetry = matrix.norm_inf(), matrix.asymmetry()
+        n, apply, scale = matrix.shape[0], matrix.matvec, matrix.norm_inf()
     else:
         d = np.asarray(matrix, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
             raise DomainError("leading_eigenpair needs a non-empty square matrix")
         n, apply = d.shape[0], d.__matmul__
         scale, asymmetry, in_place = _dense_checks(d)
-    if asymmetry > 1e-10 * max(scale, 1.0):
-        raise DomainError("matrix is not symmetric")
+        if asymmetry > 1e-10 * max(scale, 1.0):
+            raise DomainError("matrix is not symmetric")
     if scale == 0.0:
         return 0.0, _orient(_start(n))
     if not hasattr(matrix, "matvec"):

@@ -78,8 +78,7 @@ def _comment_after_token(text: str) -> bool:
 
 
 def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
-    """Data lines of ``n_int`` integers and an optional number: a lookup of
-    row k's 1-based line number (counted only when asked), (n_int, rows)
+    """Data lines of ``n_int`` integers and an optional number: (n_int, rows)
     int64 columns, the mask of rows with the number and those numbers.
     With a ``check``, numpy's reader reads a table of the first data row's
     width if ``check(columns, mask, numbers)`` accepts it; otherwise
@@ -89,10 +88,6 @@ def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
     numpy's reader gets it as bytes (a StringIO holds 4 bytes per
     character), and the integer columns are a view of the rows it reads."""
     text = _read_text(path) if text is None else text
-
-    def lineno(k: int) -> int:
-        return next(itertools.islice(_data_lines(path, text), k, None))[0]
-
     first = next(_data_lines(path, text), None)
     # numpy 2.4's reader can crash the process on characters beyond U+FFFF,
     # so only ASCII text reaches it
@@ -109,11 +104,11 @@ def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
             table = (read.view(np.int64).reshape(read.size, -1)[:, :n_int].T,  # 8-byte fields
                      np.full(read.size, has_number), read["x"] if has_number else np.empty(0))
             if check(*table):
-                return (lineno, *table)
+                return table
     rows = np.array([row(line.split(), path, n) for n, line in _data_lines(path, text)],
                     dtype=object).reshape(-1, n_int + 1)
     has = rows[:, -1] != None  # noqa: E711 (elementwise)
-    return lineno, rows[:, :-1].T.astype(np.int64), has, rows[has, -1].astype(float)
+    return rows[:, :-1].T.astype(np.int64), has, rows[has, -1].astype(float)
 
 
 def _parse_int(token: str, what: str, path: str, lineno: int) -> int:
@@ -143,18 +138,19 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _raise_first(path: str, lineno, checks) -> None:
+def _raise_first(path: str, checks) -> None:
     """Raise at the first of the rows read from ``path`` that fails one of
     ``checks``: (mask of failing rows, error class, message of row k)
-    triples in the order a row is checked.  ``lineno(k)`` is row k's line;
-    a DomainError carries the position in its message."""
+    triples in the order a row is checked.  Row k's line is found by reading
+    the file again; a DomainError carries the position in its message."""
     bad = np.logical_or.reduce([mask for mask, _, _ in checks])
     if bad.any():
         k = int(bad.argmax())
         cls, message = next((cls, message(k)) for mask, cls, message in checks if mask[k])
+        lineno = next(itertools.islice(_data_lines(path), k, None))[0]
         if cls is ParseError:
-            raise ParseError(message, path, lineno(k))
-        raise cls(f"{path}:{lineno(k)}: {message}")
+            raise ParseError(message, path, lineno)
+        raise cls(f"{path}:{lineno}: {message}")
 
 
 def _cells(sizes, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -264,7 +260,7 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     with a magnitude sets it; a coupling no such line names gets 0.
     ``net.with_couplings(table)`` puts it on the network.
     """
-    lineno, (node, sa, va, sb, vb), has_m, m = _read_rows(
+    (node, sa, va, sb, vb), has_m, m = _read_rows(
         path, 5, lambda c, has_m, m: bool(np.isfinite(m).all()), _coupling_row)
     ca, cb = _cells(net.aspect_sizes, sa, va), _cells(net.aspect_sizes, sb, vb)
     magnitude = np.zeros(node.size)
@@ -274,7 +270,7 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
         return (f"aspect index {v - 1} out of range" if not 1 <= v <= len(net.aspects)
                 else f"layer index {s - 1} out of range for aspect {v - 1}")
 
-    _raise_first(path, lineno, [
+    _raise_first(path, [
         ((node < 1) | (node > n_nodes), DomainError,
          lambda k: f"node id {node[k]} out of range 1..{n_nodes}"),
         (ca < 0, DomainError, lambda k: cell_error(sa[k], va[k])),
@@ -302,16 +298,13 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     """
     table = _read_rows(edge_path, 3, lambda c, has_w, w: bool(np.isfinite(w).all() and (
         (c >= 1).all() and (c[1] != c[2]).all())), _edge_row)
-    lineno, (layer, _, _), _, _ = table
+    layer = table[0][0]
     if layer_path is not None:
         aspects, cell_of_layer_id = _load_layer_table(layer_path)
         declared = np.array(sorted(cell_of_layer_id), dtype=np.int64)
         at = np.minimum(np.searchsorted(declared, layer), declared.size - 1)
-        unknown = declared[at] != layer
-        if unknown.any():
-            k = int(unknown.argmax())
-            raise ParseError(f"layer id {layer[k]} not declared in {layer_path}",
-                             edge_path, lineno(k))
+        _raise_first(edge_path, [(declared[at] != layer, ParseError,
+                                  lambda k: f"layer id {layer[k]} not declared in {layer_path}")])
         cell = np.array([cell_of_layer_id[x] for x in declared.tolist()])[at]
     else:
         layer_ids = np.unique(layer).tolist()
@@ -338,7 +331,7 @@ def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.n
     """The network of the ``_read_rows`` edge ``table`` of ``path``, whose
     rows lie in the 0-based layer cells ``cell``: the node count inferred or
     checked, rows split by cell in input order, duplicates summed."""
-    _, (_, i, j), has_w, extra = table
+    (_, i, j), has_w, extra = table
     w = np.ones(i.size)
     w[has_w] = extra
     if n_nodes is None:
@@ -455,8 +448,8 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
         return (_parse_int(parts[0], "node id", path, lineno),
                 _parse_int(parts[1], "label", path, lineno), None)
 
-    lineno, (node, label), _, _ = _read_rows(path, 2, lambda c, has, x: not has.any(), row)
-    _raise_first(path, lineno, [
+    (node, label), _, _ = _read_rows(path, 2, lambda c, has, x: not has.any(), row)
+    _raise_first(path, [
         ((node < 1) | (node > n_nodes), DomainError, lambda k: f"node id {node[k]} out of range"),
         (label < 0, ParseError, lambda k: f"label must be >= 0, got {label[k]}"),
         (_repeats(node), ParseError, lambda k: f"duplicate node id {node[k]}"),
@@ -588,7 +581,7 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     coords = list(itertools.product(*(range(d) for d in dims)))
     labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
     net = _cells_network(path, "grid", (Aspect(name="flattened", layers=labels),),
-                         table[1][0] - 1, table, n_nodes)
+                         table[0][0] - 1, table, n_nodes)
     if coupling_path is not None:
         n = net.n_nodes
 
@@ -603,7 +596,7 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
                 raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
             return node, ta + 1, tb + 1, None
 
-        _, (node, ta, tb), _, _ = _read_rows(coupling_path, 3, None, coupling_row)
+        (node, ta, tb), _, _ = _read_rows(coupling_path, 3, None, coupling_row)
         net = net.with_couplings(Couplings(np.column_stack(
             (node - 1, np.minimum(ta, tb) - 1, np.maximum(ta, tb) - 1))))
     return net, {c: (t + 1, 1) for t, c in enumerate(coords)}
@@ -734,7 +727,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
         return (*ids, None if parts[4] == "-" else
                 _parse_float(parts[4], "soft label", path, lineno))
 
-    lineno, (node, layer, aspect, community), has_soft, soft = _read_rows(
+    (node, layer, aspect, community), has_soft, soft = _read_rows(
         path, 4, lambda c, has, x: bool(has.all() and np.isfinite(x).all()), row, text)
     if n_nodes is None or aspect_sizes is None or q_total is None:
         raise ParseError("result document is missing required metadata", path)
@@ -748,7 +741,7 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
     def ids(k):
         return f"({node[k]}, {layer[k]}, {aspect[k]})"
 
-    _raise_first(path, lineno, [
+    _raise_first(path, [
         (~inside, ParseError, lambda k: f"cell {ids(k)} out of range"),
         (_repeats(x), ParseError, lambda k: f"duplicate cell {ids(k)}"),
         (community < 1, ParseError, lambda k: f"community id must be >= 1, got {community[k]}"),

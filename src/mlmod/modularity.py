@@ -232,7 +232,10 @@ class Subdivision:
     A product costs O(nnz(B_gg) + |g|): the sparse part through scipy's
     CSR kernel, one per-cell sum per null piece, and the row-sum shift
     (Newman, PNAS 103:8577, 2006).  It holds no array of one value per
-    entry beyond its take of D, which is D itself for all of D.
+    entry beyond its take of D, which is D itself for all of D.  M is
+    symmetric by construction, so it is not checked here: ``quality_matrix``
+    writes both ends of every entry of B from one value, and a take maps
+    rows and columns through one index.
     """
 
     def __init__(self, matrix: QualityMatrix, members):
@@ -280,18 +283,6 @@ class Subdivision:
             col[same] -= c[j] * (k[j] * k[same])
         col[j] -= self.rowsum[j]
         return col
-
-    def asymmetry(self) -> float:
-        """Largest |M_xy - M_yx|; the null terms are symmetric by construction."""
-        def rows(a, lo, hi):  # rows lo..hi-1 of a CSR array, sharing its arrays
-            p = a.indptr
-            return a if hi - lo == a.shape[0] else type(a)(
-                (a.data[p[lo]:p[hi]], a.indices[p[lo]:p[hi]], p[lo:hi + 1] - p[lo]),
-                shape=(hi - lo, a.shape[1]))
-
-        t = self.b.T.tocsr()
-        return max(float(np.abs((rows(self.b, lo, hi) - rows(t, lo, hi)).data).max(initial=0.0))
-                   for lo, hi, _ in _row_blocks(self.indptr))
 
     def norm_inf(self) -> float:
         """Exact max absolute row sum of M, without forming M."""

@@ -235,6 +235,7 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         if refine:
             z = refine_cut(sub, z)
         dq = 0.5 * float(z @ (sub @ z))
+        del sub  # before the next subdivision is formed
         n_neg = int((z < 0).sum())
         n_pos = members.size - n_neg
         applied = (

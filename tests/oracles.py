@@ -228,6 +228,15 @@ def dense_subdivision(matrix: np.ndarray, members) -> np.ndarray:
     return sub
 
 
+def bit_symmetric(indptr, indices, data) -> bool:
+    """Whether a CSR matrix equals its transpose bit for bit: its entries,
+    as a set of (row, column, value bits), are their own mirror image."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    entries = set(zip(rows.tolist(), np.asarray(indices).tolist(),
+                      np.asarray(data, dtype=float).view(np.uint64).tolist()))
+    return entries == {(col, row, bits) for row, col, bits in entries}
+
+
 def _stable_csr(rows, cols, vals, n: int):
     """(indptr, indices, data) with the entries ordered by a stable sort
     of their rows, so each row keeps its entries in their given order."""

@@ -1,0 +1,41 @@
+"""scripts/checkset.py: a record it writes verifies, a moved field is
+named, and the grid conversions still match the committed CHECKSET.json
+(they draw on no BLAS, so they match on every host)."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def checkset(*args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "checkset.py"), *args],
+                          capture_output=True, text=True)
+
+
+def test_committed_conversions_verify():
+    proc = checkset("verify", "--only", "convert")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 files, 0 moved or missing" in proc.stdout
+
+
+def test_written_record_verifies_and_moves_are_named(tmp_path):
+    record = tmp_path / "checkset.json"
+    proc = checkset("write", "--only", "convert", "synth-33", "--file", str(record))
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(record.read_text())
+    document = data["documents"]["synth-33/result_mspec.txt"]
+    assert set(document) == {"sha256", "soft_labels", "beta", "labels", "q_total"}
+    assert checkset("verify", "--only", "convert", "synth-33",
+                    "--file", str(record)).returncode == 0
+    document.update(labels="0" * 64, q_total="1.0")
+    del data["documents"]["convert/flat.map"]
+    record.write_text(json.dumps(data))
+    proc = checkset("verify", "--only", "convert", "synth-33", "--file", str(record))
+    assert proc.returncode == 1
+    assert "moved    synth-33/result_mspec.txt: labels, q_total\n" in proc.stdout
+    assert "new      convert/flat.map\n" in proc.stdout

@@ -660,6 +660,20 @@ def test_negative_seed_exit_2_before_any_output(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--dataset", "karate"],
+    ["detect", "--dataset", "karate", "--algorithm", "mlouv"],
+    ["sweep"],
+    ["compare"],
+], ids=["detect", "detect-mlouv", "sweep", "compare"])
+def test_min_community_size_below_1_exit_2_before_any_output(argv, tmp_path, capsys):
+    # mlouv reads no minimum size, and is refused all the same
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--min-community-size", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --min-community-size must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 # Each setting: its flag, the parameter-file line the flag must beat, the
 # line that must beat the default, how to read the setting off the runs
 # (each run's spec and params), and the values the default, the file and

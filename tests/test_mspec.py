@@ -35,6 +35,7 @@ from conftest import make_single_layer
 from oracles import (
     best_bipartition,
     bisect,
+    bit_symmetric,
     dense_leading_eigenpair,
     dense_subdivision,
     max_partition_q,
@@ -383,6 +384,28 @@ class TestFactoredSubdivisions:
             beta_free, _ = mlmod.eigen.leading_eigenpair(free)
             assert abs(beta - beta_free) <= 1e-8 * free.norm_inf()
 
+    def test_every_subdivision_of_a_detection_is_bit_symmetric(self, synth, monkeypatch):
+        # The solver checks no Subdivision for symmetry: B and each take of it
+        # mirror bit for bit, and a dense subdivision passes the mirror test
+        # that lets LAPACK work in it.  Instance 33 forms both kinds.
+        net, spec, params = synth(33)
+        qm, _ = quality_matrix(net, spec, params)
+        assert bit_symmetric(qm.indptr, qm.indices, qm.data)
+        form, kinds = mspec.subdivision_matrix, []
+
+        def checked_form(matrix, members):
+            sub = form(matrix, members)
+            if isinstance(sub, Subdivision):
+                assert bit_symmetric(sub.indptr, sub.cols, sub.vals)
+            else:
+                assert mlmod.eigen._dense_checks(sub)[1:] == (0.0, True)
+            kinds.append(type(sub))
+            return sub
+
+        monkeypatch.setattr(mspec, "subdivision_matrix", checked_form)
+        mspec_detect(net, spec, params)
+        assert {Subdivision, np.ndarray} <= set(kinds)
+
 
 def test_supra_8192_peak_rss_below_200mb():
     # The dense D alone would take 512 MB at this size.
@@ -414,12 +437,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
     assert float(proc.stdout.split()[-1]) < 200.0
 
 
-def test_matrix_free_stage_peaks_supra_8192():
-    # The instance of test_supra_8192_peak_rss_below_200mb, in this process.
-    # Each stage holds at most a few arrays of one value per entry of B, in
-    # units of 8 * nnz bytes under tracemalloc: the root subdivision shares
-    # D's arrays, and the build, the two checks and the scorer work over
-    # blocks of rows.
+@pytest.fixture(scope="module")
+def supra_8192():
+    """The instance of test_supra_8192_peak_rss_below_200mb: two layers of
+    G(4096, 8/4096), unweighted, and rho = 0.5 couplings."""
     n, block = 4096, 256
     rng = np.random.default_rng(8192)
     layers = []
@@ -433,8 +454,16 @@ def test_matrix_free_stage_peaks_supra_8192():
         layers.append(tuple(edges))
     net = make_net(n, (2,), tuple(layers))
     net = net.with_couplings(generate_couplings(net, 0.5, 8193))
-    spec, params = CouplingSpec(omega=0.5), ModularityParams.for_network(net)
-    labels = np.arange(2 * n) * 7 // (2 * n)
+    return net, CouplingSpec(omega=0.5), ModularityParams.for_network(net)
+
+
+def test_matrix_free_stage_peaks_supra_8192(supra_8192):
+    # Each stage holds at most a few arrays of one value per entry of B, in
+    # units of 8 * nnz bytes under tracemalloc: the root subdivision shares
+    # D's arrays, and the build, the check and the scorer work over blocks
+    # of rows.
+    net, spec, params = supra_8192
+    labels = np.arange(net.supra_size) * 7 // net.supra_size
     Subdivision(*quality_matrix(net, spec, params)[:1], [0, 1])  # warm-up: imports
     peaks = {}
 
@@ -450,15 +479,57 @@ def test_matrix_free_stage_peaks_supra_8192():
         qm, _ = traced("quality_matrix", lambda: quality_matrix(net, spec, params))
         root = traced("subdivision_matrix", lambda: subdivision_matrix(qm, np.arange(qm.size)))
         traced("norm_inf", root.norm_inf)
-        traced("asymmetry", root.asymmetry)
         traced("_score", lambda: _score(qm, labels, "raw"))
     finally:
         tracemalloc.stop()
     assert isinstance(root, Subdivision)
     units = {name: peak / (8 * qm.indices.size) for name, peak in peaks.items()}
-    bounds = {"quality_matrix": 5.0, "subdivision_matrix": 1.5, "norm_inf": 1.0,
-              "asymmetry": 3.25, "_score": 1.5}
+    bounds = {"quality_matrix": 5.0, "subdivision_matrix": 1.5, "norm_inf": 1.0, "_score": 1.5}
     assert all(units[name] <= bound for name, bound in bounds.items()), units
+
+
+def test_edge_read_peak_supra_8192(supra_8192, tmp_path):
+    # In units of 8 * nnz bytes, nnz = 2 * edges, the entries of B the file
+    # gives: numpy's 24-byte rows, an all-ones weight column and each
+    # layer's normalize_edges transients, but not the file's text, which
+    # is freed once parsed.  Keeping it alive for line lookups read 6.4.
+    net = supra_8192[0]
+    path = tmp_path / "synth.edges"
+    path.write_text("".join(f"{t + 1} {i + 1} {j + 1}\n" for t, layer in
+                            enumerate(net.within_edges) for i, j, _ in layer))
+    load_multiplex(str(path))  # warm-up: imports
+    tracemalloc.start()
+    try:
+        read = load_multiplex(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.within_edges == net.within_edges
+    assert peak / (16 * sum(len(e) for e in net.within_edges)) <= 6.0
+
+
+def test_memory_held_on_entry_to_each_subdivision_supra_8192(supra_8192, monkeypatch):
+    # Beyond D, in units of 8 * nnz bytes under tracemalloc: the previous
+    # subdivision, and for a subset its own take of D, is freed before the
+    # next one is formed.  Holding it read 1.55.
+    net, spec, params = supra_8192
+    qm, _ = quality_matrix(net, spec, params)
+    mspec.spectral_partition(qm)  # warm-up: imports
+    form, held = mspec.subdivision_matrix, []
+
+    def recording_form(matrix, members):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return form(matrix, members)
+
+    monkeypatch.setattr(mspec, "subdivision_matrix", recording_form)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mspec.spectral_partition(qm)
+    finally:
+        tracemalloc.stop()
+    assert len(held) > 2
+    assert max(held) / (8 * qm.indices.size) <= 1.0, held
 
 
 @pytest.mark.parametrize("detect, bound", [
