@@ -233,10 +233,13 @@ def cmd_compare(args) -> int:
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:
             raise DomainError(f"--rho values must lie in [0, 1], got {rho}")
+    algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
+    for name in algorithms:
+        if algorithms.count(name) > 1:  # its runs would add into one row
+            raise DomainError(f"--algorithm names {name} more than once")
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
     net, params, (spec,) = _setup(args)
-    algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)

@@ -5,8 +5,9 @@ flatten to) and detection-result documents.
 
 All node and layer ids in files are 1-based.  Lines starting with ``#``
 are comments; blank lines are ignored.  numpy's reader reads uniform
-tables and a line loop the rest; parse failures raise ParseError with
-the path and 1-based line number.
+tables and a line loop the rest; one list of row rules per table is
+checked on the rows either reads, and the first bad line raises with the
+path and its 1-based line number.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import os
 import re
 import warnings
 from io import BytesIO
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, MlmodError, ParseError
 from .mspec import DetectionResult, Division
 from .modularity import Partition
 from .network import Aspect, Couplings, Edges, MultilayerNetwork, normalize_edges
@@ -77,23 +79,40 @@ def _comment_after_token(text: str) -> bool:
     return False
 
 
-def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
-    """Data lines of ``n_int`` integers and an optional number: (n_int, rows)
-    int64 columns, the mask of rows with the number and those numbers.
-    With a ``check``, numpy's reader reads a table of the first data row's
-    width if ``check(columns, mask, numbers)`` accepts it; otherwise
-    ``row(parts, path, lineno)`` parses line after line, returning the
-    integers and the number or None, and raises at the first bad line.
-    ``text`` is the file's text when the caller has already read it.
-    numpy's reader gets it as bytes (a StringIO holds 4 bytes per
-    character), and the integer columns are a view of the rows it reads."""
+class _Table(NamedTuple):
+    """A table's lines: the usage line that a line of a width outside
+    ``widths`` raises, the name of each integer field (or a parser
+    ``(token, path, lineno) -> int`` of a field numpy's reader cannot read)
+    and the name of the number after them.  A row without the number leaves
+    it out where ``widths`` allows that, and writes ``-`` where it does not."""
+    usage: str
+    widths: tuple[int, ...]
+    fields: tuple
+    number: str | None = None
+
+
+def _read_rows(path: str, table: _Table, rules, text: str | None = None):
+    """The data lines of ``table``: (fields, rows) int64 columns, the mask
+    of rows with the number and the numbers, 0 where a row has none.
+
+    ``rules(*columns, mask, numbers)`` lists the row rules in the order a
+    row is checked, after the rule that numbers are finite, as
+    ``_raise_first`` takes them.  numpy's reader reads a table of the first
+    data row's width when it can; otherwise ``_parse_row`` parses line
+    after line, and the rules are applied to the rows before the first
+    malformed line, so the first bad line is the one reported.  ``text`` is
+    the file's text when the caller has already read it.  numpy's reader
+    gets it as bytes (a StringIO holds 4 bytes per character), and the
+    integer columns are a view of the rows it reads."""
     text = _read_text(path) if text is None else text
-    first = next(_data_lines(path, text), None)
+    n = len(table.fields)
+    width = len(next(_data_lines(path, text), (0, ""))[1].split())  # 0: no data rows
+    columns = error = None
     # numpy 2.4's reader can crash the process on characters beyond U+FFFF,
     # so only ASCII text reaches it
-    if check and first is not None and text.isascii() and not _comment_after_token(text):
-        has_number = len(first[1].split()) > n_int
-        dtype = [(f"c{k}", np.int64) for k in range(n_int)] + [("x", float)] * has_number
+    if (width in table.widths and all(isinstance(f, str) for f in table.fields)
+            and text.isascii() and not _comment_after_token(text)):
+        dtype = [(f"c{k}", np.int64) for k in range(n)] + [("x", float)] * (width > n)
         try:  # an older numpy reads '2.5' in an int column as 2 and only warns
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -101,14 +120,41 @@ def _read_rows(path: str, n_int: int, check, row, text: str | None = None):
         except (ValueError, Warning):  # a bad line, an int64 overflow, another width or spelling
             pass
         else:
-            table = (read.view(np.int64).reshape(read.size, -1)[:, :n_int].T,  # 8-byte fields
-                     np.full(read.size, has_number), read["x"] if has_number else np.empty(0))
-            if check(*table):
-                return table
-    rows = np.array([row(line.split(), path, n) for n, line in _data_lines(path, text)],
-                    dtype=object).reshape(-1, n_int + 1)
-    has = rows[:, -1] != None  # noqa: E711 (elementwise)
-    return rows[:, :-1].T.astype(np.int64), has, rows[has, -1].astype(float)
+            columns = (read.view(np.int64).reshape(read.size, -1)[:, :n].T,  # 8-byte fields
+                       np.full(read.size, width > n),
+                       read["x"] if width > n else np.broadcast_to(0.0, read.size))
+    if columns is None:
+        rows = []
+        try:
+            for lineno, line in _data_lines(path, text):
+                rows.append(_parse_row(line.split(), path, lineno, table))
+        except MlmodError as exc:  # raised once the rows before it pass the rules
+            error = exc
+        rows = np.array(rows, dtype=object).reshape(-1, n + 1)
+        has = rows[:, -1] != None  # noqa: E711 (elementwise)
+        rows[~has, -1] = 0.0
+        columns = rows[:, :-1].T.astype(np.int64), has, rows[:, -1].astype(float)
+    ints, has, x = columns
+    _raise_first(path, [(~np.isfinite(x), ParseError, lambda k: f"non-finite {table.number}"),
+                        *rules(*ints, has, x)])
+    if error is not None:
+        raise error
+    return columns
+
+
+def _parse_row(parts: list[str], path: str, lineno: int, table: _Table):
+    """The integers of one line of ``table`` and its number, None where it
+    has none; a line of another width or a token that does not parse raises
+    at its line."""
+    if len(parts) not in table.widths:
+        raise ParseError(table.usage, path, lineno)
+    ints = (f(tok, path, lineno) if callable(f) else _parse_int(tok, f, path, lineno)
+            for f, tok in zip(table.fields, parts))
+    n = len(table.fields)
+    number = parts[n:]
+    if not number or number == ["-"] and n not in table.widths:
+        return (*ints, None)
+    return (*ints, _parse_float(number[0], table.number, path, lineno, finite=False))
 
 
 def _parse_int(token: str, what: str, path: str, lineno: int) -> int:
@@ -121,12 +167,12 @@ def _parse_int(token: str, what: str, path: str, lineno: int) -> int:
     return value
 
 
-def _parse_float(token: str, what: str, path: str, lineno: int) -> float:
+def _parse_float(token: str, what: str, path: str, lineno: int, finite: bool = True) -> float:
     try:
         value = float(token)
     except ValueError:
         raise ParseError(f"expected number {what}, got {token!r}", path, lineno) from None
-    if math.isnan(value) or math.isinf(value):
+    if finite and not math.isfinite(value):
         raise ParseError(f"non-finite {what}", path, lineno)
     return value
 
@@ -204,50 +250,45 @@ def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], dict[int, int]]:
     aspect_ids = sorted(per_aspect)
     if aspect_ids != list(range(1, len(aspect_ids) + 1)):
         raise ParseError(f"aspect ids must be contiguous from 1, got {aspect_ids}", path)
-    aspects = []
-    cell_of_layer_id: dict[int, int] = {}
-    cell = 0
-    for aid in aspect_ids:
-        labels = []
-        for layer_id, label in per_aspect[aid]:
-            labels.append(label)
-            cell_of_layer_id[layer_id] = cell
-            cell += 1
-        aspects.append(Aspect(name=f"aspect-{aid}", layers=tuple(labels)))
-    return tuple(aspects), cell_of_layer_id
+    aspects = tuple(Aspect(f"aspect-{aid}", tuple(label for _, label in per_aspect[aid]))
+                    for aid in aspect_ids)
+    layer_ids = [layer_id for aid in aspect_ids for layer_id, _ in per_aspect[aid]]
+    return aspects, {layer_id: cell for cell, layer_id in enumerate(layer_ids)}
 
 
-def _edge_row(parts: list[str], path: str, lineno: int, dims: tuple[int, ...] | None = None):
-    """(layer id, i, j, weight or None) of one edge line, 1-based ids; with
-    grid ``dims`` the first column holds grid coordinates, read as the
-    1-based row-major cell."""
-    if len(parts) not in (3, 4):
-        head = "layerId" if dims is None else "c1,...,cF"
-        raise ParseError(f"expected: {head} nodeId nodeId [weight]", path, lineno)
-    layer_id = (_parse_int(parts[0], "layer id", path, lineno) if dims is None
-                else _grid_cell(parts[0], dims, path, lineno) + 1)
-    i = _parse_int(parts[1], "node id", path, lineno)
-    j = _parse_int(parts[2], "node id", path, lineno)
-    w = _parse_float(parts[3], "edge weight", path, lineno) if len(parts) == 4 else None
-    if i < 1 or j < 1:
-        raise ParseError(f"node ids must be >= 1, got ({i}, {j})", path, lineno)
-    if layer_id < 1:
-        raise ParseError(f"layer id must be >= 1, got {layer_id}", path, lineno)
-    if i == j:
-        raise DomainError(f"{path}:{lineno}: self-loop on node {i} rejected")
-    return layer_id, i, j, w
+def _edge_rules(n_nodes: int | None, layer, i, j, has_w, w):
+    """The row rules of an edge table whose first column names a layer
+    cell, for ``n_nodes`` declared nodes (None: inferred), which must be
+    >= 1."""
+    if n_nodes is not None and n_nodes < 1:
+        raise DomainError("declared node count must be >= 1")
+    top = np.inf if n_nodes is None else n_nodes
+    return [
+        ((i < 1) | (j < 1), ParseError, lambda k: f"node ids must be >= 1, got ({i[k]}, {j[k]})"),
+        (layer < 1, ParseError, lambda k: f"layer id must be >= 1, got {layer[k]}"),
+        (i == j, DomainError, lambda k: f"self-loop on node {i[k]} rejected"),
+        ((i > top) | (j > top), DomainError,
+         lambda k: f"node id {max(i[k], j[k])} exceeds declared count {n_nodes}"),
+    ]
 
 
-def _coupling_row(parts: list[str], path: str, lineno: int):
-    """(node, layer, aspect, layer, aspect, magnitude or None) of one
-    coupling line, 1-based ids."""
-    if len(parts) not in (5, 6):
-        raise ParseError(
-            "expected: nodeId layerA aspectA layerB aspectB [magnitude]", path, lineno
-        )
-    ids = (_parse_int(tok, what, path, lineno) for tok, what in
-           zip(parts, ("node id", "layer id", "aspect id", "layer id", "aspect id")))
-    return (*ids, _parse_float(parts[5], "magnitude", path, lineno) if len(parts) == 6 else None)
+def _coupling_rules(sizes, n_nodes: int, node, sa, va, sb, vb, has_m, m):
+    """The row rules of a coupling table on a network of ``n_nodes`` nodes
+    and ``sizes`` layers per aspect."""
+    ca, cb = _cells(sizes, sa, va), _cells(sizes, sb, vb)
+
+    def cell_error(s, v):  # 0-based in the message
+        return (f"aspect index {v - 1} out of range" if not 1 <= v <= len(sizes)
+                else f"layer index {s - 1} out of range for aspect {v - 1}")
+
+    return [
+        ((node < 1) | (node > n_nodes), DomainError,
+         lambda k: f"node id {node[k]} out of range 1..{n_nodes}"),
+        (ca < 0, DomainError, lambda k: cell_error(sa[k], va[k])),
+        (cb < 0, DomainError, lambda k: cell_error(sb[k], vb[k])),
+        (ca == cb, DomainError, lambda k: "coupling links a layer with itself"),
+        (m < 0, DomainError, lambda k: f"magnitude must be >= 0, got {m[k]}"),
+    ]
 
 
 def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
@@ -260,24 +301,12 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     with a magnitude sets it; a coupling no such line names gets 0.
     ``net.with_couplings(table)`` puts it on the network.
     """
-    (node, sa, va, sb, vb), has_m, m = _read_rows(
-        path, 5, lambda c, has_m, m: bool(np.isfinite(m).all()), _coupling_row)
-    ca, cb = _cells(net.aspect_sizes, sa, va), _cells(net.aspect_sizes, sb, vb)
-    magnitude = np.zeros(node.size)
-    magnitude[has_m] = m
-
-    def cell_error(s, v):  # 0-based in the message
-        return (f"aspect index {v - 1} out of range" if not 1 <= v <= len(net.aspects)
-                else f"layer index {s - 1} out of range for aspect {v - 1}")
-
-    _raise_first(path, [
-        ((node < 1) | (node > n_nodes), DomainError,
-         lambda k: f"node id {node[k]} out of range 1..{n_nodes}"),
-        (ca < 0, DomainError, lambda k: cell_error(sa[k], va[k])),
-        (cb < 0, DomainError, lambda k: cell_error(sb[k], vb[k])),
-        (ca == cb, DomainError, lambda k: "coupling links a layer with itself"),
-        (magnitude < 0, DomainError, lambda k: f"magnitude must be >= 0, got {magnitude[k]}"),
-    ])
+    sizes = net.aspect_sizes
+    (node, sa, va, sb, vb), has_m, magnitude = _read_rows(path, _Table(
+        "expected: nodeId layerA aspectA layerB aspectB [magnitude]", (5, 6),
+        ("node id", "layer id", "aspect id", "layer id", "aspect id"), "magnitude"),
+        lambda *columns: _coupling_rules(sizes, n_nodes, *columns))
+    ca, cb = _cells(sizes, sa, va), _cells(sizes, sb, vb)
     # Couplings keeps each row's first occurrence: put the rows with a
     # magnitude first, last line first
     order = np.concatenate((np.flatnonzero(has_m)[::-1], np.flatnonzero(~has_m)))
@@ -296,8 +325,9 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     and every id below it must appear somewhere (no silent gaps).  Coupling
     magnitudes, when the coupling file has them, travel with the couplings.
     """
-    table = _read_rows(edge_path, 3, lambda c, has_w, w: bool(np.isfinite(w).all() and (
-        (c >= 1).all() and (c[1] != c[2]).all())), _edge_row)
+    table = _read_rows(edge_path, _Table("expected: layerId nodeId nodeId [weight]", (3, 4),
+                                         ("layer id", "node id", "node id"), "edge weight"),
+                       lambda *columns: _edge_rules(n_nodes, *columns))
     layer = table[0][0]
     if layer_path is not None:
         aspects, cell_of_layer_id = _load_layer_table(layer_path)
@@ -329,22 +359,12 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
 def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.ndarray,
                    table, n_nodes: int | None) -> MultilayerNetwork:
     """The network of the ``_read_rows`` edge ``table`` of ``path``, whose
-    rows lie in the 0-based layer cells ``cell``: the node count inferred or
-    checked, rows split by cell in input order, duplicates summed."""
-    (_, i, j), has_w, extra = table
-    w = np.ones(i.size)
-    w[has_w] = extra
+    rows lie in the 0-based layer cells ``cell``: the node count inferred
+    unless declared, rows split by cell in input order, duplicates summed."""
+    (_, i, j), has_w, w = table
+    w = np.where(has_w, w, 1.0)
     if n_nodes is None:
         n_nodes = _infer_node_count((i, j), path, what)
-    else:
-        if n_nodes < 1:
-            raise DomainError("declared node count must be >= 1")
-        top = int(max(i.max(initial=0), j.max(initial=0)))
-        if top > n_nodes:
-            raise DomainError(
-                f"{path}: node id {top} exceeds declared count {n_nodes}"
-            )
-
     n_cells = sum(len(a.layers) for a in aspects)
     order = slice(None) if (cell[1:] >= cell[:-1]).all() else np.argsort(cell, kind="stable")
     i, j, w, cell = i[order], j[order], w[order], cell[order]
@@ -357,18 +377,12 @@ def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.n
 def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
                    coupling_path: str | None = None) -> None:
     """Write a network back in the loadable three-file format."""
-    lines = ["# layerId nodeId nodeId weight"]
-    for t in range(net.n_cells):
-        for i, j, w in net.within_edges[t]:
-            lines.append(f"{t + 1} {i + 1} {j + 1} {w!r}")
-    _atomic_write(edge_path, lines)
-    lines = ["# layerId aspectId label"]
-    layer_id = 1
-    for v, aspect in enumerate(net.aspects):
-        for label in aspect.layers:
-            lines.append(f"{layer_id} {v + 1} {label}")
-            layer_id += 1
-    _atomic_write(layer_path, lines)
+    _atomic_write(edge_path, ["# layerId nodeId nodeId weight"] + [
+        f"{t + 1} {i + 1} {j + 1} {w!r}"
+        for t, edges in enumerate(net.within_edges) for i, j, w in edges])
+    layers = ((v, label) for v, aspect in enumerate(net.aspects) for label in aspect.layers)
+    _atomic_write(layer_path, ["# layerId aspectId label"] + [
+        f"{t + 1} {v + 1} {label}" for t, (v, label) in enumerate(layers)])
     if coupling_path is not None:
         lines = ["# nodeId layerA aspectA layerB aspectB [magnitude]"]
         magnitude = net.couplings.magnitude
@@ -442,14 +456,8 @@ def load_dataset(manifest_path: str):
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
     """Parse ``nodeId label`` ground-truth lines, one per node, into the
     array of labels (each >= 0) indexed by 0-based node."""
-    def row(parts, path, lineno):
-        if len(parts) != 2:
-            raise ParseError("expected: nodeId label", path, lineno)
-        return (_parse_int(parts[0], "node id", path, lineno),
-                _parse_int(parts[1], "label", path, lineno), None)
-
-    (node, label), _, _ = _read_rows(path, 2, lambda c, has, x: not has.any(), row)
-    _raise_first(path, [
+    table = _Table("expected: nodeId label", (2,), ("node id", "label"))
+    (node, label), _, _ = _read_rows(path, table, lambda node, label, has, x: [
         ((node < 1) | (node > n_nodes), DomainError, lambda k: f"node id {node[k]} out of range"),
         (label < 0, ParseError, lambda k: f"label must be >= 0, got {label[k]}"),
         (_repeats(node), ParseError, lambda k: f"duplicate node id {node[k]}"),
@@ -562,6 +570,8 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     for lineno, line in enumerate(text.split("\n"), start=1):
         toks = line.split()
         if toks and toks[0].startswith("#dims"):
+            if dims is not None:
+                raise ParseError("second #dims directive: a grid file holds one", path, lineno)
             if len(toks) == 1:
                 raise ParseError("#dims directive needs dimensions", path, lineno)
             dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks[1:])
@@ -570,33 +580,21 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     if dims is None:
         raise ParseError("grid dimensions unknown: add a #dims d1 ... dF line", path)
 
-    def edge_row(parts, path, lineno):
-        cell, i, j, w = _edge_row(parts, path, lineno, dims)
-        if n_nodes is not None and max(i, j) > n_nodes:
-            raise ParseError(f"node id {max(i, j)} exceeds declared count {n_nodes}",
-                             path, lineno)
-        return cell, i, j, w
+    def cell(token, path, lineno):  # 1-based, as a layer id
+        return _grid_cell(token, dims, path, lineno) + 1
 
-    table = _read_rows(path, 3, None, edge_row, text)
+    table = _read_rows(path, _Table("expected: c1,...,cF nodeId nodeId [weight]", (3, 4),
+                                    (cell, "node id", "node id"), "edge weight"),
+                       lambda *columns: _edge_rules(n_nodes, *columns), text)
     coords = list(itertools.product(*(range(d) for d in dims)))
     labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
     net = _cells_network(path, "grid", (Aspect(name="flattened", layers=labels),),
                          table[0][0] - 1, table, n_nodes)
     if coupling_path is not None:
-        n = net.n_nodes
-
-        def coupling_row(parts, path, lineno):
-            if len(parts) != 3:
-                raise ParseError("expected: nodeId cA1,...,cAF cB1,...,cBF", path, lineno)
-            node = _parse_int(parts[0], "node id", path, lineno)
-            if not 1 <= node <= n:
-                raise ParseError(f"node id {node} out of range 1..{n}", path, lineno)
-            ta, tb = (_grid_cell(tok, dims, path, lineno) for tok in parts[1:])
-            if ta == tb:
-                raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
-            return node, ta + 1, tb + 1, None
-
-        (node, ta, tb), _, _ = _read_rows(coupling_path, 3, None, coupling_row)
+        table = _Table("expected: nodeId cA1,...,cAF cB1,...,cBF", (3,), ("node id", cell, cell))
+        (node, ta, tb), _, _ = _read_rows(coupling_path, table, lambda node, ta, tb, has, x:
+                                          _coupling_rules((len(coords),), net.n_nodes,
+                                                          node, ta, 1, tb, 1, has, x))
         net = net.with_couplings(Couplings(np.column_stack(
             (node - 1, np.minimum(ta, tb) - 1, np.maximum(ta, tb) - 1))))
     return net, {c: (t + 1, 1) for t, c in enumerate(coords)}
@@ -647,18 +645,13 @@ def save_result(result: DetectionResult, path: str, net: MultilayerNetwork) -> N
             raise DomainError(f"#meta {key!r} would not read back: keys must be non-empty "
                               "and not n_nodes, aspects or q_total, values must not end "
                               "in whitespace")
-    lines = [_RESULT_HEADER]
-    lines.append(f"#meta n_nodes {net.n_nodes}")
-    lines.append("#meta aspects " + ",".join(str(s) for s in net.aspect_sizes))
-    lines.append(f"#meta q_total {float(result.q_total)!r}")
-    for key in sorted(result.meta):
-        lines.append(f"#meta {key} {result.meta[key]}")
-    for div in result.divisions:
-        lines.append(
-            f"#division {div.community} {float(div.delta_q)!r} {float(div.beta)!r} "
-            f"{'applied' if div.applied else 'rejected'}"
-        )
-    lines.append("#cells nodeId layerId aspectId communityId softLabel")
+    lines = [_RESULT_HEADER, f"#meta n_nodes {net.n_nodes}",
+             "#meta aspects " + ",".join(str(s) for s in net.aspect_sizes),
+             f"#meta q_total {float(result.q_total)!r}",
+             *(f"#meta {key} {result.meta[key]}" for key in sorted(result.meta)),
+             *(f"#division {div.community} {float(div.delta_q)!r} {float(div.beta)!r} "
+               f"{'applied' if div.applied else 'rejected'}" for div in result.divisions),
+             "#cells nodeId layerId aspectId communityId softLabel"]
     nodes = [str(i + 1) for i in range(net.n_nodes)]
     cells = [f"{s + 1} {v + 1}" for v, size in enumerate(net.aspect_sizes) for s in range(size)]
     rows = map(" ".join, zip(nodes * len(cells),
@@ -718,36 +711,33 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
                 applied=parts[4] == "applied",
             ))
 
-    def row(parts, path, lineno):
-        if len(parts) != 5:
-            raise ParseError("expected: nodeId layerId aspectId communityId softLabel",
-                             path, lineno)
-        ids = (_parse_int(tok, what, path, lineno) for tok, what in
-               zip(parts, ("node id", "layer id", "aspect id", "community id")))
-        return (*ids, None if parts[4] == "-" else
-                _parse_float(parts[4], "soft label", path, lineno))
-
-    (node, layer, aspect, community), has_soft, soft = _read_rows(
-        path, 4, lambda c, has, x: bool(has.all() and np.isfinite(x).all()), row, text)
     if n_nodes is None or aspect_sizes is None or q_total is None:
         raise ParseError("result document is missing required metadata", path)
+
+    def rules(node, layer, aspect, community, has_soft, soft):
+        cell = _cells(aspect_sizes, layer, aspect)
+        inside = (cell >= 0) & (node >= 1) & (node <= n_nodes)
+        x = np.where(inside, cell * n_nodes + node - 1, -1)
+
+        def ids(k):
+            return f"({node[k]}, {layer[k]}, {aspect[k]})"
+
+        return [
+            (~inside, ParseError, lambda k: f"cell {ids(k)} out of range"),
+            (_repeats(x), ParseError, lambda k: f"duplicate cell {ids(k)}"),
+            (community < 1, ParseError,
+             lambda k: f"community id must be >= 1, got {community[k]}"),
+            (has_soft != has_soft[:1], ParseError,
+             lambda k: "soft labels must be numbers on every cell row or '-' on every one"),
+        ]
+
+    (node, layer, aspect, community), has_soft, soft = _read_rows(path, _Table(
+        "expected: nodeId layerId aspectId communityId softLabel", (5,),
+        ("node id", "layer id", "aspect id", "community id"), "soft label"), rules, text)
     size = sum(aspect_sizes) * n_nodes
     if node.size != size:
         raise ParseError(f"expected {size} cell rows, found {node.size}", path)
-    cell = _cells(aspect_sizes, layer, aspect)
-    inside = (cell >= 0) & (node >= 1) & (node <= n_nodes)
-    x = np.where(inside, cell * n_nodes + node - 1, -1)
-
-    def ids(k):
-        return f"({node[k]}, {layer[k]}, {aspect[k]})"
-
-    _raise_first(path, [
-        (~inside, ParseError, lambda k: f"cell {ids(k)} out of range"),
-        (_repeats(x), ParseError, lambda k: f"duplicate cell {ids(k)}"),
-        (community < 1, ParseError, lambda k: f"community id must be >= 1, got {community[k]}"),
-        (has_soft != has_soft[0], ParseError,
-         lambda k: "soft labels must be numbers on every cell row or '-' on every one"),
-    ])
+    x = _cells(aspect_sizes, layer, aspect) * n_nodes + node - 1  # every cell is inside
     labels = np.empty(size, dtype=np.int64)
     labels[x] = community - 1
     soft_labels = None

@@ -548,6 +548,8 @@ def load_couplings_reference(path: str, net: MultilayerNetwork, n_nodes: int):
         va = _parse_int(parts[2], "aspect id", path, lineno)
         sb = _parse_int(parts[3], "layer id", path, lineno)
         vb = _parse_int(parts[4], "aspect id", path, lineno)
+        magnitude = (_parse_float(parts[5], "magnitude", path, lineno)
+                     if len(parts) == 6 else None)
         if not (1 <= node <= n_nodes):
             raise DomainError(f"{path}:{lineno}: node id {node} out of range 1..{n_nodes}")
         try:
@@ -559,14 +561,18 @@ def load_couplings_reference(path: str, net: MultilayerNetwork, n_nodes: int):
             raise DomainError(f"{path}:{lineno}: coupling links a layer with itself")
         key = (node - 1, min(ca, cb), max(ca, cb))
         couplings.add(key)
-        if len(parts) == 6:
-            magnitudes[key] = _parse_float(parts[5], "magnitude", path, lineno)
+        if magnitude is not None:
+            if magnitude < 0:
+                raise DomainError(f"{path}:{lineno}: magnitude must be >= 0, got {magnitude}")
+            magnitudes[key] = magnitude
     return frozenset(couplings), (magnitudes or None)
 
 
 def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
                              n_nodes: int | None = None) -> MultilayerNetwork:
     """The edge (and layer) file read line by line, edges built as tuples."""
+    if n_nodes is not None and n_nodes < 1:
+        raise DomainError("declared node count must be >= 1")
     records = []
     for lineno, line in _data_lines(edge_path):
         parts = line.split()
@@ -583,6 +589,9 @@ def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
             raise ParseError(f"layer id must be >= 1, got {layer_id}", edge_path, lineno)
         if i == j:
             raise DomainError(f"{edge_path}:{lineno}: self-loop on node {i} rejected")
+        if n_nodes is not None and max(i, j) > n_nodes:
+            raise DomainError(
+                f"{edge_path}:{lineno}: node id {max(i, j)} exceeds declared count {n_nodes}")
         records.append((lineno, layer_id, i, j, w))
     if layer_path is not None:
         aspects, cell_of_layer_id = _load_layer_table(layer_path)
@@ -614,12 +623,6 @@ def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
                 "declare the node count explicitly instead of compacting",
                 edge_path,
             )
-    else:
-        if n_nodes < 1:
-            raise DomainError("declared node count must be >= 1")
-        over = [i for i in seen if i > n_nodes]
-        if over:
-            raise DomainError(f"{edge_path}: node id {max(over)} exceeds declared count {n_nodes}")
     per_cell = [[] for _ in range(sum(len(a.layers) for a in aspects))]
     for _, layer_id, i, j, w in records:
         per_cell[cell_of_layer_id[layer_id]].append((i - 1, j - 1, w))

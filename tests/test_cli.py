@@ -674,6 +674,32 @@ def test_min_community_size_below_1_exit_2_before_any_output(argv, tmp_path, cap
     assert not out.exists()
 
 
+def test_repeated_algorithm_exit_2_before_any_output(tmp_path, capsys):
+    # each run of a repeated name would add into the one table row of that name
+    out = tmp_path / "out"
+    assert run_cli(["compare", "--dataset", "karate-replica", "--layers", "2", "--rho", "0.5",
+                    "--algorithm", "smean", "smean", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --algorithm names smean more than once\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edges, couplings, line", [
+    ("1 1 2\n1 2 9\n1 3 4\n", None, "e.txt:2: node id 9 exceeds declared count 4"),
+    ("1 1 2\n1 2 3\n2 3 4\n", "1 1 1 2 1\n99 1 1 2 1\n1 1 1 2 1 x\n",
+     "cc.txt:2: node id 99 out of range 1..4"),
+], ids=["edge-over-declared-count", "coupling-before-malformed-line"])
+def test_row_rule_exit_2_at_its_line(edges, couplings, line, tmp_path, capsys):
+    (tmp_path / "e.txt").write_text(edges)
+    argv = ["detect", "--input", str(tmp_path / "e.txt"), "--nodes", "4"]
+    if couplings is not None:
+        (tmp_path / "cc.txt").write_text(couplings)
+        argv += ["--couplings-file", str(tmp_path / "cc.txt")]
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / line}\n"
+    assert not out.exists()
+
+
 # Each setting: its flag, the parameter-file line the flag must beat, the
 # line that must beat the default, how to read the setting off the runs
 # (each run's spec and params), and the values the default, the file and

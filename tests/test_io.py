@@ -613,6 +613,8 @@ class TestAspectGridFile:
         ("1 1,1 3,1", "coordinate (3, 1) outside the declared 2x2 grid"),
         ("1 1,1 1,2,1", "coordinate (1, 2, 1) outside the declared 2x2 grid"),
         ("1 1,1 1,1", "coupling links a layer with itself"),
+        ("3 1,1 1,2", "node id 3 out of range 1..2"),
+        ("0 1,1 1,2", "node id 0 out of range 1..2"),
     ])
     def test_bad_coupling_reported_at_its_line(self, tmp_path, line, message):
         grid, coup = tmp_path / "grid.txt", tmp_path / "c.txt"
@@ -631,8 +633,7 @@ class TestAspectGridFile:
 
     @pytest.mark.parametrize("line, message", [
         ("1 1,1", "expected: nodeId cA1,...,cAF cB1,...,cBF"),
-        ("3 1,1 1,2", "node id 3 out of range 1..2"),
-        ("0 1,1 1,2", "node id 0 out of range 1..2"),
+        ("1 1,x 1,2", "expected integer grid coordinate, got 'x'"),
     ])
     def test_bad_coupling_line_shape_reported_at_its_line(self, tmp_path, line, message):
         grid, coup = tmp_path / "grid.txt", tmp_path / "c.txt"

@@ -132,7 +132,7 @@ def test_numpy_read_returns_the_reference_network(text, tmp_path_factory):
     import mlmod.io
 
     path = _write(tmp_path_factory, text)
-    with mock.patch.object(mlmod.io, "_edge_row", side_effect=AssertionError("line loop")):
+    with mock.patch.object(mlmod.io, "_parse_row", side_effect=AssertionError("line loop")):
         got = load_multiplex(path)
     _same_network(got, load_multiplex_reference(path))
 
@@ -410,8 +410,7 @@ def test_plain_files_never_reach_the_line_loop(tmp_path, monkeypatch):
         line_loop()
 
     data_lines = mlmod.io._data_lines
-    monkeypatch.setattr(mlmod.io, "_edge_row", line_loop)
-    monkeypatch.setattr(mlmod.io, "_coupling_row", line_loop)
+    monkeypatch.setattr(mlmod.io, "_parse_row", line_loop)
     files = {
         "e3.txt": "# layerId nodeId nodeId # no weight\n1 1 2\n\n 2\t2 3\n1 3 1\n",
         "e4.txt": "# layerId nodeId nodeId weight\n1 1 2 1\n\n 2\t2 3 0.5\n1 3 1 1e-300\n",
@@ -444,11 +443,9 @@ def test_plain_files_never_reach_the_line_loop(tmp_path, monkeypatch):
 def test_mixed_width_files_take_the_line_loop(tmp_path, monkeypatch):
     import mlmod.io
 
-    lines = []
-    for name in ("_edge_row", "_coupling_row"):
-        read = getattr(mlmod.io, name)
-        monkeypatch.setattr(mlmod.io, name,
-                            lambda parts, path, n, read=read: lines.append(n) or read(parts, path, n))
+    lines, read = [], mlmod.io._parse_row
+    monkeypatch.setattr(mlmod.io, "_parse_row",
+                        lambda *args: lines.append(args[2]) or read(*args))
     edge, couplings = tmp_path / "e.txt", tmp_path / "c.txt"
     edge.write_text("# layerId nodeId nodeId\n1 1 2\n\n 2\t2 3 0.5\n1 3 1 1e-300\n")
     couplings.write_text("# couplings\n1 1 1 2 1 0.5\n3 2 1 1 1\n")
@@ -570,3 +567,59 @@ def test_grid_file_reports_its_first_faulty_line(tmp_path):
     with pytest.raises(DomainError) as exc:
         load_aspect_grid(str(path))
     assert str(exc.value) == f"{path}:3: coordinate (3, 1) outside the declared 2x2 grid"
+
+
+def _first_bad_line_case(reader, tmp_path):
+    """(read, path, line, error class, message) of a file whose line ``line``
+    breaks a row rule and whose next data line is malformed."""
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    if reader == "edges":
+        path = write("e.txt", "1 1 2\n1 2 9\n1 x 4\n")
+        return (lambda: load_multiplex(path, n_nodes=4), path, 2, DomainError,
+                "node id 9 exceeds declared count 4")
+    if reader == "grid edges":
+        path = write("g.txt", "#dims 2\n1 1 2\n2 2 9\n1 x 4\n")
+        return (lambda: load_aspect_grid(path, n_nodes=4), path, 3, DomainError,
+                "node id 9 exceeds declared count 4")
+    if reader == "couplings":
+        path = write("cc.txt", "1 1 1 2 1\n99 1 1 2 1\n1 1 1 2 1 x\n")
+        return (lambda: load_couplings(path, _grid_net(), 4), path, 2, DomainError,
+                "node id 99 out of range 1..4")
+    if reader == "grid couplings":
+        path = write("gc.txt", "1 1 2\n9 1 2\n1 1 x\n")
+        grid_path = write("g.txt", "#dims 2\n1 1 2\n2 2 3\n")
+        return (lambda: load_aspect_grid(grid_path, coupling_path=path), path, 2, DomainError,
+                "node id 9 out of range 1..3")
+    if reader == "labels":
+        path = write("gt.txt", "1 1\n1 0\n3 x\n")
+        return lambda: load_labels(path, 3), path, 2, ParseError, "duplicate node id 1"
+    path = str(tmp_path / "r.txt")
+    save_result(DetectionResult(Partition(np.arange(12) % 2), 0.5, ()), path, _grid_net())
+    lines = (tmp_path / "r.txt").read_text().split("\n")
+    first = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    lines[first + 1] = lines[first]  # a repeated cell, then a malformed row
+    lines[first + 2] = "1 x 1 1 -"
+    (tmp_path / "r.txt").write_text("\n".join(lines))
+    return lambda: load_result(path), path, first + 2, ParseError, "duplicate cell (1, 1, 1)"
+
+
+@pytest.mark.parametrize("reader", ["edges", "grid edges", "couplings", "grid couplings",
+                                    "labels", "result"])
+def test_the_first_line_that_breaks_a_rule_is_reported_before_a_later_malformed_one(
+        reader, tmp_path):
+    read, path, line, cls, message = _first_bad_line_case(reader, tmp_path)
+    with pytest.raises(MlmodError) as exc:
+        read()
+    assert type(exc.value) is cls
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_a_second_dims_directive_is_an_error_at_its_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("#dims 2 2\n1,1 1 2\n# more\n#dims 3 3\n3,3 1 2\n")
+    with pytest.raises(ParseError) as exc:
+        load_aspect_grid(str(path))
+    assert str(exc.value) == f"{path}:4: second #dims directive: a grid file holds one"

@@ -12,6 +12,7 @@ the one-vertex-at-a-time reference sweep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 
@@ -32,7 +33,8 @@ from mlmod import (
 from mlmod.eigen import _dense_checks
 from mlmod.modularity import Subdivision
 from mlmod.network import Couplings
-from mlmod.mspec import kl_relocate, subdivision_matrix
+from mlmod.mspec import (_FORM_MAX, _GAIN_EPS, _sign_split, kl_relocate, refine_cut,
+                         subdivision_matrix)
 from mlmod.params import COUPLING_STRATEGIES
 
 from conftest import make_single_layer
@@ -126,6 +128,65 @@ def test_subdivision_view_equals_dense_reference(instance, seed):
     for take in (qm, qm.take(members)):
         assert bit_symmetric(take.indptr, take.indices, take.data)
     assert _dense_checks(sub)[1:] == (0.0, True)
+
+
+def _check_refined_cut(sub, m, u):
+    """``refine_cut(sub, z)`` from the sign-rule split z of ``u`` against
+    the oracle subdivision ``m``.  A cell's gain is refine_cut's own: half
+    the change of z'mz when the cell flips, recomputed here from ``m``.
+    Rounding tolerance: 1e-9 x the largest absolute row sum of ``m``, far
+    above the 1e-12 x that sum within which a subdivision equals the oracle
+    and the (cells + 3 flips) x machine epsilon x that sum by which the
+    incremental update of m z can drift; the quadratic forms, sums of n
+    such rows, get n times it."""
+    z0 = _sign_split(u)
+    z = refine_cut(sub, z0)
+    n = z.size
+    tol = 1e-9 * max(1.0, float(np.abs(m).sum(axis=1).max()))
+    assert np.array_equal(np.abs(z), np.ones(n))
+    assert z @ m @ z >= z0 @ m @ z0 - n * tol
+    gains = 2.0 * (np.diagonal(m) - z * (m @ z))
+    assert gains.max() <= _GAIN_EPS + tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_refined_dense_cut_has_no_gaining_flip(instance, seed):
+    net, spec, params, members = instance
+    d, (qm, _) = _build(net, spec, params)
+    sub = subdivision_matrix(qm, members)
+    assert isinstance(sub, np.ndarray)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, members.size)
+    _check_refined_cut(sub, dense_subdivision(d, members), u)
+
+
+@functools.cache
+def _synthetic_600():
+    """Two layers of G(300, 0.03) with weights in [0.1, 2) that round, and
+    rho = 0.5 couplings: 600 rows, above mspec._DENSE_MAX = 512, so a
+    subdivision above _FORM_MAX members is matrix-free; and its oracle D."""
+    rng = np.random.default_rng(600)
+    layers = []
+    for _ in range(2):
+        pairs = [p for p in itertools.combinations(range(300), 2) if rng.random() < 0.03]
+        layers.append(tuple((i, j, float(w)) for (i, j), w in
+                            zip(pairs, rng.uniform(0.1, 2.0, len(pairs)))))
+    net = MultilayerNetwork(n_nodes=300, aspects=(Aspect("a", ("l0", "l1")),),
+                            within_edges=tuple(layers))
+    net = net.with_couplings(generate_couplings(net, 0.5, 600))
+    params = ModularityParams.for_network(net, gamma=[0.9, 1.1])
+    return _build(net, CouplingSpec(omega=0.5), params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(_FORM_MAX + 1, 600), st.integers(0, 2**32 - 1))
+def test_refined_matrix_free_cut_has_no_gaining_flip(size, seed):
+    d, (qm, _) = _synthetic_600()
+    rng = np.random.default_rng(seed)
+    members = rng.permutation(qm.size)[:size]
+    sub = subdivision_matrix(qm, members)
+    assert isinstance(sub, Subdivision)
+    _check_refined_cut(sub, dense_subdivision(d, members), rng.uniform(-1.0, 1.0, size))
 
 
 FIELDS = ("indptr", "indices", "data")
