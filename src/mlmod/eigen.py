@@ -38,8 +38,9 @@ def _start(n: int) -> np.ndarray:
 
 
 def _dense_checks(d: np.ndarray) -> tuple[float, float, bool]:
-    """Max absolute row sum and max |d - d.T| of a float64 d, and whether
-    LAPACK may work in it, each taken over blocks of ``_ROWS`` rows."""
+    """Max absolute row sum (NaN when an entry is) and max |d - d.T| of a
+    float64 d, and whether LAPACK may work in it, each taken over blocks of
+    ``_ROWS`` rows."""
     n = d.shape[0]
     # bit for bit, so that +0.0 against -0.0 takes the copy: the restore
     # writes one triangle over the other
@@ -48,7 +49,8 @@ def _dense_checks(d: np.ndarray) -> tuple[float, float, bool]:
     scratch = np.empty((min(n, _ROWS), n))  # the one temporary of both checks
     for lo in range(0, n, _ROWS):
         rows, out = d[lo:lo + _ROWS], scratch[:min(n - lo, _ROWS)]
-        scale = max(scale, float(np.abs(rows, out=out).sum(axis=1).max()))
+        # np.maximum, not max: max drops a NaN that comes second
+        scale = float(np.maximum(scale, np.abs(rows, out=out).sum(axis=1).max()))
         if not (bits[lo:lo + _ROWS] == bits[:, lo:lo + _ROWS].T).all():
             mirrored = False  # and |d - d.T| is 0 in blocks that mirror
             np.abs(np.subtract(rows, d[:, lo:lo + _ROWS].T, out=out), out=out)
@@ -101,6 +103,8 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
         scale, asymmetry, in_place = _dense_checks(d)
         if asymmetry > 1e-10 * max(scale, 1.0):
             raise DomainError("matrix is not symmetric")
+    if not np.isfinite(scale):  # a NaN or inf entry, which no solver takes
+        raise DomainError(f"matrix scale is not finite: {scale}")
     if scale == 0.0:
         return 0.0, _orient(_start(n))
     if not hasattr(matrix, "matvec"):

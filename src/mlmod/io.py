@@ -362,7 +362,8 @@ def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.n
     rows lie in the 0-based layer cells ``cell``: the node count inferred
     unless declared, rows split by cell in input order, duplicates summed."""
     (_, i, j), has_w, w = table
-    w = np.where(has_w, w, 1.0)
+    if not has_w.all():  # else the weights are read in place, not copied
+        w = np.where(has_w, w, 1.0)
     if n_nodes is None:
         n_nodes = _infer_node_count((i, j), path, what)
     n_cells = sum(len(a.layers) for a in aspects)

@@ -1,6 +1,6 @@
-"""scripts/checkset.py: a record it writes verifies, a moved field is
-named, and the grid conversions still match the committed CHECKSET.json
-(they draw on no BLAS, so they match on every host)."""
+"""The check set of scripts/bench.py: a record it writes verifies, a moved
+field is named, and the grid conversions still match the committed
+CHECKSET.json (they draw on no BLAS, so they match on every host)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def checkset(*args):
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "checkset.py"), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *args],
                           capture_output=True, text=True)
 
 
@@ -39,3 +39,11 @@ def test_written_record_verifies_and_moves_are_named(tmp_path):
     assert proc.returncode == 1
     assert "moved    synth-33/result_mspec.txt: labels, q_total\n" in proc.stdout
     assert "new      convert/flat.map\n" in proc.stdout
+
+
+def test_options_of_the_other_use_are_refused():
+    for args, error in ((["verify", "--against", "HEAD"], "--against goes with a ladder LABEL"),
+                        (["label", "--only", "convert"], "--only and --file go with write")):
+        proc = checkset(*args)
+        assert proc.returncode == 2
+        assert error in proc.stderr

@@ -115,6 +115,20 @@ class TestLeadingEigenpair:
         with pytest.raises(DomainError):
             leading_eigenpair(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        # a NaN scale used to pass for a zero matrix, an inf one reached LAPACK
+        d = np.zeros((3, 3))
+        d[0, 1] = entry
+        with pytest.raises(DomainError, match="not finite"):
+            leading_eigenpair(d)
+
+    def test_non_finite_operator_scale_rejected(self, monkeypatch):
+        op = matrix_free(600)
+        monkeypatch.setattr(op, "norm_inf", lambda: np.nan)
+        with pytest.raises(DomainError, match="not finite"):
+            leading_eigenpair(op)
+
     def test_arpack_no_convergence_carries_residual(self, monkeypatch):
         import scipy.sparse.linalg as sla
 

@@ -488,15 +488,18 @@ def test_matrix_free_stage_peaks_supra_8192(supra_8192):
     assert all(units[name] <= bound for name, bound in bounds.items()), units
 
 
-def test_edge_read_peak_supra_8192(supra_8192, tmp_path):
+@pytest.mark.parametrize("weighted", [False, True])
+def test_edge_read_peak_supra_8192(supra_8192, tmp_path, weighted):
     # In units of 8 * nnz bytes, nnz = 2 * edges, the entries of B the file
-    # gives: numpy's 24-byte rows, an all-ones weight column and each
-    # layer's normalize_edges transients, but not the file's text, which
-    # is freed once parsed.  Keeping it alive for line lookups read 6.4.
+    # gives: numpy's 24-byte rows and an all-ones weight column, or its
+    # 32-byte rows whose weights are read in place, and each layer's
+    # normalize_edges transients, but not the file's text, which is freed
+    # once parsed.  Keeping it alive for line lookups read 6.4; copying the
+    # weights of a weighted file read 6.15.
     net = supra_8192[0]
     path = tmp_path / "synth.edges"
-    path.write_text("".join(f"{t + 1} {i + 1} {j + 1}\n" for t, layer in
-                            enumerate(net.within_edges) for i, j, _ in layer))
+    path.write_text("".join(f"{t + 1} {i + 1} {j + 1}{f' {w!r}' if weighted else ''}\n"
+                            for t, layer in enumerate(net.within_edges) for i, j, w in layer))
     load_multiplex(str(path))  # warm-up: imports
     tracemalloc.start()
     try:
