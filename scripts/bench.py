@@ -49,6 +49,11 @@ Check-set runs:
     compare-signed   compare on the four-layer replica, signed, normalized,
                      two repeats, seed 11
     convert          convert of a #dims 2 3 grid and its couplings
+    closeness        mspec detect on the four-layer replica under a
+                     parameter file that names a closeness matrix, seed 11
+    temporal         the same under the temporal strategy
+    explicit         the same under the explicit strategy, with a coupling
+                     file whose lines carry magnitudes
 """
 
 from __future__ import annotations
@@ -173,6 +178,29 @@ def grid(directory: str) -> list[str]:
     return ["convert", "--input", paths[0], "--grid-couplings", paths[1]]
 
 
+def strategies(directory: str):
+    """(name, CLI arguments) of a detect run on the four-layer karate replica
+    under each coupling strategy but the uniform one; the closeness run
+    reads a parameter file, the explicit one a seeded coupling file with
+    magnitudes."""
+    rng = np.random.default_rng(24)
+    os.makedirs(directory)
+    paths = [os.path.join(directory, name) for name in ("p.txt", "closeness.txt", "c.txt")]
+    texts = [["# four layer cells", "coupling.strategy = closeness",
+              "closeness.file = closeness.txt", "omega = 0.5", "gamma = 1"],
+             ["0 1 0.5 0.25", "1 0 1 0.5", "0.5 1 0 1", "0.25 0.5 1 0"],
+             ["# nodeId layerA aspectA layerB aspectB magnitude"]
+             + [f"{node} {a} 1 {a + 1} 1 {rng.integers(1, 5) / 4}"
+                for node in range(1, 35) for a in range(1, 4) if rng.random() < 0.6]]
+    for path, lines in zip(paths, texts):
+        write_lines(path, lines)
+    replica = ["detect", "--dataset", "karate-replica", "--layers", "4", "--seed", "11"]
+    yield "closeness", replica + ["--params-file", paths[0]]
+    yield "temporal", replica + ["--coupling-strategy", "temporal", "--gamma", "1"]
+    yield "explicit", replica + ["--coupling-strategy", "explicit", "--couplings-file", paths[2],
+                                 "--gamma", "1"]
+
+
 def ladder(inputs: str):
     """(workload, supra size, seed, CLI arguments without --out) of every
     ladder row; input files go under ``inputs``."""
@@ -197,6 +225,7 @@ def checkset(inputs: str):
     yield "compare-signed", ["compare", "--dataset", "karate-replica", "--layers", "4",
                              "--signed", "--normalized", "--repeats", "2", "--seed", "11"]
     yield "convert", grid(os.path.join(inputs, "grid"))
+    yield from strategies(os.path.join(inputs, "strategies"))
 
 
 def _digest(tokens) -> str:

@@ -56,11 +56,10 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read file: {exc}", path=path) from exc
 
 
-def _data_lines(path: str, text: str | None = None):
-    """(1-based line number, stripped line) of each line of the file (or of
-    its ``text``) that is neither blank nor a ``#`` comment."""
-    lines = (_read_text(path) if text is None else text).split("\n")
-    for lineno, line in enumerate(lines, start=1):
+def _data_lines(text: str):
+    """(1-based line number, stripped line) of each line of a file's
+    ``text`` that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, stripped
@@ -91,22 +90,21 @@ class _Table(NamedTuple):
     number: str | None = None
 
 
-def _read_rows(path: str, table: _Table, rules, text: str | None = None):
-    """The data lines of ``table``: (fields, rows) int64 columns, the mask
-    of rows with the number and the numbers, 0 where a row has none.
+def _read_rows(path: str, text: str, table: _Table, rules):
+    """The data lines of ``table`` in ``path``'s ``text``: (fields, rows)
+    int64 columns, the mask of rows with the number and the numbers, 0
+    where a row has none.
 
     ``rules(*columns, mask, numbers)`` lists the row rules in the order a
     row is checked, after the rule that numbers are finite, as
     ``_raise_first`` takes them.  numpy's reader reads a table of the first
     data row's width when it can; otherwise ``_parse_row`` parses line
     after line, and the rules are applied to the rows before the first
-    malformed line, so the first bad line is the one reported.  ``text`` is
-    the file's text when the caller has already read it.  numpy's reader
-    gets it as bytes (a StringIO holds 4 bytes per character), and the
-    integer columns are a view of the rows it reads."""
-    text = _read_text(path) if text is None else text
+    malformed line, so the first bad line is the one reported.  numpy's
+    reader gets the text as bytes (a StringIO holds 4 bytes per character),
+    and the integer columns are a view of the rows it reads."""
     n = len(table.fields)
-    width = len(next(_data_lines(path, text), (0, ""))[1].split())  # 0: no data rows
+    width = len(next(_data_lines(text), (0, ""))[1].split())  # 0: no data rows
     columns = error = None
     # numpy 2.4's reader can crash the process on characters beyond U+FFFF,
     # so only ASCII text reaches it
@@ -126,7 +124,7 @@ def _read_rows(path: str, table: _Table, rules, text: str | None = None):
     if columns is None:
         rows = []
         try:
-            for lineno, line in _data_lines(path, text):
+            for lineno, line in _data_lines(text):
                 rows.append(_parse_row(line.split(), path, lineno, table))
         except MlmodError as exc:  # raised once the rows before it pass the rules
             error = exc
@@ -135,8 +133,8 @@ def _read_rows(path: str, table: _Table, rules, text: str | None = None):
         rows[~has, -1] = 0.0
         columns = rows[:, :-1].T.astype(np.int64), has, rows[:, -1].astype(float)
     ints, has, x = columns
-    _raise_first(path, [(~np.isfinite(x), ParseError, lambda k: f"non-finite {table.number}"),
-                        *rules(*ints, has, x)])
+    _raise_first(path, text, [(~np.isfinite(x), ParseError,
+                               lambda k: f"non-finite {table.number}"), *rules(*ints, has, x)])
     if error is not None:
         raise error
     return columns
@@ -184,16 +182,16 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _raise_first(path: str, checks) -> None:
-    """Raise at the first of the rows read from ``path`` that fails one of
-    ``checks``: (mask of failing rows, error class, message of row k)
-    triples in the order a row is checked.  Row k's line is found by reading
-    the file again; a DomainError carries the position in its message."""
+def _raise_first(path: str, text: str, checks) -> None:
+    """Raise at the data line of ``path``'s ``text`` of the first row that
+    fails one of ``checks``: (mask of failing rows, error class, message of
+    row k) triples in the order a row is checked.  A DomainError carries the
+    position in its message."""
     bad = np.logical_or.reduce([mask for mask, _, _ in checks])
     if bad.any():
         k = int(bad.argmax())
         cls, message = next((cls, message(k)) for mask, cls, message in checks if mask[k])
-        lineno = next(itertools.islice(_data_lines(path), k, None))[0]
+        lineno = next(itertools.islice(_data_lines(text), k, None))[0]
         if cls is ParseError:
             raise ParseError(message, path, lineno)
         raise cls(f"{path}:{lineno}: {message}")
@@ -227,15 +225,15 @@ def _infer_node_count(columns, path: str, what: str) -> int:
     return n_nodes
 
 
-def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], dict[int, int]]:
+def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], np.ndarray, np.ndarray]:
     """Parse ``layerId aspectId label`` lines.
 
-    Returns aspects (layer order = file order within each aspect) and the
-    map from the file's global layerId to the global cell index.
+    Returns aspects (layer order = file order within each aspect), the
+    file's layer ids in increasing order and the global cell of each.
     """
     per_aspect: dict[int, list[tuple[int, str]]] = {}
     seen: set[int] = set()
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(_read_text(path)):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected: layerId aspectId label", path, lineno)
@@ -252,8 +250,9 @@ def _load_layer_table(path: str) -> tuple[tuple[Aspect, ...], dict[int, int]]:
         raise ParseError(f"aspect ids must be contiguous from 1, got {aspect_ids}", path)
     aspects = tuple(Aspect(f"aspect-{aid}", tuple(label for _, label in per_aspect[aid]))
                     for aid in aspect_ids)
-    layer_ids = [layer_id for aid in aspect_ids for layer_id, _ in per_aspect[aid]]
-    return aspects, {layer_id: cell for cell, layer_id in enumerate(layer_ids)}
+    layer_ids = np.array([layer_id for aid in aspect_ids for layer_id, _ in per_aspect[aid]])
+    cells = np.argsort(layer_ids)
+    return aspects, layer_ids[cells], cells
 
 
 def _edge_rules(n_nodes: int | None, layer, i, j, has_w, w):
@@ -302,7 +301,7 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     ``net.with_couplings(table)`` puts it on the network.
     """
     sizes = net.aspect_sizes
-    (node, sa, va, sb, vb), has_m, magnitude = _read_rows(path, _Table(
+    (node, sa, va, sb, vb), has_m, magnitude = _read_rows(path, _read_text(path), _Table(
         "expected: nodeId layerA aspectA layerB aspectB [magnitude]", (5, 6),
         ("node id", "layer id", "aspect id", "layer id", "aspect id"), "magnitude"),
         lambda *columns: _coupling_rules(sizes, n_nodes, *columns))
@@ -325,30 +324,30 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     and every id below it must appear somewhere (no silent gaps).  Coupling
     magnitudes, when the coupling file has them, travel with the couplings.
     """
-    table = _read_rows(edge_path, _Table("expected: layerId nodeId nodeId [weight]", (3, 4),
-                                         ("layer id", "node id", "node id"), "edge weight"),
-                       lambda *columns: _edge_rules(n_nodes, *columns))
-    layer = table[0][0]
     if layer_path is not None:
-        aspects, cell_of_layer_id = _load_layer_table(layer_path)
-        declared = np.array(sorted(cell_of_layer_id), dtype=np.int64)
-        at = np.minimum(np.searchsorted(declared, layer), declared.size - 1)
-        _raise_first(edge_path, [(declared[at] != layer, ParseError,
-                                  lambda k: f"layer id {layer[k]} not declared in {layer_path}")])
-        cell = np.array([cell_of_layer_id[x] for x in declared.tolist()])[at]
+        aspects, declared, cells = _load_layer_table(layer_path)
+
+    def rules(layer, *columns):  # an undeclared layer id is a row's last rule
+        checks = _edge_rules(n_nodes, layer, *columns)
+        if layer_path is not None:
+            checks.append((~np.isin(layer, declared), ParseError,
+                           lambda k: f"layer id {layer[k]} not declared in {layer_path}"))
+        return checks
+
+    table = _read_rows(edge_path, _read_text(edge_path), _Table(
+        "expected: layerId nodeId nodeId [weight]", (3, 4),
+        ("layer id", "node id", "node id"), "edge weight"), rules)
+    layer = table[0][0]
+    if layer_path is not None:  # every id is declared
+        cell = cells[np.searchsorted(declared, layer)]
     else:
         layer_ids = np.unique(layer).tolist()
         if not layer_ids:
-            raise ParseError(
-                "edge file has no edges and no layer file was given", edge_path
-            )
+            raise ParseError("edge file has no edges and no layer file was given", edge_path)
         if layer_ids != list(range(1, len(layer_ids) + 1)):
-            raise ParseError(
-                f"layer ids must be contiguous from 1 without a layer file, got {layer_ids}",
-                edge_path,
-            )
-        aspects = (Aspect(name="aspect-1",
-                          layers=tuple(f"layer-{i}" for i in layer_ids)),)
+            raise ParseError("layer ids must be contiguous from 1 without a layer file, "
+                             f"got {layer_ids}", edge_path)
+        aspects = (Aspect(name="aspect-1", layers=tuple(f"layer-{i}" for i in layer_ids)),)
         cell = layer - 1
     net = _cells_network(edge_path, "edge", aspects, cell, table, n_nodes)
     if coupling_path is not None:
@@ -400,7 +399,7 @@ def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: va
     key wins.  A line without ``=``, with a key outside ``known``, or whose
     ``parse`` raises DomainError, raises at its line."""
     out: dict[str, object] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in _data_lines(_read_text(path)):
         if "=" not in line:
             raise ParseError("expected key = value", path, lineno)
         key, _, value = (part.strip() for part in line.partition("="))
@@ -458,7 +457,7 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
     """Parse ``nodeId label`` ground-truth lines, one per node, into the
     array of labels (each >= 0) indexed by 0-based node."""
     table = _Table("expected: nodeId label", (2,), ("node id", "label"))
-    (node, label), _, _ = _read_rows(path, table, lambda node, label, has, x: [
+    (node, label), _, _ = _read_rows(path, _read_text(path), table, lambda node, label, has, x: [
         ((node < 1) | (node > n_nodes), DomainError, lambda k: f"node id {node[k]} out of range"),
         (label < 0, ParseError, lambda k: f"label must be >= 0, got {label[k]}"),
         (_repeats(node), ParseError, lambda k: f"duplicate node id {node[k]}"),
@@ -512,7 +511,7 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
                 raise ParseError("signed must be true or false", path, lineno)
             return val.lower() == "true"
         if key == "closeness.file":
-            return check_closeness(load_closeness(os.path.join(base, val), path, lineno), n_cells)
+            return check_closeness(load_closeness(os.path.join(base, val)), n_cells)
         if key == "coupling.strategy":
             check_strategy(val)
         else:
@@ -525,19 +524,16 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
     return out
 
 
-def load_closeness(path: str, source: str | None = None,
-                   lineno: int | None = None) -> np.ndarray:
-    """Read a dense closeness matrix; a failure or a non-finite entry
-    raises ParseError at ``source``:``lineno`` when given, else at the
-    matrix file."""
-    try:
-        m = np.loadtxt(path, ndmin=2)
-        if not np.isfinite(m).all():
-            raise ValueError("entries must be finite")
-        return m
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot load closeness matrix: {exc}", source or path,
-                         lineno) from exc
+def load_closeness(path: str) -> np.ndarray:
+    """Read a dense closeness matrix, one row per data line; an entry that
+    is not a finite number, or a row of another length than the first,
+    raises at its line."""
+    rows: list[list[float]] = []
+    for lineno, line in _data_lines(_read_text(path)):
+        rows.append([_parse_float(tok, "closeness entry", path, lineno) for tok in line.split()])
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} entries, got {len(rows[-1])}", path, lineno)
+    return np.array(rows, ndmin=2)
 
 
 def _grid_cell(token: str, dims: tuple[int, ...], path: str, lineno: int) -> int:
@@ -584,18 +580,18 @@ def load_aspect_grid(path: str, n_nodes: int | None = None,
     def cell(token, path, lineno):  # 1-based, as a layer id
         return _grid_cell(token, dims, path, lineno) + 1
 
-    table = _read_rows(path, _Table("expected: c1,...,cF nodeId nodeId [weight]", (3, 4),
-                                    (cell, "node id", "node id"), "edge weight"),
-                       lambda *columns: _edge_rules(n_nodes, *columns), text)
+    table = _read_rows(path, text, _Table("expected: c1,...,cF nodeId nodeId [weight]", (3, 4),
+                                          (cell, "node id", "node id"), "edge weight"),
+                       lambda *columns: _edge_rules(n_nodes, *columns))
     coords = list(itertools.product(*(range(d) for d in dims)))
     labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
     net = _cells_network(path, "grid", (Aspect(name="flattened", layers=labels),),
                          table[0][0] - 1, table, n_nodes)
     if coupling_path is not None:
         table = _Table("expected: nodeId cA1,...,cAF cB1,...,cBF", (3,), ("node id", cell, cell))
-        (node, ta, tb), _, _ = _read_rows(coupling_path, table, lambda node, ta, tb, has, x:
-                                          _coupling_rules((len(coords),), net.n_nodes,
-                                                          node, ta, 1, tb, 1, has, x))
+        (node, ta, tb), _, _ = _read_rows(
+            coupling_path, _read_text(coupling_path), table, lambda node, ta, tb, has, x:
+            _coupling_rules((len(coords),), net.n_nodes, node, ta, 1, tb, 1, has, x))
         net = net.with_couplings(Couplings(np.column_stack(
             (node - 1, np.minimum(ta, tb) - 1, np.maximum(ta, tb) - 1))))
     return net, {c: (t + 1, 1) for t, c in enumerate(coords)}
@@ -732,9 +728,9 @@ def load_result(path: str) -> tuple[DetectionResult, dict[str, object]]:
              lambda k: "soft labels must be numbers on every cell row or '-' on every one"),
         ]
 
-    (node, layer, aspect, community), has_soft, soft = _read_rows(path, _Table(
+    (node, layer, aspect, community), has_soft, soft = _read_rows(path, text, _Table(
         "expected: nodeId layerId aspectId communityId softLabel", (5,),
-        ("node id", "layer id", "aspect id", "community id"), "soft label"), rules, text)
+        ("node id", "layer id", "aspect id", "community id"), "soft label"), rules)
     size = sum(aspect_sizes) * n_nodes
     if node.size != size:
         raise ParseError(f"expected {size} cell rows, found {node.size}", path)

@@ -573,6 +573,9 @@ def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
     """The edge (and layer) file read line by line, edges built as tuples."""
     if n_nodes is not None and n_nodes < 1:
         raise DomainError("declared node count must be >= 1")
+    if layer_path is not None:  # read first: an undeclared layer id is a row's last rule
+        aspects, declared, cells = _load_layer_table(layer_path)
+        cell_of_layer_id = dict(zip(declared.tolist(), cells.tolist()))
     records = []
     for lineno, line in _data_lines(edge_path):
         parts = line.split()
@@ -592,14 +595,11 @@ def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
         if n_nodes is not None and max(i, j) > n_nodes:
             raise DomainError(
                 f"{edge_path}:{lineno}: node id {max(i, j)} exceeds declared count {n_nodes}")
+        if layer_path is not None and layer_id not in cell_of_layer_id:
+            raise ParseError(f"layer id {layer_id} not declared in {layer_path}",
+                             edge_path, lineno)
         records.append((lineno, layer_id, i, j, w))
-    if layer_path is not None:
-        aspects, cell_of_layer_id = _load_layer_table(layer_path)
-        for lineno, layer_id, *_ in records:
-            if layer_id not in cell_of_layer_id:
-                raise ParseError(f"layer id {layer_id} not declared in {layer_path}",
-                                 edge_path, lineno)
-    else:
+    if layer_path is None:
         layer_ids = sorted({rec[1] for rec in records})
         if not layer_ids:
             raise ParseError("edge file has no edges and no layer file was given", edge_path)

@@ -540,11 +540,11 @@ class TestWorkersAndStrategies:
         close = tmp_path / "close.txt"
         close.write_text("0 inf 1\ninf 0 1\n1 1 0\n")
         args = ["--coupling-strategy", "closeness", "--closeness-file", str(close)]
-        where = f"{close}: "
         if through_params:
             params = tmp_path / "params.txt"
             params.write_text("coupling.strategy = closeness\ncloseness.file = close.txt\n")
-            args, where = ["--params-file", str(params)], f"{params}:2: "
+            args = ["--params-file", str(params)]
+        where = f"{close}:1: "  # the matrix file's own line, also through a parameter file
         code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3", *args,
                         "--out", str(tmp_path / "out")])
         assert code == 2
@@ -611,6 +611,7 @@ class TestWorkersAndStrategies:
 
     @pytest.mark.parametrize("line, message", [
         ("omega = -1", "omega must be finite and >= 0, got -1.0"),
+        ("gamma = nan", "non-finite gamma"),
         ("gamma = 0", "resolution gamma must be finite and > 0, got 0.0"),
         ("lambda = -2", "layer weight lambda must be finite and >= 0, got -2.0"),
         ("gamma.plus = -1", "gamma_plus entries must be finite and > 0, got -1.0"),
@@ -634,6 +635,20 @@ class TestWorkersAndStrategies:
         assert code == 2
         assert capsys.readouterr().err == f"error: {params}:2: {message}\n"
         assert not out.exists()
+
+    def test_piped_edge_file_reports_a_bad_row_at_its_line(self, tmp_path, capsys):
+        # a pipe can be read once: the line of a bad row comes from the text read
+        read, write = os.pipe()
+        try:
+            with os.fdopen(write, "wb") as fh:
+                fh.write(b"1 1 2\n1 2 2\n1 2 3\n")
+            code = run_cli(["detect", "--input", f"/dev/fd/{read}",
+                            "--out", str(tmp_path / "out")])
+        finally:
+            os.close(read)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: /dev/fd/{read}:2: self-loop on node 2 rejected\n"
 
     def test_manifest_count_not_an_integer_exit_2_at_its_line(self, tmp_path, capsys):
         (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")

@@ -83,6 +83,15 @@ class TestLoadMultiplex:
             load_multiplex(str(edge), str(layer))
         assert str(exc.value) == f"{edge}:5: layer id 3 not declared in {layer}"
 
+    def test_undeclared_layer_reported_before_a_later_bad_row(self, tmp_path):
+        edge = tmp_path / "e.txt"
+        edge.write_text("1 1 2\n3 2 3\n1 3 3\n")
+        layer = tmp_path / "l.txt"
+        layer.write_text("1 1 a\n2 1 b\n")
+        with pytest.raises(ParseError) as exc:
+            load_multiplex(str(edge), str(layer))
+        assert str(exc.value) == f"{edge}:2: layer id 3 not declared in {layer}"
+
     def test_self_loop_rejected(self, tmp_path):
         edge = tmp_path / "e.txt"
         edge.write_text("1 2 2 1.0\n")
@@ -234,9 +243,10 @@ class TestParamsFile:
         assert out["coupling.strategy"] == "temporal"
         assert out["signed"] is False
 
-    def test_closeness_matrix_loaded(self, tmp_path):
+    @pytest.mark.parametrize("text", ["0 1\n1 0\n", "# cells 1 and 2\n0 1\n\n  1 0\n"])
+    def test_closeness_matrix_loaded(self, tmp_path, text):
         m = tmp_path / "closeness.txt"
-        m.write_text("0 1\n1 0\n")
+        m.write_text(text)
         p = tmp_path / "params.txt"
         p.write_text("closeness.file = closeness.txt\n")
         out = load_params_file(str(p), 2)
@@ -248,12 +258,24 @@ class TestParamsFile:
         m.write_text(f"0 {entry}\n{entry} 0\n")
         with pytest.raises(ParseError) as info:
             load_closeness(str(m))
-        assert (info.value.path, info.value.line) == (str(m), None)
+        assert str(info.value) == f"{m}:1: non-finite closeness entry"
         p = tmp_path / "params.txt"
         p.write_text("omega = 1\ncloseness.file = closeness.txt\n")
         with pytest.raises(ParseError) as info:
             load_params_file(str(p), 1)
-        assert (info.value.path, info.value.line) == (str(p), 2)
+        assert (info.value.path, info.value.line) == (str(m), 1)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 x\n", 1, "expected number closeness entry, got 'x'"),
+        ("0 1 # note\n1 0\n", 1, "expected number closeness entry, got '#'"),
+        ("# two cells\n0 1\n1\n", 3, "expected 2 entries, got 1"),
+    ], ids=["token", "mark_after_a_token", "row_length"])
+    def test_closeness_fault_reported_at_its_line(self, tmp_path, text, line, message):
+        m = tmp_path / "c.txt"
+        m.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_closeness(str(m))
+        assert str(info.value) == f"{m}:{line}: {message}"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "params.txt"
@@ -384,7 +406,9 @@ class TestResultDocuments:
                         "#division 0 0.5 1.0 maybe"), "bad #division line"),
         (lambda lines: (len(lines), " ".join(lines[-1].split()[:4])),
          "expected: nodeId layerId aspectId communityId softLabel"),
-    ], ids=["header", "division", "cell_row_width"])
+        (lambda lines: (next(k for k, x in enumerate(lines, 1) if x.startswith("#meta q_total")),
+                        "#meta q_total inf"), "non-finite q_total"),
+    ], ids=["header", "division", "cell_row_width", "q_total"])
     def test_bad_line_reports_position(self, tmp_path, edit, message):
         net, res = self._detect()
         path = tmp_path / "r.txt"
