@@ -37,29 +37,26 @@ def _start(n: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def _dense_checks(d: np.ndarray) -> tuple[float, float, bool]:
-    """Max absolute row sum (NaN when an entry is) and max |d - d.T| of a
-    float64 d, and whether LAPACK may work in it, each taken over blocks of
-    ``_ROWS`` rows."""
+def _dense_checks(d: np.ndarray) -> tuple[float, bool]:
+    """Max absolute row sum of a float64 d (NaN when an entry is), taken
+    over blocks of ``_ROWS`` rows, and whether LAPACK may work in d: d is
+    C-contiguous, writeable and equal to its transpose bit for bit."""
     n = d.shape[0]
-    # bit for bit, so that +0.0 against -0.0 takes the copy: the restore
-    # writes one triangle over the other
+    # bit for bit, so that +0.0 against -0.0 fails: the restore writes one
+    # triangle over the other
     bits, mirrored = d.view(np.uint64), True
-    scale = asymmetry = 0.0
-    scratch = np.empty((min(n, _ROWS), n))  # the one temporary of both checks
+    scale = 0.0
+    scratch = np.empty((min(n, _ROWS), n))  # the one temporary of the scan
     for lo in range(0, n, _ROWS):
         rows, out = d[lo:lo + _ROWS], scratch[:min(n - lo, _ROWS)]
         # np.maximum, not max: max drops a NaN that comes second
         scale = float(np.maximum(scale, np.abs(rows, out=out).sum(axis=1).max()))
-        if not (bits[lo:lo + _ROWS] == bits[:, lo:lo + _ROWS].T).all():
-            mirrored = False  # and |d - d.T| is 0 in blocks that mirror
-            np.abs(np.subtract(rows, d[:, lo:lo + _ROWS].T, out=out), out=out)
-            asymmetry = max(asymmetry, float(out.max()))
-    return scale, asymmetry, mirrored and d.flags.c_contiguous and d.flags.writeable
+        mirrored = mirrored and bool((bits[lo:lo + _ROWS] == bits[:, lo:lo + _ROWS].T).all())
+    return scale, mirrored and d.flags.c_contiguous and d.flags.writeable
 
 
 def _eigh_in_place(d: np.ndarray):
-    """Top eigenpair of a bit-symmetric C-contiguous d, which LAPACK works in.
+    """Top eigenpair of a finite bit-symmetric C-contiguous d, which LAPACK works in.
 
     LAPACK reads the lower triangle of d.T, d's upper one, and overwrites it
     with the diagonal.  Before this returns or raises, the blocks of
@@ -69,7 +66,7 @@ def _eigh_in_place(d: np.ndarray):
     n = d.shape[0]
     on_diagonal = [d[lo:lo + _ROWS, lo:lo + _ROWS].copy() for lo in range(0, n, _ROWS)]
     try:
-        return eigh(d.T, subset_by_index=[n - 1, n - 1], overwrite_a=True)
+        return eigh(d.T, subset_by_index=[n - 1, n - 1], overwrite_a=True, check_finite=False)
     finally:
         for lo, block in zip(range(0, n, _ROWS), on_diagonal):
             hi = lo + len(block)
@@ -80,52 +77,48 @@ def _eigh_in_place(d: np.ndarray):
 def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue and a unit eigenvector.
 
-    ``matrix`` is a dense symmetric array, which is checked, or a
-    matrix-free operator with ``matvec``, ``shape`` and ``norm_inf``, which
-    is taken to be symmetric.
-    The returned pair satisfies ``norm(D u - beta u) <= 1e-10 * scale``
-    where ``scale`` is the exact max absolute row sum of D.  Raises
-    ConvergenceError carrying the best residual when the solver cannot
-    reach that bound.
+    ``matrix`` is a dense array or a matrix-free operator with ``matvec``,
+    ``shape`` and ``norm_inf``, which is taken to be symmetric.  The pair
+    satisfies ``norm(D u - beta u) <= 1e-10 * scale``, where ``scale`` is
+    the exact max absolute row sum of D; ConvergenceError is raised when
+    the solver cannot reach that bound.
 
-    A float64, C-contiguous, writeable array that equals its transpose bit
-    for bit is LAPACK's workspace during the call, so that no copy of it is
-    made; it is bit-identical again when the call returns or raises, but
-    nothing may read it while the call runs.
+    The array must be float64, C-contiguous, writeable and equal to its
+    transpose bit for bit, as ``mspec.subdivision_matrix`` forms it; any
+    other raises DomainError and is not written.  It is LAPACK's workspace
+    during the call, so that no copy of it is made; it is bit-identical
+    again when the call returns or raises, but nothing may read it while
+    the call runs.
     """
     if hasattr(matrix, "matvec"):
         n, apply, scale = matrix.shape[0], matrix.matvec, matrix.norm_inf()
     else:
-        d = np.asarray(matrix, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
-            raise DomainError("leading_eigenpair needs a non-empty square matrix")
+        d = matrix
+        if d.dtype != np.float64 or d.ndim != 2 or not 0 < d.shape[0] == d.shape[1]:
+            raise DomainError("leading_eigenpair needs a non-empty square float64 array")
         n, apply = d.shape[0], d.__matmul__
-        scale, asymmetry, in_place = _dense_checks(d)
-        if asymmetry > 1e-10 * max(scale, 1.0):
-            raise DomainError("matrix is not symmetric")
+        scale, in_place = _dense_checks(d)
+        if not in_place:
+            raise DomainError("matrix is not symmetric bit for bit, C-contiguous and writeable")
     if not np.isfinite(scale):  # a NaN or inf entry, which no solver takes
         raise DomainError(f"matrix scale is not finite: {scale}")
     if scale == 0.0:
         return 0.0, _orient(_start(n))
     if not hasattr(matrix, "matvec"):
-        vals, vecs = (_eigh_in_place(d) if in_place
-                      else eigh(d, subset_by_index=[n - 1, n - 1]))
+        vals, vecs = _eigh_in_place(d)
     else:
-        # Imported here, not at module level: loading scipy.sparse.linalg adds
-        # about 4 MB to the peak RSS of every run, and small runs never need it.
+        # Imported here, not at module level: after ``import mlmod.cli`` it adds
+        # about 2.2 MB to the peak RSS, and small runs never need it.
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-        v0 = _start(n)
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         try:  # ARPACK stops at norm(r) <= tol * |beta| <= tol * scale
-            vals, vecs = eigsh(op, k=1, which="LA", v0=v0, tol=_TOL)
-        except ArpackNoConvergence:  # best guess: the start vector's Rayleigh pair
-            vals, vecs = [v0 @ apply(v0)], v0[:, None]
+            vals, vecs = eigsh(op, k=1, which="LA", v0=_start(n), tol=_TOL)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(str(exc)) from exc
     beta, u = float(vals[0]), vecs[:, 0]
     resid = float(np.linalg.norm(apply(u) - beta * u))
     if resid > _TOL * scale:
         raise ConvergenceError(
-            f"leading eigenpair residual {resid:.3g} exceeds {_TOL * scale:.3g}",
-            best_value=beta, best_vector=_orient(u), best_residual=resid,
-        )
+            f"leading eigenpair residual {resid:.3g} exceeds {_TOL * scale:.3g}")
     return beta, _orient(u)

@@ -30,14 +30,4 @@ class ParseError(MlmodError, ValueError):
 
 
 class ConvergenceError(MlmodError, RuntimeError):
-    """An iterative solver stopped before reaching its tolerance.
-
-    ``best_value`` / ``best_vector`` / ``best_residual`` hold the best
-    approximation found so far.
-    """
-
-    def __init__(self, message: str, best_value=None, best_vector=None, best_residual=None):
-        self.best_value = best_value
-        self.best_vector = best_vector
-        self.best_residual = best_residual
-        super().__init__(message)
+    """An iterative solver stopped before reaching its tolerance."""

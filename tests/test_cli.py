@@ -400,7 +400,7 @@ class TestExitCodes:
         import mlmod.cli as cli_mod
 
         def explode(*args, **kwargs):
-            raise ConvergenceError("stuck", best_residual=1.0)
+            raise ConvergenceError("stuck")
 
         monkeypatch.setattr(cli_mod, "mspec_detect", explode)
         code = run_cli(["detect", "--dataset", "karate",
@@ -426,7 +426,7 @@ class TestExitCodes:
         code = run_cli(["detect", "--input", str(edge), "--layers-file", str(layers),
                         "--nodes", "300", "--rho", "0.5", "--out", str(out)])
         assert code == 1
-        assert "leading eigenpair residual" in capsys.readouterr().err
+        assert "ARPACK error -1: no convergence" in capsys.readouterr().err
         assert not (out / "result_mspec.txt").exists()
 
     def test_normalized_reporting(self, tmp_path):

@@ -398,7 +398,7 @@ class TestFactoredSubdivisions:
             if isinstance(sub, Subdivision):
                 assert bit_symmetric(sub.indptr, sub.cols, sub.vals)
             else:
-                assert mlmod.eigen._dense_checks(sub)[1:] == (0.0, True)
+                assert mlmod.eigen._dense_checks(sub)[1]
             kinds.append(type(sub))
             return sub
 
@@ -536,7 +536,7 @@ def test_memory_held_on_entry_to_each_subdivision_supra_8192(supra_8192, monkeyp
 
 
 @pytest.mark.parametrize("detect, bound", [
-    (mspec_detect, 1.75),
+    (mspec_detect, 1.74),
     (mlouv, 1.5),
 ], ids=["mspec", "mlouv"])
 def test_dense_detection_peak_memory(detect, bound):
