@@ -48,7 +48,7 @@ Check-set runs:
     sweep-7          the karate-sweep command
     compare-signed   compare on the four-layer replica, signed, normalized,
                      two repeats, seed 11
-    convert          convert of a #dims 2 3 grid and its couplings
+    grid             mspec detect on a #dims 2 3 grid and its couplings
     closeness        mspec detect on the four-layer replica under a
                      parameter file that names a closeness matrix, seed 11
     temporal         the same under the temporal strategy
@@ -159,7 +159,7 @@ def synth(directory: str, supra: int, seed: int) -> list[str]:
 
 def grid(directory: str) -> list[str]:
     """A seeded #dims 2 3 grid of 12 nodes, weighted, with couplings; the
-    ``convert`` arguments that read it."""
+    ``detect`` arguments that read it."""
     rng = np.random.default_rng(23)
     dims, n = (2, 3), 12
     edges, couplings = ["#dims 2 3", "# c1,c2 nodeId nodeId weight"], []
@@ -175,7 +175,7 @@ def grid(directory: str) -> list[str]:
     paths = [os.path.join(directory, name) for name in ("grid.txt", "gridc.txt")]
     for path, lines in zip(paths, (edges, couplings)):
         write_lines(path, lines)
-    return ["convert", "--input", paths[0], "--grid-couplings", paths[1]]
+    return ["detect", "--input", paths[0], "--couplings-file", paths[1]]
 
 
 def strategies(directory: str):
@@ -224,7 +224,7 @@ def checkset(inputs: str):
     yield f"sweep-{SWEEP_SEED}", SWEEP
     yield "compare-signed", ["compare", "--dataset", "karate-replica", "--layers", "4",
                              "--signed", "--normalized", "--repeats", "2", "--seed", "11"]
-    yield "convert", grid(os.path.join(inputs, "grid"))
+    yield "grid", grid(os.path.join(inputs, "grid"))
     yield from strategies(os.path.join(inputs, "strategies"))
 
 

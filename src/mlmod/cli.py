@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``detect`` (one algorithm, one parameter point), ``sweep``
-(label tables across a coupling-strength grid), ``compare`` (the four
-algorithms across a coupling-density grid) and ``convert`` (an aspect-grid
-file read into flat aspect-layer files).  Exit codes: 0 success, 1 solver
-non-convergence, 2 input error.
+(label tables across a coupling-strength grid) and ``compare`` (the four
+algorithms across a coupling-density grid).  Each reads its network from
+``--input`` (a flat edge file, or an aspect grid under a ``#dims`` line),
+``--manifest`` or ``--dataset``.  Exit codes: 0 success, 1 solver
+failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -21,13 +22,11 @@ from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
 from .errors import ConvergenceError, DomainError, MlmodError, ParseError
 from .io import (
-    load_aspect_grid,
     load_closeness,
     load_couplings,
     load_dataset,
     load_multiplex,
     load_params_file,
-    save_multiplex,
     save_result,
 )
 from .modularity import modularity
@@ -46,9 +45,9 @@ def _seed_for(base: int, *key: int) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="multiplex edge-list file")
+    p.add_argument("--input", help="multiplex edge-list file, or a #dims grid file")
     p.add_argument("--layers-file", help="layer table: layerId aspectId label")
-    p.add_argument("--couplings-file", help="coupling list file")
+    p.add_argument("--couplings-file", help="coupling list file (grid coupling lines for a grid)")
     p.add_argument("--manifest", help="dataset manifest file")
     p.add_argument("--dataset", choices=("karate", "karate-replica"),
                    help="bundled dataset instead of --input")
@@ -84,7 +83,8 @@ def _resolve_network(args):
     elif args.manifest:
         net, _ = load_dataset(args.manifest)
     elif args.input:
-        net = load_multiplex(args.input, args.layers_file, None, n_nodes=args.nodes)
+        return load_multiplex(args.input, args.layers_file, args.couplings_file,
+                              n_nodes=args.nodes)
     else:
         raise DomainError("no input network: pass --input, --manifest or --dataset")
     if args.couplings_file:
@@ -133,6 +133,16 @@ def _setup(args, sweep_omegas=None):
                          for omega in omegas]
 
 
+def _check_drawn(args, spec, run: str) -> None:
+    """A ``run`` that draws its couplings would discard a coupling file, and
+    its drawn couplings carry no magnitudes for the explicit strategy."""
+    if args.couplings_file:
+        raise DomainError(f"{run} draws its couplings: --couplings-file would be discarded")
+    if spec.strategy == "explicit":
+        raise DomainError(f"{run} draws its couplings, which carry no magnitudes: "
+                          "the explicit strategy would set every coupling to 0")
+
+
 def _run_algorithm(name, net, spec, params, args, seed):
     if name == "mspec":
         return mspec_detect(
@@ -175,6 +185,7 @@ def cmd_detect(args) -> int:
         raise DomainError(f"--rho must lie in [0, 1], got {args.rho}")
     net, params, (spec,) = _setup(args)
     if args.rho is not None:
+        _check_drawn(args, spec, "--rho")
         net = net.with_couplings(generate_couplings(net, args.rho, args.seed))
     algorithm = args.algorithm or "mspec"
     out = _ensure_out(args)
@@ -240,6 +251,7 @@ def cmd_compare(args) -> int:
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
     net, params, (spec,) = _setup(args)
+    _check_drawn(args, spec, "compare")
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
@@ -282,29 +294,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_convert(args) -> int:
-    if not args.input:
-        raise DomainError("convert requires --input with a grid edge file")
-    net, location = load_aspect_grid(args.input, n_nodes=args.nodes,
-                                     coupling_path=args.grid_couplings)
-    out = _ensure_out(args)
-    save_multiplex(
-        net,
-        os.path.join(out, "flat.edges"),
-        os.path.join(out, "flat.layers"),
-        os.path.join(out, "flat.couplings"),
-    )
-    map_lines = ["# gridCoords layerId aspectId"]
-    for coord in sorted(location):
-        s, v = location[coord]
-        coord_txt = ",".join(str(c + 1) for c in coord)
-        map_lines.append(f"{coord_txt} {s} {v}")
-    with open(os.path.join(out, "flat.map"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(map_lines) + "\n")
-    print(f"convert: {len(location)} layers written under {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlmod",
@@ -333,12 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded coupling realizations per density")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("convert", help="flatten an aspect-aspect grid")
-    p.add_argument("--input", help="grid edge file with #dims directive")
-    p.add_argument("--grid-couplings", help="grid coupling file")
-    p.add_argument("--nodes", type=int, help="declare the node count")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_convert)
     return parser
 
 

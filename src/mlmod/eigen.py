@@ -109,12 +109,12 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     else:
         # Imported here, not at module level: after ``import mlmod.cli`` it adds
         # about 2.2 MB to the peak RSS, and small runs never need it.
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         try:  # ARPACK stops at norm(r) <= tol * |beta| <= tol * scale
             vals, vecs = eigsh(op, k=1, which="LA", v0=_start(n), tol=_TOL)
-        except ArpackNoConvergence as exc:
+        except ArpackError as exc:  # no convergence, or another ARPACK failure
             raise ConvergenceError(str(exc)) from exc
     beta, u = float(vals[0]), vecs[:, 0]
     resid = float(np.linalg.norm(apply(u) - beta * u))

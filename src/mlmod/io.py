@@ -1,7 +1,7 @@
-"""File formats: multiplex edge lists, layer tables, coupling lists,
-dataset manifests, parameter files, aspect-grid files (edge lists whose
-first column names a row-major cell of the single-aspect network they
-flatten to) and detection-result documents.
+"""File formats: multiplex edge lists (flat, or an aspect grid under a
+``#dims`` line, whose first column names a row-major cell of the
+single-aspect network it flattens to), layer tables, coupling lists,
+dataset manifests, parameter files and detection-result documents.
 
 All node and layer ids in files are 1-based.  Lines starting with ``#``
 are comments; blank lines are ignored.  numpy's reader reads uniform
@@ -38,14 +38,16 @@ from .params import (
 __all__ = [
     "load_multiplex",
     "load_couplings",
-    "save_multiplex",
     "load_labels",
     "load_params_file",
     "load_closeness",
-    "load_aspect_grid",
     "save_result",
     "load_result",
 ]
+
+
+# a line whose first token starts with #dims makes an edge file a grid
+_DIMS = re.compile(r"^[^\S\n]*#dims[^\n]*", re.MULTILINE)
 
 
 def _read_text(path: str) -> str:
@@ -207,11 +209,11 @@ def _cells(sizes, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(inside, (np.cumsum(sizes) - sizes)[v0] + s - 1, -1)
 
 
-def _infer_node_count(columns, path: str, what: str) -> int:
+def _infer_node_count(columns, path: str) -> int:
     """Largest id in the node-id ``columns`` if every id below it appears (no silent gaps)."""
     ids = np.unique(np.concatenate([np.unique(c) for c in columns]).astype(np.int64))
     if ids.size == 0:
-        raise ParseError(f"cannot infer node count from an empty {what} file; "
+        raise ParseError("cannot infer node count from an empty edge file; "
                          "declare it explicitly", path)
     n_nodes = int(ids[-1])
     # the k-th smallest id missing from 1..n_nodes is at most ids.size + k
@@ -292,7 +294,8 @@ def _coupling_rules(sizes, n_nodes: int, node, sa, va, sb, vb, has_m, m):
 
 def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     """Parse ``nodeId layerA aspectA layerB aspectB [magnitude]`` lines
-    against the layer cells of ``net``.
+    against the layer cells of ``net``, or ``nodeId c1,...,cF d1,...,dF``
+    lines, without magnitudes, when ``net`` was read from a grid.
 
     Returns ``(table, None)``: the Couplings table, with a magnitude column
     when some line carries a magnitude, and a None that keeps the pair
@@ -300,11 +303,18 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
     with a magnitude sets it; a coupling no such line names gets 0.
     ``net.with_couplings(table)`` puts it on the network.
     """
-    sizes = net.aspect_sizes
-    (node, sa, va, sb, vb), has_m, magnitude = _read_rows(path, _read_text(path), _Table(
-        "expected: nodeId layerA aspectA layerB aspectB [magnitude]", (5, 6),
-        ("node id", "layer id", "aspect id", "layer id", "aspect id"), "magnitude"),
-        lambda *columns: _coupling_rules(sizes, n_nodes, *columns))
+    sizes, text = net.aspect_sizes, _read_text(path)
+    if net.dims is not None:  # layers of one aspect, the grid's row-major cells
+        cell = _grid_cell(net.dims)
+        (node, sa, sb), has_m, magnitude = _read_rows(path, text, _Table(
+            "expected: nodeId cA1,...,cAF cB1,...,cBF", (3,), ("node id", cell, cell)),
+            lambda node, sa, sb, *rest: _coupling_rules(sizes, n_nodes, node, sa, 1, sb, 1, *rest))
+        va = vb = 1
+    else:
+        (node, sa, va, sb, vb), has_m, magnitude = _read_rows(path, text, _Table(
+            "expected: nodeId layerA aspectA layerB aspectB [magnitude]", (5, 6),
+            ("node id", "layer id", "aspect id", "layer id", "aspect id"), "magnitude"),
+            lambda *columns: _coupling_rules(sizes, n_nodes, *columns))
     ca, cb = _cells(sizes, sa, va), _cells(sizes, sb, vb)
     # Couplings keeps each row's first occurrence: put the rows with a
     # magnitude first, last line first
@@ -323,40 +333,48 @@ def load_multiplex(edge_path: str, layer_path: str | None = None,
     When ``n_nodes`` is not declared it is inferred as the largest node id,
     and every id below it must appear somewhere (no silent gaps).  Coupling
     magnitudes, when the coupling file has them, travel with the couplings.
+
+    An edge file with a line starting with ``#dims`` is an aspect grid (see
+    ``_load_grid``), read with grid coupling lines and no layer file.
     """
-    if layer_path is not None:
-        aspects, declared, cells = _load_layer_table(layer_path)
-
-    def rules(layer, *columns):  # an undeclared layer id is a row's last rule
-        checks = _edge_rules(n_nodes, layer, *columns)
-        if layer_path is not None:
-            checks.append((~np.isin(layer, declared), ParseError,
-                           lambda k: f"layer id {layer[k]} not declared in {layer_path}"))
-        return checks
-
-    table = _read_rows(edge_path, _read_text(edge_path), _Table(
-        "expected: layerId nodeId nodeId [weight]", (3, 4),
-        ("layer id", "node id", "node id"), "edge weight"), rules)
-    layer = table[0][0]
-    if layer_path is not None:  # every id is declared
-        cell = cells[np.searchsorted(declared, layer)]
+    text = _read_text(edge_path)
+    if directive := _DIMS.search(text):
+        net = _load_grid(edge_path, text, directive, layer_path, n_nodes)
     else:
-        layer_ids = np.unique(layer).tolist()
-        if not layer_ids:
-            raise ParseError("edge file has no edges and no layer file was given", edge_path)
-        if layer_ids != list(range(1, len(layer_ids) + 1)):
-            raise ParseError("layer ids must be contiguous from 1 without a layer file, "
-                             f"got {layer_ids}", edge_path)
-        aspects = (Aspect(name="aspect-1", layers=tuple(f"layer-{i}" for i in layer_ids)),)
-        cell = layer - 1
-    net = _cells_network(edge_path, "edge", aspects, cell, table, n_nodes)
+        if layer_path is not None:
+            aspects, declared, cells = _load_layer_table(layer_path)
+
+        def rules(layer, *columns):  # an undeclared layer id is a row's last rule
+            checks = _edge_rules(n_nodes, layer, *columns)
+            if layer_path is not None:
+                checks.append((~np.isin(layer, declared), ParseError,
+                               lambda k: f"layer id {layer[k]} not declared in {layer_path}"))
+            return checks
+
+        table = _read_rows(edge_path, text, _Table(
+            "expected: layerId nodeId nodeId [weight]", (3, 4),
+            ("layer id", "node id", "node id"), "edge weight"), rules)
+        del text  # the rows are parsed: the text is not held while the network is built
+        layer = table[0][0]
+        if layer_path is not None:  # every id is declared
+            cell = cells[np.searchsorted(declared, layer)]
+        else:
+            layer_ids = np.unique(layer).tolist()
+            if not layer_ids:
+                raise ParseError("edge file has no edges and no layer file was given", edge_path)
+            if layer_ids != list(range(1, len(layer_ids) + 1)):
+                raise ParseError("layer ids must be contiguous from 1 without a layer file, "
+                                 f"got {layer_ids}", edge_path)
+            aspects = (Aspect(name="aspect-1", layers=tuple(f"layer-{i}" for i in layer_ids)),)
+            cell = layer - 1
+        net = _cells_network(edge_path, aspects, cell, table, n_nodes)
     if coupling_path is not None:
         net = net.with_couplings(load_couplings(coupling_path, net, net.n_nodes)[0])
     return net
 
 
-def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.ndarray,
-                   table, n_nodes: int | None) -> MultilayerNetwork:
+def _cells_network(path: str, aspects: tuple[Aspect, ...], cell: np.ndarray, table,
+                   n_nodes: int | None, dims: tuple[int, ...] | None = None) -> MultilayerNetwork:
     """The network of the ``_read_rows`` edge ``table`` of ``path``, whose
     rows lie in the 0-based layer cells ``cell``: the node count inferred
     unless declared, rows split by cell in input order, duplicates summed."""
@@ -364,33 +382,14 @@ def _cells_network(path: str, what: str, aspects: tuple[Aspect, ...], cell: np.n
     if not has_w.all():  # else the weights are read in place, not copied
         w = np.where(has_w, w, 1.0)
     if n_nodes is None:
-        n_nodes = _infer_node_count((i, j), path, what)
+        n_nodes = _infer_node_count((i, j), path)
     n_cells = sum(len(a.layers) for a in aspects)
     order = slice(None) if (cell[1:] >= cell[:-1]).all() else np.argsort(cell, kind="stable")
     i, j, w, cell = i[order], j[order], w[order], cell[order]
     cuts = np.searchsorted(cell, np.arange(n_cells + 1))
     edges = tuple(normalize_edges(Edges(i[lo:hi] - 1, j[lo:hi] - 1, w[lo:hi]), n_nodes)
                   for lo, hi in zip(cuts, cuts[1:]))
-    return MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges)
-
-
-def save_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
-                   coupling_path: str | None = None) -> None:
-    """Write a network back in the loadable three-file format."""
-    _atomic_write(edge_path, ["# layerId nodeId nodeId weight"] + [
-        f"{t + 1} {i + 1} {j + 1} {w!r}"
-        for t, edges in enumerate(net.within_edges) for i, j, w in edges])
-    layers = ((v, label) for v, aspect in enumerate(net.aspects) for label in aspect.layers)
-    _atomic_write(layer_path, ["# layerId aspectId label"] + [
-        f"{t + 1} {v + 1} {label}" for t, (v, label) in enumerate(layers)])
-    if coupling_path is not None:
-        lines = ["# nodeId layerA aspectA layerB aspectB [magnitude]"]
-        magnitude = net.couplings.magnitude
-        ids = [f"{s + 1} {v + 1}" for v, size in enumerate(net.aspect_sizes) for s in range(size)]
-        for k, (node, ca, cb) in enumerate(net.couplings):  # sorted rows
-            tail = "" if magnitude is None else f" {float(magnitude[k])!r}"
-            lines.append(f"{node + 1} {ids[ca]} {ids[cb]}{tail}")
-        _atomic_write(coupling_path, lines)
+    return MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges, dims=dims)
 
 
 def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: value) -> dict:
@@ -536,65 +535,50 @@ def load_closeness(path: str) -> np.ndarray:
     return np.array(rows, ndmin=2)
 
 
-def _grid_cell(token: str, dims: tuple[int, ...], path: str, lineno: int) -> int:
-    """Row-major 0-based cell of the 1-based grid coordinates ``c1,...,cF``
-    inside ``dims``."""
-    coord = tuple(_parse_int(t, "grid coordinate", path, lineno) for t in token.split(","))
-    if len(coord) != len(dims) or not all(1 <= c <= d for c, d in zip(coord, dims)):
-        raise DomainError(f"{path}:{lineno}: coordinate {coord} "
-                          f"outside the declared {'x'.join(map(str, dims))} grid")
-    return int(np.ravel_multi_index(tuple(c - 1 for c in coord), dims))
+def _grid_cell(dims: tuple[int, ...]):
+    """The ``_Table`` field parser of a grid coordinate ``c1,...,cF`` inside
+    ``dims``: its row-major cell, 1-based as a layer id."""
+    def cell(token, path, lineno):
+        coord = tuple(_parse_int(t, "grid coordinate", path, lineno) for t in token.split(","))
+        if len(coord) != len(dims) or not all(1 <= c <= d for c, d in zip(coord, dims)):
+            raise DomainError(f"{path}:{lineno}: coordinate {coord} "
+                              f"outside the declared {'x'.join(map(str, dims))} grid")
+        return int(np.ravel_multi_index(tuple(c - 1 for c in coord), dims)) + 1
+    return cell
 
 
-def load_aspect_grid(path: str, n_nodes: int | None = None,
-                     coupling_path: str | None = None,
-                     ) -> tuple[MultilayerNetwork, dict[tuple[int, ...], tuple[int, int]]]:
+def _load_grid(path: str, text: str, directive: re.Match, layer_path: str | None,
+               n_nodes: int | None) -> MultilayerNetwork:
     """Read an aspect-aspect grid (every combination of F aspects' layers is
-    one cell) into the single-aspect network it flattens to.
+    one cell) from ``path``'s ``text`` into the single-aspect network it
+    flattens to; ``directive`` is its ``#dims d1 ... dF`` line, the first.
 
     Edge lines read ``c1,...,cF nodeId nodeId [weight]`` with 1-based
-    coordinates.  Dimensions come from a ``#dims d1 d2 ...`` directive
-    line, which the file must hold.  Coupling lines in the companion file
-    read ``nodeId c1,...,cF d1,...,dF``.  Cells become the layers
-    ``L<c1>-<c2>...`` of one aspect ``flattened``, in row-major coordinate
-    order, edgeless where no line names them.  The edge-file reader reads
-    the edge lines, their first column naming a cell, so the first bad line
-    is the one reported.  Returns the network and a map from 0-based grid
-    coordinates to 1-based (layer, aspect) cells.
+    coordinates.  Cells become the layers ``L<c1>-<c2>...`` of one aspect
+    ``flattened``, in row-major coordinate order, edgeless where no line
+    names them; the network keeps ``dims``.  The edge-file reader reads the
+    edge lines, their first column naming a cell, so the first bad line is
+    the one reported.  A layer file given with it raises.
     """
-    dims: tuple[int, ...] | None = None
-    text = _read_text(path)
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        toks = line.split()
-        if toks and toks[0].startswith("#dims"):
-            if dims is not None:
-                raise ParseError("second #dims directive: a grid file holds one", path, lineno)
-            if len(toks) == 1:
-                raise ParseError("#dims directive needs dimensions", path, lineno)
-            dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks[1:])
-            if min(dims) < 1:
-                raise ParseError("grid dims must be positive", path, lineno)
-    if dims is None:
-        raise ParseError("grid dimensions unknown: add a #dims d1 ... dF line", path)
-
-    def cell(token, path, lineno):  # 1-based, as a layer id
-        return _grid_cell(token, dims, path, lineno) + 1
-
+    lineno, toks = text.count("\n", 0, directive.start()) + 1, directive.group().split()
+    if layer_path is not None:
+        raise ParseError(f"a grid file takes no layer file, got {layer_path}", path, lineno)
+    if len(toks) == 1:
+        raise ParseError("#dims directive needs dimensions", path, lineno)
+    dims = tuple(_parse_int(t, "grid dim", path, lineno) for t in toks[1:])
+    if min(dims) < 1:
+        raise ParseError("grid dims must be positive", path, lineno)
+    if second := _DIMS.search(text, directive.end()):
+        raise ParseError("second #dims directive: a grid file holds one", path,
+                         lineno + text.count("\n", directive.start(), second.start()))
     table = _read_rows(path, text, _Table("expected: c1,...,cF nodeId nodeId [weight]", (3, 4),
-                                          (cell, "node id", "node id"), "edge weight"),
+                                          (_grid_cell(dims), "node id", "node id"),
+                                          "edge weight"),
                        lambda *columns: _edge_rules(n_nodes, *columns))
-    coords = list(itertools.product(*(range(d) for d in dims)))
-    labels = tuple("L" + "-".join(str(c + 1) for c in coord) for coord in coords)
-    net = _cells_network(path, "grid", (Aspect(name="flattened", layers=labels),),
-                         table[0][0] - 1, table, n_nodes)
-    if coupling_path is not None:
-        table = _Table("expected: nodeId cA1,...,cAF cB1,...,cBF", (3,), ("node id", cell, cell))
-        (node, ta, tb), _, _ = _read_rows(
-            coupling_path, _read_text(coupling_path), table, lambda node, ta, tb, has, x:
-            _coupling_rules((len(coords),), net.n_nodes, node, ta, 1, tb, 1, has, x))
-        net = net.with_couplings(Couplings(np.column_stack(
-            (node - 1, np.minimum(ta, tb) - 1, np.maximum(ta, tb) - 1))))
-    return net, {c: (t + 1, 1) for t, c in enumerate(coords)}
+    labels = tuple("L" + "-".join(map(str, coord))
+                   for coord in itertools.product(*(range(1, d + 1) for d in dims)))
+    return _cells_network(path, (Aspect(name="flattened", layers=labels),), table[0][0] - 1,
+                          table, n_nodes, dims)
 
 
 # -- detection result documents ----------------------------------------------

@@ -348,6 +348,10 @@ def _coupling_strengths(net: MultilayerNetwork, spec: CouplingSpec):
             m = check_closeness(spec.closeness, L)
             e = spec.omega * m[ca, cb] / m.max()
         else:  # temporal: consecutive layers of one aspect
+            if net.dims is not None and len(net.dims) > 1:
+                raise DomainError(
+                    f"temporal coupling on a {'x'.join(map(str, net.dims))} grid would couple "
+                    "row-major neighbours; couple its aspects with closeness or explicit")
             aspect = np.repeat(np.arange(len(net.aspects)), net.aspect_sizes)
             e = np.where((cb - ca == 1) & (aspect[ca] == aspect[cb]), spec.omega, 0.0)
         amp = np.repeat(e[:, None], N, axis=1)

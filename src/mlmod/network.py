@@ -17,6 +17,7 @@ array of ``(node, cell_a, cell_b)`` rows with ``cell_a < cell_b``
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -142,13 +143,16 @@ class MultilayerNetwork:
     ids, i < j; rows sorted by (i, j) where built by the loaders or
     ``normalize_edges``), in global cell order; sequences of (i, j, w)
     triples are converted, and so are sets of coupling triples.  All
-    layers share the same node set of size ``n_nodes``.
+    layers share the same node set of size ``n_nodes``.  ``dims`` is the
+    shape of the aspect grid whose cells, in row-major order, the layer
+    cells are; None for a network not read from a grid.
     """
 
     n_nodes: int
     aspects: tuple[Aspect, ...]
     within_edges: tuple[Edges, ...]
     couplings: Couplings = field(default_factory=frozenset)
+    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -160,6 +164,8 @@ class MultilayerNetwork:
             raise DomainError(
                 f"expected {n_cells} per-layer edge lists, got {len(self.within_edges)}"
             )
+        if self.dims is not None and math.prod(self.dims) != n_cells:
+            raise DomainError(f"grid dims {self.dims} do not hold {n_cells} layer cells")
         cells = tuple(_as_edges(e) for e in self.within_edges)
         for t, e in enumerate(cells):
             bad = (e.i < 0) | (e.i >= e.j) | (e.j >= self.n_nodes) | ~np.isfinite(e.w)

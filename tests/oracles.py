@@ -630,6 +630,27 @@ def load_multiplex_reference(edge_path: str, layer_path: str | None = None,
         normalize_edges_reference(cell, n_nodes) for cell in per_cell))
 
 
+def write_multiplex(net: MultilayerNetwork, edge_path: str, layer_path: str,
+                    coupling_path: str | None = None) -> None:
+    """Write ``net`` as the edge, layer and coupling files ``load_multiplex``
+    reads, with each coupling's magnitude where the network has them."""
+    def write(path, lines):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+
+    write(edge_path, [f"{t + 1} {i + 1} {j + 1} {w!r}"
+                      for t, edges in enumerate(net.within_edges) for i, j, w in edges])
+    layers = [(v + 1, label) for v, aspect in enumerate(net.aspects) for label in aspect.layers]
+    write(layer_path, [f"{t + 1} {v} {label}" for t, (v, label) in enumerate(layers)])
+    if coupling_path is not None:  # a coupling names (layer in its aspect, aspect)
+        ids = [f"{s + 1} {v + 1}" for v, size in enumerate(net.aspect_sizes) for s in range(size)]
+        magnitude = net.couplings.magnitude
+        write(coupling_path, [
+            f"{node + 1} {ids[ca]} {ids[cb]}"
+            + ("" if magnitude is None else f" {float(magnitude[k])!r}")
+            for k, (node, ca, cb) in enumerate(net.couplings)])
+
+
 def layer_stats_reference(net: MultilayerNetwork, cell: int, sign: str | None = None):
     """(strengths, total weight) of one layer or its '+' / '-' subset, one
     edge at a time: k_i, then k_j, then m."""

@@ -14,7 +14,6 @@ from mlmod import (
     Partition,
     build_karate_replica,
     generate_couplings,
-    load_aspect_grid,
     load_multiplex,
     load_result,
     modularity,
@@ -286,7 +285,9 @@ class TestCompare:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-class TestConvert:
+class TestGridInput:
+    """A #dims grid given by --input, read by every command."""
+
     def grid_file(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text(
@@ -300,75 +301,80 @@ class TestConvert:
         c.write_text("1 1,1 2,1\n2 1,2 2,2\n")
         return p, c
 
-    def test_grid_to_four_layers(self, tmp_path):
+    @pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+    def test_each_command_reads_a_grid(self, command, tmp_path):
         grid, coup = self.grid_file(tmp_path)
-        out = tmp_path / "conv"
-        code = run_cli([
-            "convert", "--input", str(grid), "--grid-couplings", str(coup),
-            "--out", str(out),
-        ])
-        assert code == 0
-        net = load_multiplex(str(out / "flat.edges"), str(out / "flat.layers"),
-                             str(out / "flat.couplings"), n_nodes=3)
-        assert net.n_cells == 4
-        assert len(net.aspects) == 1
-        mapping = (out / "flat.map").read_text().splitlines()
-        assert mapping[1:] == ["1,1 1 1", "1,2 2 1", "2,1 3 1", "2,2 4 1"]
+        # compare draws its couplings, so it takes no coupling file
+        couplings = [] if command == "compare" else ["--couplings-file", str(coup)]
+        out = tmp_path / "out"
+        assert run_cli([command, "--input", str(grid), *couplings, "--nodes", "3",
+                        "--out", str(out)]) == 0
+        document = next(p for p in out.rglob("*.txt") if p.read_text().startswith("#mlmod"))
+        _, shape = load_result(str(document))
+        assert shape == {"n_nodes": 3, "aspects": (4,)}
 
-    def test_convert_then_detect_equals_direct(self, tmp_path):
-        grid_path, coup = self.grid_file(tmp_path)
-        out = tmp_path / "conv"
-        run_cli(["convert", "--input", str(grid_path),
-                 "--grid-couplings", str(coup), "--out", str(out)])
-        net_files = load_multiplex(str(out / "flat.edges"), str(out / "flat.layers"),
-                                   str(out / "flat.couplings"), n_nodes=3)
-        net_direct, _ = load_aspect_grid(str(grid_path), coupling_path=str(coup))
-        assert net_files.within_edges == net_direct.within_edges
-        assert net_files.couplings == net_direct.couplings
-        params = ModularityParams.for_network(net_direct)
-        spec = CouplingSpec(omega=1.0)
-        r1 = mspec_detect(net_files, spec, params)
-        r2 = mspec_detect(net_direct, spec, params)
-        assert np.array_equal(r1.partition.labels, r2.partition.labels)
-        assert r1.q_total == r2.q_total
+    def test_grid_run_equals_the_run_on_its_flat_files(self, tmp_path):
+        grid, coup = self.grid_file(tmp_path)
+        edges = tmp_path / "flat.edges"
+        edges.write_text("1 1 2 1.0\n1 2 3 1.0\n2 1 3 1.0\n3 2 3 2.0\n4 1 2 1.0\n4 1 3 1.0\n")
+        layers = tmp_path / "flat.layers"
+        layers.write_text("1 1 L1-1\n2 1 L1-2\n3 1 L2-1\n4 1 L2-2\n")
+        flat_coup = tmp_path / "flat.couplings"
+        flat_coup.write_text("1 1 1 3 1\n2 2 1 4 1\n")
+        for name, argv in (("grid", ["--input", str(grid), "--couplings-file", str(coup)]),
+                           ("flat", ["--input", str(edges), "--layers-file", str(layers),
+                                     "--couplings-file", str(flat_coup)])):
+            assert run_cli(["detect", *argv, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "grid" / "result_mspec.txt").read_bytes() == \
+            (tmp_path / "flat" / "result_mspec.txt").read_bytes()
 
-    def test_identity_conversion_normalized_output(self, tmp_path):
-        p = tmp_path / "flat_grid.txt"
-        p.write_text("#dims 1\n1 1 2 1.0\n1 2 3 1.5\n")
-        out1 = tmp_path / "c1"
-        out2 = tmp_path / "c2"
-        run_cli(["convert", "--input", str(p), "--out", str(out1)])
-        # converting the converted output again is byte-identical
-        p2 = tmp_path / "again.txt"
-        edges = (out1 / "flat.edges").read_text().splitlines()
-        body = [line.split() for line in edges if not line.startswith("#")]
-        p2.write_text("#dims 1\n" + "\n".join(
-            f"{row[0]} {row[1]} {row[2]} {row[3]}" for row in body) + "\n")
-        run_cli(["convert", "--input", str(p2), "--out", str(out2)])
-        assert (out1 / "flat.edges").read_bytes() == (out2 / "flat.edges").read_bytes()
-        assert (out1 / "flat.layers").read_bytes() == (out2 / "flat.layers").read_bytes()
+    def test_couplings_file_on_a_grid_manifest_reads_grid_lines(self, tmp_path):
+        grid, coup = self.grid_file(tmp_path)
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(f"nodes = 3\nlayers = 4\nedge_file = {grid.name}\n")
+        for name, argv in (("input", ["--input", str(grid)]),
+                           ("manifest", ["--manifest", str(manifest)])):
+            assert run_cli(["detect", *argv, "--couplings-file", str(coup),
+                            "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "input" / "result_mspec.txt").read_bytes() == \
+            (tmp_path / "manifest" / "result_mspec.txt").read_bytes()
 
-    def test_grid_without_dims_line_exit_2(self, tmp_path, capsys):
+    def test_grid_row_without_dims_line_is_a_malformed_edge_row(self, tmp_path, capsys):
         p = tmp_path / "grid.txt"
         p.write_text("# no dims\n1,1 1 2 1.0\n")
         out = tmp_path / "x"
-        code = run_cli(["convert", "--input", str(p), "--out", str(out)])
+        code = run_cli(["detect", "--input", str(p), "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {p}: grid dimensions unknown: add a #dims d1 ... dF line\n"
+        assert capsys.readouterr().err == f"error: {p}:2: expected integer layer id, got '1,1'\n"
         assert not out.exists()
 
-    def test_ragged_grid_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+    def test_bad_grid_line_exit_2_at_its_line(self, command, tmp_path, capsys):
         p = tmp_path / "grid.txt"
-        p.write_text("#dims 2 2\n3,1 1 2 1.0\n")
-        code = run_cli(["convert", "--input", str(p), "--out", str(tmp_path / "x")])
-        assert code == 2
+        p.write_text("#dims 2 2\n1,1 1 2 1.0\n3,1 1 2 1.0\n")
+        out = tmp_path / "x"
+        assert run_cli([command, "--input", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {p}:3: coordinate (3, 1) outside the declared 2x2 grid\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+    def test_layer_file_with_a_grid_exit_2(self, command, tmp_path, capsys):
+        grid, _ = self.grid_file(tmp_path)
+        layers = tmp_path / "l.txt"
+        layers.write_text("1 1 a\n")
+        out = tmp_path / "x"
+        assert run_cli([command, "--input", str(grid), "--layers-file", str(layers),
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {grid}:1: a grid file takes no layer file, got {layers}\n"
+        assert not out.exists()
 
     def test_coupling_outside_grid_exit_2(self, tmp_path, capsys):
         grid, coup = self.grid_file(tmp_path)
         coup.write_text("1 1,1 2,1\n1 1,1 3,1\n")
         out = tmp_path / "x"
-        code = run_cli(["convert", "--input", str(grid), "--grid-couplings", str(coup),
+        code = run_cli(["detect", "--input", str(grid), "--couplings-file", str(coup),
                         "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
@@ -378,7 +384,7 @@ class TestConvert:
     def test_node_id_gap_exit_2(self, tmp_path, capsys):
         p = tmp_path / "grid.txt"
         p.write_text("#dims 1 1\n1,1 1 5 1.0\n")
-        code = run_cli(["convert", "--input", str(p), "--out", str(tmp_path / "x")])
+        code = run_cli(["detect", "--input", str(p), "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"{p}: node ids have gaps" in capsys.readouterr().err
 
@@ -389,9 +395,18 @@ class TestConvert:
     def test_node_id_out_of_range_exit_2(self, tmp_path, capsys, body, nodes):
         p = tmp_path / "grid.txt"
         p.write_text("#dims 1 1\n" + body)
-        code = run_cli(["convert", "--input", str(p), *nodes, "--out", str(tmp_path / "x")])
+        code = run_cli(["detect", "--input", str(p), *nodes, "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"{p}:3: node id" in capsys.readouterr().err
+
+    def test_temporal_on_a_two_aspect_grid_exit_2(self, tmp_path, capsys):
+        grid, coup = self.grid_file(tmp_path)
+        code = run_cli(["detect", "--input", str(grid), "--couplings-file", str(coup),
+                        "--coupling-strategy", "temporal", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "temporal coupling on a 2x2 grid" in err
+        assert "closeness" in err and "explicit" in err
 
 
 class TestExitCodes:
@@ -427,6 +442,22 @@ class TestExitCodes:
                         "--nodes", "300", "--rho", "0.5", "--out", str(out)])
         assert code == 1
         assert "ARPACK error -1: no convergence" in capsys.readouterr().err
+        assert not (out / "result_mspec.txt").exists()
+
+    def test_other_arpack_error_exit_1(self, tmp_path, monkeypatch, capsys):
+        # Supra 16 * 34 = 544 > 512: the root subdivision goes to ARPACK
+        import scipy.sparse.linalg as sla
+
+        def zero_start(*args, **kwargs):
+            raise sla.ArpackError(-9)
+
+        monkeypatch.setattr(sla, "eigsh", zero_start)
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "16",
+                        "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ARPACK error -9: ") and "Traceback" not in err
         assert not (out / "result_mspec.txt").exists()
 
     def test_normalized_reporting(self, tmp_path):
@@ -715,6 +746,29 @@ def test_row_rule_exit_2_at_its_line(edges, couplings, line, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", ["couplings-file", "explicit-flag", "explicit-params-file"])
+@pytest.mark.parametrize("command", [["compare", "--rho", "0.5"], ["detect", "--rho", "0.5"]],
+                         ids=["compare", "detect-rho"])
+def test_drawn_couplings_refuse_what_they_would_discard(command, given, tmp_path, capsys):
+    # a coupling file was read and replaced; drawn couplings carry no
+    # magnitudes, so explicit coupled every pair with 0
+    (tmp_path / "c.txt").write_text("1 1 1 2 1 0.5\n")
+    (tmp_path / "p.txt").write_text("coupling.strategy = explicit\n")
+    extra = {"couplings-file": ["--couplings-file", str(tmp_path / "c.txt")],
+             "explicit-flag": ["--coupling-strategy", "explicit"],
+             "explicit-params-file": ["--params-file", str(tmp_path / "p.txt")]}[given]
+    out = tmp_path / "out"
+    assert run_cli([*command, "--dataset", "karate-replica", "--layers", "2", *extra,
+                    "--out", str(out)]) == 2
+    run = "compare" if command[0] == "compare" else "--rho"
+    assert capsys.readouterr().err == (
+        f"error: {run} draws its couplings: --couplings-file would be discarded\n"
+        if given == "couplings-file" else
+        f"error: {run} draws its couplings, which carry no magnitudes: "
+        "the explicit strategy would set every coupling to 0\n")
+    assert not out.exists()
+
+
 # Each setting: its flag, the parameter-file line the flag must beat, the
 # line that must beat the default, how to read the setting off the runs
 # (each run's spec and params), and the values the default, the file and
@@ -748,6 +802,8 @@ def test_flag_beats_params_file_beats_default(command, setting, tmp_path, monkey
     flag, overridden, line, read, default, from_file, from_flag = SETTINGS[setting]
     if setting == "omega" and command == "sweep":
         default = list(DEFAULT_OMEGAS)
+    if setting == "coupling strategy" and command == "compare":  # compare refuses explicit
+        flag, from_flag = ["--coupling-strategy", "uniform"], "uniform"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file.txt").write_text("0 1\n1 0\n")
     (tmp_path / "flag.txt").write_text("0 2\n2 0\n")

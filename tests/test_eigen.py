@@ -129,18 +129,24 @@ class TestLeadingEigenpair:
         with pytest.raises(DomainError, match="not finite"):
             leading_eigenpair(op)
 
-    def test_arpack_no_convergence_raises_at_once(self, monkeypatch):
+    @pytest.mark.parametrize("error, message", [
+        (lambda sla: sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((600, 0))),
+         "ARPACK error -1: no convergence"),
+        # -9, "starting vector is zero", escaped as a traceback before
+        (lambda sla: sla.ArpackError(-9), "ARPACK error -9: "),
+    ], ids=["no-convergence", "error-9"])
+    def test_arpack_failure_raises_at_once(self, error, message, monkeypatch):
         import scipy.sparse.linalg as sla
 
         op = matrix_free(600)
         products = []
 
-        def no_convergence(*args, **kwargs):
-            raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((600, 0)))
+        def fail(*args, **kwargs):
+            raise error(sla)
 
-        monkeypatch.setattr(sla, "eigsh", no_convergence)
+        monkeypatch.setattr(sla, "eigsh", fail)
         monkeypatch.setattr(op, "matvec", lambda x: products.append(x) or x)
-        with pytest.raises(ConvergenceError, match="ARPACK error -1: no convergence"):
+        with pytest.raises(ConvergenceError, match=message):
             leading_eigenpair(op)
         assert products == []  # no fallback pair is scored
 

@@ -27,6 +27,8 @@ from mlmod import (
     quality_matrix,
 )
 
+from mlmod.network import Couplings
+
 from oracles import oracle_hamiltonian, oracle_matrix, oracle_mu, q_pairwise
 from test_quality_matrix import instances
 
@@ -92,6 +94,28 @@ def test_q_ignores_community_ids(instance, seed):
     q = modularity(net, spec, params, Partition(labels))
     q_renamed = modularity(net, spec, params, Partition(ids[labels]))
     assert abs(q - q_renamed) <= 1e-12 * _scale(oracle_matrix(net, spec, params))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_q_ignores_node_ids(instance, seed):
+    # the same permutation of the node ids in every layer, in the couplings
+    # (magnitudes travel with their rows) and in the partition
+    net, spec, params, _ = instance
+    labels = _labels(net, seed)
+    perm = np.random.default_rng(seed + 2).permutation(net.n_nodes)
+    rows = net.couplings.rows
+    relabelled = MultilayerNetwork(
+        n_nodes=net.n_nodes, aspects=net.aspects,
+        within_edges=tuple(tuple((int(min(perm[i], perm[j])), int(max(perm[i], perm[j])), w)
+                                 for i, j, w in edges) for edges in net.within_edges),
+        couplings=Couplings(np.column_stack((perm[rows[:, 0]], rows[:, 1:])),
+                            net.couplings.magnitude))
+    moved = np.empty_like(labels).reshape(net.n_cells, net.n_nodes)
+    moved[:, perm] = labels.reshape(net.n_cells, net.n_nodes)
+    q = modularity(net, spec, params, Partition(labels))
+    q_relabelled = modularity(relabelled, spec, params, Partition(moved.ravel()))
+    assert abs(q - q_relabelled) <= 1e-12 * _scale(oracle_matrix(net, spec, params))
 
 
 @settings(max_examples=100, deadline=None)

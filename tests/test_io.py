@@ -18,18 +18,16 @@ from mlmod import (
     ParseError,
     Partition,
     build_karate_replica,
-    load_aspect_grid,
     load_karate,
     load_multiplex,
     load_result,
     mspec_detect,
-    save_multiplex,
     save_result,
 )
 from mlmod.io import load_closeness, load_dataset, load_labels, load_params_file
 from mlmod.datasets import karate_manifest_path
 
-from oracles import dense_adjacency
+from oracles import dense_adjacency, write_multiplex
 
 
 class TestLoadMultiplex:
@@ -142,7 +140,7 @@ class TestLoadMultiplex:
         edge = tmp_path / "e.txt"
         layer = tmp_path / "l.txt"
         coup = tmp_path / "c.txt"
-        save_multiplex(net0, str(edge), str(layer), str(coup))
+        write_multiplex(net0, str(edge), str(layer), str(coup))
         net1 = load_multiplex(str(edge), str(layer), str(coup), n_nodes=34)
         assert net1.within_edges == net0.within_edges
         assert net1.couplings == net0.couplings
@@ -609,7 +607,7 @@ class TestAspectGridFile:
             "2,1 1 2 1.0\n"
             "2,2 2 3 0.5\n"
         )
-        net, _ = load_aspect_grid(str(p))
+        net = load_multiplex(str(p))
         assert net.aspects[0].layers == ("L1-1", "L1-2", "L2-1", "L2-2")
         assert net.n_nodes == 3
 
@@ -617,21 +615,52 @@ class TestAspectGridFile:
         p = tmp_path / "grid.txt"
         p.write_text("#dims 1 2\n3,1 1 2 1.0\n")
         with pytest.raises(DomainError):
-            load_aspect_grid(str(p))
+            load_multiplex(str(p))
 
     def test_gap_rejected_when_inferring(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("#dims 1 1\n1,1 1 5 1.0\n")
         with pytest.raises(ParseError, match="gaps"):
-            load_aspect_grid(str(p))
-        assert load_aspect_grid(str(p), n_nodes=5)[0].n_nodes == 5
+            load_multiplex(str(p))
+        assert load_multiplex(str(p), n_nodes=5).n_nodes == 5
 
-    def test_missing_dims(self, tmp_path):
+    def test_grid_row_without_dims_is_a_malformed_edge_row(self, tmp_path):
         p = tmp_path / "grid.txt"
-        p.write_text("1,1 1 2 1.0\n")
+        p.write_text("# a grid\n1,1 1 2 1.0\n")
         with pytest.raises(ParseError) as exc:
-            load_aspect_grid(str(p))
-        assert str(exc.value) == f"{p}: grid dimensions unknown: add a #dims d1 ... dF line"
+            load_multiplex(str(p))
+        assert str(exc.value) == f"{p}:2: expected integer layer id, got '1,1'"
+
+    @pytest.mark.parametrize("directive", ["#dims 2 2", "  #dims 2 2", "\t#dims\t2  2 "])
+    def test_a_line_starting_with_dims_makes_a_grid(self, tmp_path, directive):
+        p = tmp_path / "grid.txt"
+        p.write_text(f"# a grid\n1,1 1 2\n{directive}\n2,2 2 3\n")
+        net = load_multiplex(str(p))
+        assert net.dims == (2, 2)
+        assert [len(e) for e in net.within_edges] == [1, 0, 0, 1]
+
+    def test_a_dims_later_in_a_line_is_no_directive(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("# about #dims 2 2\n1 1 2\n")
+        assert load_multiplex(str(p)).dims is None
+
+    def test_a_manifest_names_a_grid_and_its_couplings(self, tmp_path):
+        (tmp_path / "g.txt").write_text("#dims 2 2\n1,1 1 2\n2,2 2 3 0.5\n")
+        (tmp_path / "gc.txt").write_text("1 1,1 2,1\n")
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("nodes = 3\nlayers = 4\nedges = 2\nedge_file = g.txt\n"
+                            "coupling_file = gc.txt\n")
+        net, truth = load_dataset(str(manifest))
+        assert (net.dims, net.n_nodes, truth) == ((2, 2), 3, None)
+        assert set(net.couplings) == {(0, 0, 2)}
+
+    def test_grid_takes_no_layer_file(self, tmp_path):
+        p, layers = tmp_path / "grid.txt", tmp_path / "l.txt"
+        p.write_text("# a grid\n#dims 2\n1 1 2\n")
+        layers.write_text("1 1 a\n2 1 b\n")
+        with pytest.raises(ParseError) as exc:
+            load_multiplex(str(p), str(layers))
+        assert str(exc.value) == f"{p}:2: a grid file takes no layer file, got {layers}"
 
     @pytest.mark.parametrize("line, message", [
         ("1 1,1 3,1", "coordinate (3, 1) outside the declared 2x2 grid"),
@@ -645,14 +674,14 @@ class TestAspectGridFile:
         grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
         coup.write_text("# nodeId cA cB\n" + line + "\n")
         with pytest.raises(DomainError) as exc:
-            load_aspect_grid(str(grid), coupling_path=str(coup))
+            load_multiplex(str(grid), coupling_path=str(coup))
         assert str(exc.value) == f"{coup}:2: {message}"
 
     def test_dims_directive_without_dimensions(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("# grid\n#dims\n1,1 1 2\n")
         with pytest.raises(ParseError) as exc:
-            load_aspect_grid(str(p))
+            load_multiplex(str(p))
         assert str(exc.value) == f"{p}:2: #dims directive needs dimensions"
 
     @pytest.mark.parametrize("line, message", [
@@ -664,12 +693,12 @@ class TestAspectGridFile:
         grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
         coup.write_text("# nodeId cA cB\n" + line + "\n")
         with pytest.raises(ParseError) as exc:
-            load_aspect_grid(str(grid), coupling_path=str(coup))
+            load_multiplex(str(grid), coupling_path=str(coup))
         assert str(exc.value) == f"{coup}:2: {message}"
 
     def test_non_positive_dims(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("# grid\n#dims 0 2\n")
         with pytest.raises(ParseError) as exc:
-            load_aspect_grid(str(p))
+            load_multiplex(str(p))
         assert str(exc.value) == f"{p}:2: grid dims must be positive"

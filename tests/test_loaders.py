@@ -35,10 +35,9 @@ from mlmod import (
     load_multiplex,
     load_result,
     quality_matrix,
-    save_multiplex,
     save_result,
 )
-from mlmod.io import load_aspect_grid, load_couplings, load_labels
+from mlmod.io import load_couplings, load_labels
 from mlmod.network import Couplings, Edges, normalize_edges
 
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     load_couplings_reference,
     load_multiplex_reference,
     normalize_edges_reference,
+    write_multiplex,
 )
 
 WEIGHTS = ["1", "2.5", "0.1", "1e-300", "3.0000000000000004", "-0.75", "7", "1E2", ".5"]
@@ -317,7 +317,7 @@ def test_negative_magnitude_rejected_with_position(tmp_path):
 def test_magnitudes_survive_a_save_and_load(tmp_path):
     net = _grid_net().with_couplings(Couplings([(0, 0, 1), (3, 1, 2)], [0.0, 0.25]))
     paths = [str(tmp_path / name) for name in ("e.txt", "l.txt", "c.txt")]
-    save_multiplex(net, *paths)
+    write_multiplex(net, *paths)
     back = load_multiplex(*paths, n_nodes=4)
     assert back.couplings == net.couplings
     assert back.couplings.magnitude.tolist() == [0.0, 0.25]
@@ -550,7 +550,7 @@ def test_grid_file_reads_as_its_flattened_files(grid, tmp_path_factory):
         flat_couplings = _write(tmp_path_factory, "".join(
             f"{node} {cell(a)} 1 {cell(b)} 1\n" for node, a, b in couplings), "c.txt")
     n = n_nodes if declared else None
-    got, _ = load_aspect_grid(grid_path, n_nodes=n, coupling_path=grid_couplings)
+    got = load_multiplex(grid_path, n_nodes=n, coupling_path=grid_couplings)
     want = load_multiplex(edge_path, layer_path, flat_couplings, n_nodes=n)
     assert got.n_nodes == want.n_nodes
     assert [(e.i.tobytes(), e.j.tobytes(), e.w.tobytes()) for e in got.within_edges] == \
@@ -565,7 +565,7 @@ def test_grid_file_reports_its_first_faulty_line(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("#dims 2 2\n1,1 1 2\n3,1 1 2\n1,2 2 2\n2,2 1 9\n")
     with pytest.raises(DomainError) as exc:
-        load_aspect_grid(str(path))
+        load_multiplex(str(path))
     assert str(exc.value) == f"{path}:3: coordinate (3, 1) outside the declared 2x2 grid"
 
 
@@ -582,7 +582,7 @@ def _first_bad_line_case(reader, tmp_path):
                 "node id 9 exceeds declared count 4")
     if reader == "grid edges":
         path = write("g.txt", "#dims 2\n1 1 2\n2 2 9\n1 x 4\n")
-        return (lambda: load_aspect_grid(path, n_nodes=4), path, 3, DomainError,
+        return (lambda: load_multiplex(path, n_nodes=4), path, 3, DomainError,
                 "node id 9 exceeds declared count 4")
     if reader == "couplings":
         path = write("cc.txt", "1 1 1 2 1\n99 1 1 2 1\n1 1 1 2 1 x\n")
@@ -591,7 +591,7 @@ def _first_bad_line_case(reader, tmp_path):
     if reader == "grid couplings":
         path = write("gc.txt", "1 1 2\n9 1 2\n1 1 x\n")
         grid_path = write("g.txt", "#dims 2\n1 1 2\n2 2 3\n")
-        return (lambda: load_aspect_grid(grid_path, coupling_path=path), path, 2, DomainError,
+        return (lambda: load_multiplex(grid_path, coupling_path=path), path, 2, DomainError,
                 "node id 9 out of range 1..3")
     if reader == "labels":
         path = write("gt.txt", "1 1\n1 0\n3 x\n")
@@ -621,5 +621,5 @@ def test_a_second_dims_directive_is_an_error_at_its_line(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("#dims 2 2\n1,1 1 2\n# more\n#dims 3 3\n3,3 1 2\n")
     with pytest.raises(ParseError) as exc:
-        load_aspect_grid(str(path))
+        load_multiplex(str(path))
     assert str(exc.value) == f"{path}:4: second #dims directive: a grid file holds one"

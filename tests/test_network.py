@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from mlmod import (
     MultilayerNetwork,
     full_couplings,
     generate_couplings,
-    load_aspect_grid,
+    load_multiplex,
     quality_matrix,
 )
 from mlmod.io import _cells
@@ -192,45 +193,66 @@ class TestGenerateCouplings:
 
 
 class TestAspectGrid:
-    """Aspect-aspect grid files flatten row-major into one aspect."""
+    """Aspect-aspect grid files flatten row-major into one aspect, and the
+    network keeps the grid's dims."""
 
     def test_identity_single_cell(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("#dims 1\n1 1 2 1.0\n")
-        net, location = load_aspect_grid(str(p), n_nodes=3)
+        net = load_multiplex(str(p), n_nodes=3)
         assert net.n_cells == 1
         assert net.within_edges[0] == ((0, 1, 1.0),)
-        assert location == {(0,): (1, 1)}
+        assert net.dims == (1,)
 
     def test_row_major_enumeration(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("#dims 2 3\n" + "".join(  # lines in reverse order
             f"{a + 1},{b + 1} 1 2 {a * 3 + b + 1}\n" for a in (1, 0) for b in (2, 1, 0)))
-        net, location = load_aspect_grid(str(p))
+        net = load_multiplex(str(p))
         assert net.n_cells == 6
+        assert net.dims == (2, 3)
         assert net.aspects[0].layers == ("L1-1", "L1-2", "L1-3", "L2-1", "L2-2", "L2-3")
-        for (a, b), (s, v) in location.items():
-            assert v == 1
-            assert s == a * 3 + b + 1
-            assert net.within_edges[s - 1][0][2] == float(a * 3 + b + 1)
+        for t in range(6):  # cell t = a * 3 + b holds the edge of weight t + 1
+            assert net.within_edges[t][0][2] == float(t + 1)
 
     def test_couplings_along_first_aspect_only(self, tmp_path):
         p, c = tmp_path / "grid.txt", tmp_path / "c.txt"
         p.write_text("#dims 2 2\n")
         c.write_text("1 1,1 2,1\n1 2,2 1,2\n")  # first index varies
-        net, location = load_aspect_grid(str(p), n_nodes=2, coupling_path=str(c))
-        expected = set()
-        for b in range(2):
-            ta = location[(0, b)][0] - 1
-            tb = location[(1, b)][0] - 1
-            expected.add((0, min(ta, tb), max(ta, tb)))
-        assert set(net.couplings) == expected
-        # coupled cells differ exactly in the first index
-        for node, ta, tb in net.couplings:
-            coord_a = [c for c, (s, _) in location.items() if s - 1 == ta][0]
-            coord_b = [c for c, (s, _) in location.items() if s - 1 == tb][0]
-            assert coord_a[0] != coord_b[0]
-            assert coord_a[1] == coord_b[1]
+        net = load_multiplex(str(p), n_nodes=2, coupling_path=str(c))
+        # row-major cells: (1,1) -> 0, (1,2) -> 1, (2,1) -> 2, (2,2) -> 3
+        assert set(net.couplings) == {(0, 0, 2), (0, 1, 3)}
+        for node, ta, tb in net.couplings:  # coupled cells differ exactly in the first index
+            first, second = np.unravel_index([ta, tb], net.dims)
+            assert first[0] != first[1] and second[0] == second[1]
+
+    def test_a_flat_network_has_no_dims(self, two_cliques):
+        assert two_cliques.dims is None
+
+    def test_dims_must_hold_the_layer_cells(self, two_cliques):
+        with pytest.raises(DomainError, match=r"grid dims \(2, 2\) do not hold"):
+            dataclasses.replace(two_cliques, dims=(2, 2))
+
+    def test_temporal_refused_on_a_grid_of_two_aspects(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("#dims 2 3\n" + "".join(f"{a},{b} 1 2\n" for a in (1, 2) for b in (1, 2, 3)))
+        net = load_multiplex(str(p))
+        params = ModularityParams.for_network(net)
+        with pytest.raises(DomainError, match="temporal coupling on a 2x3 grid .* closeness or "
+                                              "explicit"):
+            quality_matrix(net, CouplingSpec("temporal", 1.0), params)
+        quality_matrix(net, CouplingSpec("uniform", 1.0), params)
+
+    def test_temporal_kept_on_a_one_aspect_grid(self, tmp_path):
+        p, flat = tmp_path / "grid.txt", tmp_path / "flat.txt"
+        p.write_text("#dims 3\n1 1 2\n2 2 3\n3 1 3\n")
+        flat.write_text("1 1 2\n2 2 3\n3 1 3\n")
+        grid_net, flat_net = load_multiplex(str(p)), load_multiplex(str(flat))
+        assert grid_net.dims == (3,)
+        spec = CouplingSpec("temporal", 1.0)
+        params = ModularityParams.for_network(flat_net)
+        grid_chi, flat_chi = (quality_matrix(net, spec, params)[1] for net in (grid_net, flat_net))
+        assert grid_chi == flat_chi
 
 
 def test_layer_stats_strength_sum(two_cliques):
