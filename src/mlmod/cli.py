@@ -3,8 +3,8 @@
 Subcommands: ``detect`` (one algorithm, one parameter point), ``sweep``
 (label tables across a coupling-strength grid) and ``compare`` (the four
 algorithms across a coupling-density grid).  Each reads its network from
-``--input`` (a flat edge file, or an aspect grid under a ``#dims`` line),
-``--manifest`` or ``--dataset``.  Exit codes: 0 success, 1 solver
+one of ``--input`` (a flat edge file, or a grid under a ``#dims`` line),
+``--manifest`` and ``--dataset``.  Exit codes: 0 success, 1 solver
 failure, 2 input error.
 """
 
@@ -20,9 +20,8 @@ import numpy as np
 
 from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
-from .errors import ConvergenceError, DomainError, MlmodError, ParseError
+from .errors import ConvergenceError, DomainError, MlmodError
 from .io import (
-    load_closeness,
     load_couplings,
     load_dataset,
     load_multiplex,
@@ -32,7 +31,7 @@ from .io import (
 from .modularity import modularity
 from .mspec import mspec_detect
 from .network import generate_couplings
-from .params import COUPLING_STRATEGIES, CouplingSpec, ModularityParams, check_closeness
+from .params import COUPLING_STRATEGIES, CouplingSpec, ModularityParams
 
 ALGORITHMS = ("mspec", "mlouv", "smean", "sfull")
 DEFAULT_OMEGAS = (0.0, 0.01, 0.1, 1.0, 10.0)
@@ -45,29 +44,28 @@ def _seed_for(base: int, *key: int) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="multiplex edge-list file, or a #dims grid file")
-    p.add_argument("--layers-file", help="layer table: layerId aspectId label")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--input", help="multiplex edge-list file, or a #dims grid file")
+    p.add_argument("--layers-file", help="layer table of --input: layerId aspectId label")
     p.add_argument("--couplings-file", help="coupling list file (grid coupling lines for a grid)")
-    p.add_argument("--manifest", help="dataset manifest file")
-    p.add_argument("--dataset", choices=("karate", "karate-replica"),
-                   help="bundled dataset instead of --input")
-    p.add_argument("--nodes", type=int, help="declare the node count")
-    p.add_argument("--layers", type=int, default=10,
-                   help="layer count for --dataset karate-replica")
+    route.add_argument("--manifest", help="dataset manifest file")
+    route.add_argument("--dataset", choices=("karate", "karate-replica"),
+                       help="bundled dataset instead of --input")
+    p.add_argument("--nodes", type=int, help="declare the node count of --input")
+    p.add_argument("--layers", type=int,
+                   help="layer count for --dataset karate-replica (default 10)")
     p.add_argument("--gamma", type=float, nargs="+",
                    help="resolution(s): one value or one per layer")
     p.add_argument("--lambda", dest="lam", type=float, nargs="+",
                    help="layer weight(s): one value or one per layer")
     p.add_argument("--omega", type=float, nargs="+", help="coupling strength(s)")
     p.add_argument("--coupling-strategy", default=None, choices=COUPLING_STRATEGIES)
-    p.add_argument("--closeness-file", help="dense closeness matrix file")
     p.add_argument("--params-file", help="key-value parameter file")
     p.add_argument("--seed", type=int, default=0,
                    help="non-negative integer seed for stochastic steps")
     p.add_argument("--normalized", action="store_true",
                    help="report Q divided by the normalization factor mu")
     p.add_argument("--signed", action="store_true", help="signed-network modularity")
-    p.add_argument("--min-community-size", type=int, default=1)
     p.add_argument("--no-refine", action="store_true",
                    help="pure sign-rule spectral recursion, no relocation sweeps")
     p.add_argument("--out", required=True, help="output directory")
@@ -75,11 +73,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _resolve_network(args):
     """Build the network; coupling magnitudes travel with its couplings."""
+    if args.input is None and (args.layers_file or args.nodes is not None):
+        raise DomainError("--layers-file and --nodes describe an --input file")
+    if args.layers is not None and args.dataset != "karate-replica":
+        raise DomainError("--layers sets the size of --dataset karate-replica")
     if args.dataset == "karate":
         net, _ = load_karate()
     elif args.dataset == "karate-replica":
         # the replica's layers do not depend on gamma, which _setup sets
-        net, _ = build_karate_replica(args.layers, [1.0] * args.layers)
+        layers = 10 if args.layers is None else args.layers
+        net, _ = build_karate_replica(layers, [1.0] * layers)
     elif args.manifest:
         net, _ = load_dataset(args.manifest)
     elif args.input:
@@ -99,24 +102,15 @@ def _setup(args, sweep_omegas=None):
     ``sweep_omegas``, the default grid of a sweep, the run takes one omega."""
     if args.seed < 0:  # checked also where no step of the run draws from it
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.min_community_size < 1:  # also where the algorithm does not read it
-        raise DomainError(f"--min-community-size must be >= 1, got {args.min_community_size}")
     net = _resolve_network(args)
     fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
-    closeness = None
-    if args.closeness_file:
-        try:
-            closeness = check_closeness(load_closeness(args.closeness_file), net.n_cells)
-        except DomainError as exc:
-            raise ParseError(str(exc), args.closeness_file) from None
-    ladder = ([round(0.1 * (s + 1), 10) for s in range(args.layers)]
+    ladder = ([round(0.1 * (s + 1), 10) for s in range(net.n_cells)]
               if args.dataset == "karate-replica" else 1.0)
     value = {key: fpar.get(key, default) if flag is None else flag for key, flag, default in (
         ("gamma", args.gamma, ladder),
         ("lambda", args.lam, 1.0),
         ("omega", args.omega, sweep_omegas or 1.0),
         ("coupling.strategy", args.coupling_strategy, "uniform"),
-        ("closeness", closeness, None),
         # --signed and --normalized can only turn their setting on
         ("signed", args.signed or None, False),
         ("normalization", "normalized" if args.normalized else None, "raw"),
@@ -129,8 +123,8 @@ def _setup(args, sweep_omegas=None):
     omegas = np.ravel(value["omega"]).tolist()
     if sweep_omegas is None and len(omegas) != 1:
         raise DomainError("this command takes exactly one --omega value")
-    return net, params, [CouplingSpec(value["coupling.strategy"], omega, value["closeness"])
-                         for omega in omegas]
+    return net, params, [CouplingSpec(value["coupling.strategy"], omega,
+                                      fpar.get("closeness.file")) for omega in omegas]
 
 
 def _check_drawn(args, spec, run: str) -> None:
@@ -147,7 +141,6 @@ def _run_algorithm(name, net, spec, params, args, seed):
     if name == "mspec":
         return mspec_detect(
             net, spec, params,
-            min_community_size=args.min_community_size,
             refine=not args.no_refine,
         )
     if name == "mlouv":

@@ -40,7 +40,6 @@ __all__ = [
     "load_couplings",
     "load_labels",
     "load_params_file",
-    "load_closeness",
     "save_result",
     "load_result",
 ]
@@ -480,7 +479,7 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
     Recognised keys: ``gamma``, ``lambda`` (scalar or per-layer list),
     ``omega``, ``coupling.strategy``, ``closeness.file``, ``signed``,
     ``gamma.plus``, ``gamma.minus``, ``normalization``.  Returns a plain
-    dict, with the closeness matrix under ``closeness``.  Each value is
+    dict, the closeness matrix under ``closeness.file``.  Each value is
     checked by the rule of its setting in ``params``, a closeness matrix
     also against ``n_cells``, whichever strategy the run takes; unknown
     keys, a per-layer list of neither 1 nor ``n_cells`` values, and a value
@@ -517,10 +516,7 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
             check_normalization(val)
         return val
 
-    out = _key_values(path, "parameter", _PARAM_KEYS, parse)
-    if "closeness.file" in out:
-        out["closeness"] = out.pop("closeness.file")
-    return out
+    return _key_values(path, "parameter", _PARAM_KEYS, parse)
 
 
 def load_closeness(path: str) -> np.ndarray:

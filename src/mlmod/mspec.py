@@ -4,9 +4,9 @@ Every community, the full vertex set included, is bisected through its
 subdivision matrix: the restriction of D to the community with each
 diagonal entry reduced by its row sum over the community.  For any label
 vector z in {-1, +1}^C the modularity gain of the corresponding split is
-``dq = 0.5 * z' M z`` because the subdivision matrix M has zero row sums;
-the split is applied only when the gain is strictly positive and both
-sides respect the minimum community size.
+``dq = 0.5 * z' M z`` because the subdivision matrix M has zero row sums.
+A community of at least two members is bisected, and the split is applied
+only when the gain is strictly positive and both sides are non-empty.
 
 By default each accepted cut is polished by single-cell moves across the
 cut while the gain improves, and a final relocation pass sweeps cells
@@ -207,7 +207,6 @@ def kl_relocate(matrix: QualityMatrix, labels: np.ndarray,
 
 
 def spectral_partition(matrix: QualityMatrix, refine: bool = True,
-                       min_community_size: int = 1,
                        ) -> tuple[np.ndarray, list[Division], np.ndarray | None, float]:
     """Recursive bisection engine over a quality matrix.
 
@@ -225,7 +224,7 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
     queue: list[tuple[int, np.ndarray]] = [(0, np.arange(n))]
     while queue:
         cid, members = queue.pop(0)
-        if members.size < max(2, 2 * min_community_size):
+        if members.size < 2:
             continue
         sub = subdivision_matrix(matrix, members)
         beta, u = leading_eigenpair(sub)
@@ -237,13 +236,7 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
         dq = 0.5 * float(z @ (sub @ z))
         del sub  # before the next subdivision is formed
         n_neg = int((z < 0).sum())
-        n_pos = members.size - n_neg
-        applied = (
-            dq > _GAIN_EPS
-            and min(n_pos, n_neg) >= min_community_size
-            and n_pos > 0
-            and n_neg > 0
-        )
+        applied = dq > _GAIN_EPS and 0 < n_neg < members.size  # both sides non-empty
         divisions.append(Division(cid, dq, beta, applied))
         if applied:
             neg = members[z < 0]
@@ -259,7 +252,7 @@ def spectral_partition(matrix: QualityMatrix, refine: bool = True,
 
 
 def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
-                 min_community_size: int = 1, refine: bool = True) -> DetectionResult:
+                 refine: bool = True) -> DetectionResult:
     """Detect communities by recursive spectral bisection of D.
 
     Starts from the whole supra vertex set and recursively bisects each
@@ -268,11 +261,9 @@ def mspec_detect(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityP
     scorer from the final partition; in raw mode it equals the meta values
     ``q_spectral`` (chi plus the applied gains) plus ``q_relocation``.
     """
-    if min_community_size < 1:
-        raise DomainError("min_community_size must be >= 1")
     qm, chi = quality_matrix(net, spec, params)
     labels, divisions, root_u, relocation = spectral_partition(
-        qm, refine=refine, min_community_size=min_community_size)
+        qm, refine=refine)
     partition = Partition(labels).canonical()
     q_total = _score(qm, partition.labels, params.normalization)
     q_spectral = chi + sum(d.delta_q for d in divisions if d.applied)

@@ -555,50 +555,19 @@ class TestWorkersAndStrategies:
         chi = quality_matrix(bare, spec, ModularityParams.for_network(bare))[1]
         assert float(result.meta["chi"]) == chi + 2.0
 
-    def test_bad_closeness_file_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "closeness.txt"
-        bad.write_text("0 1\n1 x\n")
-        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "2",
-                        "--coupling-strategy", "closeness", "--closeness-file", str(bad),
-                        "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert str(bad) in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("through_params", [False, True])
-    def test_non_finite_closeness_exit_2(self, tmp_path, capsys, through_params):
+    def test_non_finite_closeness_exit_2(self, tmp_path, capsys):
         close = tmp_path / "close.txt"
         close.write_text("0 inf 1\ninf 0 1\n1 1 0\n")
-        args = ["--coupling-strategy", "closeness", "--closeness-file", str(close)]
-        if through_params:
-            params = tmp_path / "params.txt"
-            params.write_text("coupling.strategy = closeness\ncloseness.file = close.txt\n")
-            args = ["--params-file", str(params)]
-        where = f"{close}:1: "  # the matrix file's own line, also through a parameter file
-        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3", *args,
-                        "--out", str(tmp_path / "out")])
+        params = tmp_path / "params.txt"
+        params.write_text("coupling.strategy = closeness\ncloseness.file = close.txt\n")
+        where = f"{close}:1: "  # the matrix file's own line, not the parameter file's
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
+                        "--params-file", str(params), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert where in err and "finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "result_mspec.txt").exists()
-
-    @pytest.mark.parametrize("matrix, message", [
-        ("0 1\n1 0\n", "closeness matrix shape (2, 2) does not match 3 layer cells"),
-        ("0 1 1\n2 0 1\n1 1 0\n", "closeness matrix must be symmetric"),
-    ], ids=["shape", "asymmetric"])
-    def test_closeness_file_that_does_not_fit_exit_2_at_its_path(
-            self, tmp_path, capsys, matrix, message):
-        close = tmp_path / "close.txt"
-        close.write_text(matrix)
-        out = tmp_path / "out"
-        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
-                        "--coupling-strategy", "closeness", "--closeness-file", str(close),
-                        "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {close}: {message}\n"
-        assert not out.exists()
 
     def test_sweep_on_loaded_network(self, tmp_path):
         edge = tmp_path / "e.txt"
@@ -706,20 +675,6 @@ def test_negative_seed_exit_2_before_any_output(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["detect", "--dataset", "karate"],
-    ["detect", "--dataset", "karate", "--algorithm", "mlouv"],
-    ["sweep"],
-    ["compare"],
-], ids=["detect", "detect-mlouv", "sweep", "compare"])
-def test_min_community_size_below_1_exit_2_before_any_output(argv, tmp_path, capsys):
-    # mlouv reads no minimum size, and is refused all the same
-    out = tmp_path / "out"
-    assert run_cli([*argv, "--min-community-size", "0", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --min-community-size must be >= 1, got 0\n"
-    assert not out.exists()
-
-
 def test_repeated_algorithm_exit_2_before_any_output(tmp_path, capsys):
     # each run of a repeated name would add into the one table row of that name
     out = tmp_path / "out"
@@ -727,6 +682,55 @@ def test_repeated_algorithm_exit_2_before_any_output(tmp_path, capsys):
                     "--algorithm", "smean", "smean", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --algorithm names smean more than once\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--dataset", "karate", "--input", "x.txt"],
+    ["detect", "--dataset", "karate", "--manifest", "m.txt"],
+    ["sweep", "--manifest", "m.txt", "--input", "x.txt"],
+], ids=["dataset-input", "dataset-manifest", "manifest-input"])
+def test_two_input_routes_exit_2_before_any_output(argv, tmp_path, capsys):
+    # one route would win and the other go unread
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+INPUT_ONLY = "--layers-file and --nodes describe an --input file"
+REPLICA_ONLY = "--layers sets the size of --dataset karate-replica"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--dataset", "karate", "--layers-file", "bogus.txt"], INPUT_ONLY),
+    (["detect", "--dataset", "karate", "--nodes", "99"], INPUT_ONLY),
+    (["compare", "--layers-file", "bogus.txt"], INPUT_ONLY),
+    (["detect", "--dataset", "karate", "--layers", "3"], REPLICA_ONLY),
+    (["sweep", "--manifest", "m.txt", "--layers", "3"], REPLICA_ONLY),
+    (["compare", "--input", "x.txt", "--layers", "3"], REPLICA_ONLY),
+], ids=["layers-file", "nodes", "layers-file-default-replica", "layers-karate",
+        "layers-manifest", "layers-input"])
+def test_flag_the_route_would_not_read_exit_2_before_any_output(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+@pytest.mark.parametrize("option", [["--closeness-file", "m.txt"], ["--min-community-size", "2"]],
+                         ids=["closeness-file", "min-community-size"])
+def test_removed_options_are_unrecognized(command, option, tmp_path, capsys):
+    # a closeness matrix comes from a parameter file's closeness.file
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--dataset", "karate", *option, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run_cli([command, "--help"])
+    assert option[0] not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("edges, couplings, line", [
@@ -773,7 +777,8 @@ def test_drawn_couplings_refuse_what_they_would_discard(command, given, tmp_path
 # line that must beat the default, how to read the setting off the runs
 # (each run's spec and params), and the values the default, the file and
 # the flag give (a sweep's default omegas are its grid).  The network is
-# the two-layer karate replica, so the default gamma is its ladder.
+# the two-layer karate replica, so the default gamma is its ladder.  The
+# closeness matrix has no flag: a parameter file is its one route.
 SETTINGS = {
     "gamma": (["--gamma", "2"], "gamma = 0.5", "gamma = 0.5",
               lambda runs: runs[0][1].gamma, (0.1, 0.2), (0.5, 0.5), (2.0, 2.0)),
@@ -784,11 +789,10 @@ SETTINGS = {
     "coupling strategy": (["--coupling-strategy", "explicit"], "coupling.strategy = temporal",
                           "coupling.strategy = temporal",
                           lambda runs: runs[0][0].strategy, "uniform", "temporal", "explicit"),
-    "closeness": (["--closeness-file", "flag.txt"], "closeness.file = file.txt",
-                  "closeness.file = file.txt",
+    "closeness": (None, None, "closeness.file = file.txt",
                   lambda runs: None if runs[0][0].closeness is None
                   else runs[0][0].closeness.tolist(),
-                  None, [[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]]),
+                  None, [[0.0, 1.0], [1.0, 0.0]], None),
     "signed": (["--signed"], "signed = false", "signed = true",
                lambda runs: runs[0][1].signed, False, True, True),
     "normalization": (["--normalized"], "normalization = raw", "normalization = normalized",
@@ -806,7 +810,6 @@ def test_flag_beats_params_file_beats_default(command, setting, tmp_path, monkey
         flag, from_flag = ["--coupling-strategy", "uniform"], "uniform"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file.txt").write_text("0 1\n1 0\n")
-    (tmp_path / "flag.txt").write_text("0 2\n2 0\n")
 
     def runs(*args, params_line=None):
         seen = []
@@ -827,7 +830,8 @@ def test_flag_beats_params_file_beats_default(command, setting, tmp_path, monkey
 
     assert read(runs()) == default
     assert read(runs(params_line=line)) == from_file
-    assert read(runs(*flag, params_line=overridden)) == from_flag
+    if flag is not None:
+        assert read(runs(*flag, params_line=overridden)) == from_flag
 
 
 def test_console_entry_point(tmp_path):

@@ -248,7 +248,7 @@ class TestParamsFile:
         p = tmp_path / "params.txt"
         p.write_text("closeness.file = closeness.txt\n")
         out = load_params_file(str(p), 2)
-        assert np.array_equal(out["closeness"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(out["closeness.file"], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
     def test_non_finite_closeness_reports_position(self, tmp_path, entry):

@@ -245,13 +245,6 @@ class TestMspecDetect:
         grid = res.partition.labels.reshape(2, 6)
         assert (grid[0] == grid[1]).all()
 
-    def test_min_community_size_respected(self, two_cliques):
-        params = ModularityParams.for_network(two_cliques)
-        res = mspec_detect(two_cliques, CouplingSpec(), params,
-                           min_community_size=4)
-        # the 3|3 split violates the bound, so nothing is applied
-        assert res.n_communities == 1
-
     def test_q_total_matches_independent_recomputation(self):
         for seed in (1, 2):
             net, spec, params = random_instance(seed + 200)

@@ -31,10 +31,10 @@ class TestCouplingSpecValidation:
             CouplingSpec(strategy="closeness", closeness=m)
 
     def test_closeness_shape_checked_at_use(self):
-        net = make_net(2, [3])
+        net = make_net(2, [3], edges_by_cell=(((0, 1, 1.0),),) * 3)  # no empty-cell warning
         spec = CouplingSpec(strategy="closeness",
                             closeness=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="shape"):
             quality_matrix(net, spec, ModularityParams.for_network(net))
 
     def test_negative_explicit_amplitude_rejected(self):
