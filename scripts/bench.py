@@ -28,7 +28,8 @@ labels, q_total: a document whose labels or ``q_total`` moved is a changed
 result, one where only bytes, soft labels or beta moved changed at the
 rounding level.  It exits 1 when anything moved or is missing, else 0.
 ``--rev REV`` runs commit REV instead of the checkout; ``--only`` restricts
-both commands to the named runs, and ``verify`` then checks only theirs.
+both commands to the named runs, and ``verify`` then checks only theirs; a
+name that is no run exits 2 with the list of runs.
 
 Ladder rows:
     karate-compare        compare on the ten-layer karate replica, seed 3006
@@ -301,8 +302,13 @@ def run_ladder(label: str, against: str | None) -> int:
 def run_checkset(command: str, rev: str | None, only: list[str] | None, path: str) -> int:
     documents = {}
     with tempfile.TemporaryDirectory(prefix="mlmod-checkset-") as work:
+        runs = dict(checkset(os.path.join(work, "inputs")))
+        if unknown := sorted(set(only or ()) - runs.keys()):
+            print(f"unknown check-set run {', '.join(unknown)}; the runs are {' '.join(runs)}",
+                  file=sys.stderr)
+            return 2
         tree, sha = source(rev, os.path.join(work, "src"))
-        for name, argv in checkset(os.path.join(work, "inputs")):
+        for name, argv in runs.items():
             if only and name not in only:
                 continue
             files = run(argv, tree, os.path.join(work, name))[1]

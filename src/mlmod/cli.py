@@ -86,8 +86,7 @@ def _resolve_network(args):
     elif args.manifest:
         net, _ = load_dataset(args.manifest)
     elif args.input:
-        return load_multiplex(args.input, args.layers_file, args.couplings_file,
-                              n_nodes=args.nodes)
+        net = load_multiplex(args.input, args.layers_file, n_nodes=args.nodes)
     else:
         raise DomainError("no input network: pass --input, --manifest or --dataset")
     if args.couplings_file:

@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 
-# a line whose first token starts with #dims makes an edge file a grid
-_DIMS = re.compile(r"^[^\S\n]*#dims[^\n]*", re.MULTILINE)
+# a line whose first token is #dims makes an edge file a grid; #dims2 is a comment
+_DIMS = re.compile(r"^[^\S\n]*#dims(?!\S)[^\n]*", re.MULTILINE)
 
 
 def _read_text(path: str) -> str:
@@ -323,53 +323,49 @@ def load_couplings(path: str, net: MultilayerNetwork, n_nodes: int):
 
 
 def load_multiplex(edge_path: str, layer_path: str | None = None,
-                   coupling_path: str | None = None,
                    n_nodes: int | None = None) -> MultilayerNetwork:
     """Load a multilayer network from whitespace-separated text files.
 
     Without a layer file all layers fall into one aspect, ordered by their
     ids, which must then be contiguous from 1.  Duplicate edges are summed.
     When ``n_nodes`` is not declared it is inferred as the largest node id,
-    and every id below it must appear somewhere (no silent gaps).  Coupling
-    magnitudes, when the coupling file has them, travel with the couplings.
+    and every id below it must appear somewhere (no silent gaps).  The
+    network has no couplings: ``load_couplings`` reads them.
 
-    An edge file with a line starting with ``#dims`` is an aspect grid (see
-    ``_load_grid``), read with grid coupling lines and no layer file.
+    An edge file with a line whose first token is ``#dims`` is an aspect
+    grid (see ``_load_grid``), read with grid coupling lines and no layer
+    file.
     """
     text = _read_text(edge_path)
     if directive := _DIMS.search(text):
-        net = _load_grid(edge_path, text, directive, layer_path, n_nodes)
-    else:
+        return _load_grid(edge_path, text, directive, layer_path, n_nodes)
+    if layer_path is not None:
+        aspects, declared, cells = _load_layer_table(layer_path)
+
+    def rules(layer, *columns):  # an undeclared layer id is a row's last rule
+        checks = _edge_rules(n_nodes, layer, *columns)
         if layer_path is not None:
-            aspects, declared, cells = _load_layer_table(layer_path)
+            checks.append((~np.isin(layer, declared), ParseError,
+                           lambda k: f"layer id {layer[k]} not declared in {layer_path}"))
+        return checks
 
-        def rules(layer, *columns):  # an undeclared layer id is a row's last rule
-            checks = _edge_rules(n_nodes, layer, *columns)
-            if layer_path is not None:
-                checks.append((~np.isin(layer, declared), ParseError,
-                               lambda k: f"layer id {layer[k]} not declared in {layer_path}"))
-            return checks
-
-        table = _read_rows(edge_path, text, _Table(
-            "expected: layerId nodeId nodeId [weight]", (3, 4),
-            ("layer id", "node id", "node id"), "edge weight"), rules)
-        del text  # the rows are parsed: the text is not held while the network is built
-        layer = table[0][0]
-        if layer_path is not None:  # every id is declared
-            cell = cells[np.searchsorted(declared, layer)]
-        else:
-            layer_ids = np.unique(layer).tolist()
-            if not layer_ids:
-                raise ParseError("edge file has no edges and no layer file was given", edge_path)
-            if layer_ids != list(range(1, len(layer_ids) + 1)):
-                raise ParseError("layer ids must be contiguous from 1 without a layer file, "
-                                 f"got {layer_ids}", edge_path)
-            aspects = (Aspect(name="aspect-1", layers=tuple(f"layer-{i}" for i in layer_ids)),)
-            cell = layer - 1
-        net = _cells_network(edge_path, aspects, cell, table, n_nodes)
-    if coupling_path is not None:
-        net = net.with_couplings(load_couplings(coupling_path, net, net.n_nodes)[0])
-    return net
+    table = _read_rows(edge_path, text, _Table(
+        "expected: layerId nodeId nodeId [weight]", (3, 4),
+        ("layer id", "node id", "node id"), "edge weight"), rules)
+    del text  # the rows are parsed: the text is not held while the network is built
+    layer = table[0][0]
+    if layer_path is not None:  # every id is declared
+        cell = cells[np.searchsorted(declared, layer)]
+    else:
+        layer_ids = np.unique(layer).tolist()
+        if not layer_ids:
+            raise ParseError("edge file has no edges and no layer file was given", edge_path)
+        if layer_ids != list(range(1, len(layer_ids) + 1)):
+            raise ParseError("layer ids must be contiguous from 1 without a layer file, "
+                             f"got {layer_ids}", edge_path)
+        aspects = (Aspect(name="aspect-1", layers=tuple(f"layer-{i}" for i in layer_ids)),)
+        cell = layer - 1
+    return _cells_network(edge_path, aspects, cell, table, n_nodes)
 
 
 def _cells_network(path: str, aspects: tuple[Aspect, ...], cell: np.ndarray, table,
@@ -438,8 +434,9 @@ def load_dataset(manifest_path: str):
     def resolve(name):
         return None if name is None else os.path.join(base, name)
 
-    net = load_multiplex(resolve(edge_file), resolve(values.get("layer_file")),
-                         resolve(values.get("coupling_file")), n_nodes=n_nodes)
+    net = load_multiplex(resolve(edge_file), resolve(values.get("layer_file")), n_nodes=n_nodes)
+    if "coupling_file" in values:
+        net = net.with_couplings(load_couplings(resolve(values["coupling_file"]), net, n_nodes)[0])
     for what, declared, found in (
             ("layers", n_layers, net.n_cells),
             ("aspects", n_aspects, len(net.aspects)),

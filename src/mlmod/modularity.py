@@ -10,7 +10,8 @@ node-copy entries equal to the signed coupling strengths.  The sum of all
 entries is chi; the Hamiltonian of the static derivation is
 ``H = -sum_xy D_xy (2 [g_x = g_y] - 1) = chi - 2 Q``.
 
-``quality_matrix`` is the only code that builds D.  It holds D in
+``quality_matrix`` is the only code that builds D, and the only code that
+sums each layer's strengths k and total weight m for it.  It holds D in
 factored form, a sparse matrix plus one rank-one null term per layer and
 null piece, whose memory and products cost O(nnz + N L^2); the
 optimizers and the scorer work on it, and ``build_modularity_matrix``
@@ -77,15 +78,6 @@ class Partition:
         rank = np.empty_like(first)
         rank[np.argsort(first)] = np.arange(first.size)
         return Partition(rank[inverse])
-
-
-def _warn_empty(kind: str | None, cell: int):
-    edges = f"{kind} edges" if kind else "edges"
-    warnings.warn(
-        f"layer cell {cell} has no {edges}; its within-layer term is 0",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def modularity(net: MultilayerNetwork, spec: CouplingSpec, params: ModularityParams,
@@ -364,36 +356,46 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
                    params: ModularityParams) -> tuple[QualityMatrix, float]:
     """D in factored form, and chi, the sum of its entries.
 
-    A layer cell, or in signed networks its '+' or '-' edge subset, with no
-    edges warns and gets no null term.
+    The null model comes from every cell's edges stacked once: each null
+    piece's strengths and each cell's total weight are sums over them, edge
+    by edge in table order (an edge adds to k_i, then k_j).  A layer cell,
+    or in signed networks its '+' or '-' edge subset, with no edges warns
+    and gets no null term.
     """
-    if net.has_negative_edges and not params.signed:
+    N, n, L = net.n_nodes, net.supra_size, net.n_cells
+    cell = np.repeat(np.arange(L), [len(e) for e in net.within_edges])
+    heads, tails, w = (np.concatenate([getattr(e, a) for e in net.within_edges]) for a in "ijw")
+    heads += cell * N
+    tails += cell * N
+    if (w < 0).any() and not params.signed:
         raise DomainError(
             "network has negative edge weights; use signed modularity parameters"
         )
-    if len(params.gamma) != net.n_cells:
+    if len(params.gamma) != L:
         raise DomainError("params do not match the network's layer cells")
     if params.signed:
-        pieces = (("+", 1.0, "positive"), ("-", -1.0, "negative"))
-        gammas = params.gamma_signed()
+        sign, gamma = np.array([[1.0], [-1.0]]), params.gamma_signed()
+        kinds = ("positive edges", "negative edges")
+        pieces = (np.where(w > 0, w, 0.0), np.where(w < 0, -w, 0.0))
     else:
-        pieces, gammas = ((None, 1.0, None),), (params.gamma,)
-    N, n = net.n_nodes, net.supra_size
-    strengths = np.zeros((len(pieces), n))
-    coefs = np.zeros((len(pieces), net.n_cells))
-    entries = []  # (rows, cols, values) blocks of the upper triangle of B
-    within_bias = 0.0
-    for t in range(net.n_cells):
-        lam, e = params.lam[t], net.within_edges[t]
-        entries.append((e.i + t * N, e.j + t * N, e.w * lam))
-        for p, ((subset, sign, kind), gamma) in enumerate(zip(pieces, gammas)):
-            stats = net.layer_stats(t, subset)
-            if stats.total_weight <= 0:
-                _warn_empty(kind, t)
-                continue
-            strengths[p, t * N:(t + 1) * N] = stats.strengths
-            coefs[p, t] = sign * lam * gamma[t] / (2.0 * stats.total_weight)
-            within_bias += sign * lam * (1.0 - gamma[t]) * 2.0 * stats.total_weight
+        sign, gamma, kinds, pieces = np.ones((1, 1)), (params.gamma,), ("edges",), (w,)
+    lam, gamma = np.asarray(params.lam, dtype=float), np.array(gamma)
+    ends = np.column_stack((heads, tails)).ravel()
+    strengths = np.array([np.bincount(ends, weights=np.repeat(k, 2), minlength=n)
+                          for k in pieces])
+    m = np.array([np.bincount(cell, weights=k, minlength=L) for k in pieces])
+    full = m > 0
+    coefs = np.divide(sign * lam * gamma, 2.0 * m, out=np.zeros(m.shape), where=full)
+    # one running sum from 0.0, cell-major and piece-minor, over the non-empty pairs
+    bias = (sign * lam * (1.0 - gamma) * 2.0 * m).T[full.T]
+    within_bias = float(np.cumsum(np.r_[0.0, bias])[-1])
+    for t, p in zip(*np.nonzero(~full.T)):  # cell by cell, then piece by piece
+        warnings.warn(f"layer cell {t} has no {kinds[p]}; its within-layer term is 0",
+                      RuntimeWarning, stacklevel=2)
+    # (rows, cols, values) blocks of B's upper triangle; the stacked edges are
+    # the first, and nothing else of them is held through the CSR build
+    entries = [(heads, tails, w * lam[cell])]
+    del heads, tails, w, cell, ends, pieces
     ca, cb, ctil = _coupling_strengths(net, spec)
     nodes = np.arange(N)
     entries.append(((ca[:, None] * N + nodes).ravel(), (cb[:, None] * N + nodes).ravel(),
@@ -413,6 +415,6 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
     indices = rows[order]
     del rows
     np.subtract(order, e, out=order, where=order >= e)
-    cells = np.repeat(np.arange(net.n_cells), N)
+    cells = np.repeat(np.arange(L), N)
     return (QualityMatrix(indptr, indices, vals[order], cells, strengths, coefs),
             within_bias + coupling_sum)

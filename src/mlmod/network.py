@@ -12,6 +12,8 @@ Each layer cell holds its edges as arrays (``Edges``).  Couplings connect
 a node only with its own copies in other cells and are held as an int
 array of ``(node, cell_a, cell_b)`` rows with ``cell_a < cell_b``
 (``Couplings``), which makes the stored set symmetric by construction.
+The network holds edges only, not their sums: ``modularity.quality_matrix``
+sums each layer's strengths and total weight.
 """
 
 from __future__ import annotations
@@ -124,18 +126,6 @@ class Aspect:
 
 
 @dataclass(frozen=True)
-class LayerStats:
-    """Within-layer node strengths k_i and total edge weight m.
-
-    Each undirected edge is counted once in ``total_weight``, so the
-    strengths always satisfy ``sum(k) == 2 * m``.
-    """
-
-    strengths: np.ndarray
-    total_weight: float
-
-
-@dataclass(frozen=True)
 class MultilayerNetwork:
     """Immutable aspect-layer multilayer network.
 
@@ -197,28 +187,6 @@ class MultilayerNetwork:
         return self.n_cells * self.n_nodes
 
     # -- derived structure -------------------------------------------------
-
-    @cached_property
-    def has_negative_edges(self) -> bool:
-        return any(bool((e.w < 0).any()) for e in self.within_edges)
-
-    def layer_stats(self, cell: int, sign: str | None = None) -> LayerStats:
-        """Stats of one layer; ``sign`` restricts to the '+' or '-' edge subset.
-
-        For the '-' subset the strengths are computed on absolute weights.
-        Sums run edge by edge in table order (each edge adds to k_i, then
-        k_j); edges outside the subset add 0.
-        """
-        if sign not in (None, "+", "-"):
-            raise DomainError(f"sign must be None, '+' or '-', got {sign!r}")
-        e = self.within_edges[cell]
-        w = e.w
-        if sign is not None:
-            w = np.where(w > 0, w, 0.0) if sign == "+" else np.where(w < 0, -w, 0.0)
-        k = np.bincount(np.column_stack((e.i, e.j)).ravel(), weights=np.repeat(w, 2),
-                        minlength=self.n_nodes)
-        return LayerStats(strengths=_frozen(k, float),
-                          total_weight=float(np.cumsum(np.r_[0.0, w])[-1]))
 
     def with_couplings(self, couplings: Couplings | Iterable[tuple[int, int, int]]
                        ) -> "MultilayerNetwork":

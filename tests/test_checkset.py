@@ -46,9 +46,13 @@ def test_written_record_verifies_and_moves_are_named(tmp_path):
     assert "new      grid/result_mspec.txt\n" in proc.stdout
 
 
-def test_options_of_the_other_use_are_refused():
+def test_options_of_the_other_use_are_refused(tmp_path):
+    record = str(tmp_path / "checkset.json")  # a write that ran would not touch CHECKSET.json
     for args, error in ((["verify", "--against", "HEAD"], "--against goes with a ladder LABEL"),
-                        (["label", "--only", "grid"], "--only and --file go with write")):
+                        (["label", "--only", "grid"], "--only and --file go with write"),
+                        (["verify", "--only", "grdi"], "unknown check-set run grdi; the runs are"),
+                        (["write", "--only", "grid", "grdi", "--file", record],
+                         "unknown check-set run grdi; the runs are compare-3006")):
         proc = checkset(*args)
         assert proc.returncode == 2
         assert error in proc.stderr

@@ -22,6 +22,7 @@ from mlmod import (
 )
 from mlmod import cli
 from mlmod.cli import DEFAULT_OMEGAS, _seed_for, main
+from mlmod.io import load_couplings
 
 from oracles import oracle_matrix, q_pairwise
 
@@ -539,8 +540,8 @@ class TestWorkersAndStrategies:
         (tmp_path / "e.txt").write_text("1 1 2 1.0\n1 2 3 2.0\n2 1 3 1.0\n2 2 3 0.5\n")
         (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
         (tmp_path / "c.txt").write_text("1 1 1 2 1 0.75\n3 1 1 2 1 0.25\n")
-        net = load_multiplex(str(tmp_path / "e.txt"), str(tmp_path / "l.txt"),
-                             str(tmp_path / "c.txt"), n_nodes=3)
+        net = load_multiplex(str(tmp_path / "e.txt"), str(tmp_path / "l.txt"), n_nodes=3)
+        net = net.with_couplings(load_couplings(str(tmp_path / "c.txt"), net, 3)[0])
         spec = CouplingSpec(strategy="explicit")
         q = mspec_detect(net, spec, ModularityParams.for_network(net)).q_total
         assert run_cli(["detect", "--input", str(tmp_path / "e.txt"),

@@ -14,6 +14,7 @@ from mlmod import (
     Division,
     DomainError,
     MlmodError,
+    ModularityParams,
     MultilayerNetwork,
     ParseError,
     Partition,
@@ -22,9 +23,10 @@ from mlmod import (
     load_multiplex,
     load_result,
     mspec_detect,
+    quality_matrix,
     save_result,
 )
-from mlmod.io import load_closeness, load_dataset, load_labels, load_params_file
+from mlmod.io import load_closeness, load_couplings, load_dataset, load_labels, load_params_file
 from mlmod.datasets import karate_manifest_path
 
 from oracles import dense_adjacency, write_multiplex
@@ -59,10 +61,10 @@ class TestLoadMultiplex:
     def test_karate_counts(self):
         net, truth = load_karate()
         assert net.n_nodes == 34
-        stats = net.layer_stats(0)
-        assert stats.total_weight == 78
-        assert stats.strengths[0] == 16
-        assert stats.strengths[33] == 17
+        qm, _ = quality_matrix(net, CouplingSpec(), ModularityParams.for_network(net))
+        assert qm.coefs[0, 0] == 1.0 / 156.0  # 1 / 2m, m = 78
+        assert qm.strengths[0, 0] == 16
+        assert qm.strengths[0, 33] == 17
         assert (truth == 1).sum() == 16 and (truth == 2).sum() == 18
 
     def test_malformed_line_reports_position(self, tmp_path):
@@ -115,7 +117,8 @@ class TestLoadMultiplex:
         layer.write_text("1 1 first\n2 1 second\n3 2 other\n")
         coup = tmp_path / "c.txt"
         coup.write_text("2 1 1 2 1\n1 1 1 1 2\n")
-        net = load_multiplex(str(edge), str(layer), str(coup), n_nodes=3)
+        net = load_multiplex(str(edge), str(layer), n_nodes=3)
+        net = net.with_couplings(load_couplings(str(coup), net, 3)[0])
         assert net.aspect_sizes == (2, 1)
         assert (1, 0, 1) in net.couplings
         assert (0, 0, 2) in net.couplings
@@ -141,7 +144,8 @@ class TestLoadMultiplex:
         layer = tmp_path / "l.txt"
         coup = tmp_path / "c.txt"
         write_multiplex(net0, str(edge), str(layer), str(coup))
-        net1 = load_multiplex(str(edge), str(layer), str(coup), n_nodes=34)
+        net1 = load_multiplex(str(edge), str(layer), n_nodes=34)
+        net1 = net1.with_couplings(load_couplings(str(coup), net1, 34)[0])
         assert net1.within_edges == net0.within_edges
         assert net1.couplings == net0.couplings
         assert net1.aspect_sizes == net0.aspect_sizes
@@ -640,9 +644,12 @@ class TestAspectGridFile:
         assert [len(e) for e in net.within_edges] == [1, 0, 0, 1]
 
     def test_a_dims_later_in_a_line_is_no_directive(self, tmp_path):
+        # the directive's first token is #dims itself: #dims2 and #dims_note are comments
         p = tmp_path / "e.txt"
-        p.write_text("# about #dims 2 2\n1 1 2\n")
-        assert load_multiplex(str(p)).dims is None
+        for comment in ("# about #dims 2 2", "#dims2 3", "#dims_note: see README"):
+            p.write_text(f"{comment}\n1 1 2\n")
+            net = load_multiplex(str(p))
+            assert (net.dims, net.n_cells) == (None, 1), comment
 
     def test_a_manifest_names_a_grid_and_its_couplings(self, tmp_path):
         (tmp_path / "g.txt").write_text("#dims 2 2\n1,1 1 2\n2,2 2 3 0.5\n")
@@ -673,8 +680,9 @@ class TestAspectGridFile:
         grid, coup = tmp_path / "grid.txt", tmp_path / "c.txt"
         grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
         coup.write_text("# nodeId cA cB\n" + line + "\n")
+        net = load_multiplex(str(grid))
         with pytest.raises(DomainError) as exc:
-            load_multiplex(str(grid), coupling_path=str(coup))
+            load_couplings(str(coup), net, net.n_nodes)
         assert str(exc.value) == f"{coup}:2: {message}"
 
     def test_dims_directive_without_dimensions(self, tmp_path):
@@ -692,8 +700,9 @@ class TestAspectGridFile:
         grid, coup = tmp_path / "grid.txt", tmp_path / "c.txt"
         grid.write_text("#dims 2 2\n1,1 1 2 1.0\n")
         coup.write_text("# nodeId cA cB\n" + line + "\n")
+        net = load_multiplex(str(grid))
         with pytest.raises(ParseError) as exc:
-            load_multiplex(str(grid), coupling_path=str(coup))
+            load_couplings(str(coup), net, net.n_nodes)
         assert str(exc.value) == f"{coup}:2: {message}"
 
     def test_non_positive_dims(self, tmp_path):

@@ -318,7 +318,8 @@ def test_magnitudes_survive_a_save_and_load(tmp_path):
     net = _grid_net().with_couplings(Couplings([(0, 0, 1), (3, 1, 2)], [0.0, 0.25]))
     paths = [str(tmp_path / name) for name in ("e.txt", "l.txt", "c.txt")]
     write_multiplex(net, *paths)
-    back = load_multiplex(*paths, n_nodes=4)
+    back = load_multiplex(*paths[:2], n_nodes=4)
+    back = back.with_couplings(load_couplings(paths[2], back, 4)[0])
     assert back.couplings == net.couplings
     assert back.couplings.magnitude.tolist() == [0.0, 0.25]
 
@@ -364,7 +365,7 @@ def test_tuple_and_array_networks_give_identical_quality_matrices(
     rebuilt = MultilayerNetwork(n_nodes=arrays.n_nodes, aspects=arrays.aspects,
                                 within_edges=tuple(tuple(e) for e in arrays.within_edges),
                                 couplings=frozenset(arrays.couplings))
-    if arrays.has_negative_edges and not signed:
+    if any((e.w < 0).any() for e in arrays.within_edges):
         signed = True
     params = ModularityParams.for_network(arrays, gamma=0.7, signed=signed)
     spec = CouplingSpec(omega=0.5)
@@ -379,16 +380,33 @@ def test_tuple_and_array_networks_give_identical_quality_matrices(
 
 
 @settings(max_examples=60, deadline=None)
-@given(edges=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
-                                st.sampled_from([0.1, 0.2, 0.7, 1e-300, -0.3, -1e-16])),
-                      max_size=25))
-def test_layer_stats_sum_edge_by_edge(edges):
-    net = MultilayerNetwork(n_nodes=5, aspects=(Aspect("a", ("x",)),),
-                            within_edges=(normalize_edges([e for e in edges if e[0] != e[1]], 5),))
-    for sign in (None, "+", "-"):
-        stats = net.layer_stats(0, sign)
-        k, m = layer_stats_reference(net, 0, sign)
-        assert stats.strengths.tolist() == k.tolist() and stats.total_weight == m
+@given(cells=st.lists(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                         st.sampled_from([0.1, 0.2, 0.7, 1e-300, -0.3, -1e-16])),
+                               max_size=25), min_size=1, max_size=3),
+       signed=st.booleans())
+def test_layer_stats_sum_edge_by_edge(cells, signed):
+    # every cell's strengths and coefficients, bit for bit, the last cell empty
+    cells = [normalize_edges([e for e in c if e[0] != e[1]], 5) for c in cells] + [()]
+    net = MultilayerNetwork(n_nodes=5, aspects=(Aspect("a", tuple(map(str, range(len(cells))))),),
+                            within_edges=tuple(cells))
+    signed = signed or any((e.w < 0).any() for e in net.within_edges)
+    params = ModularityParams.for_network(net, gamma=[0.7 + 0.2 * t for t in range(len(cells))],
+                                          lam=[1.5 - 0.25 * t for t in range(len(cells))],
+                                          signed=signed, gamma_minus=1.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qm, _ = quality_matrix(net, CouplingSpec(omega=0.0), params)
+    empty = len(cells) - 1
+    assert f"layer cell {empty} has no" in str(caught[-1].message)
+    pieces = [(None, 1.0, params.gamma)]
+    if signed:
+        pieces = zip(("+", "-"), (1.0, -1.0), params.gamma_signed())
+    for p, (subset, sign, gamma) in enumerate(pieces):
+        for t in range(len(cells)):
+            k, m = layer_stats_reference(net, t, subset)
+            assert qm.strengths[p, 5 * t:5 * (t + 1)].tobytes() == k.tobytes()
+            coef = sign * params.lam[t] * gamma[t] / (2.0 * m) if m > 0 else 0.0
+            assert qm.coefs[p, t] == coef
 
 
 def test_edges_read_as_triples():
@@ -422,11 +440,13 @@ def test_plain_files_never_reach_the_line_loop(tmp_path, monkeypatch):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     path = lambda name: str(tmp_path / name)
-    net = load_multiplex(path("e3.txt"), path("l.txt"), path("c5.txt"))
+    net = load_multiplex(path("e3.txt"), path("l.txt"))
+    net = net.with_couplings(load_couplings(path("c5.txt"), net, net.n_nodes)[0])
     assert tuple(net.within_edges[0]) == ((0, 1, 1.0), (0, 2, 1.0))
     assert tuple(net.within_edges[1]) == ((1, 2, 1.0),)
     assert net.couplings == {(0, 0, 1), (2, 0, 1)} and net.couplings.magnitude is None
-    net = load_multiplex(path("e4.txt"), path("l.txt"), path("c6.txt"))
+    net = load_multiplex(path("e4.txt"), path("l.txt"))
+    net = net.with_couplings(load_couplings(path("c6.txt"), net, net.n_nodes)[0])
     assert tuple(net.within_edges[0]) == ((0, 1, 1.0), (0, 2, 1e-300))
     assert tuple(net.within_edges[1]) == ((1, 2, 0.5),)
     assert net.couplings.magnitude.tolist() == [0.5, 0.0]
@@ -542,16 +562,17 @@ def test_grid_file_reads_as_its_flattened_files(grid, tmp_path_factory):
         f"{cell(c)} {i} {j}{tail(w)}\n" for c, (i, j), w in edges))
     layer_path = _write(tmp_path_factory, "".join(
         f"{t} 1 l{t}\n" for t in range(1, int(np.prod(dims)) + 1)), "l.txt")
-    grid_couplings = flat_couplings = None
+    n = n_nodes if declared else None
+    got = load_multiplex(grid_path, n_nodes=n)
+    want = load_multiplex(edge_path, layer_path, n_nodes=n)
     if couplings is not None:
         grid_couplings = _write(tmp_path_factory, "".join(
             f"{node} {','.join(map(str, a))} {','.join(map(str, b))}\n"
             for node, a, b in couplings), "gc.txt")
         flat_couplings = _write(tmp_path_factory, "".join(
             f"{node} {cell(a)} 1 {cell(b)} 1\n" for node, a, b in couplings), "c.txt")
-    n = n_nodes if declared else None
-    got = load_multiplex(grid_path, n_nodes=n, coupling_path=grid_couplings)
-    want = load_multiplex(edge_path, layer_path, flat_couplings, n_nodes=n)
+        got = got.with_couplings(load_couplings(grid_couplings, got, got.n_nodes)[0])
+        want = want.with_couplings(load_couplings(flat_couplings, want, want.n_nodes)[0])
     assert got.n_nodes == want.n_nodes
     assert [(e.i.tobytes(), e.j.tobytes(), e.w.tobytes()) for e in got.within_edges] == \
         [(e.i.tobytes(), e.j.tobytes(), e.w.tobytes()) for e in want.within_edges]
@@ -590,8 +611,8 @@ def _first_bad_line_case(reader, tmp_path):
                 "node id 99 out of range 1..4")
     if reader == "grid couplings":
         path = write("gc.txt", "1 1 2\n9 1 2\n1 1 x\n")
-        grid_path = write("g.txt", "#dims 2\n1 1 2\n2 2 3\n")
-        return (lambda: load_multiplex(grid_path, coupling_path=path), path, 2, DomainError,
+        grid_net = load_multiplex(write("g.txt", "#dims 2\n1 1 2\n2 2 3\n"))
+        return (lambda: load_couplings(path, grid_net, 3), path, 2, DomainError,
                 "node id 9 out of range 1..3")
     if reader == "labels":
         path = write("gt.txt", "1 1\n1 0\n3 x\n")

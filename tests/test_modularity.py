@@ -121,8 +121,8 @@ class TestNullModel:
 
     def test_karate_first_node(self):
         net, _ = load_karate()
-        stats = net.layer_stats(0)
-        assert stats.total_weight == 78
+        qm, _ = quality_matrix(net, CouplingSpec(), ModularityParams.for_network(net))
+        assert qm.coefs[0, 0] == 1.0 / 156.0  # 1 / 2m, m = 78
         assert null_model_ng(net, 1, 1) == pytest.approx(256.0 / 156.0, rel=0, abs=0)
 
 
@@ -171,7 +171,8 @@ class TestMatrix:
         hi = build_modularity_matrix(
             two_cliques, spec, ModularityParams.for_network(two_cliques, gamma=1.5)
         ).matrix
-        k = two_cliques.layer_stats(0).strengths
+        qm, _ = quality_matrix(two_cliques, spec, ModularityParams.for_network(two_cliques))
+        k = qm.strengths[0]
         for i in range(6):
             for j in range(6):
                 if k[i] > 0 and k[j] > 0:

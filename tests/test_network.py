@@ -19,7 +19,7 @@ from mlmod import (
     load_multiplex,
     quality_matrix,
 )
-from mlmod.io import _cells
+from mlmod.io import _cells, load_couplings
 
 from conftest import make_single_layer
 from oracles import dense_adjacency, inverse_node_index, node_index
@@ -219,7 +219,8 @@ class TestAspectGrid:
         p, c = tmp_path / "grid.txt", tmp_path / "c.txt"
         p.write_text("#dims 2 2\n")
         c.write_text("1 1,1 2,1\n1 2,2 1,2\n")  # first index varies
-        net = load_multiplex(str(p), n_nodes=2, coupling_path=str(c))
+        net = load_multiplex(str(p), n_nodes=2)
+        net = net.with_couplings(load_couplings(str(c), net, 2)[0])
         # row-major cells: (1,1) -> 0, (1,2) -> 1, (2,1) -> 2, (2,2) -> 3
         assert set(net.couplings) == {(0, 0, 2), (0, 1, 3)}
         for node, ta, tb in net.couplings:  # coupled cells differ exactly in the first index
@@ -256,6 +257,6 @@ class TestAspectGrid:
 
 
 def test_layer_stats_strength_sum(two_cliques):
-    stats = two_cliques.layer_stats(0)
-    assert stats.total_weight == 6.0
-    assert stats.strengths.sum() == 2.0 * stats.total_weight
+    qm, _ = quality_matrix(two_cliques, CouplingSpec(), ModularityParams.for_network(two_cliques))
+    assert qm.coefs[0, 0] == 1.0 / 12.0  # 1 / 2m, m = 6
+    assert qm.strengths[0].sum() == 2.0 * 6.0
