@@ -50,8 +50,9 @@ Check-set runs:
     compare-signed   compare on the four-layer replica, signed, normalized,
                      two repeats, seed 11
     grid             mspec detect on a #dims 2 3 grid and its couplings
-    closeness        mspec detect on the four-layer replica under a
-                     parameter file that names a closeness matrix, seed 11
+    closeness        mspec detect on the four-layer replica under the
+                     closeness strategy, its matrix named by a parameter
+                     file, seed 11
     temporal         the same under the temporal strategy
     explicit         the same under the explicit strategy, with a coupling
                      file whose lines carry magnitudes
@@ -187,8 +188,7 @@ def strategies(directory: str):
     rng = np.random.default_rng(24)
     os.makedirs(directory)
     paths = [os.path.join(directory, name) for name in ("p.txt", "closeness.txt", "c.txt")]
-    texts = [["# four layer cells", "coupling.strategy = closeness",
-              "closeness.file = closeness.txt", "omega = 0.5", "gamma = 1"],
+    texts = [["# four layer cells", "closeness.file = closeness.txt"],
              ["0 1 0.5 0.25", "1 0 1 0.5", "0.5 1 0 1", "0.25 0.5 1 0"],
              ["# nodeId layerA aspectA layerB aspectB magnitude"]
              + [f"{node} {a} 1 {a + 1} 1 {rng.integers(1, 5) / 4}"
@@ -196,7 +196,8 @@ def strategies(directory: str):
     for path, lines in zip(paths, texts):
         write_lines(path, lines)
     replica = ["detect", "--dataset", "karate-replica", "--layers", "4", "--seed", "11"]
-    yield "closeness", replica + ["--params-file", paths[0]]
+    yield "closeness", replica + ["--coupling-strategy", "closeness", "--omega", "0.5",
+                                  "--gamma", "1", "--params-file", paths[0]]
     yield "temporal", replica + ["--coupling-strategy", "temporal", "--gamma", "1"]
     yield "explicit", replica + ["--coupling-strategy", "explicit", "--couplings-file", paths[2],
                                  "--gamma", "1"]

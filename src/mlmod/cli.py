@@ -4,7 +4,9 @@ Subcommands: ``detect`` (one algorithm, one parameter point), ``sweep``
 (label tables across a coupling-strength grid) and ``compare`` (the four
 algorithms across a coupling-density grid).  Each reads its network from
 one of ``--input`` (a flat edge file, or a grid under a ``#dims`` line),
-``--manifest`` and ``--dataset``.  Exit codes: 0 success, 1 solver
+``--manifest`` and ``--dataset``.  Each setting has one route: its flag,
+or a ``--params-file`` for the three no flag holds (``closeness.file``,
+``gamma.plus`` and ``gamma.minus``).  Exit codes: 0 success, 1 solver
 failure, 2 input error.
 """
 
@@ -59,8 +61,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, nargs="+",
                    help="layer weight(s): one value or one per layer")
     p.add_argument("--omega", type=float, nargs="+", help="coupling strength(s)")
-    p.add_argument("--coupling-strategy", default=None, choices=COUPLING_STRATEGIES)
-    p.add_argument("--params-file", help="key-value parameter file")
+    p.add_argument("--coupling-strategy", default="uniform", choices=COUPLING_STRATEGIES)
+    p.add_argument("--params-file",
+                   help="key-value file of closeness.file, gamma.plus and gamma.minus")
     p.add_argument("--seed", type=int, default=0,
                    help="non-negative integer seed for stochastic steps")
     p.add_argument("--normalized", action="store_true",
@@ -97,42 +100,44 @@ def _resolve_network(args):
 def _setup(args, sweep_omegas=None):
     """The network, its ModularityParams and one CouplingSpec per omega of a
     detect, sweep or compare run.  Each setting comes from its flag, else
-    from the parameter file, else from its default.  Without
-    ``sweep_omegas``, the default grid of a sweep, the run takes one omega."""
+    from its default; the parameter file holds only what no flag does.
+    Without ``sweep_omegas``, the default grid of a sweep, the run takes one
+    omega."""
     if args.seed < 0:  # checked also where no step of the run draws from it
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     net = _resolve_network(args)
     fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
     ladder = ([round(0.1 * (s + 1), 10) for s in range(net.n_cells)]
               if args.dataset == "karate-replica" else 1.0)
-    value = {key: fpar.get(key, default) if flag is None else flag for key, flag, default in (
-        ("gamma", args.gamma, ladder),
-        ("lambda", args.lam, 1.0),
-        ("omega", args.omega, sweep_omegas or 1.0),
-        ("coupling.strategy", args.coupling_strategy, "uniform"),
-        # --signed and --normalized can only turn their setting on
-        ("signed", args.signed or None, False),
-        ("normalization", "normalized" if args.normalized else None, "raw"),
-    )}
     params = ModularityParams.for_network(
-        net, gamma=value["gamma"], lam=value["lambda"], normalization=value["normalization"],
-        signed=value["signed"], gamma_plus=fpar.get("gamma.plus"),
-        gamma_minus=fpar.get("gamma.minus"),
+        net, gamma=args.gamma or ladder, lam=args.lam or 1.0,
+        normalization="normalized" if args.normalized else "raw", signed=args.signed,
+        gamma_plus=fpar.get("gamma.plus"), gamma_minus=fpar.get("gamma.minus"),
     )
-    omegas = np.ravel(value["omega"]).tolist()
+    omegas = args.omega or sweep_omegas or [1.0]
     if sweep_omegas is None and len(omegas) != 1:
         raise DomainError("this command takes exactly one --omega value")
-    return net, params, [CouplingSpec(value["coupling.strategy"], omega,
-                                      fpar.get("closeness.file")) for omega in omegas]
+    return net, params, [CouplingSpec(args.coupling_strategy, omega, fpar.get("closeness.file"))
+                         for omega in omegas]
 
 
-def _check_drawn(args, spec, run: str) -> None:
-    """A ``run`` that draws its couplings would discard a coupling file, and
+def _columns(flag: str, values) -> list[str]:
+    """The table column each grid value of ``flag`` names; two values that
+    would name one column (its runs would repeat or blur into one) raise."""
+    columns = [f"{flag.lstrip('-')}={v + 0.0:g}" for v in values]  # -0.0 + 0.0 is 0.0
+    for column in columns:
+        if columns.count(column) > 1:
+            raise DomainError(f"{flag} values name the column {column} more than once")
+    return columns
+
+
+def _check_drawn(args, spec) -> None:
+    """compare draws its couplings: it would discard a coupling file, and
     its drawn couplings carry no magnitudes for the explicit strategy."""
     if args.couplings_file:
-        raise DomainError(f"{run} draws its couplings: --couplings-file would be discarded")
+        raise DomainError("compare draws its couplings: --couplings-file would be discarded")
     if spec.strategy == "explicit":
-        raise DomainError(f"{run} draws its couplings, which carry no magnitudes: "
+        raise DomainError("compare draws its couplings, which carry no magnitudes: "
                           "the explicit strategy would set every coupling to 0")
 
 
@@ -173,12 +178,7 @@ def _write_table(rows, header, csv_path, txt_path):
 
 
 def cmd_detect(args) -> int:
-    if args.rho is not None and not 0.0 <= args.rho <= 1.0:
-        raise DomainError(f"--rho must lie in [0, 1], got {args.rho}")
     net, params, (spec,) = _setup(args)
-    if args.rho is not None:
-        _check_drawn(args, spec, "--rho")
-        net = net.with_couplings(generate_couplings(net, args.rho, args.seed))
     algorithm = args.algorithm or "mspec"
     out = _ensure_out(args)
     result = _run_algorithm(algorithm, net, spec, params, args, args.seed)
@@ -193,6 +193,7 @@ def cmd_sweep(args) -> int:
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
     net, params, specs = _setup(args, DEFAULT_OMEGAS)
+    columns = _columns("--omega", [spec.omega for spec in specs])
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
@@ -209,17 +210,17 @@ def cmd_sweep(args) -> int:
     for x, (i, s, v) in enumerate(cells):
         row = [i, s, v] + [int(res.partition.labels[x]) + 1 for res in results]
         labels_rows.append(row)
-    header = ["nodeId", "layerId", "aspectId"] + [f"omega={spec.omega:g}" for spec in specs]
+    header = ["nodeId", "layerId", "aspectId"] + columns
     _write_table(labels_rows, header,
                  os.path.join(out, "sweep_labels.csv"),
                  os.path.join(out, "sweep_labels.txt"))
 
     summary = []
-    for idx, (spec, res) in enumerate(zip(specs, results)):
+    for idx, (column, res) in enumerate(zip(columns, results)):
         grid = res.partition.labels.reshape(net.n_cells, net.n_nodes)
         unanimous = (grid == grid[0]).all(axis=0)
         consistency = float(unanimous.mean())
-        summary.append([f"{spec.omega:g}", repr(res.q_total), res.n_communities,
+        summary.append([column.partition("=")[2], repr(res.q_total), res.n_communities,
                         repr(consistency)])
         save_result(res, os.path.join(runs_dir, f"sweep_omega_{idx}.txt"), net)
     _write_table(summary, ["omega", "Q", "communities", "consistency"],
@@ -236,6 +237,7 @@ def cmd_compare(args) -> int:
     for rho in rhos:
         if not 0.0 <= rho <= 1.0:
             raise DomainError(f"--rho values must lie in [0, 1], got {rho}")
+    columns = _columns("--rho", rhos)
     algorithms = tuple(args.algorithm) if args.algorithm else ALGORITHMS
     for name in algorithms:
         if algorithms.count(name) > 1:  # its runs would add into one row
@@ -243,7 +245,7 @@ def cmd_compare(args) -> int:
     if args.dataset is None and args.input is None and args.manifest is None:
         args.dataset = "karate-replica"
     net, params, (spec,) = _setup(args)
-    _check_drawn(args, spec, "compare")
+    _check_drawn(args, spec)
     out = _ensure_out(args)
     runs_dir = os.path.join(out, "runs")
     os.makedirs(runs_dir, exist_ok=True)
@@ -278,7 +280,7 @@ def cmd_compare(args) -> int:
         qs = q_table[name]
         table.append([name] + [repr(float(q)) for q in qs]
                      + [repr(float(np.var(qs))), repr(float(np.mean(qs)))])
-    header = ["algorithm"] + [f"rho={r:g}" for r in rhos] + ["variance", "mean"]
+    header = ["algorithm"] + columns + ["variance", "mean"]
     _write_table(table, header,
                  os.path.join(out, "compare.csv"),
                  os.path.join(out, "compare.txt"))
@@ -296,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run one algorithm at one parameter point")
     _add_common(p)
     p.add_argument("--algorithm", choices=ALGORITHMS, default="mspec")
-    p.add_argument("--rho", type=float, help="generate couplings with this density first")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("sweep", help="one detection per coupling strength")

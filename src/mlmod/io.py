@@ -26,14 +26,7 @@ from .errors import DomainError, MlmodError, ParseError
 from .mspec import DetectionResult, Division
 from .modularity import Partition
 from .network import Aspect, Couplings, Edges, MultilayerNetwork, normalize_edges
-from .params import (
-    check_closeness,
-    check_normalization,
-    check_omega,
-    check_resolutions,
-    check_strategy,
-    check_weights,
-)
+from .params import check_closeness, check_resolutions
 
 __all__ = [
     "load_multiplex",
@@ -465,53 +458,33 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
     return out
 
 
-_PARAM_KEYS = ("gamma", "lambda", "omega", "coupling.strategy", "closeness.file", "signed",
-               "gamma.plus", "gamma.minus", "normalization")
+_PARAM_KEYS = ("closeness.file", "gamma.plus", "gamma.minus")
 
 
 def load_params_file(path: str, n_cells: int) -> dict[str, object]:
     """Parse a key-value parameter file for a network of ``n_cells`` layer
     cells.
 
-    Recognised keys: ``gamma``, ``lambda`` (scalar or per-layer list),
-    ``omega``, ``coupling.strategy``, ``closeness.file``, ``signed``,
-    ``gamma.plus``, ``gamma.minus``, ``normalization``.  Returns a plain
-    dict, the closeness matrix under ``closeness.file``.  Each value is
-    checked by the rule of its setting in ``params``, a closeness matrix
-    also against ``n_cells``, whichever strategy the run takes; unknown
-    keys, a per-layer list of neither 1 nor ``n_cells`` values, and a value
-    its rule rejects raise at their line.
+    It holds the settings no flag holds: ``closeness.file``, and
+    ``gamma.plus`` and ``gamma.minus`` (one value or one per layer cell).
+    Returns a plain dict, the closeness matrix under ``closeness.file``.
+    Each value is checked by the rule of its setting in ``params``, a
+    closeness matrix also against ``n_cells``, whichever strategy the run
+    takes; any other key, a flag's setting among them, a per-layer list of
+    neither 1 nor ``n_cells`` values, and a value its rule rejects raise at
+    their line.
     """
     base = os.path.dirname(os.path.abspath(path))
 
     def parse(key, val, lineno):
-        if key in ("gamma", "lambda", "gamma.plus", "gamma.minus"):
-            vals = [_parse_float(tok, key, path, lineno) for tok in val.split()]
-            if len(vals) not in (1, n_cells):
-                counts = "1" if n_cells == 1 else f"1 or {n_cells}"
-                raise ParseError(f"expected {counts} {key} values, got {len(vals)}", path, lineno)
-            if key == "lambda":
-                check_weights(vals)
-            elif key == "gamma":
-                check_resolutions(vals)
-            else:
-                check_resolutions(vals, f"{key.replace('.', '_')} entries")
-            return vals[0] if len(vals) == 1 else vals
-        if key == "omega":
-            omega = _parse_float(val, key, path, lineno)
-            check_omega(omega)
-            return omega
-        if key == "signed":
-            if val.lower() not in ("true", "false"):
-                raise ParseError("signed must be true or false", path, lineno)
-            return val.lower() == "true"
         if key == "closeness.file":
             return check_closeness(load_closeness(os.path.join(base, val)), n_cells)
-        if key == "coupling.strategy":
-            check_strategy(val)
-        else:
-            check_normalization(val)
-        return val
+        vals = [_parse_float(tok, key, path, lineno) for tok in val.split()]
+        if len(vals) not in (1, n_cells):
+            counts = "1" if n_cells == 1 else f"1 or {n_cells}"
+            raise ParseError(f"expected {counts} {key} values, got {len(vals)}", path, lineno)
+        check_resolutions(vals, f"{key.replace('.', '_')} entries")
+        return vals[0] if len(vals) == 1 else vals
 
     return _key_values(path, "parameter", _PARAM_KEYS, parse)
 

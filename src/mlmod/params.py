@@ -19,21 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .network import MultilayerNetwork
 
 COUPLING_STRATEGIES = ("uniform", "closeness", "temporal", "explicit")
-NORMALIZATION_MODES = ("raw", "normalized")
 
 
-# The rules of each setting, shared by CouplingSpec, ModularityParams and the
-# parameter-file reader; each raises DomainError with the bare message.
-def check_strategy(strategy: str) -> None:
-    if strategy not in COUPLING_STRATEGIES:
-        raise DomainError(f"unknown coupling strategy {strategy!r}")
-
-
-def check_omega(omega: float) -> None:
-    if not np.isfinite(omega) or omega < 0:
-        raise DomainError(f"omega must be finite and >= 0, got {omega}")
-
-
+# The rules of a closeness matrix and of resolutions, which a parameter file
+# holds too, shared by CouplingSpec, ModularityParams and the parameter-file
+# reader; each raises DomainError with the bare message.
 def check_closeness(closeness, n_cells: int | None = None) -> np.ndarray:
     """A read-only copy of a valid closeness matrix, with ``n_cells`` rows
     when given."""
@@ -56,22 +46,11 @@ def check_closeness(closeness, n_cells: int | None = None) -> np.ndarray:
     return m
 
 
-def check_normalization(mode: str) -> None:
-    if mode not in NORMALIZATION_MODES:
-        raise DomainError(f"unknown normalization mode {mode!r}")
-
-
 def check_resolutions(values, what: str = "resolution gamma") -> None:
     """gamma, or ``what`` = "gamma_plus entries" / "gamma_minus entries"."""
     for g in values:
         if not np.isfinite(g) or g <= 0:
             raise DomainError(f"{what} must be finite and > 0, got {g}")
-
-
-def check_weights(values) -> None:
-    for w in values:
-        if not np.isfinite(w) or w < 0:
-            raise DomainError(f"layer weight lambda must be finite and >= 0, got {w}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +72,10 @@ class CouplingSpec:
     closeness: np.ndarray | None = None
 
     def __post_init__(self):
-        check_strategy(self.strategy)
-        check_omega(self.omega)
+        if self.strategy not in COUPLING_STRATEGIES:
+            raise DomainError(f"unknown coupling strategy {self.strategy!r}")
+        if not np.isfinite(self.omega) or self.omega < 0:
+            raise DomainError(f"omega must be finite and >= 0, got {self.omega}")
         if self.strategy == "closeness":
             if self.closeness is None:
                 raise DomainError("closeness strategy requires a closeness matrix")
@@ -118,11 +99,14 @@ class ModularityParams:
     gamma_minus: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        check_normalization(self.normalization)
+        if self.normalization not in ("raw", "normalized"):
+            raise DomainError(f"unknown normalization mode {self.normalization!r}")
         if len(self.gamma) != len(self.lam):
             raise DomainError("gamma and lambda must have one entry per layer cell")
         check_resolutions(self.gamma)
-        check_weights(self.lam)
+        for w in self.lam:
+            if not np.isfinite(w) or w < 0:
+                raise DomainError(f"layer weight lambda must be finite and >= 0, got {w}")
         for name in ("gamma_plus", "gamma_minus"):
             vals = getattr(self, name)
             if vals is None:
@@ -139,23 +123,24 @@ class ModularityParams:
         sequence over the layer cells."""
         t = net.n_cells
 
-        def broadcast(value):
+        def broadcast(name, value):
             if value is None:
                 return None
             vals = tuple(float(v) for v in np.ravel(value))
             if len(vals) == 1:
                 return vals * t
             if len(vals) != t:
-                raise DomainError(f"expected {t} per-layer values, got {len(vals)}")
+                raise DomainError(f"{name} takes one value or one per layer cell ({t}), "
+                                  f"got {len(vals)}")
             return vals
 
         return cls(
-            gamma=broadcast(gamma),
-            lam=broadcast(lam),
+            gamma=broadcast("gamma", gamma),
+            lam=broadcast("lambda", lam),
             normalization=normalization,
             signed=signed,
-            gamma_plus=broadcast(gamma_plus),
-            gamma_minus=broadcast(gamma_minus),
+            gamma_plus=broadcast("gamma_plus", gamma_plus),
+            gamma_minus=broadcast("gamma_minus", gamma_minus),
         )
 
     def gamma_signed(self) -> tuple[tuple[float, ...], tuple[float, ...]]:

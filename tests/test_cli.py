@@ -53,12 +53,14 @@ class TestDetect:
         edge.write_text("# no edges\n")
         layers = tmp_path / "l.txt"
         layers.write_text("1 1 a\n2 1 b\n")
+        couplings = tmp_path / "c.txt"
+        couplings.write_text("".join(f"{node} 1 1 2 1\n" for node in range(1, 6)))
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning):
             code = run_cli([
                 "detect", "--input", str(edge), "--layers-file", str(layers),
-                "--nodes", "5", "--omega", "1.0", "--rho", "1.0",
-                "--seed", "3", "--out", str(out),
+                "--nodes", "5", "--omega", "1.0", "--couplings-file", str(couplings),
+                "--out", str(out),
             ])
         assert code == 0
         result, _ = load_result(str(out / "result_mspec.txt"))
@@ -89,23 +91,6 @@ class TestDetect:
         q = modularity(net, CouplingSpec(omega=0.5), params, result.partition)
         assert result.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
 
-    def test_second_rho_value_exit_2(self, tmp_path, capsys):
-        try:
-            code = run_cli(["detect", "--dataset", "karate", "--rho", "0.2", "0.4",
-                            "--out", str(tmp_path / "out")])
-        except SystemExit as exc:  # argparse rejects the extra value
-            code = exc.code
-        assert code == 2
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("rho", ["1.5", "-0.1", "nan"])
-    def test_rho_outside_unit_interval_exit_2_before_any_output(self, tmp_path, capsys, rho):
-        out = tmp_path / "out"
-        code = run_cli(["detect", "--dataset", "karate", "--rho", rho, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: --rho must lie in [0, 1], got {float(rho)}\n"
-        assert not out.exists()
-
     def test_bad_ground_truth_in_manifest_exit_2(self, tmp_path, capsys):
         (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
         (tmp_path / "gt.txt").write_text("1 1\n2 1\n2 2\n")
@@ -129,12 +114,9 @@ class TestDetect:
 
 
 class TestSweep:
-    def test_params_file_omega_is_a_one_point_grid(self, tmp_path):
-        params = tmp_path / "params.txt"
-        params.write_text("omega = 0.5\n")
+    def test_one_omega_is_a_one_point_grid(self, tmp_path):
         out = tmp_path / "sweep"
-        assert run_cli(["sweep", "--layers", "2", "--params-file", str(params),
-                        "--out", str(out)]) == 0
+        assert run_cli(["sweep", "--layers", "2", "--omega", "0.5", "--out", str(out)]) == 0
         summary = (out / "sweep_summary.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in summary] == ["omega", "0.5"]
         assert (out / "sweep_labels.csv").read_text().split("\n")[0].endswith(",omega=0.5")
@@ -438,9 +420,13 @@ class TestExitCodes:
         edge.write_text("\n".join(lines) + "\n")
         layers = tmp_path / "l.txt"
         layers.write_text("1 1 a\n2 1 b\n")
+        couplings = tmp_path / "c.txt"
+        couplings.write_text("".join(f"{node} 1 1 2 1\n" for node in range(1, 301)
+                                     if rng.random() < 0.5))
         out = tmp_path / "out"
         code = run_cli(["detect", "--input", str(edge), "--layers-file", str(layers),
-                        "--nodes", "300", "--rho", "0.5", "--out", str(out)])
+                        "--nodes", "300", "--couplings-file", str(couplings),
+                        "--out", str(out)])
         assert code == 1
         assert "ARPACK error -1: no convergence" in capsys.readouterr().err
         assert not (out / "result_mspec.txt").exists()
@@ -560,10 +546,11 @@ class TestWorkersAndStrategies:
         close = tmp_path / "close.txt"
         close.write_text("0 inf 1\ninf 0 1\n1 1 0\n")
         params = tmp_path / "params.txt"
-        params.write_text("coupling.strategy = closeness\ncloseness.file = close.txt\n")
+        params.write_text("closeness.file = close.txt\n")
         where = f"{close}:1: "  # the matrix file's own line, not the parameter file's
         code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
-                        "--params-file", str(params), "--out", str(tmp_path / "out")])
+                        "--coupling-strategy", "closeness", "--params-file", str(params),
+                        "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert where in err and "finite" in err
@@ -585,18 +572,50 @@ class TestWorkersAndStrategies:
 
     def test_params_file_drives_detection(self, tmp_path):
         params_file = tmp_path / "params.txt"
-        params_file.write_text("gamma = 1.0\nomega = 2.0\n"
-                               "coupling.strategy = uniform\n")
+        params_file.write_text("gamma.plus = 1.0 0.5\ngamma.minus = 2.0\n")
+        edge = tmp_path / "e.txt"
+        edge.write_text("1 1 2 1\n1 3 4 1\n1 1 3 -1\n2 1 2 1\n2 3 4 2\n2 2 4 -1\n")
         out = tmp_path / "out"
         code = run_cli([
-            "detect", "--dataset", "karate", "--params-file", str(params_file),
-            "--out", str(out),
+            "detect", "--input", str(edge), "--signed",
+            "--params-file", str(params_file), "--out", str(out),
         ])
         assert code == 0
         result, _ = load_result(str(out / "result_mspec.txt"))
-        assert result.n_communities >= 2
+        net = load_multiplex(str(edge))
+        params = ModularityParams.for_network(net, signed=True, gamma_plus=[1.0, 0.5],
+                                              gamma_minus=2.0)
+        assert result.q_total == modularity(net, CouplingSpec(), params, result.partition)
 
-    @pytest.mark.parametrize("key", ["gamma", "lambda", "gamma.plus", "gamma.minus"])
+    @pytest.mark.parametrize("flag", ["--gamma", "--lambda"])
+    @pytest.mark.parametrize("argv, values, cells", [
+        (["--dataset", "karate"], ["1", "1"], 1),
+        (["--dataset", "karate-replica", "--layers", "3"], ["1", "1"], 3),
+    ], ids=["karate", "replica"])
+    def test_per_layer_flag_that_does_not_fit_names_itself(
+            self, tmp_path, capsys, flag, argv, values, cells):
+        out = tmp_path / "out"
+        assert run_cli(["detect", *argv, flag, *values, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag.lstrip('-')} takes one value or one per layer cell ({cells}), got 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--omega", "-1"], "omega must be finite and >= 0, got -1.0"),
+        (["--gamma", "nan"], "resolution gamma must be finite and > 0, got nan"),
+        (["--gamma", "0"], "resolution gamma must be finite and > 0, got 0.0"),
+        (["--lambda", "-2"], "layer weight lambda must be finite and >= 0, got -2.0"),
+    ], ids=["omega", "gamma-nan", "gamma-zero", "lambda"])
+    def test_flag_value_the_run_rejects_exit_2_before_any_output(
+            self, tmp_path, capsys, flag, message):
+        out = tmp_path / "out"
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3", *flag,
+                        "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["gamma.plus", "gamma.minus"])
     @pytest.mark.parametrize("value, count", [("", 0), ("1.0 2.0", 2)])
     def test_params_file_value_that_does_not_fit_exit_2_at_its_line(
             self, tmp_path, capsys, key, value, count):
@@ -611,14 +630,9 @@ class TestWorkersAndStrategies:
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("omega = -1", "omega must be finite and >= 0, got -1.0"),
-        ("gamma = nan", "non-finite gamma"),
-        ("gamma = 0", "resolution gamma must be finite and > 0, got 0.0"),
-        ("lambda = -2", "layer weight lambda must be finite and >= 0, got -2.0"),
+        ("gamma.plus = nan", "non-finite gamma.plus"),
         ("gamma.plus = -1", "gamma_plus entries must be finite and > 0, got -1.0"),
         ("gamma.minus = 1 0 1", "gamma_minus entries must be finite and > 0, got 0.0"),
-        ("normalization = weird", "unknown normalization mode 'weird'"),
-        ("coupling.strategy = bogus", "unknown coupling strategy 'bogus'"),
         ("closeness.file = asym.txt", "closeness matrix must be symmetric"),
         ("closeness.file = small.txt",
          "closeness matrix shape (2, 2) does not match 3 layer cells"),
@@ -629,10 +643,11 @@ class TestWorkersAndStrategies:
         (tmp_path / "small.txt").write_text("0 1\n1 0\n")
         params = tmp_path / "p.txt"
         # under the closeness strategy a run reads, and rejects, every value below
-        params.write_text(f"coupling.strategy = closeness\n{line}\n")
+        params.write_text(f"# three cells\n{line}\n")
         out = tmp_path / "out"
         code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
-                        "--params-file", str(params), "--out", str(out)])
+                        "--coupling-strategy", "closeness", "--params-file", str(params),
+                        "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {params}:2: {message}\n"
         assert not out.exists()
@@ -665,9 +680,8 @@ class TestWorkersAndStrategies:
 @pytest.mark.parametrize("argv", [
     ["compare", "--seed", "-5"],
     ["sweep", "--seed", "-1"],
-    ["detect", "--dataset", "karate", "--rho", "0.5", "--seed", "-1"],
     ["detect", "--dataset", "karate", "--algorithm", "mlouv", "--seed", "-1"],
-], ids=["compare", "sweep", "detect-rho", "detect-mlouv"])
+], ids=["compare", "sweep", "detect-mlouv"])
 def test_negative_seed_exit_2_before_any_output(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", str(out)]) == 2
@@ -720,11 +734,15 @@ def test_flag_the_route_would_not_read_exit_2_before_any_output(argv, message, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
-@pytest.mark.parametrize("option", [["--closeness-file", "m.txt"], ["--min-community-size", "2"]],
-                         ids=["closeness-file", "min-community-size"])
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=f"{name}-{command}")
+    for name, option in (("closeness-file", ["--closeness-file", "m.txt"]),
+                         ("min-community-size", ["--min-community-size", "2"]))
+    for command in ("detect", "sweep", "compare")
+] + [pytest.param("detect", ["--rho", "0.5"], id="rho-detect")])
 def test_removed_options_are_unrecognized(command, option, tmp_path, capsys):
-    # a closeness matrix comes from a parameter file's closeness.file
+    # a closeness matrix comes from a parameter file's closeness.file, and
+    # compare is the one command that draws couplings
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--dataset", "karate", *option, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
@@ -751,68 +769,74 @@ def test_row_rule_exit_2_at_its_line(edges, couplings, line, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("given", ["couplings-file", "explicit-flag", "explicit-params-file"])
-@pytest.mark.parametrize("command", [["compare", "--rho", "0.5"], ["detect", "--rho", "0.5"]],
-                         ids=["compare", "detect-rho"])
-def test_drawn_couplings_refuse_what_they_would_discard(command, given, tmp_path, capsys):
+@pytest.mark.parametrize("given", ["couplings-file", "explicit-flag"])
+def test_drawn_couplings_refuse_what_they_would_discard(given, tmp_path, capsys):
     # a coupling file was read and replaced; drawn couplings carry no
     # magnitudes, so explicit coupled every pair with 0
     (tmp_path / "c.txt").write_text("1 1 1 2 1 0.5\n")
-    (tmp_path / "p.txt").write_text("coupling.strategy = explicit\n")
     extra = {"couplings-file": ["--couplings-file", str(tmp_path / "c.txt")],
-             "explicit-flag": ["--coupling-strategy", "explicit"],
-             "explicit-params-file": ["--params-file", str(tmp_path / "p.txt")]}[given]
+             "explicit-flag": ["--coupling-strategy", "explicit"]}[given]
     out = tmp_path / "out"
-    assert run_cli([*command, "--dataset", "karate-replica", "--layers", "2", *extra,
-                    "--out", str(out)]) == 2
-    run = "compare" if command[0] == "compare" else "--rho"
+    assert run_cli(["compare", "--rho", "0.5", "--dataset", "karate-replica", "--layers", "2",
+                    *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {run} draws its couplings: --couplings-file would be discarded\n"
+        "error: compare draws its couplings: --couplings-file would be discarded\n"
         if given == "couplings-file" else
-        f"error: {run} draws its couplings, which carry no magnitudes: "
+        "error: compare draws its couplings, which carry no magnitudes: "
         "the explicit strategy would set every coupling to 0\n")
     assert not out.exists()
 
 
-# Each setting: its flag, the parameter-file line the flag must beat, the
-# line that must beat the default, how to read the setting off the runs
-# (each run's spec and params), and the values the default, the file and
-# the flag give (a sweep's default omegas are its grid).  The network is
-# the two-layer karate replica, so the default gamma is its ladder.  The
-# closeness matrix has no flag: a parameter file is its one route.
+@pytest.mark.parametrize("argv, column", [
+    (["sweep", "--omega", "1", "1.0"], "omega=1"),
+    (["sweep", "--omega", "0.1", "0.1000001"], "omega=0.1"),
+    (["sweep", "--omega", "0", "-0"], "omega=0"),
+    (["compare", "--rho", "0.5", "0", "0.5"], "rho=0.5"),
+], ids=["sweep", "sweep-same-rendering", "sweep-signed-zero", "compare"])
+def test_repeated_grid_column_exit_2_before_any_output(argv, column, tmp_path, capsys):
+    # the two runs would repeat one detection, or blur into one density
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--layers", "2", "--out", str(out)]) == 2
+    flag = argv[1]
+    assert capsys.readouterr().err == f"error: {flag} values name the column {column} more than once\n"
+    assert not out.exists()
+
+
+# Each setting: its one route (a flag's arguments, or a parameter-file line
+# for the three settings no flag holds), how to read the setting off the runs
+# (each run's spec and params), and the values the default and the route give
+# (a sweep's default omegas are its grid).  The network is the two-layer
+# karate replica, so the default gamma is its ladder.
 SETTINGS = {
-    "gamma": (["--gamma", "2"], "gamma = 0.5", "gamma = 0.5",
-              lambda runs: runs[0][1].gamma, (0.1, 0.2), (0.5, 0.5), (2.0, 2.0)),
-    "lambda": (["--lambda", "2"], "lambda = 0.5", "lambda = 0.5",
-               lambda runs: runs[0][1].lam, (1.0, 1.0), (0.5, 0.5), (2.0, 2.0)),
-    "omega": (["--omega", "2"], "omega = 0.5", "omega = 0.5",
-              lambda runs: [spec.omega for spec, _ in runs], [1.0], [0.5], [2.0]),
-    "coupling strategy": (["--coupling-strategy", "explicit"], "coupling.strategy = temporal",
-                          "coupling.strategy = temporal",
-                          lambda runs: runs[0][0].strategy, "uniform", "temporal", "explicit"),
-    "closeness": (None, None, "closeness.file = file.txt",
+    "gamma": (["--gamma", "2"], lambda runs: runs[0][1].gamma, (0.1, 0.2), (2.0, 2.0)),
+    "lambda": (["--lambda", "2"], lambda runs: runs[0][1].lam, (1.0, 1.0), (2.0, 2.0)),
+    "omega": (["--omega", "2"], lambda runs: [spec.omega for spec, _ in runs], [1.0], [2.0]),
+    "coupling strategy": (["--coupling-strategy", "explicit"],
+                          lambda runs: runs[0][0].strategy, "uniform", "explicit"),
+    "signed": (["--signed"], lambda runs: runs[0][1].signed, False, True),
+    "normalization": (["--normalized"], lambda runs: runs[0][1].normalization,
+                      "raw", "normalized"),
+    "closeness": ("closeness.file = file.txt",
                   lambda runs: None if runs[0][0].closeness is None
                   else runs[0][0].closeness.tolist(),
-                  None, [[0.0, 1.0], [1.0, 0.0]], None),
-    "signed": (["--signed"], "signed = false", "signed = true",
-               lambda runs: runs[0][1].signed, False, True, True),
-    "normalization": (["--normalized"], "normalization = raw", "normalization = normalized",
-                      lambda runs: runs[0][1].normalization, "raw", "normalized", "normalized"),
+                  None, [[0.0, 1.0], [1.0, 0.0]]),
+    "gamma plus": ("gamma.plus = 0.5 2", lambda runs: runs[0][1].gamma_plus, None, (0.5, 2.0)),
+    "gamma minus": ("gamma.minus = 3", lambda runs: runs[0][1].gamma_minus, None, (3.0, 3.0)),
 }
 
 
 @pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
-def test_flag_beats_params_file_beats_default(command, setting, tmp_path, monkeypatch):
-    flag, overridden, line, read, default, from_file, from_flag = SETTINGS[setting]
+def test_each_setting_has_one_route(command, setting, tmp_path, monkeypatch):
+    route, read, default, value = SETTINGS[setting]
     if setting == "omega" and command == "sweep":
         default = list(DEFAULT_OMEGAS)
     if setting == "coupling strategy" and command == "compare":  # compare refuses explicit
-        flag, from_flag = ["--coupling-strategy", "uniform"], "uniform"
+        route, value = ["--coupling-strategy", "temporal"], "temporal"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file.txt").write_text("0 1\n1 0\n")
 
-    def runs(*args, params_line=None):
+    def runs(*args):
         seen = []
 
         def record(name, net, spec, params, args, seed):
@@ -823,16 +847,28 @@ def test_flag_beats_params_file_beats_default(command, setting, tmp_path, monkey
         argv = [command, "--dataset", "karate-replica", "--layers", "2", *args]
         if command == "compare":
             argv += ["--algorithm", "mspec", "--rho", "0"]
-        if params_line is not None:
-            (tmp_path / "params.txt").write_text(params_line + "\n")
-            argv += ["--params-file", "params.txt"]
         assert main([*argv, "--out", "out"]) == 0
         return seen
 
     assert read(runs()) == default
-    assert read(runs(params_line=line)) == from_file
-    if flag is not None:
-        assert read(runs(*flag, params_line=overridden)) == from_flag
+    if isinstance(route, str):
+        (tmp_path / "params.txt").write_text(route + "\n")
+        route = ["--params-file", "params.txt"]
+    assert read(runs(*route)) == value
+
+
+@pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+@pytest.mark.parametrize("key", ["gamma", "lambda", "omega", "coupling.strategy", "signed",
+                                 "normalization"])
+def test_a_flag_setting_in_the_params_file_exit_2_at_its_line(command, key, tmp_path, capsys):
+    # the flag is the setting's one route
+    params = tmp_path / "p.txt"
+    params.write_text(f"gamma.plus = 1\n{key} = 1\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--dataset", "karate-replica", "--layers", "2",
+                    "--params-file", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {params}:2: unknown parameter key {key!r}\n"
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -234,16 +234,8 @@ class TestManifest:
 class TestParamsFile:
     def test_keys_parsed(self, tmp_path):
         p = tmp_path / "params.txt"
-        p.write_text(
-            "gamma = 0.5 1.0\nlambda = 1.0\nomega = 2.0\n"
-            "coupling.strategy = temporal\nsigned = false\n"
-        )
-        out = load_params_file(str(p), 2)
-        assert out["gamma"] == [0.5, 1.0]
-        assert out["lambda"] == 1.0
-        assert out["omega"] == 2.0
-        assert out["coupling.strategy"] == "temporal"
-        assert out["signed"] is False
+        p.write_text("gamma.plus = 0.5 1.0\ngamma.minus = 2.0\n")
+        assert load_params_file(str(p), 2) == {"gamma.plus": [0.5, 1.0], "gamma.minus": 2.0}
 
     @pytest.mark.parametrize("text", ["0 1\n1 0\n", "# cells 1 and 2\n0 1\n\n  1 0\n"])
     def test_closeness_matrix_loaded(self, tmp_path, text):
@@ -262,7 +254,7 @@ class TestParamsFile:
             load_closeness(str(m))
         assert str(info.value) == f"{m}:1: non-finite closeness entry"
         p = tmp_path / "params.txt"
-        p.write_text("omega = 1\ncloseness.file = closeness.txt\n")
+        p.write_text("gamma.plus = 1\ncloseness.file = closeness.txt\n")
         with pytest.raises(ParseError) as info:
             load_params_file(str(p), 1)
         assert (info.value.path, info.value.line) == (str(m), 1)
@@ -285,18 +277,18 @@ class TestParamsFile:
         with pytest.raises(ParseError):
             load_params_file(str(p), 1)
 
-    @pytest.mark.parametrize("key", ["gamma", "lambda", "gamma.plus", "gamma.minus"])
+    @pytest.mark.parametrize("key", ["gamma.plus", "gamma.minus"])
     @pytest.mark.parametrize("value, count", [("", 0), ("1.0 2.0", 2)])
     def test_per_layer_count_checked_at_its_line(self, tmp_path, key, value, count):
         p = tmp_path / "params.txt"
-        p.write_text(f"omega = 1\n{key} = {value}\n")
+        p.write_text(f"# three cells\n{key} = {value}\n")
         with pytest.raises(ParseError) as info:
             load_params_file(str(p), 3)
         assert str(info.value) == f"{p}:2: expected 1 or 3 {key} values, got {count}"
 
     @pytest.mark.parametrize("body, message", [
-        ("omega = 1\ngamma 0.5\n", "expected key = value"),
-        ("omega = 1\nsigned = yes\n", "signed must be true or false"),
+        ("gamma.plus = 1\ngamma.minus 0.5\n", "expected key = value"),
+        ("gamma.plus = 1\ngamma.minus = 1 x\n", "expected number gamma.minus, got 'x'"),
     ])
     def test_bad_line_reported_at_its_line(self, tmp_path, body, message):
         p = tmp_path / "params.txt"
@@ -307,12 +299,12 @@ class TestParamsFile:
 
     def test_per_layer_count_on_one_cell(self, tmp_path):
         p = tmp_path / "params.txt"
-        p.write_text("gamma = 1.0 2.0\n")
+        p.write_text("gamma.plus = 1.0 2.0\n")
         with pytest.raises(ParseError) as info:
             load_params_file(str(p), 1)
-        assert str(info.value) == f"{p}:1: expected 1 gamma values, got 2"
-        p.write_text("gamma = 2.0\n")
-        assert load_params_file(str(p), 1)["gamma"] == 2.0
+        assert str(info.value) == f"{p}:1: expected 1 gamma.plus values, got 2"
+        p.write_text("gamma.plus = 2.0\n")
+        assert load_params_file(str(p), 1)["gamma.plus"] == 2.0
 
 
 class TestResultDocuments:

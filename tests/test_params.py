@@ -61,8 +61,16 @@ class TestModularityParamsValidation:
 
     def test_per_layer_length_checked(self):
         net = make_net(2, [3])
-        with pytest.raises(DomainError):
-            ModularityParams.for_network(net, gamma=[1.0, 1.0])
+        for name, key in (("gamma", "gamma"), ("lambda", "lam"), ("gamma_plus", "gamma_plus"),
+                          ("gamma_minus", "gamma_minus")):
+            with pytest.raises(DomainError, match=rf"^{name} takes one value or one per "
+                                                  r"layer cell \(3\), got 2$"):
+                ModularityParams.for_network(net, **{key: [1.0, 1.0]})
+
+    def test_unknown_normalization_rejected(self):
+        net = make_net(2, [2])
+        with pytest.raises(DomainError, match="unknown normalization mode 'weird'"):
+            ModularityParams.for_network(net, normalization="weird")
 
     def test_signed_defaults(self):
         net = make_net(2, [2])
