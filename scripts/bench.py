@@ -56,6 +56,7 @@ Check-set runs:
     temporal         the same under the temporal strategy
     explicit         the same under the explicit strategy, with a coupling
                      file whose lines carry magnitudes
+    karate           mspec detect on the bundled karate club, seed 0
 """
 
 from __future__ import annotations
@@ -228,6 +229,7 @@ def checkset(inputs: str):
                              "--signed", "--normalized", "--repeats", "2", "--seed", "11"]
     yield "grid", grid(os.path.join(inputs, "grid"))
     yield from strategies(os.path.join(inputs, "strategies"))
+    yield "karate", ["detect", "--dataset", "karate", "--seed", "0"]
 
 
 def _digest(tokens) -> str:

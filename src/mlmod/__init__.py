@@ -30,7 +30,6 @@ from .mspec import (
 from .baselines import mlouv, sfull_spec, smean_spec
 from .datasets import build_karate_replica, load_karate
 from .io import (
-    load_dataset,
     load_multiplex,
     load_result,
     save_result,

@@ -3,11 +3,12 @@
 Subcommands: ``detect`` (one algorithm, one parameter point), ``sweep``
 (label tables across a coupling-strength grid) and ``compare`` (the four
 algorithms across a coupling-density grid).  Each reads its network from
-one of ``--input`` (a flat edge file, or a grid under a ``#dims`` line),
-``--manifest`` and ``--dataset``.  Each setting has one route: its flag,
-or a ``--params-file`` for the three no flag holds (``closeness.file``,
-``gamma.plus`` and ``gamma.minus``).  Exit codes: 0 success, 1 solver
-failure, 2 input error.
+one of ``--input`` (a flat edge file, or a grid under a ``#dims`` line)
+and ``--dataset``.  Each setting has one route: its flag, or a
+``--params-file`` for the three no flag holds (``closeness.file``, read
+under the closeness strategy, and ``gamma.plus`` and ``gamma.minus``,
+read with ``--signed``).  Exit codes: 0 success, 1 solver failure, 2
+input error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .datasets import build_karate_replica, load_karate
 from .errors import ConvergenceError, DomainError, MlmodError
 from .io import (
     load_couplings,
-    load_dataset,
     load_multiplex,
     load_params_file,
     save_result,
@@ -50,7 +50,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     route.add_argument("--input", help="multiplex edge-list file, or a #dims grid file")
     p.add_argument("--layers-file", help="layer table of --input: layerId aspectId label")
     p.add_argument("--couplings-file", help="coupling list file (grid coupling lines for a grid)")
-    route.add_argument("--manifest", help="dataset manifest file")
     route.add_argument("--dataset", choices=("karate", "karate-replica"),
                        help="bundled dataset instead of --input")
     p.add_argument("--nodes", type=int, help="declare the node count of --input")
@@ -86,12 +85,10 @@ def _resolve_network(args):
         # the replica's layers do not depend on gamma, which _setup sets
         layers = 10 if args.layers is None else args.layers
         net, _ = build_karate_replica(layers, [1.0] * layers)
-    elif args.manifest:
-        net, _ = load_dataset(args.manifest)
     elif args.input:
         net = load_multiplex(args.input, args.layers_file, n_nodes=args.nodes)
     else:
-        raise DomainError("no input network: pass --input, --manifest or --dataset")
+        raise DomainError("no input network: pass --input or --dataset")
     if args.couplings_file:
         net = net.with_couplings(load_couplings(args.couplings_file, net, net.n_nodes)[0])
     return net
@@ -106,7 +103,10 @@ def _setup(args, sweep_omegas=None):
     if args.seed < 0:  # checked also where no step of the run draws from it
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     net = _resolve_network(args)
-    fpar = load_params_file(args.params_file, net.n_cells) if args.params_file else {}
+    unread = {} if args.signed else {"gamma.plus": "--signed", "gamma.minus": "--signed"}
+    if args.coupling_strategy != "closeness":
+        unread["closeness.file"] = "--coupling-strategy closeness"
+    fpar = load_params_file(args.params_file, net.n_cells, unread) if args.params_file else {}
     ladder = ([round(0.1 * (s + 1), 10) for s in range(net.n_cells)]
               if args.dataset == "karate-replica" else 1.0)
     params = ModularityParams.for_network(
@@ -190,7 +190,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.dataset is None and args.input is None and args.manifest is None:
+    if args.dataset is None and args.input is None:
         args.dataset = "karate-replica"
     net, params, specs = _setup(args, DEFAULT_OMEGAS)
     columns = _columns("--omega", [spec.omega for spec in specs])
@@ -242,7 +242,7 @@ def cmd_compare(args) -> int:
     for name in algorithms:
         if algorithms.count(name) > 1:  # its runs would add into one row
             raise DomainError(f"--algorithm names {name} more than once")
-    if args.dataset is None and args.input is None and args.manifest is None:
+    if args.dataset is None and args.input is None:
         args.dataset = "karate-replica"
     net, params, (spec,) = _setup(args)
     _check_drawn(args, spec)

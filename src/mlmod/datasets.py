@@ -1,4 +1,7 @@
-"""Bundled benchmark data and synthetic instance builders."""
+"""Bundled benchmark data and synthetic instance builders.
+
+The karate club is read from its edge, layer and label files in
+``mlmod/data`` by the loaders of ``io``."""
 
 from __future__ import annotations
 
@@ -7,24 +10,19 @@ from importlib import resources
 import numpy as np
 
 from .errors import DomainError
-from .io import load_dataset
+from .io import load_labels, load_multiplex
 from .network import Aspect, MultilayerNetwork, full_couplings
 from .params import ModularityParams
 
-__all__ = ["karate_manifest_path", "load_karate", "build_karate_replica"]
-
-
-def karate_manifest_path() -> str:
-    """Filesystem path of the bundled karate manifest."""
-    return str(resources.files("mlmod.data").joinpath("karate.manifest"))
+__all__ = ["load_karate", "build_karate_replica"]
 
 
 def load_karate() -> tuple[MultilayerNetwork, np.ndarray]:
     """The karate club benchmark: 34 nodes, 78 unit edges, one layer,
     plus the two-faction ground-truth labels."""
-    net, truth = load_dataset(karate_manifest_path())
-    assert truth is not None
-    return net, truth
+    data = resources.files("mlmod.data")
+    net = load_multiplex(str(data / "karate.edges"), str(data / "karate.layers"))
+    return net, load_labels(str(data / "karate.labels"), net.n_nodes)
 
 
 def build_karate_replica(layers: int, gammas) -> tuple[MultilayerNetwork, ModularityParams]:

@@ -1,7 +1,7 @@
 """File formats: multiplex edge lists (flat, or an aspect grid under a
 ``#dims`` line, whose first column names a row-major cell of the
 single-aspect network it flattens to), layer tables, coupling lists,
-dataset manifests, parameter files and detection-result documents.
+ground-truth labels, parameter files and detection-result documents.
 
 All node and layer ids in files are 1-based.  Lines starting with ``#``
 are comments; blank lines are ignored.  numpy's reader reads uniform
@@ -380,67 +380,6 @@ def _cells_network(path: str, aspects: tuple[Aspect, ...], cell: np.ndarray, tab
     return MultilayerNetwork(n_nodes=n_nodes, aspects=aspects, within_edges=edges, dims=dims)
 
 
-def _key_values(path: str, what: str, known, parse=lambda key, value, lineno: value) -> dict:
-    """The ``key = value`` lines of ``path``, split at the first ``=``, as a
-    dict of each key's ``parse(key, value, lineno)``; the last line for a
-    key wins.  A line without ``=``, with a key outside ``known``, or whose
-    ``parse`` raises DomainError, raises at its line."""
-    out: dict[str, object] = {}
-    for lineno, line in _data_lines(_read_text(path)):
-        if "=" not in line:
-            raise ParseError("expected key = value", path, lineno)
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in known:
-            raise ParseError(f"unknown {what} key {key!r}", path, lineno)
-        try:
-            out[key] = parse(key, value, lineno)
-        except DomainError as exc:
-            raise DomainError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-_MANIFEST_KEYS = ("name", "nodes", "layers", "aspects", "edges", "edge_file", "layer_file",
-                  "coupling_file", "ground_truth")
-
-
-def load_dataset(manifest_path: str):
-    """Load the network a ``key = value`` manifest points to and validate
-    declared counts.
-
-    Keys: ``nodes``, ``layers`` and ``edge_file`` (required), ``aspects``
-    (1 by default), ``edges``, ``layer_file``, ``coupling_file``,
-    ``ground_truth`` and ``name`` (not read); file names are relative to
-    the manifest.  Returns (network, ground-truth labels or None); coupling
-    magnitudes travel with the network's couplings.
-    """
-    values = _key_values(manifest_path, "manifest", _MANIFEST_KEYS, lambda key, value, lineno: (
-        _parse_int(value, key, manifest_path, lineno)
-        if key in ("nodes", "layers", "aspects", "edges") else value))
-    try:
-        n_nodes, n_layers, edge_file = values["nodes"], values["layers"], values["edge_file"]
-    except KeyError as exc:
-        raise ParseError(f"manifest is missing required key {exc.args[0]!r}",
-                         manifest_path) from exc
-    n_aspects, n_edges = values.get("aspects", 1), values.get("edges")
-    base = os.path.dirname(os.path.abspath(manifest_path))
-
-    def resolve(name):
-        return None if name is None else os.path.join(base, name)
-
-    net = load_multiplex(resolve(edge_file), resolve(values.get("layer_file")), n_nodes=n_nodes)
-    if "coupling_file" in values:
-        net = net.with_couplings(load_couplings(resolve(values["coupling_file"]), net, n_nodes)[0])
-    for what, declared, found in (
-            ("layers", n_layers, net.n_cells),
-            ("aspects", n_aspects, len(net.aspects)),
-            ("edges", n_edges, sum(len(e) for e in net.within_edges))):
-        if declared is not None and declared != found:
-            raise ParseError(f"manifest declares {declared} {what}, files contain {found}",
-                             manifest_path)
-    truth = values.get("ground_truth")
-    return net, None if truth is None else load_labels(resolve(truth), n_nodes)
-
-
 def load_labels(path: str, n_nodes: int) -> np.ndarray:
     """Parse ``nodeId label`` ground-truth lines, one per node, into the
     array of labels (each >= 0) indexed by 0-based node."""
@@ -461,18 +400,21 @@ def load_labels(path: str, n_nodes: int) -> np.ndarray:
 _PARAM_KEYS = ("closeness.file", "gamma.plus", "gamma.minus")
 
 
-def load_params_file(path: str, n_cells: int) -> dict[str, object]:
+def load_params_file(path: str, n_cells: int,
+                     unread: dict[str, str] | None = None) -> dict[str, object]:
     """Parse a key-value parameter file for a network of ``n_cells`` layer
     cells.
 
     It holds the settings no flag holds: ``closeness.file``, and
-    ``gamma.plus`` and ``gamma.minus`` (one value or one per layer cell).
-    Returns a plain dict, the closeness matrix under ``closeness.file``.
-    Each value is checked by the rule of its setting in ``params``, a
-    closeness matrix also against ``n_cells``, whichever strategy the run
-    takes; any other key, a flag's setting among them, a per-layer list of
-    neither 1 nor ``n_cells`` values, and a value its rule rejects raise at
-    their line.
+    ``gamma.plus`` and ``gamma.minus`` (one value or one per layer cell),
+    as ``key = value`` lines split at the first ``=``; the last line for a
+    key wins.  Returns a plain dict, the closeness matrix under
+    ``closeness.file``.  Each value is checked by the rule of its setting
+    in ``params``, a closeness matrix also against ``n_cells``.  A line
+    without ``=``, any other key (a flag's setting among them), a key of
+    ``unread`` (which maps each key the run would not read to the flag it
+    needs), a per-layer list of neither 1 nor ``n_cells`` values, and a
+    value its rule rejects raise at their line.
     """
     base = os.path.dirname(os.path.abspath(path))
 
@@ -486,7 +428,20 @@ def load_params_file(path: str, n_cells: int) -> dict[str, object]:
         check_resolutions(vals, f"{key.replace('.', '_')} entries")
         return vals[0] if len(vals) == 1 else vals
 
-    return _key_values(path, "parameter", _PARAM_KEYS, parse)
+    out: dict[str, object] = {}
+    for lineno, line in _data_lines(_read_text(path)):
+        if "=" not in line:
+            raise ParseError("expected key = value", path, lineno)
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in _PARAM_KEYS:
+            raise ParseError(f"unknown parameter key {key!r}", path, lineno)
+        if unread and key in unread:
+            raise ParseError(f"{key} is read only with {unread[key]}", path, lineno)
+        try:
+            out[key] = parse(key, val, lineno)
+        except DomainError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def load_closeness(path: str) -> np.ndarray:

@@ -91,28 +91,6 @@ class TestDetect:
         q = modularity(net, CouplingSpec(omega=0.5), params, result.partition)
         assert result.q_total == pytest.approx(q, abs=1e-9 * max(1.0, abs(q)))
 
-    def test_bad_ground_truth_in_manifest_exit_2(self, tmp_path, capsys):
-        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
-        (tmp_path / "gt.txt").write_text("1 1\n2 1\n2 2\n")
-        (tmp_path / "m.txt").write_text(
-            "nodes = 3\nlayers = 1\nedge_file = e.txt\nground_truth = gt.txt\n")
-        code = run_cli(["detect", "--manifest", str(tmp_path / "m.txt"),
-                        "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert f"error: {tmp_path / 'gt.txt'}:3: duplicate node id 2" in capsys.readouterr().err
-
-
-    def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
-        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
-        (tmp_path / "c.txt").write_text("1 1 1 2 1\n")
-        man = tmp_path / "m.txt"
-        man.write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\ncoupling-file = c.txt\n")
-        code = run_cli(["detect", "--manifest", str(man), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {man}:4: unknown manifest key 'coupling-file'\n"
-        assert not (tmp_path / "out").exists()
-
-
 class TestSweep:
     def test_one_omega_is_a_one_point_grid(self, tmp_path):
         out = tmp_path / "sweep"
@@ -311,16 +289,18 @@ class TestGridInput:
         assert (tmp_path / "grid" / "result_mspec.txt").read_bytes() == \
             (tmp_path / "flat" / "result_mspec.txt").read_bytes()
 
-    def test_couplings_file_on_a_grid_manifest_reads_grid_lines(self, tmp_path):
+    def test_couplings_file_on_a_grid_reads_grid_lines(self, tmp_path):
         grid, coup = self.grid_file(tmp_path)
-        manifest = tmp_path / "m.txt"
-        manifest.write_text(f"nodes = 3\nlayers = 4\nedge_file = {grid.name}\n")
-        for name, argv in (("input", ["--input", str(grid)]),
-                           ("manifest", ["--manifest", str(manifest)])):
-            assert run_cli(["detect", *argv, "--couplings-file", str(coup),
-                            "--out", str(tmp_path / name)]) == 0
-        assert (tmp_path / "input" / "result_mspec.txt").read_bytes() == \
-            (tmp_path / "manifest" / "result_mspec.txt").read_bytes()
+        assert run_cli(["detect", "--input", str(grid), "--couplings-file", str(coup),
+                        "--out", str(tmp_path / "out")]) == 0
+        net = load_multiplex(str(grid))
+        coupled = net.with_couplings(load_couplings(str(coup), net, 3)[0])
+        assert set(coupled.couplings) == {(0, 0, 2), (1, 1, 3)}
+        result, _ = load_result(str(tmp_path / "out" / "result_mspec.txt"))
+        spec, params = CouplingSpec(), ModularityParams.for_network(net)
+        # a run that dropped the couplings would write the uncoupled chi
+        assert float(result.meta["chi"]) == quality_matrix(coupled, spec, params)[1] \
+            != quality_matrix(net, spec, params)[1]
 
     def test_grid_row_without_dims_line_is_a_malformed_edge_row(self, tmp_path, capsys):
         p = tmp_path / "grid.txt"
@@ -494,31 +474,16 @@ class TestWorkersAndStrategies:
         ])
         assert code == 0
 
-    def test_manifest_input(self, tmp_path):
-        from mlmod.datasets import karate_manifest_path
-
-        out = tmp_path / "out"
-        code = run_cli(["detect", "--manifest", karate_manifest_path(),
-                        "--omega", "1.0", "--out", str(out)])
-        assert code == 0
-        result, shape = load_result(str(out / "result_mspec.txt"))
-        assert shape["n_nodes"] == 34
-
-    def test_manifest_carries_explicit_magnitudes(self, tmp_path):
+    def test_couplings_file_carries_explicit_magnitudes(self, tmp_path):
         (tmp_path / "e.txt").write_text("1 1 2 1.0\n1 2 3 1.0\n2 1 3 1.0\n")
         (tmp_path / "l.txt").write_text("1 1 a\n2 1 b\n")
         (tmp_path / "c.txt").write_text("1 1 1 2 1 1.0\n2 1 1 2 1 2.0\n3 1 1 2 1 3.0\n")
-        (tmp_path / "m.txt").write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\n"
-                                        "layer_file = l.txt\ncoupling_file = c.txt\n")
-        common = ["detect", "--coupling-strategy", "explicit", "--seed", "4"]
-        assert run_cli(common + ["--manifest", str(tmp_path / "m.txt"),
-                                 "--out", str(tmp_path / "a")]) == 0
-        assert run_cli(common + ["--input", str(tmp_path / "e.txt"),
-                                 "--layers-file", str(tmp_path / "l.txt"),
-                                 "--couplings-file", str(tmp_path / "c.txt"),
-                                 "--nodes", "3", "--out", str(tmp_path / "b")]) == 0
-        doc = (tmp_path / "a" / "result_mspec.txt").read_bytes()
-        assert doc == (tmp_path / "b" / "result_mspec.txt").read_bytes()
+        assert run_cli(["detect", "--coupling-strategy", "explicit", "--seed", "4",
+                        "--input", str(tmp_path / "e.txt"),
+                        "--layers-file", str(tmp_path / "l.txt"),
+                        "--couplings-file", str(tmp_path / "c.txt"),
+                        "--nodes", "3", "--out", str(tmp_path / "out")]) == 0
+        doc = (tmp_path / "out" / "result_mspec.txt").read_bytes()
         # chi: the gamma = 1 layers add 0, the couplings 2 * (1 + 2 + 3)
         assert b"#meta chi 12.0\n" in doc
 
@@ -622,7 +587,7 @@ class TestWorkersAndStrategies:
         params = tmp_path / "g.txt"
         params.write_text(f"# three layers\n{key} = {value}\n")
         out = tmp_path / "out"
-        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3", "--signed",
                         "--params-file", str(params), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
@@ -642,10 +607,10 @@ class TestWorkersAndStrategies:
         (tmp_path / "asym.txt").write_text("0 1 1\n2 0 1\n1 1 0\n")
         (tmp_path / "small.txt").write_text("0 1\n1 0\n")
         params = tmp_path / "p.txt"
-        # under the closeness strategy a run reads, and rejects, every value below
+        # a signed run under the closeness strategy reads, and rejects, every value below
         params.write_text(f"# three cells\n{line}\n")
         out = tmp_path / "out"
-        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3",
+        code = run_cli(["detect", "--dataset", "karate-replica", "--layers", "3", "--signed",
                         "--coupling-strategy", "closeness", "--params-file", str(params),
                         "--out", str(out)])
         assert code == 2
@@ -665,16 +630,6 @@ class TestWorkersAndStrategies:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: /dev/fd/{read}:2: self-loop on node 2 rejected\n"
-
-    def test_manifest_count_not_an_integer_exit_2_at_its_line(self, tmp_path, capsys):
-        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
-        man = tmp_path / "m.txt"
-        man.write_text("nodes = two\nlayers = 1\nedge_file = e.txt\n")
-        out = tmp_path / "out"
-        code = run_cli(["detect", "--manifest", str(man), "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {man}:1: expected integer nodes, got 'two'\n"
-        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -701,9 +656,8 @@ def test_repeated_algorithm_exit_2_before_any_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["detect", "--dataset", "karate", "--input", "x.txt"],
-    ["detect", "--dataset", "karate", "--manifest", "m.txt"],
-    ["sweep", "--manifest", "m.txt", "--input", "x.txt"],
-], ids=["dataset-input", "dataset-manifest", "manifest-input"])
+    ["sweep", "--input", "x.txt", "--dataset", "karate-replica"],
+], ids=["dataset-input", "sweep-input-dataset"])
 def test_two_input_routes_exit_2_before_any_output(argv, tmp_path, capsys):
     # one route would win and the other go unread
     out = tmp_path / "out"
@@ -723,10 +677,10 @@ REPLICA_ONLY = "--layers sets the size of --dataset karate-replica"
     (["detect", "--dataset", "karate", "--nodes", "99"], INPUT_ONLY),
     (["compare", "--layers-file", "bogus.txt"], INPUT_ONLY),
     (["detect", "--dataset", "karate", "--layers", "3"], REPLICA_ONLY),
-    (["sweep", "--manifest", "m.txt", "--layers", "3"], REPLICA_ONLY),
+    (["sweep", "--dataset", "karate", "--layers", "3"], REPLICA_ONLY),
     (["compare", "--input", "x.txt", "--layers", "3"], REPLICA_ONLY),
 ], ids=["layers-file", "nodes", "layers-file-default-replica", "layers-karate",
-        "layers-manifest", "layers-input"])
+        "layers-karate-sweep", "layers-input"])
 def test_flag_the_route_would_not_read_exit_2_before_any_output(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", str(out)]) == 2
@@ -737,12 +691,14 @@ def test_flag_the_route_would_not_read_exit_2_before_any_output(argv, message, t
 @pytest.mark.parametrize("command, option", [
     pytest.param(command, option, id=f"{name}-{command}")
     for name, option in (("closeness-file", ["--closeness-file", "m.txt"]),
-                         ("min-community-size", ["--min-community-size", "2"]))
+                         ("min-community-size", ["--min-community-size", "2"]),
+                         ("manifest", ["--manifest", "m.txt"]))
     for command in ("detect", "sweep", "compare")
 ] + [pytest.param("detect", ["--rho", "0.5"], id="rho-detect")])
 def test_removed_options_are_unrecognized(command, option, tmp_path, capsys):
-    # a closeness matrix comes from a parameter file's closeness.file, and
-    # compare is the one command that draws couplings
+    # a closeness matrix comes from a parameter file's closeness.file, a
+    # network's files from --input, --layers-file, --couplings-file and
+    # --nodes, and compare is the one command that draws couplings
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--dataset", "karate", *option, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
@@ -803,7 +759,8 @@ def test_repeated_grid_column_exit_2_before_any_output(argv, column, tmp_path, c
 
 
 # Each setting: its one route (a flag's arguments, or a parameter-file line
-# for the three settings no flag holds), how to read the setting off the runs
+# and the flags of a run that reads it, for the three settings no flag
+# holds), how to read the setting off the runs
 # (each run's spec and params), and the values the default and the route give
 # (a sweep's default omegas are its grid).  The network is the two-layer
 # karate replica, so the default gamma is its ladder.
@@ -816,12 +773,14 @@ SETTINGS = {
     "signed": (["--signed"], lambda runs: runs[0][1].signed, False, True),
     "normalization": (["--normalized"], lambda runs: runs[0][1].normalization,
                       "raw", "normalized"),
-    "closeness": ("closeness.file = file.txt",
+    "closeness": (("closeness.file = file.txt", ["--coupling-strategy", "closeness"]),
                   lambda runs: None if runs[0][0].closeness is None
                   else runs[0][0].closeness.tolist(),
                   None, [[0.0, 1.0], [1.0, 0.0]]),
-    "gamma plus": ("gamma.plus = 0.5 2", lambda runs: runs[0][1].gamma_plus, None, (0.5, 2.0)),
-    "gamma minus": ("gamma.minus = 3", lambda runs: runs[0][1].gamma_minus, None, (3.0, 3.0)),
+    "gamma plus": (("gamma.plus = 0.5 2", ["--signed"]), lambda runs: runs[0][1].gamma_plus,
+                   None, (0.5, 2.0)),
+    "gamma minus": (("gamma.minus = 3", ["--signed"]), lambda runs: runs[0][1].gamma_minus,
+                    None, (3.0, 3.0)),
 }
 
 
@@ -851,9 +810,10 @@ def test_each_setting_has_one_route(command, setting, tmp_path, monkeypatch):
         return seen
 
     assert read(runs()) == default
-    if isinstance(route, str):
-        (tmp_path / "params.txt").write_text(route + "\n")
-        route = ["--params-file", "params.txt"]
+    if isinstance(route, tuple):
+        line, flags = route
+        (tmp_path / "params.txt").write_text(line + "\n")
+        route = [*flags, "--params-file", "params.txt"]
     assert read(runs(*route)) == value
 
 
@@ -865,11 +825,32 @@ def test_a_flag_setting_in_the_params_file_exit_2_at_its_line(command, key, tmp_
     params = tmp_path / "p.txt"
     params.write_text(f"gamma.plus = 1\n{key} = 1\n")
     out = tmp_path / "out"
-    assert run_cli([command, "--dataset", "karate-replica", "--layers", "2",
+    assert run_cli([command, "--dataset", "karate-replica", "--layers", "2", "--signed",
                     "--params-file", str(params), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {params}:2: unknown parameter key {key!r}\n"
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["detect", "sweep", "compare"])
+@pytest.mark.parametrize("line, strategy, needs", [
+    ("gamma.plus = 5", "uniform", "--signed"),
+    ("gamma.minus = 5", "temporal", "--signed"),
+    ("closeness.file = c.txt", "uniform", "--coupling-strategy closeness"),
+    ("closeness.file = c.txt", "temporal", "--coupling-strategy closeness"),
+], ids=["gamma.plus", "gamma.minus", "closeness.file-uniform", "closeness.file-temporal"])
+def test_a_params_file_key_the_run_would_not_read_exit_2_at_its_line(
+        command, line, strategy, needs, tmp_path, capsys):
+    # the run would parse the value and score without it
+    (tmp_path / "c.txt").write_text("0 1\n1 0\n")
+    params = tmp_path / "p.txt"
+    params.write_text(f"# two cells\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--dataset", "karate-replica", "--layers", "2",
+                    "--coupling-strategy", strategy, "--params-file", str(params),
+                    "--out", str(out)]) == 2
+    key = line.partition(" ")[0]
+    assert capsys.readouterr().err == f"error: {params}:2: {key} is read only with {needs}\n"
+    assert not out.exists()
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "out"

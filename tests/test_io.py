@@ -26,8 +26,7 @@ from mlmod import (
     quality_matrix,
     save_result,
 )
-from mlmod.io import load_closeness, load_couplings, load_dataset, load_labels, load_params_file
-from mlmod.datasets import karate_manifest_path
+from mlmod.io import load_closeness, load_couplings, load_labels, load_params_file
 
 from oracles import dense_adjacency, write_multiplex
 
@@ -161,74 +160,13 @@ class TestLoadMultiplex:
             pass
 
 
-class TestManifest:
-    def test_bundled_karate_manifest(self):
-        net, truth = load_dataset(karate_manifest_path())
-        assert net.n_nodes == 34
+class TestKarate:
+    def test_bundled_karate(self):
+        net, truth = load_karate()
+        assert (net.n_nodes, net.n_cells) == (34, 1)
         assert sum(len(e) for e in net.within_edges) == 78
         assert truth.shape == (34,)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        edge = tmp_path / "e.txt"
-        edge.write_text("1 1 2 1.0\n")
-        man = tmp_path / "m.txt"
-        man.write_text(
-            "name = tiny\nnodes = 2\nlayers = 3\nedge_file = e.txt\n"
-        )
-        from mlmod import load_dataset
-
-        with pytest.raises(ParseError):
-            load_dataset(str(man))
-
-    @pytest.mark.parametrize("line, what", [
-        ("layers = 3", "3 layers, files contain 2"),
-        ("layers = 2\naspects = 2", "2 aspects, files contain 1"),
-        ("layers = 2\nedges = 4", "4 edges, files contain 3"),
-    ])
-    def test_count_mismatch_names_the_count(self, line, what, tmp_path):
-        from mlmod import load_dataset
-
-        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
-        man = tmp_path / "m.txt"
-        man.write_text(f"nodes = 3\n{line}\nedge_file = e.txt\n")
-        with pytest.raises(ParseError, match=f"m.txt: manifest declares {what}$"):
-            load_dataset(str(man))
-        man.write_text("nodes = 3\nlayers = 2\naspects = 1\nedges = 3\nedge_file = e.txt\n")
-        assert load_dataset(str(man))[0].n_cells == 2
-
-    def test_missing_key(self, tmp_path):
-        man = tmp_path / "m.txt"
-        man.write_text("name = x\n")
-        with pytest.raises(ParseError, match="m.txt: manifest is missing required key 'nodes'$"):
-            load_dataset(str(man))
-
-    def test_bad_value(self, tmp_path):
-        man = tmp_path / "m.txt"
-        man.write_text("nodes = two\nlayers = 1\nedge_file = e.txt\n")
-        with pytest.raises(ParseError) as info:
-            load_dataset(str(man))
-        assert str(info.value) == f"{man}:1: expected integer nodes, got 'two'"
-        man.write_text("nodes = 2\nlayers = 1\nedge_file = e.txt\n# count\nedges = 1.5\n")
-        with pytest.raises(ParseError) as info:
-            load_dataset(str(man))
-        assert str(info.value) == f"{man}:5: expected integer edges, got '1.5'"
-
-    def test_unknown_key_fails_at_its_line(self, tmp_path):
-        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n2 1 3\n")
-        (tmp_path / "c.txt").write_text("1 1 1 2 1\n")
-        man = tmp_path / "m.txt"
-        man.write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\ncoupling-file = c.txt\n")
-        with pytest.raises(ParseError) as info:
-            load_dataset(str(man))
-        assert str(info.value) == f"{man}:4: unknown manifest key 'coupling-file'"
-        man.write_text("nodes = 3\nlayers = 2\nedge_file = e.txt\ncoupling_file = c.txt\n")
-        assert len(load_dataset(str(man))[0].couplings) == 1
-
-    def test_last_line_for_a_key_wins(self, tmp_path):
-        (tmp_path / "e.txt").write_text("1 1 2\n1 2 3\n")
-        man = tmp_path / "m.txt"
-        man.write_text("nodes = 5\nlayers = 1\nedge_file = e.txt\nnodes = 3\n")
-        assert load_dataset(str(man))[0].n_nodes == 3
+        assert sorted(set(truth.tolist())) == [1, 2]
 
 
 class TestParamsFile:
@@ -236,6 +174,11 @@ class TestParamsFile:
         p = tmp_path / "params.txt"
         p.write_text("gamma.plus = 0.5 1.0\ngamma.minus = 2.0\n")
         assert load_params_file(str(p), 2) == {"gamma.plus": [0.5, 1.0], "gamma.minus": 2.0}
+
+    def test_last_line_for_a_key_wins(self, tmp_path):
+        p = tmp_path / "params.txt"
+        p.write_text("gamma.plus = 5\ngamma.minus = 2.0\ngamma.plus = 0.5\n")
+        assert load_params_file(str(p), 1) == {"gamma.plus": 0.5, "gamma.minus": 2.0}
 
     @pytest.mark.parametrize("text", ["0 1\n1 0\n", "# cells 1 and 2\n0 1\n\n  1 0\n"])
     def test_closeness_matrix_loaded(self, tmp_path, text):
@@ -643,14 +586,13 @@ class TestAspectGridFile:
             net = load_multiplex(str(p))
             assert (net.dims, net.n_cells) == (None, 1), comment
 
-    def test_a_manifest_names_a_grid_and_its_couplings(self, tmp_path):
+    def test_a_grid_and_its_couplings(self, tmp_path):
         (tmp_path / "g.txt").write_text("#dims 2 2\n1,1 1 2\n2,2 2 3 0.5\n")
         (tmp_path / "gc.txt").write_text("1 1,1 2,1\n")
-        manifest = tmp_path / "m.txt"
-        manifest.write_text("nodes = 3\nlayers = 4\nedges = 2\nedge_file = g.txt\n"
-                            "coupling_file = gc.txt\n")
-        net, truth = load_dataset(str(manifest))
-        assert (net.dims, net.n_nodes, truth) == ((2, 2), 3, None)
+        net = load_multiplex(str(tmp_path / "g.txt"), n_nodes=3)
+        net = net.with_couplings(load_couplings(str(tmp_path / "gc.txt"), net, 3)[0])
+        assert (net.dims, net.n_nodes, net.n_cells) == ((2, 2), 3, 4)
+        assert sum(len(e) for e in net.within_edges) == 2
         assert set(net.couplings) == {(0, 0, 2)}
 
     def test_grid_takes_no_layer_file(self, tmp_path):
