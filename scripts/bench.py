@@ -26,7 +26,9 @@ repository root.  ``verify`` runs them again and lists every document that
 moved, with the fields that moved, in the order bytes, soft labels, beta,
 labels, q_total: a document whose labels or ``q_total`` moved is a changed
 result, one where only bytes, soft labels or beta moved changed at the
-rounding level.  It exits 1 when anything moved or is missing, else 0.
+rounding level.  Its last line counts the two kinds apart, so that a run
+under another BLAS kernel (``OPENBLAS_CORETYPE``) shows how many results
+the kernel changed.  It exits 1 when anything moved or is missing, else 0.
 ``--rev REV`` runs commit REV instead of the checkout; ``--only`` restricts
 both commands to the named runs, and ``verify`` then checks only theirs; a
 name that is no run exits 2 with the list of runs.
@@ -41,6 +43,13 @@ Ladder rows:
                           ``perfbench/workloads.synth_edges`` at supra 512,
                           1k, 2k, 4k, 8k, 16k, 32k and 64k, rho = 0.5
                           couplings, seed 3006
+    layers-detect-uniform, layers-detect-temporal
+                          mspec detect on 16, 64, 128 and 256 one-aspect
+                          layers of 256 nodes (supra 4k, 16k, 32k and 64k)
+                          under the uniform or the temporal strategy, with
+                          no coupling file, seed 3006; each layer is its
+                          own G(256, 8/256) from ``synth_edges``, seeded
+                          with 3006 plus its layer index
 
 Check-set runs:
     compare-<seed>   the karate-compare command at seeds 3006..3011
@@ -160,6 +169,23 @@ def synth(directory: str, supra: int, seed: int) -> list[str]:
             "--omega", repr(SYNTH_OMEGA), "--algorithm", "mspec", "--seed", str(seed)]
 
 
+def stacked_layers(directory: str, n_nodes: int, n_cells: int, seed: int) -> list[str]:
+    """Edge and layer files of ``n_cells`` one-aspect layers, each the first
+    layer of ``synth_edges(n_nodes, seed + layer)``; the ``detect``
+    arguments that read them, without a coupling strategy."""
+    os.makedirs(directory)
+    paths = [os.path.join(directory, name) for name in ("layers.edges", "layers.layers")]
+    rows = ["# layerId nodeId nodeId"]
+    for layer in range(1, n_cells + 1):
+        i, j = synth_edges(n_nodes, seed + layer)[0]
+        rows += [f"{layer} {a} {b}" for a, b in zip((i + 1).tolist(), (j + 1).tolist())]
+    write_lines(paths[0], rows)
+    write_lines(paths[1], ["# layerId aspectId label"]
+                + [f"{layer} 1 l{layer}" for layer in range(1, n_cells + 1)])
+    return ["detect", "--input", paths[0], "--layers-file", paths[1], "--nodes",
+            str(n_nodes), "--algorithm", "mspec", "--seed", str(seed)]
+
+
 def grid(directory: str) -> list[str]:
     """A seeded #dims 2 3 grid of 12 nodes, weighted, with couplings; the
     ``detect`` arguments that read it."""
@@ -215,6 +241,13 @@ def ladder(inputs: str):
                 "--omega", "1.0", "--algorithm", "mspec", "--seed", str(SEED)])
     for supra in SYNTH_SIZES:
         yield "synth-detect", supra, SEED, synth(os.path.join(inputs, str(supra)), supra, SEED)
+    stacks = {n_cells: stacked_layers(os.path.join(inputs, f"layers{n_cells}"), 256, n_cells, SEED)
+              for n_cells in (16, 64, 128, 256)}
+    # strategy-major, so that each strategy's rows alternate which tree runs first
+    for strategy in ("uniform", "temporal"):
+        for n_cells, argv in stacks.items():
+            yield (f"layers-detect-{strategy}", 256 * n_cells, SEED,
+                   argv + ["--coupling-strategy", strategy])
 
 
 def checkset(inputs: str):
@@ -329,7 +362,7 @@ def run_checkset(command: str, rev: str | None, only: list[str] | None, path: st
         record = json.load(fh)
     want = {key: entry for key, entry in record["documents"].items()
             if not only or key.split("/", 1)[0] in only}
-    failures = 0
+    failures, results = 0, []  # per moved document: did its labels or q_total move
     for key in sorted(want.keys() | documents.keys()):
         if key not in documents:
             print(f"missing  {key}")
@@ -338,11 +371,14 @@ def run_checkset(command: str, rev: str | None, only: list[str] | None, path: st
         elif fields := [name for field, name in FIELDS.items()
                         if want[key].get(field) != documents[key].get(field)]:
             print(f"moved    {key}: {', '.join(fields)}")
+            results.append("labels" in fields or "q_total" in fields)
         else:
             continue
         failures += 1
     print(f"{sha} against {record['git_sha']}: {len(documents)} files, {failures} moved "
           "or missing")
+    print(f"{sum(results)} documents with labels or q_total moved, {len(results) - sum(results)} "
+          "with only bytes, soft labels or beta moved")
     return 1 if failures else 0
 
 

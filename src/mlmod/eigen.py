@@ -1,9 +1,10 @@
 """Leading eigenpair of a symmetric matrix via LAPACK or ARPACK.
 
-A dense array goes to LAPACK's dense symmetric solver (top pair only),
-and a matrix-free operator to ARPACK's implicitly restarted Lanczos
-(Lehoucq, Sorensen & Yang, SIAM 1998), which only needs products; the
-caller picks the path by the type it passes.  The start vector comes
+A dense array goes to LAPACK's dense symmetric solver (the top pair, or
+every pair when that solve returns none), and a matrix-free operator to
+ARPACK's implicitly restarted Lanczos (Lehoucq, Sorensen & Yang, SIAM
+1998), which only needs products; the caller picks the path by the type
+it passes.  The start vector comes
 from a PCG64 stream with a fixed seed, so repeated calls return
 bit-identical results.
 """
@@ -86,9 +87,9 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
     The array must be float64, C-contiguous, writeable and equal to its
     transpose bit for bit, as ``mspec.subdivision_matrix`` forms it; any
     other raises DomainError and is not written.  It is LAPACK's workspace
-    during the call, so that no copy of it is made; it is bit-identical
-    again when the call returns or raises, but nothing may read it while
-    the call runs.
+    during the call, so that no copy of it is made unless the top-pair
+    solve returns none; it is bit-identical again when the call returns or
+    raises, but nothing may read it while the call runs.
     """
     if hasattr(matrix, "matvec"):
         n, apply, scale = matrix.shape[0], matrix.matvec, matrix.norm_inf()
@@ -106,6 +107,8 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
         return 0.0, _orient(_start(n))
     if not hasattr(matrix, "matvec"):
         vals, vecs = _eigh_in_place(d)
+        if not vals.size:  # LAPACK can return no pair when the top eigenvalue repeats
+            vals, vecs = eigh(d, check_finite=False)  # all n pairs, from a copy of d
     else:
         # Imported here, not at module level: after ``import mlmod.cli`` it adds
         # about 2.2 MB to the peak RSS, and small runs never need it.
@@ -116,7 +119,7 @@ def leading_eigenpair(matrix) -> tuple[float, np.ndarray]:
             vals, vecs = eigsh(op, k=1, which="LA", v0=_start(n), tol=_TOL)
         except ArpackError as exc:  # no convergence, or another ARPACK failure
             raise ConvergenceError(str(exc)) from exc
-    beta, u = float(vals[0]), vecs[:, 0]
+    beta, u = float(vals[-1]), vecs[:, -1]
     resid = float(np.linalg.norm(apply(u) - beta * u))
     if resid > _TOL * scale:
         raise ConvergenceError(

@@ -13,11 +13,11 @@ entries is chi; the Hamiltonian of the static derivation is
 ``quality_matrix`` is the only code that builds D, and the only code that
 sums each layer's strengths k and total weight m for it.  It holds D in
 factored form, a sparse matrix plus one rank-one null term per layer and
-null piece, whose memory and products cost O(nnz + N L^2); the
-optimizers and the scorer work on it, and ``build_modularity_matrix``
-assembles the dense (N L)^2 array for small n.  The independent check of
-D, Q and H is ``tests/oracles.py``, built entry by entry from the
-definitions.
+null piece, built in O(edges + live coupling entries + L^2) and held and
+applied in O(nnz + N L); the optimizers and the scorer work on it, and
+``build_modularity_matrix`` assembles the dense (N L)^2 array for small n.
+The independent check of D, Q and H is ``tests/oracles.py``, built entry
+by entry from the definitions.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _row_blocks(indptr: np.ndarray):
 
 @dataclass(frozen=True)
 class QualityMatrix:
-    """The supra-modularity matrix D in factored form, O(nnz + N L^2) memory.
+    """The supra-modularity matrix D in factored form, O(nnz + N L) memory.
 
     ``indptr``, ``indices`` and ``data`` hold a symmetric CSR matrix B with
     the within-layer blocks ``lam_t A_t`` and the signed coupling
@@ -316,40 +316,42 @@ class Subdivision:
         return out
 
 
-def _coupling_strengths(net: MultilayerNetwork, spec: CouplingSpec):
-    """Signed strength of every candidate node-copy pair: ``+e`` where the
-    coupling is present and ``-e`` where it is absent.
-
-    Returns the cell pairs (a, b), a < b, in ``itertools.combinations``
-    order, and an array with one row per pair and one column per node.
-    The amplitude e comes from the coupling strategy (see ``CouplingSpec``);
-    the explicit one reads the magnitudes of the network's couplings.
+def _coupling_entries(net: MultilayerNetwork, spec: CouplingSpec):
+    """B's coupling entries above its diagonal, (rows, cols, values), for the
+    node-copy pairs whose amplitude e can be non-zero: ``+e`` where the
+    coupling is present and ``-e`` where it is absent.  They come in
+    candidate order: cell pairs (a, b), a < b, in ``itertools.combinations``
+    order, then nodes.  The strategy gives e once per cell pair (see
+    ``CouplingSpec``); the explicit one gives each listed coupling its
+    magnitude, and 0 to every other pair.
     """
     L, N = net.n_cells, net.n_nodes
-    ca, cb = np.triu_indices(L, 1)
     node, a, b = net.couplings.rows.T
-    pair = a * (2 * L - a - 1) // 2 + b - a - 1  # index of (a, b) in (ca, cb)
     if spec.strategy == "explicit":
-        amp = np.zeros((ca.size, N))
-        if net.couplings.magnitude is not None:
-            amp[pair, node] = net.couplings.magnitude
-    else:
-        if spec.strategy == "uniform":
-            e = np.full(ca.size, spec.omega)
-        elif spec.strategy == "closeness":
-            m = check_closeness(spec.closeness, L)
-            e = spec.omega * m[ca, cb] / m.max()
-        else:  # temporal: consecutive layers of one aspect
-            if net.dims is not None and len(net.dims) > 1:
-                raise DomainError(
-                    f"temporal coupling on a {'x'.join(map(str, net.dims))} grid would couple "
-                    "row-major neighbours; couple its aspects with closeness or explicit")
-            aspect = np.repeat(np.arange(len(net.aspects)), net.aspect_sizes)
-            e = np.where((cb - ca == 1) & (aspect[ca] == aspect[cb]), spec.omega, 0.0)
-        amp = np.repeat(e[:, None], N, axis=1)
-    present = np.zeros(amp.shape, dtype=bool)
-    present[pair, node] = True
-    return ca, cb, np.where(present, amp, -amp)
+        order, mag = np.lexsort((node, b, a)), net.couplings.magnitude
+        return (a[order] * N + node[order], b[order] * N + node[order],
+                np.zeros(order.size) if mag is None else mag[order])
+    ca, cb = np.triu_indices(L, 1)
+    if spec.strategy == "uniform":
+        e = np.full(ca.size, spec.omega, dtype=float)
+    elif spec.strategy == "closeness":
+        m = check_closeness(spec.closeness, L)
+        e = spec.omega * m[ca, cb] / m.max()
+    else:  # temporal: consecutive layers of one aspect
+        if net.dims is not None and len(net.dims) > 1:
+            raise DomainError(
+                f"temporal coupling on a {'x'.join(map(str, net.dims))} grid would couple "
+                "row-major neighbours; couple its aspects with closeness or explicit")
+        aspect = np.repeat(np.arange(len(net.aspects)), net.aspect_sizes)
+        e = np.where((cb - ca == 1) & (aspect[ca] == aspect[cb]), spec.omega, 0.0)
+    live = np.flatnonzero(e)
+    rank = np.full(e.size, -1)  # of each live cell pair among the live ones
+    rank[live] = np.arange(live.size)
+    at = rank[a * (2 * L - a - 1) // 2 + b - a - 1]  # rank of each coupling's cell pair, or -1
+    vals = np.repeat(-e[live], N)
+    vals[at[at >= 0] * N + node[at >= 0]] *= -1.0
+    heads, tails = (c[live, None] * N + np.arange(N) for c in (ca, cb))
+    return heads.ravel(), tails.ravel(), vals
 
 
 def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
@@ -396,12 +398,9 @@ def quality_matrix(net: MultilayerNetwork, spec: CouplingSpec,
     # the first, and nothing else of them is held through the CSR build
     entries = [(heads, tails, w * lam[cell])]
     del heads, tails, w, cell, ends, pieces
-    ca, cb, ctil = _coupling_strengths(net, spec)
-    nodes = np.arange(N)
-    entries.append(((ca[:, None] * N + nodes).ravel(), (cb[:, None] * N + nodes).ravel(),
-                    ctil.ravel()))
+    entries.append(_coupling_entries(net, spec))
     # one pair at a time in candidate order (a running sum, not np.sum's pairwise one)
-    coupling_sum = float(np.cumsum(2.0 * ctil.ravel())[-1]) if ctil.size else 0.0
+    coupling_sum = float(np.cumsum(np.r_[0.0, 2.0 * entries[1][2]])[-1])
     heads, tails, vals = (np.concatenate(block) for block in zip(*entries))
     del entries
     keep = slice(None) if vals.all() else vals != 0.0

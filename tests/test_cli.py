@@ -68,6 +68,18 @@ class TestDetect:
         # Q is the coupling sum alone: 5 nodes x 2 ordered layer pairs
         assert result.q_total == pytest.approx(10.0, abs=1e-12)
 
+    def test_copies_of_an_uncoupled_node_divide(self, tmp_path):
+        # the subdivision of a node's 40 copies repeats its top eigenvalue 39
+        # times, where LAPACK's top-pair solve can return no pair
+        edge = tmp_path / "e.txt"
+        edge.write_text("1 1 2\n1 2 3\n2 1 3\n")
+        layers = tmp_path / "lay.txt"
+        layers.write_text("".join(f"{t} 1 l{t}\n" for t in range(1, 41)))
+        with pytest.warns(RuntimeWarning):  # layers 3..40 have no edges
+            code = run_cli(["detect", "--input", str(edge), "--layers-file", str(layers),
+                            "--out", str(tmp_path / "o")])
+        assert code == 0
+
     def test_bad_path_exit_2_no_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli([

@@ -5,7 +5,7 @@ import pytest
 
 import mlmod.eigen
 from mlmod import ConvergenceError, CouplingSpec, DomainError, build_karate_replica, quality_matrix
-from mlmod.eigen import leading_eigenpair
+from mlmod.eigen import _TOL, leading_eigenpair
 from mlmod.modularity import Subdivision
 
 from oracles import dense_leading_eigenpair
@@ -84,6 +84,17 @@ class TestLeadingEigenpair:
         beta, u = leading_eigenpair(d)
         assert beta == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(d @ u - beta * u) <= 1e-9
+
+    def test_repeated_top_eigenvalue(self):
+        # n I - J has eigenvalue n, n - 1 times over; for some n LAPACK's
+        # top-pair solve returns no pair at all
+        for n in range(3, 131):
+            d = n * np.eye(n) - np.ones((n, n))
+            beta, u = leading_eigenpair(d)
+            assert beta == pytest.approx(n, rel=1e-12)
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(d @ u - beta * u) <= _TOL * 2.0 * (n - 1)
+            assert np.array_equal(d, n * np.eye(n) - np.ones((n, n)))
 
     def test_identity_invariant_subspace(self):
         beta, u = leading_eigenpair(np.eye(5))

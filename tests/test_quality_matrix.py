@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -78,9 +79,11 @@ def instances(draw):
     omega = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
     closeness = None
     if strategy == "closeness":
-        a = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+        # a zero entry gives its cell pairs amplitude 0; the maximum stays > 0
+        a = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                                    min_size=n_cells * n_cells, max_size=n_cells * n_cells)))
         closeness = a.reshape(n_cells, n_cells) + a.reshape(n_cells, n_cells).T
+        closeness.flat[0] = max(closeness.flat[0], 1.0)
     if strategy == "explicit":  # magnitudes ride on the present couplings
         net = net.with_couplings(Couplings(net.couplings.rows, [
             draw(st.sampled_from([0.0, 0.25, 1.0])) for _ in net.couplings]))
@@ -208,6 +211,29 @@ def test_csr_and_takes_equal_the_stable_sort_reference(instance):
     whole = qm.take(np.arange(qm.size))
     for name in FIELDS + ("cells", "strengths", "coefs"):
         assert getattr(whole, name) is getattr(qm, name), name
+
+
+@pytest.mark.parametrize("strategy", ["temporal", "explicit"])
+def test_coupling_block_costs_its_live_couplings(strategy):
+    # 400 one-aspect cells of 64 nodes have 79,800 cell pairs; temporal
+    # couples 399 of them, and the coupling list names 399 couplings per
+    # node.  One float per candidate (cell pair, node) alone is 41 MB
+    n_nodes, n_cells = 64, 400
+    net = MultilayerNetwork(n_nodes=n_nodes,
+                            aspects=(Aspect("t", tuple(f"l{t}" for t in range(n_cells))),),
+                            within_edges=tuple(((0, 1, 1.0),) for _ in range(n_cells)))
+    rows = [(node, t, t + 1) for node in range(n_nodes) for t in range(n_cells - 1)]
+    net = net.with_couplings(Couplings(rows, np.full(len(rows), 0.5)))
+    params = ModularityParams.for_network(net)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        qm, _ = quality_matrix(net, CouplingSpec(strategy, 1.0), params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert qm.data.size == 2 * (n_cells + len(rows))
+    assert peak < 16 * 2**20
 
 
 def test_quality_matrix_arrays_are_read_only():
